@@ -19,34 +19,24 @@
 namespace quickview::bench {
 namespace {
 
-struct PagedFixture {
-  std::shared_ptr<xml::Database> db;
-  std::unique_ptr<index::DatabaseIndexes> indexes;
-  std::unique_ptr<storage::DocumentStore> store;
-};
-
-PagedFixture& GetPagedFixture() {
-  static auto* fixture = [] {
-    auto f = new PagedFixture();
-    // Large enough that the disjunctive four-term query below matches
-    // on the order of 1000 view results.
+/// One in-memory shard, large enough that the disjunctive four-term
+/// query below matches on the order of 1000 view results.
+const storage::ShardSet& GetPagedCorpus() {
+  static const auto* corpus = [] {
     workload::BookRevOptions opts;
     opts.num_books = 1800;
     opts.max_reviews_per_book = 4;
-    f->db = workload::GenerateBookRevDatabase(opts);
-    f->indexes = index::BuildDatabaseIndexes(*f->db);
-    f->store = std::make_unique<storage::DocumentStore>(*f->db);
-    return f;
+    return new storage::ShardSet(storage::ShardSet::FromDatabase(
+        workload::GenerateBookRevDatabase(opts)));
   }();
-  return *fixture;
+  return *corpus;
 }
 
 std::unique_ptr<service::QueryService> MakeService() {
-  PagedFixture& fixture = GetPagedFixture();
   service::QueryServiceOptions options;
   options.threads = 1;  // cursors run on the calling thread
   auto query_service = std::make_unique<service::QueryService>(
-      fixture.db.get(), fixture.indexes.get(), fixture.store.get(), options);
+      &GetPagedCorpus(), options);
   Status registered =
       query_service->RegisterView("bookrev", workload::BookRevView());
   if (!registered.ok()) {

@@ -11,11 +11,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include "index/index_builder.h"
 #include "server/load_driver.h"
 #include "server/server.h"
 #include "service/query_service.h"
-#include "storage/document_store.h"
+#include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
 
 namespace quickview::bench {
@@ -24,9 +23,7 @@ namespace {
 /// One server for the whole binary: the demo corpus behind a
 /// QueryService behind a Server on an ephemeral loopback port.
 struct ServerFixture {
-  std::shared_ptr<xml::Database> db;
-  std::unique_ptr<index::DatabaseIndexes> indexes;
-  std::unique_ptr<storage::DocumentStore> store;
+  std::unique_ptr<storage::ShardSet> corpus;  // one in-memory shard
   std::unique_ptr<service::QueryService> service;
   std::unique_ptr<server::Server> server;
 };
@@ -34,11 +31,10 @@ struct ServerFixture {
 ServerFixture& GetServerFixture() {
   static auto* fixture = [] {
     auto f = new ServerFixture();
-    f->db = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
-    f->indexes = index::BuildDatabaseIndexes(*f->db);
-    f->store = std::make_unique<storage::DocumentStore>(*f->db);
-    f->service = std::make_unique<service::QueryService>(
-        f->db.get(), f->indexes.get(), f->store.get());
+    f->corpus = std::make_unique<storage::ShardSet>(
+        storage::ShardSet::FromDatabase(workload::GenerateBookRevDatabase(
+            workload::BookRevOptions{})));
+    f->service = std::make_unique<service::QueryService>(f->corpus.get());
     Status registered =
         f->service->RegisterView("default", workload::BookRevView());
     if (!registered.ok()) {

@@ -56,15 +56,7 @@ ShardScalingFixture& GetShardScalingFixture() {
 }
 
 std::vector<engine::ShardContext> ContextsFor(int shards) {
-  const storage::ShardSet& set =
-      GetShardScalingFixture().shard_sets.at(shards);
-  std::vector<engine::ShardContext> contexts;
-  for (size_t i = 0; i < set.size(); ++i) {
-    const storage::Shard& shard = set.shard(i);
-    contexts.push_back(engine::ShardContext{
-        shard.database.get(), shard.index_source(), shard.store.get()});
-  }
-  return contexts;
+  return engine::ShardContexts(GetShardScalingFixture().shard_sets.at(shards));
 }
 
 engine::SearchRequest MakeRequest() {

@@ -20,25 +20,16 @@ namespace {
 
 /// A corpus large enough that PDT generation is the dominant per-query
 /// cost (the component the cache removes), as in the paper's data-heavy
-/// configurations.
-struct BookrevFixture {
-  std::shared_ptr<xml::Database> db;
-  std::unique_ptr<index::DatabaseIndexes> indexes;
-  std::unique_ptr<storage::DocumentStore> store;
-};
-
-BookrevFixture& GetBookrevFixture() {
-  static auto* fixture = [] {
-    auto f = new BookrevFixture();
+/// configurations; one in-memory shard.
+const storage::ShardSet& GetBookrevCorpus() {
+  static const auto* corpus = [] {
     workload::BookRevOptions opts;
     opts.num_books = 600;
     opts.max_reviews_per_book = 5;
-    f->db = workload::GenerateBookRevDatabase(opts);
-    f->indexes = index::BuildDatabaseIndexes(*f->db);
-    f->store = std::make_unique<storage::DocumentStore>(*f->db);
-    return f;
+    return new storage::ShardSet(storage::ShardSet::FromDatabase(
+        workload::GenerateBookRevDatabase(opts)));
   }();
-  return *fixture;
+  return *corpus;
 }
 
 /// A batch of `batch_size` queries with pairwise-distinct plan
@@ -84,11 +75,10 @@ std::vector<service::BatchQuery> MakeBatch(size_t batch_size) {
 }
 
 std::unique_ptr<service::QueryService> MakeService(int threads) {
-  BookrevFixture& fixture = GetBookrevFixture();
   service::QueryServiceOptions options;
   options.threads = threads;
   auto query_service = std::make_unique<service::QueryService>(
-      fixture.db.get(), fixture.indexes.get(), fixture.store.get(), options);
+      &GetBookrevCorpus(), options);
   Status registered =
       query_service->RegisterView("bookrev", workload::BookRevView());
   if (!registered.ok()) {

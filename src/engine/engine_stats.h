@@ -69,24 +69,13 @@ struct ShardStats {  // lint:allow(adhoc-stats) per-request value type returned 
   bool cancelled = false;
 };
 
-/// Buffer-pool counters in a dependency-neutral shape (the engine layer
-/// does not link pagestore); the service layer maps its pools' stats in.
-struct BufferCounters {  // lint:allow(adhoc-stats) per-request I/O attribution, feeds trace spans
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t frames_in_use = 0;
-  uint64_t frame_capacity = 0;
-};
-
 /// The one nested stats answer. `shards` has one entry per executed
-/// shard (a single entry on an unsharded engine); `buffer` is zero
-/// unless a service/CLI layer with buffer pools filled it.
+/// shard (a single entry on an unsharded engine). Buffer-pool counters
+/// live in the metrics registry (qv_bufferpool_*), not here.
 struct EngineStats {  // lint:allow(adhoc-stats) per-request value type returned with results
   SearchStats search;
   ModuleTimings timings;
   std::vector<ShardStats> shards;
-  BufferCounters buffer;
 };
 
 }  // namespace quickview::engine

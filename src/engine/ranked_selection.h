@@ -27,7 +27,7 @@ namespace quickview::engine {
 
 /// Ranked keyword search over a monotone selection view, skipping view
 /// evaluation entirely. Produces exactly the hits (same scores, same
-/// order) ViewSearchEngine::SearchView would. Returns Unsupported when
+/// order) ViewSearchEngine::Execute would. Returns Unsupported when
 /// the view is outside the monotone sub-class.
 Result<SearchResponse> RankedSelectionSearch(
     const xml::Database& database, const index::DatabaseIndexes& indexes,

@@ -12,6 +12,7 @@
 #include "engine/result_cursor.h"
 #include "qpt/generate_qpt.h"
 #include "scoring/scorer.h"
+#include "storage/shard_set.h"
 #include "xquery/evaluator.h"
 #include "xquery/parser.h"
 
@@ -118,6 +119,17 @@ ViewSearchEngine::ViewSearchEngine(std::vector<ShardContext> shards,
                                    ThreadPool* pool)
     : shards_(std::move(shards)), pool_(pool) {
   assert(!shards_.empty());
+}
+
+std::vector<ShardContext> ShardContexts(const storage::ShardSet& shards) {
+  std::vector<ShardContext> contexts;
+  contexts.reserve(shards.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const storage::Shard& shard = shards.shard(i);
+    contexts.push_back(ShardContext{shard.database.get(), shard.index_source(),
+                                    shard.store.get()});
+  }
+  return contexts;
 }
 
 std::string PlanSignature(const std::vector<qpt::Qpt>& qpts,
@@ -521,50 +533,9 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
 
 Result<SearchResponse> ViewSearchEngine::Execute(
     const SearchRequest& request) const {
-  return ExecuteImpl(request);
-}
-
-Result<SearchResponse> ViewSearchEngine::ExecuteImpl(
-    const SearchRequest& request) const {
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<ResultCursor> cursor,
                              OpenImpl(request, {}));
   return DrainToResponse(cursor.get());
-}
-
-Result<SearchResponse> ViewSearchEngine::ExecutePreparedImpl(
-    std::shared_ptr<const PreparedQuery> prepared,
-    const SearchOptions& options) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<ResultCursor> cursor,
-                             Open(std::move(prepared), options));
-  return DrainToResponse(cursor.get());
-}
-
-Result<SearchResponse> ViewSearchEngine::ExecutePrepared(
-    std::shared_ptr<const PreparedQuery> prepared,
-    const SearchOptions& options) const {
-  return ExecutePreparedImpl(std::move(prepared), options);
-}
-
-Result<SearchResponse> ViewSearchEngine::Search(
-    const std::string& query, const SearchOptions& options) const {
-  SearchRequest request;
-  request.query = query;
-  request.options = options;
-  return ExecuteImpl(request);
-}
-
-Result<SearchResponse> ViewSearchEngine::SearchView(
-    const std::string& view_text, const std::vector<std::string>& keywords,
-    const SearchOptions& options) const {
-  if (keywords.empty()) {
-    return Status::InvalidArgument(
-        "SearchView requires a non-empty keyword list");
-  }
-  SearchRequest request;
-  request.view = view_text;
-  request.keywords = keywords;
-  request.options = options;
-  return ExecuteImpl(request);
 }
 
 }  // namespace quickview::engine

@@ -23,8 +23,6 @@
 //   Open            evaluation + scoring + ranked merge, returning a
 //                   ResultCursor. Hits are materialized lazily, per
 //                   ResultCursor::FetchNext call, shard by shard.
-// The historical Search / SearchView / ExecutePrepared trio survives as
-// thin [[deprecated]] wrappers with byte-identical behavior.
 #ifndef QUICKVIEW_ENGINE_VIEW_SEARCH_ENGINE_H_
 #define QUICKVIEW_ENGINE_VIEW_SEARCH_ENGINE_H_
 
@@ -45,6 +43,10 @@
 namespace quickview {
 class ThreadPool;  // common/thread_pool.h
 }  // namespace quickview
+
+namespace quickview::storage {
+class ShardSet;  // storage/shard_set.h
+}  // namespace quickview::storage
 
 namespace quickview::engine {
 
@@ -110,6 +112,10 @@ struct ShardContext {
   const index::IndexSource* indexes = nullptr;
   const storage::DocumentStore* store = nullptr;
 };
+
+/// One context per shard of `shards`, in corpus order; the set must
+/// outlive every engine built over the result.
+std::vector<ShardContext> ShardContexts(const storage::ShardSet& shards);
 
 class ResultCursor;  // engine/result_cursor.h
 
@@ -179,28 +185,6 @@ class ViewSearchEngine {
       std::shared_ptr<const PreparedQuery> prepared,
       const SearchOptions& options) const;
 
-  /// Compatibility wrapper for the full Fig-2-style query: plans, builds
-  /// PDTs, opens and drains. Byte-identical to Execute() with
-  /// SearchRequest{.query = query, .options = options}.
-  [[deprecated("build a SearchRequest and call Execute(request)")]]
-  Result<SearchResponse> Search(const std::string& query,
-                                const SearchOptions& options) const;
-
-  /// Compatibility wrapper for view text + keywords. Byte-identical to
-  /// Execute() with SearchRequest{.view = view_text, .keywords =
-  /// keywords, .options = options}.
-  [[deprecated("build a SearchRequest and call Execute(request)")]]
-  Result<SearchResponse> SearchView(const std::string& view_text,
-                                    const std::vector<std::string>& keywords,
-                                    const SearchOptions& options) const;
-
-  /// Compatibility wrapper: Open(prepared, options) + drain.
-  [[deprecated(
-      "call Open(request, prepared) and drain, or Execute(request)")]]
-  Result<SearchResponse> ExecutePrepared(
-      std::shared_ptr<const PreparedQuery> prepared,
-      const SearchOptions& options) const;
-
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
@@ -210,10 +194,6 @@ class ViewSearchEngine {
       const SearchRequest& request,
       const std::vector<std::shared_ptr<const PreparedQuery>>& prepared)
       const;
-  Result<SearchResponse> ExecuteImpl(const SearchRequest& request) const;
-  Result<SearchResponse> ExecutePreparedImpl(
-      std::shared_ptr<const PreparedQuery> prepared,
-      const SearchOptions& options) const;
   Result<std::shared_ptr<const PreparedQuery>> BuildPdtsImpl(
       QueryPlan plan, int shard, const CancellationToken* cancel) const;
   Result<ShardEval> EvaluateShard(

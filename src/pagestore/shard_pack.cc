@@ -82,7 +82,9 @@ Result<ShardManifest> ReadShardManifest(const std::string& path) {
     return Status::ParseError("'" + manifest_path +
                               "' has a malformed shard count");
   }
-  manifest.pack_files.resize(static_cast<size_t>(manifest.shards));
+  // The count is untrusted: entries are appended as they are read, so a
+  // huge count with few entries fails at the first missing one instead
+  // of allocating for the claimed size.
   for (int i = 0; i < manifest.shards; ++i) {
     int index = -1;
     std::string file;
@@ -92,7 +94,7 @@ Result<ShardManifest> ReadShardManifest(const std::string& path) {
                                 "' has a malformed entry for shard " +
                                 std::to_string(i));
     }
-    manifest.pack_files[static_cast<size_t>(i)] = std::move(file);
+    manifest.pack_files.push_back(std::move(file));
   }
   return manifest;
 }

@@ -556,11 +556,6 @@ void Encode(const StatsResponse& resp, std::string* out) {
   AppendU64(out, resp.cache_misses);
   AppendU64(out, resp.cache_evictions);
   AppendSearchStats(out, resp.search);
-  AppendU64(out, resp.buffer.hits);
-  AppendU64(out, resp.buffer.misses);
-  AppendU64(out, resp.buffer.evictions);
-  AppendU64(out, resp.buffer.frames_in_use);
-  AppendU64(out, resp.buffer.frame_capacity);
   AppendU32(out, static_cast<uint32_t>(resp.slow_queries.size()));
   for (const SlowQueryEntry& entry : resp.slow_queries) {
     AppendU64(out, entry.latency_us);
@@ -600,12 +595,7 @@ Result<StatsResponse> DecodeStatsResponse(std::string_view payload) {
        ReadU64(payload, &pos, &resp.cache_hits) &&
        ReadU64(payload, &pos, &resp.cache_misses) &&
        ReadU64(payload, &pos, &resp.cache_evictions) &&
-       ReadSearchStats(payload, &pos, &resp.search) &&
-       ReadU64(payload, &pos, &resp.buffer.hits) &&
-       ReadU64(payload, &pos, &resp.buffer.misses) &&
-       ReadU64(payload, &pos, &resp.buffer.evictions) &&
-       ReadU64(payload, &pos, &resp.buffer.frames_in_use) &&
-       ReadU64(payload, &pos, &resp.buffer.frame_capacity);
+       ReadSearchStats(payload, &pos, &resp.search);
   uint32_t slow_count = 0;
   ok = ok && ReadU32(payload, &pos, &slow_count);
   for (uint32_t i = 0; ok && i < slow_count; ++i) {

@@ -38,7 +38,7 @@
 namespace quickview::server {
 
 inline constexpr uint32_t kFrameMagic = 0x51565250;  // "QVRP"
-inline constexpr uint16_t kProtocolVersion = 1;
+inline constexpr uint16_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 20;
 inline constexpr size_t kFrameTrailerSize = 4;
 /// Hard cap on a single frame's payload; anything larger is corrupt (or
@@ -252,9 +252,9 @@ struct StatsResponse {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  // EngineStats: the aggregate SearchStats + buffer-pool counters.
+  // EngineStats: the aggregate SearchStats. Buffer-pool counters are
+  // the qv_bufferpool_* series of the text exposition.
   engine::SearchStats search;
-  engine::BufferCounters buffer;
   /// Worst admitted requests by latency, worst first.
   std::vector<SlowQueryEntry> slow_queries;
 };

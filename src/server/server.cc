@@ -645,7 +645,6 @@ StatsResponse Server::SnapshotStats() const {
   out.cache_misses = service_stats.cache.misses;
   out.cache_evictions = service_stats.cache.evictions;
   out.search = service_stats.engine.search;
-  out.buffer = service_stats.engine.buffer;
   for (obs::SlowQueryLog::Entry& entry : slow_log_.Snapshot()) {
     SlowQueryEntry wire;
     wire.latency_us = entry.latency_us;

@@ -21,13 +21,9 @@ int ResolveThreads(int requested) {
 
 }  // namespace
 
-QueryService::QueryService(const xml::Database* database,
-                           const index::IndexSource* indexes,
-                           const storage::DocumentStore* store,
+QueryService::QueryService(const storage::ShardSet* shards,
                            const QueryServiceOptions& options)
-    : database_(database),
-      indexes_(indexes),
-      store_(store),
+    : shards_(shards),
       cache_(options.cache),
       pool_(ResolveThreads(options.threads)) {}
 
@@ -36,19 +32,6 @@ QueryService::QueryService(storage::LiveDatabase* live,
     : live_(live),
       cache_(options.cache),
       pool_(ResolveThreads(options.threads)) {}
-
-QueryService::QueryService(const storage::ShardSet* shards,
-                           const QueryServiceOptions& options)
-    : shards_(shards),
-      shard_epochs_(shards->size()),
-      cache_(options.cache),
-      pool_(ResolveThreads(options.threads)) {}
-
-void QueryService::InvalidateShard(int shard) {
-  if (shard < 0 || shard >= static_cast<int>(shard_epochs_.size())) return;
-  shard_epochs_[static_cast<size_t>(shard)].fetch_add(
-      1, std::memory_order_relaxed);
-}
 
 Status QueryService::RegisterView(const std::string& name,
                                   const std::string& view_text) {
@@ -144,20 +127,20 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::OpenSearch(
                                      keyword);
     }
   }
-  if (shards_ != nullptr) return PrepareShardedCursor(query);
   // Live mode: hold the corpus lock shared across planning, PDT build
   // and evaluation, so this query sees the corpus entirely before or
   // after any concurrent mutation, never in between; the snapshot lease
   // keeps lazy materialization valid after the lock drops. Static mode:
-  // the surface is immutable construction state, no lock exists.
+  // the shard set is immutable construction state, no lock exists.
   if (live_ != nullptr) {
     qv::ReaderLock data_lock(live_->mu());
     std::shared_ptr<const storage::DocumentStore> snapshot = live_->store();
-    const storage::DocumentStore* store = snapshot.get();
-    return PrepareCursor(query, live_->database(), live_->indexes(), store,
-                         std::move(snapshot));
+    std::vector<engine::ShardContext> contexts{engine::ShardContext{
+        live_->database(), live_->indexes(), snapshot.get()}};
+    return PrepareCursor(query, std::move(contexts), std::move(snapshot));
   }
-  return PrepareCursor(query, database_, indexes_, store_, /*lease=*/nullptr);
+  return PrepareCursor(query, engine::ShardContexts(*shards_),
+                       /*lease=*/nullptr);
 }
 
 Result<QueryService::ViewSnapshot> QueryService::SnapshotView(
@@ -195,10 +178,10 @@ std::string QueryService::BaseCacheKey(const std::string& view_name,
 }
 
 Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
-    const BatchQuery& query, const xml::Database* database,
-    const index::IndexSource* indexes, const storage::DocumentStore* store,
+    const BatchQuery& query, std::vector<engine::ShardContext> contexts,
     std::shared_ptr<const storage::DocumentStore> lease) {
-  engine::ViewSearchEngine engine(database, indexes, store);
+  const size_t shard_count = contexts.size();
+  engine::ViewSearchEngine engine(std::move(contexts), &pool_);
 
   // The view (and crucially its data epoch) is read under the SAME
   // corpus-lock hold that captured the surface in OpenSearch — mutations
@@ -210,54 +193,20 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   // mutations.
   QUICKVIEW_ASSIGN_OR_RETURN(ViewSnapshot view, SnapshotView(query.view));
 
-  // The hit path deliberately re-plans (parse + QPT generation; cost
-  // proportional to the query text, never the data) so the cache stays
-  // keyed by the canonical plan signature rather than raw input text.
-  // If planning ever shows up in warm-path profiles, add a first-level
-  // key on (view#version, keywords, connective) in front of this.
+  // Plan once on the calling thread for the cache key's signature (each
+  // shard task re-plans from the same text inside Open on a miss, so
+  // every cached PreparedQuery stays self-contained). The hit path
+  // deliberately re-plans too (cost proportional to the query text,
+  // never the data) so the cache stays keyed by the canonical plan
+  // signature rather than raw input text.
   std::string full_query = engine::ComposeKeywordQuery(
       view.text, query.keywords, query.options.conjunctive);
   QUICKVIEW_ASSIGN_OR_RETURN(engine::QueryPlan plan,
                              engine.PlanQuery(full_query));
-  std::string key = BaseCacheKey(query.view, view, plan.signature);
+  const std::string base = BaseCacheKey(query.view, view, plan.signature);
 
-  // Open(request, prepared) — the same entry the sharded path uses — so
-  // the request's deadline (and caller token) governs PDT build and
-  // evaluation here too; a cache miss rides in as a null slot the engine
-  // builds itself, under the token.
-  engine::SearchRequest request;
-  request.view = view.text;
-  request.keywords = query.keywords;
-  request.options = query.options;
-  request.deadline = query.deadline;
-  request.cancel = query.cancel;
-  request.trace = query.trace;
-
-  std::shared_ptr<const engine::PreparedQuery> prepared = cache_.Get(key);
-  const bool cache_hit = prepared != nullptr;
-  // The cursor co-owns the PreparedQuery: eviction (or view replacement)
-  // only drops the cache's reference, never the open cursor's; in live
-  // mode the store-snapshot lease below completes the cursor's snapshot.
-  QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
-                             engine.Open(request, {std::move(prepared)}));
-  if (!cache_hit) cache_.Put(key, cursor->SharedPrepared(0));
-  if (lease != nullptr) cursor->AddLease(std::move(lease));
-  return cursor;
-}
-
-Result<std::unique_ptr<engine::ResultCursor>>
-QueryService::PrepareShardedCursor(const BatchQuery& query) {
-  QUICKVIEW_ASSIGN_OR_RETURN(ViewSnapshot view, SnapshotView(query.view));
-
-  std::vector<engine::ShardContext> contexts;
-  contexts.reserve(shards_->size());
-  for (size_t i = 0; i < shards_->size(); ++i) {
-    const storage::Shard& shard = shards_->shard(i);
-    contexts.push_back(engine::ShardContext{
-        shard.database.get(), shard.index_source(), shard.store.get()});
-  }
-  engine::ViewSearchEngine engine(std::move(contexts), &pool_);
-
+  // The request's deadline (and caller token) governs PDT build and
+  // evaluation; the shard hint is the engine's to validate.
   engine::SearchRequest request;
   request.view = view.text;
   request.keywords = query.keywords;
@@ -267,55 +216,43 @@ QueryService::PrepareShardedCursor(const BatchQuery& query) {
   request.cancel = query.cancel;
   request.trace = query.trace;
 
-  // Plan once on the calling thread for the cache key's signature (each
-  // shard task re-plans from the same text inside Open, so every cached
-  // PreparedQuery stays self-contained).
-  std::string full_query = engine::ComposeKeywordQuery(
-      view.text, query.keywords, query.options.conjunctive);
-  QUICKVIEW_ASSIGN_OR_RETURN(engine::QueryPlan plan,
-                             engine.PlanQuery(full_query));
-  const std::string base = BaseCacheKey(query.view, view, plan.signature);
-
   // Executed shards: all of them, or just the hinted one. An
   // out-of-range hint leaves `selected` empty and lets Open return its
   // typed range error.
   std::vector<size_t> selected;
   if (query.shard < 0) {
-    for (size_t i = 0; i < shards_->size(); ++i) selected.push_back(i);
-  } else if (query.shard < static_cast<int>(shards_->size())) {
+    for (size_t i = 0; i < shard_count; ++i) selected.push_back(i);
+  } else if (static_cast<size_t>(query.shard) < shard_count) {
     selected.push_back(static_cast<size_t>(query.shard));
   }
 
-  // Per-shard cache keys: the shared prefix plus "/s<i>#<epoch_i>", so
-  // one plan warms one entry per shard and InvalidateShard retires
-  // exactly one shard's entries. Hits ride into Open; misses stay null
-  // and the engine builds them — in parallel with each other.
+  // Per-shard cache keys: the shared prefix plus "/s<i>", so one plan
+  // warms one entry per shard. Hits ride into Open; misses stay null and
+  // the engine builds them — in parallel with each other.
   std::vector<std::string> keys;
   std::vector<std::shared_ptr<const engine::PreparedQuery>> prepared;
   keys.reserve(selected.size());
   prepared.reserve(selected.size());
   for (size_t shard : selected) {
-    std::string key = base;
-    key += "/s";
-    key += std::to_string(shard);
-    key.push_back('#');
-    key += std::to_string(
-        shard_epochs_[shard].load(std::memory_order_relaxed));
+    std::string key = base + "/s" + std::to_string(shard);
     prepared.push_back(cache_.Get(key));
     keys.push_back(std::move(key));
   }
 
+  // The cursor co-owns each PreparedQuery: eviction (or view
+  // replacement) only drops the cache's reference, never the open
+  // cursor's; in live mode the store-snapshot lease below completes the
+  // cursor's snapshot.
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
                              engine.Open(request, prepared));
   // Backfill the shards the engine had to build, so the next query over
-  // them hits. (A concurrent InvalidateShard may have retired a key in
-  // the meantime; the Put then lands on an unreachable key and ages out
-  // — never serves stale.)
+  // them hits.
   for (size_t slot = 0; slot < keys.size(); ++slot) {
     if (prepared[slot] == nullptr) {
       cache_.Put(keys[slot], cursor->SharedPrepared(slot));
     }
   }
+  if (lease != nullptr) cursor->AddLease(std::move(lease));
   return cursor;
 }
 
@@ -423,25 +360,6 @@ QueryService::Stats QueryService::stats() const {
     qv::MutexLock lock(stats_mu_);
     out.engine = engine_stats_;
   }
-  // Buffer counters are read live from the pools (not accumulated per
-  // query): the attached packed database's pool, or every shard's.
-  auto add_pool = [&out](const pagestore::BufferPool& pool) {
-    pagestore::BufferPoolStats s = pool.stats();
-    out.engine.buffer.hits += s.hits;
-    out.engine.buffer.misses += s.misses;
-    out.engine.buffer.evictions += s.evictions;
-    out.engine.buffer.frames_in_use += s.frames_in_use;
-    out.engine.buffer.frame_capacity += pool.frame_budget();
-  };
-  if (shards_ != nullptr) {
-    for (size_t i = 0; i < shards_->size(); ++i) {
-      if (shards_->shard(i).packed != nullptr) {
-        add_pool(shards_->shard(i).packed->pool());
-      }
-    }
-  } else if (pool_stats_ != nullptr) {
-    add_pool(*pool_stats_);
-  }
   return out;
 }
 
@@ -458,9 +376,9 @@ Status QueryService::RegisterMetrics(obs::MetricsRegistry* registry,
   if (live_ != nullptr) {
     QV_RETURN_IF_ERROR(live_->RegisterMetrics(registry, labels));
   }
-  // Pools behind a sharded packed corpus register per shard — the label
-  // keeps N pools apart under one metric name (and is the worked
-  // example of the registry's label-series contract).
+  // Pools behind a packed corpus register per shard — the label keeps N
+  // pools apart under one metric name (and is the worked example of the
+  // registry's label-series contract); a one-shard corpus is shard="0".
   if (shards_ != nullptr) {
     for (size_t i = 0; i < shards_->size(); ++i) {
       if (shards_->shard(i).packed == nullptr) continue;
@@ -469,8 +387,6 @@ Status QueryService::RegisterMetrics(obs::MetricsRegistry* registry,
       QV_RETURN_IF_ERROR(shards_->shard(i).packed->pool().RegisterMetrics(
           registry, std::move(shard_labels)));
     }
-  } else if (pool_stats_ != nullptr) {
-    QV_RETURN_IF_ERROR(pool_stats_->RegisterMetrics(registry, labels));
   }
   return Status::OK();
 }

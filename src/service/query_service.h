@@ -11,10 +11,16 @@
 // invalidate an open cursor. SearchOne / SearchBatch are thin wrappers
 // that drain a cursor into the classic SearchResponse.
 //
+// Two backends, one cursor path. A static corpus is a storage::ShardSet
+// (in memory or packed, one shard or many — an unsharded corpus is the
+// one-shard case); a live corpus is a storage::LiveDatabase. Either way
+// OpenSearch hands PrepareCursor the corpus as engine::ShardContexts and
+// every query runs the same plan -> cache -> Open(request, prepared)
+// code.
+//
 // Threading model:
-//  - in the static modes (raw database/indexes/store pointers, packed
-//    db) those structures are immutable after construction and shared by
-//    every worker;
+//  - in static mode the ShardSet is immutable after construction and
+//    shared by every worker;
 //  - in live mode (constructed over a storage::LiveDatabase) queries
 //    plan, build PDTs and evaluate under the shared side of the live
 //    database's own reader-writer lock (LiveDatabase::mu()), while
@@ -32,12 +38,11 @@
 //  - cached PreparedQuery bundles are immutable and reference-counted,
 //    so eviction never invalidates an executing query.
 // Results are deterministic: a batch returns, per query, exactly the
-// response a serial ViewSearchEngine::SearchView call would produce
+// response a serial ViewSearchEngine::Execute call would produce
 // against the same corpus state (timings aside).
 #ifndef QUICKVIEW_SERVICE_QUERY_SERVICE_H_
 #define QUICKVIEW_SERVICE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -51,14 +56,11 @@
 #include "common/sync.h"
 #include "engine/result_cursor.h"
 #include "engine/view_search_engine.h"
-#include "index/index_builder.h"
-#include "pagestore/buffer_pool.h"
 #include "service/prepared_query_cache.h"
 #include "common/thread_pool.h"
 #include "storage/document_store.h"
 #include "storage/live_database.h"
 #include "storage/shard_set.h"
-#include "xml/dom.h"
 
 namespace quickview::service {
 
@@ -73,9 +75,10 @@ struct BatchQuery {
   std::string view;  // registered view name
   std::vector<std::string> keywords;
   engine::SearchOptions options;
-  /// Shard routing hint, sharded services only: -1 searches every shard,
-  /// i >= 0 restricts to shard i (see SearchRequest::shard for the
-  /// ranking caveat).
+  /// Shard routing hint: -1 searches every shard, i >= 0 restricts to
+  /// shard i (see SearchRequest::shard for the ranking caveat). A hint
+  /// outside the corpus's shard range is InvalidArgument on every
+  /// backend; a live corpus has exactly one shard.
   int shard = -1;
   /// Wall-clock budget measured from OpenSearch, forwarded into
   /// SearchRequest::deadline: expiry unwinds in-flight shard work and the
@@ -102,21 +105,18 @@ class QueryService {
     /// returns): search counters, module timings and per-shard counters
     /// accumulated over every DRAINED query (SearchOne / SearchBatch —
     /// cursors handed out by OpenSearch fold in only if drained through
-    /// DrainToResponse by SearchOne), plus live buffer-pool counters of
-    /// the attached packed database or of every shard's pool (all zero
-    /// over in-memory structures).
+    /// DrainToResponse by SearchOne). Buffer-pool counters are registry
+    /// series (RegisterMetrics), not part of this snapshot.
     engine::EngineStats engine;
   };
 
-  /// Static mode: all three structures must outlive the service and are
-  /// treated as immutable (see the threading model above). `indexes` is
-  /// any IndexSource — DatabaseIndexes or a pagestore::PackedDb;
-  /// `database` may be nullptr in the packed case (base documents live
-  /// in node-record pages, reached through the store).
-  QueryService(const xml::Database* database,
-               const index::IndexSource* indexes,
-               const storage::DocumentStore* store,
-               const QueryServiceOptions& options = {});
+  /// Static mode: queries fan out over every shard of `shards` (which
+  /// must outlive the service and is treated as immutable) on the
+  /// service's thread pool; the merged response is byte-identical at any
+  /// shard count. PDTs are cached PER SHARD — the cache key gains a
+  /// "/s<i>" suffix — so a corpus of N shards warms N entries per plan.
+  explicit QueryService(const storage::ShardSet* shards,
+                        const QueryServiceOptions& options = {});
 
   /// Live mode: queries and document mutations interleave against `live`
   /// (which must outlive the service) under the service's reader-writer
@@ -124,22 +124,6 @@ class QueryService {
   /// don't mutate it directly while the service exists.
   explicit QueryService(storage::LiveDatabase* live,
                         const QueryServiceOptions& options = {});
-
-  /// Sharded static mode: queries fan out over every shard of `shards`
-  /// (which must outlive the service and is treated as immutable) on the
-  /// service's thread pool, and the merged response is byte-identical to
-  /// the unsharded one. PDTs are cached PER SHARD — the cache key gains
-  /// a "/s<i>#<epoch>" suffix — so a corpus of N shards warms N entries
-  /// per plan and InvalidateShard can drop exactly one shard's entries.
-  explicit QueryService(const storage::ShardSet* shards,
-                        const QueryServiceOptions& options = {});
-
-  /// Sharded mode only: bumps shard `shard`'s cache epoch, making every
-  /// cached PDT of that shard unreachable (the per-shard analog of live
-  /// mode's per-view data epochs — stale entries age out of the LRU,
-  /// never serve again). No-op on an unsharded service or an
-  /// out-of-range shard.
-  void InvalidateShard(int shard);
 
   /// Live mode only: inserts (or replaces) the named document and
   /// invalidates cached PDTs of exactly the views that reference it.
@@ -151,13 +135,6 @@ class QueryService {
   /// Live mode only: removes the named document. Queries against views
   /// referencing it then fail per-slot with NotFound until it returns.
   Status RemoveDocument(const std::string& name) QV_EXCLUDES(views_mu_);
-
-  /// Attaches the buffer pool whose counters stats() should report —
-  /// call once, right after construction, when serving a packed db. The
-  /// pool must outlive the service.
-  void AttachBufferPool(const pagestore::BufferPool* pool) {
-    pool_stats_ = pool;
-  }
 
   /// Registers (or replaces) a view under `name`. Replacing a view bumps
   /// its cache-key version, so stale PDTs can never serve the new text.
@@ -193,8 +170,10 @@ class QueryService {
   int threads() const { return pool_.thread_count(); }
 
   /// Registers the service's instruments (qv_service_*) plus those of
-  /// its PDT cache and thread pool into `registry`. Call once, after
-  /// construction; the service must outlive the registry reads.
+  /// its PDT cache, thread pool, live database and every packed shard's
+  /// buffer pool (labelled shard="<i>", also on a one-shard corpus) into
+  /// `registry`. Call once, after construction; the service must outlive
+  /// the registry reads.
   Status RegisterMetrics(obs::MetricsRegistry* registry,
                          obs::LabelSet labels = {}) const;
 
@@ -233,44 +212,32 @@ class QueryService {
 
   /// The shard-independent cache key prefix: length-prefixed view name,
   /// version pair, plan signature (see PrepareCursor for why each part
-  /// is there). Sharded keys append "/s<i>#<epoch_i>".
+  /// is there). Per-shard keys append "/s<i>".
   static std::string BaseCacheKey(const std::string& view_name,
                                   const ViewSnapshot& view,
                                   const std::string& signature);
 
   /// The tail of OpenSearch once the corpus surface is fixed: plan,
-  /// fetch-or-build PDTs, open the cursor. In live mode the caller holds
-  /// the live database's shared lock across this call and passes the
-  /// captured surface in (`lease` pins the store snapshot beyond the
-  /// lock); in static mode the surface is the immutable construction
-  /// state and no lock is involved.
+  /// per-shard cache lookups, one engine.Open(request, prepared) over
+  /// `contexts` (fanned out on the pool), then cache fills for the shards
+  /// the engine had to build. In live mode the caller holds the live
+  /// database's shared lock across this call and passes its one context
+  /// in (`lease` pins the store snapshot beyond the lock); in static mode
+  /// the contexts are the immutable ShardSet and no lock is involved.
   Result<std::unique_ptr<engine::ResultCursor>> PrepareCursor(
-      const BatchQuery& query, const xml::Database* database,
-      const index::IndexSource* indexes, const storage::DocumentStore* store,
+      const BatchQuery& query, std::vector<engine::ShardContext> contexts,
       std::shared_ptr<const storage::DocumentStore> lease)
       QV_EXCLUDES(views_mu_);
-
-  /// Sharded OpenSearch tail: per-shard cache lookups, one
-  /// engine.Open(request, prepared) fan-out on the pool, then cache
-  /// fills for the shards the engine had to build.
-  Result<std::unique_ptr<engine::ResultCursor>> PrepareShardedCursor(
-      const BatchQuery& query) QV_EXCLUDES(views_mu_);
 
   /// Folds one drained cursor's EngineStats into the service-lifetime
   /// accumulator behind stats().engine.
   void FoldEngineStats(const engine::EngineStats& stats)
       QV_EXCLUDES(stats_mu_);
 
-  // Static-mode pointers; in live mode these are re-read from live_
-  // under its lock on every query.
-  const xml::Database* database_ = nullptr;
-  const index::IndexSource* indexes_ = nullptr;
-  const storage::DocumentStore* store_ = nullptr;
-  storage::LiveDatabase* live_ = nullptr;
+  /// Exactly one of the two is set. In live mode the one shard context
+  /// is re-read from live_ under its lock on every query.
   const storage::ShardSet* shards_ = nullptr;
-  const pagestore::BufferPool* pool_stats_ = nullptr;
-  /// Sharded mode: shard i's cache epoch, bumped by InvalidateShard.
-  std::vector<std::atomic<uint64_t>> shard_epochs_;
+  storage::LiveDatabase* live_ = nullptr;
   /// Cumulative EngineStats over drained queries (see Stats::engine).
   mutable qv::Mutex stats_mu_;
   engine::EngineStats engine_stats_ QV_GUARDED_BY(stats_mu_);

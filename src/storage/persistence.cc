@@ -17,53 +17,6 @@ namespace {
 std::string DocPath(const std::string& dir, uint32_t root) {
   return dir + "/doc_" + std::to_string(root) + ".xml";
 }
-std::string PathsPath(const std::string& dir, uint32_t root) {
-  return dir + "/idx_" + std::to_string(root) + ".paths";
-}
-std::string TermsPath(const std::string& dir, uint32_t root) {
-  return dir + "/idx_" + std::to_string(root) + ".terms";
-}
-
-// Length-prefixed binary primitives (values may contain any byte).
-void WriteU32(std::ostream& out, uint32_t v) {
-  char buf[4] = {static_cast<char>(v >> 24), static_cast<char>(v >> 16),
-                 static_cast<char>(v >> 8), static_cast<char>(v)};
-  out.write(buf, 4);
-}
-
-bool ReadU32(std::istream& in, uint32_t* v) {
-  unsigned char buf[4];
-  if (!in.read(reinterpret_cast<char*>(buf), 4)) return false;
-  *v = (static_cast<uint32_t>(buf[0]) << 24) |
-       (static_cast<uint32_t>(buf[1]) << 16) |
-       (static_cast<uint32_t>(buf[2]) << 8) | buf[3];
-  return true;
-}
-
-void WriteU64(std::ostream& out, uint64_t v) {
-  WriteU32(out, static_cast<uint32_t>(v >> 32));
-  WriteU32(out, static_cast<uint32_t>(v & 0xffffffffu));
-}
-
-bool ReadU64(std::istream& in, uint64_t* v) {
-  uint32_t hi = 0;
-  uint32_t lo = 0;
-  if (!ReadU32(in, &hi) || !ReadU32(in, &lo)) return false;
-  *v = (static_cast<uint64_t>(hi) << 32) | lo;
-  return true;
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  WriteU32(out, static_cast<uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream& in, std::string* s) {
-  uint32_t size = 0;
-  if (!ReadU32(in, &size)) return false;
-  s->resize(size);
-  return static_cast<bool>(in.read(s->data(), size));
-}
 
 Status EnsureDir(const std::string& dir) {
   struct stat st;
@@ -154,89 +107,6 @@ Result<std::shared_ptr<xml::Database>> LoadDatabase(const std::string& dir) {
     db->AddDocument(name, std::move(doc));
   }
   return db;
-}
-
-Status SaveIndexes(const xml::Database& database,
-                   const index::DatabaseIndexes& indexes,
-                   const std::string& dir) {
-  QV_RETURN_IF_ERROR(EnsureDir(dir));
-  for (const auto& [name, doc] : database.documents()) {
-    const index::DocumentIndexes* doc_indexes = indexes.Get(name);
-    if (doc_indexes == nullptr) {
-      return Status::NotFound("no indexes for " + name);
-    }
-    uint32_t root = doc->root_component();
-    std::ofstream paths(PathsPath(dir, root),
-                        std::ios::trunc | std::ios::binary);
-    if (!paths) return Status::Internal("cannot write path index file");
-    doc_indexes->path_index.ForEachRow(
-        [&paths](const std::string& path, const std::string& value,
-                 const std::vector<index::PathEntry>& entries) {
-          WriteString(paths, path);
-          WriteString(paths, value);
-          WriteU32(paths, static_cast<uint32_t>(entries.size()));
-          for (const index::PathEntry& entry : entries) {
-            WriteString(paths, entry.id.Encode());
-            WriteU64(paths, entry.byte_length);
-          }
-        });
-    std::ofstream terms(TermsPath(dir, root),
-                        std::ios::trunc | std::ios::binary);
-    if (!terms) return Status::Internal("cannot write inverted index file");
-    doc_indexes->inverted_index.ForEachPosting(
-        [&terms](const std::string& term, const xml::DeweyId& id,
-                 uint32_t tf) {
-          WriteString(terms, term);
-          WriteString(terms, id.Encode());
-          WriteU32(terms, tf);
-        });
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<index::DatabaseIndexes>> LoadIndexes(
-    const xml::Database& database, const std::string& dir) {
-  auto out = std::make_unique<index::DatabaseIndexes>();
-  for (const auto& [name, doc] : database.documents()) {
-    uint32_t root = doc->root_component();
-    std::ifstream paths(PathsPath(dir, root), std::ios::binary);
-    std::ifstream terms(TermsPath(dir, root), std::ios::binary);
-    if (!paths || !terms) {
-      return Status::NotFound("no serialized indexes for " + name);
-    }
-    auto doc_indexes = std::make_unique<index::DocumentIndexes>();
-    std::string path;
-    while (ReadString(paths, &path)) {
-      std::string value;
-      uint32_t count = 0;
-      if (!ReadString(paths, &value) || !ReadU32(paths, &count)) {
-        return Status::ParseError("truncated path index for " + name);
-      }
-      for (uint32_t i = 0; i < count; ++i) {
-        std::string id_bytes;
-        uint64_t byte_length = 0;
-        if (!ReadString(paths, &id_bytes) || !ReadU64(paths, &byte_length)) {
-          return Status::ParseError("truncated path row for " + name);
-        }
-        doc_indexes->path_index.AddEntry(path, value,
-                                         xml::DeweyId::Decode(id_bytes),
-                                         byte_length);
-      }
-    }
-    doc_indexes->path_index.Finalize();
-    std::string term;
-    while (ReadString(terms, &term)) {
-      std::string id_bytes;
-      uint32_t tf = 0;
-      if (!ReadString(terms, &id_bytes) || !ReadU32(terms, &tf)) {
-        return Status::ParseError("truncated inverted index for " + name);
-      }
-      doc_indexes->inverted_index.Add(term, xml::DeweyId::Decode(id_bytes),
-                                      tf);
-    }
-    out->Put(name, std::move(doc_indexes));
-  }
-  return out;
 }
 
 }  // namespace quickview::storage

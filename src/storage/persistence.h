@@ -1,14 +1,12 @@
-// On-disk persistence for databases and their indices. A quickview
-// database directory holds one file per document plus a manifest; indices
-// can either be rebuilt at load or serialized alongside (the paper's
-// setting: ~1 GB of path + inverted list indices persisted next to the
-// 500 MB collection).
+// On-disk persistence for in-memory databases. A quickview database
+// directory holds one file per document plus a manifest; its indexes are
+// rebuilt when it is opened (index::BuildDatabaseIndexes). The persisted
+// index format is the paged .qvpack (pagestore/pack.h), which stores
+// the documents, path index and inverted index together.
 //
 // Layout of <dir>:
 //   manifest.qv           one line per document: <root_component> <name>
 //   doc_<root>.xml        serialized document
-//   idx_<root>.paths      path index rows (optional, written by SaveIndexes)
-//   idx_<root>.terms      inverted index postings (optional)
 #ifndef QUICKVIEW_STORAGE_PERSISTENCE_H_
 #define QUICKVIEW_STORAGE_PERSISTENCE_H_
 
@@ -16,7 +14,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "index/index_builder.h"
 #include "xml/dom.h"
 
 namespace quickview::storage {
@@ -26,16 +23,6 @@ Status SaveDatabase(const xml::Database& database, const std::string& dir);
 
 /// Loads a database previously written by SaveDatabase.
 Result<std::shared_ptr<xml::Database>> LoadDatabase(const std::string& dir);
-
-/// Serializes the already-built indices next to the documents.
-Status SaveIndexes(const xml::Database& database,
-                   const index::DatabaseIndexes& indexes,
-                   const std::string& dir);
-
-/// Loads indices written by SaveIndexes; returns NotFound if absent
-/// (callers then rebuild with BuildDatabaseIndexes).
-Result<std::unique_ptr<index::DatabaseIndexes>> LoadIndexes(
-    const xml::Database& database, const std::string& dir);
 
 }  // namespace quickview::storage
 

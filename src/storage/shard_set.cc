@@ -128,6 +128,30 @@ Result<ShardSet> ShardSet::Partition(const xml::Database& database,
   return set;
 }
 
+ShardSet ShardSet::FromDatabase(
+    std::shared_ptr<const xml::Database> database) {
+  Shard shard;
+  shard.database = std::move(database);
+  shard.indexes = index::BuildDatabaseIndexes(*shard.database);
+  shard.store = std::make_unique<DocumentStore>(*shard.database);
+  ShardSet set;
+  set.shards_.push_back(std::move(shard));
+  return set;
+}
+
+Result<ShardSet> ShardSet::FromPack(const std::string& qvpack_path,
+                                    size_t frames) {
+  pagestore::BufferPoolOptions pool;
+  pool.frames = frames;
+  Shard shard;
+  QUICKVIEW_ASSIGN_OR_RETURN(shard.packed,
+                             pagestore::PackedDb::Open(qvpack_path, pool));
+  shard.store = std::make_unique<DocumentStore>(shard.packed);
+  ShardSet set;
+  set.shards_.push_back(std::move(shard));
+  return set;
+}
+
 Result<ShardSet> ShardSet::OpenPacked(const std::string& qvset_path,
                                       size_t total_frames) {
   QUICKVIEW_ASSIGN_OR_RETURN(pagestore::ShardManifest manifest,

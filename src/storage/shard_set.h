@@ -1,7 +1,9 @@
 // ShardSet: an ordered partition of one logical corpus into N
 // self-contained shards — each with its own Database (or packed file),
-// its own indexes and its own DocumentStore — the unit the sharded
-// ViewSearchEngine executes over.
+// its own indexes and its own DocumentStore — the unit the
+// ViewSearchEngine and the QueryService execute over. Every static
+// corpus is a ShardSet: an unsharded one is the one-shard case
+// (FromDatabase over an in-memory database, FromPack over one .qvpack).
 //
 // Partition scheme (ordered + contiguous, the property the engine's
 // byte-identity guarantee rests on):
@@ -55,9 +57,10 @@ Result<std::vector<std::unique_ptr<xml::Database>>> PartitionDatabase(
 
 /// One shard, fully wired: exactly one of `database` (in-memory mode) or
 /// `packed` (paged mode) is set, plus the matching index source and a
-/// DocumentStore over it.
+/// DocumentStore over it. `database` is shared so a one-shard set can
+/// serve a database its caller also holds, without a copy.
 struct Shard {
-  std::unique_ptr<xml::Database> database;
+  std::shared_ptr<const xml::Database> database;
   std::shared_ptr<const pagestore::PackedDb> packed;
   std::unique_ptr<index::DatabaseIndexes> indexes;  // in-memory mode only
   std::unique_ptr<DocumentStore> store;
@@ -82,6 +85,15 @@ class ShardSet {
   /// same residency an unsharded one would get.
   static Result<ShardSet> OpenPacked(const std::string& qvset_path,
                                      size_t total_frames = 256);
+
+  /// One-shard in-memory set over `database` itself (shared, not
+  /// copied); builds its indexes once.
+  static ShardSet FromDatabase(std::shared_ptr<const xml::Database> database);
+
+  /// One-shard paged set over a single .qvpack file (and its delta log,
+  /// if any) behind a `frames`-frame buffer pool.
+  static Result<ShardSet> FromPack(const std::string& qvpack_path,
+                                   size_t frames = 256);
 
   size_t size() const { return shards_.size(); }
   const Shard& shard(size_t i) const { return shards_[i]; }

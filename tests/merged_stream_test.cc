@@ -117,17 +117,6 @@ class ShardedCursorTest : public ::testing::Test {
     shards_ = std::make_unique<storage::ShardSet>(std::move(*shards));
   }
 
-  std::vector<ShardContext> Contexts() const {
-    std::vector<ShardContext> contexts;
-    for (size_t i = 0; i < shards_->size(); ++i) {
-      const storage::Shard& shard = shards_->shard(i);
-      contexts.push_back(ShardContext{shard.database.get(),
-                                      shard.index_source(),
-                                      shard.store.get()});
-    }
-    return contexts;
-  }
-
   static SearchRequest MakeRequest(size_t top_k = 10) {
     SearchRequest request;
     request.view = workload::BookRevView();
@@ -143,7 +132,7 @@ class ShardedCursorTest : public ::testing::Test {
 
 TEST_F(ShardedCursorTest, CancellationAfterSatisfiedFetchLeavesNoTask) {
   ThreadPool pool(4);
-  ViewSearchEngine engine(Contexts(), &pool);
+  ViewSearchEngine engine(ShardContexts(*shards_), &pool);
 
   auto token = std::make_shared<CancellationToken>();
   SearchRequest request = MakeRequest(/*top_k=*/5);
@@ -169,7 +158,7 @@ TEST_F(ShardedCursorTest, CancellationAfterSatisfiedFetchLeavesNoTask) {
 
 TEST_F(ShardedCursorTest, CursorDestructionFiresToken) {
   ThreadPool pool(2);
-  ViewSearchEngine engine(Contexts(), &pool);
+  ViewSearchEngine engine(ShardContexts(*shards_), &pool);
   auto token = std::make_shared<CancellationToken>();
   SearchRequest request = MakeRequest(/*top_k=*/50);
   request.cancel = token;
@@ -186,7 +175,7 @@ TEST_F(ShardedCursorTest, CursorDestructionFiresToken) {
 
 TEST_F(ShardedCursorTest, PreCancelledRequestIsRejectedTyped) {
   ThreadPool pool(2);
-  ViewSearchEngine engine(Contexts(), &pool);
+  ViewSearchEngine engine(ShardContexts(*shards_), &pool);
   auto token = std::make_shared<CancellationToken>();
   token->Cancel();
   SearchRequest request = MakeRequest();
@@ -204,11 +193,8 @@ TEST_F(ShardedCursorTest, OneShardShardedEngineByteIdenticalToUnsharded) {
   one.shards = 1;
   auto single = storage::ShardSet::Partition(*db_, one);
   ASSERT_TRUE(single.ok()) << single.status();
-  const storage::Shard& shard = single->shard(0);
   ThreadPool pool(2);
-  std::vector<ShardContext> contexts{ShardContext{
-      shard.database.get(), shard.index_source(), shard.store.get()}};
-  ViewSearchEngine sharded(std::move(contexts), &pool);
+  ViewSearchEngine sharded(ShardContexts(*single), &pool);
 
   auto indexes = index::BuildDatabaseIndexes(*db_);
   storage::DocumentStore store(*db_);

@@ -18,20 +18,24 @@
 #include "engine/result_cursor.h"
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
+#include "obs/metrics.h"
 #include "pagestore/pack.h"
 #include "pagestore/packed_db.h"
 #include "service/query_service.h"
 #include "storage/document_store.h"
+#include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
 #include "xml/serializer.h"
 
 namespace quickview {
 namespace {
 
-/// Everything needed to serve queries from a packed file.
+/// Everything needed to serve queries from a packed file: a one-shard
+/// paged set, plus its pack and store for direct inspection.
 struct PackedRuntime {
-  std::shared_ptr<pagestore::PackedDb> db;
-  std::unique_ptr<storage::DocumentStore> store;
+  std::unique_ptr<storage::ShardSet> corpus;
+  std::shared_ptr<const pagestore::PackedDb> db;
+  const storage::DocumentStore* store = nullptr;
   std::unique_ptr<service::QueryService> service;
 };
 
@@ -39,6 +43,7 @@ struct Corpus {
   std::shared_ptr<xml::Database> db;
   std::unique_ptr<index::DatabaseIndexes> indexes;
   std::unique_ptr<storage::DocumentStore> store;
+  std::unique_ptr<storage::ShardSet> in_memory;  // one shard over `db`
   std::string pack_path;
 };
 
@@ -54,6 +59,8 @@ class PackedDbTest : public ::testing::Test {
     corpus_->db = workload::GenerateBookRevDatabase(opts);
     corpus_->indexes = index::BuildDatabaseIndexes(*corpus_->db);
     corpus_->store = std::make_unique<storage::DocumentStore>(*corpus_->db);
+    corpus_->in_memory = std::make_unique<storage::ShardSet>(
+        storage::ShardSet::FromDatabase(corpus_->db));
     corpus_->pack_path = ::testing::TempDir() + "/qvpack_bookrev.qvpack";
     Status packed = pagestore::PackDatabase(*corpus_->db, *corpus_->indexes,
                                             corpus_->pack_path);
@@ -71,8 +78,7 @@ class PackedDbTest : public ::testing::Test {
     service::QueryServiceOptions options;
     options.threads = threads;
     auto mem_service = std::make_unique<service::QueryService>(
-        corpus_->db.get(), corpus_->indexes.get(), corpus_->store.get(),
-        options);
+        corpus_->in_memory.get(), options);
     EXPECT_TRUE(
         mem_service->RegisterView("bookrev", workload::BookRevView()).ok());
     return mem_service;
@@ -80,17 +86,15 @@ class PackedDbTest : public ::testing::Test {
 
   static PackedRuntime OpenPacked(size_t frames, int threads = 1) {
     PackedRuntime runtime;
-    pagestore::BufferPoolOptions pool;
-    pool.frames = frames;
-    auto opened = pagestore::PackedDb::Open(corpus_->pack_path, pool);
+    auto opened = storage::ShardSet::FromPack(corpus_->pack_path, frames);
     EXPECT_TRUE(opened.ok()) << opened.status();
-    runtime.db = *opened;
-    runtime.store = std::make_unique<storage::DocumentStore>(runtime.db);
+    runtime.corpus = std::make_unique<storage::ShardSet>(std::move(*opened));
+    runtime.db = runtime.corpus->shard(0).packed;
+    runtime.store = runtime.corpus->shard(0).store.get();
     service::QueryServiceOptions options;
     options.threads = threads;
     runtime.service = std::make_unique<service::QueryService>(
-        nullptr, runtime.db.get(), runtime.store.get(), options);
-    runtime.service->AttachBufferPool(&runtime.db->pool());
+        runtime.corpus.get(), options);
     EXPECT_TRUE(
         runtime.service->RegisterView("bookrev", workload::BookRevView())
             .ok());
@@ -318,11 +322,21 @@ TEST_F(PackedDbTest, SearchBatchByteIdenticalToInMemory) {
                     "query " + std::to_string(i));
   }
 
-  // The packed run surfaces its I/O through the service stats.
-  service::QueryService::Stats stats = packed.service->stats();
-  EXPECT_GT(stats.engine.buffer.misses, 0u);
-  service::QueryService::Stats mem_stats = mem_service->stats();
-  EXPECT_EQ(mem_stats.engine.buffer.misses, 0u);
+  // The packed run surfaces its I/O through its buffer pool's registry
+  // series (labelled shard="0" on a one-shard corpus); the in-memory run
+  // has no pool and registers none.
+  EXPECT_GT(packed.db->pool().stats().misses, 0u);
+  obs::MetricsRegistry packed_registry;
+  ASSERT_TRUE(packed.service->RegisterMetrics(&packed_registry).ok());
+  EXPECT_NE(packed_registry.TextExposition().find(
+                "qv_bufferpool_misses_total{shard=\"0\"} " +
+                std::to_string(packed.db->pool().stats().misses)),
+            std::string::npos)
+      << packed_registry.TextExposition();
+  obs::MetricsRegistry mem_registry;
+  ASSERT_TRUE(mem_service->RegisterMetrics(&mem_registry).ok());
+  EXPECT_EQ(mem_registry.TextExposition().find("qv_bufferpool_"),
+            std::string::npos);
 }
 
 TEST_F(PackedDbTest, ConcurrentPackedBatchesAreIdentical) {

@@ -1,5 +1,5 @@
-// Persistence round-trips: a database and its indices written to disk and
-// loaded back must answer every query identically.
+// Persistence round-trips: a database written to disk and loaded back
+// (its indexes rebuilt at load) must answer every query identically.
 #include "storage/persistence.h"
 
 #include <cstdio>
@@ -23,13 +23,11 @@ class PersistenceTest : public ::testing::Test {
     dir_ = ::testing::TempDir() + "/qvdb_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     db_ = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
-    indexes_ = index::BuildDatabaseIndexes(*db_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string dir_;
   std::shared_ptr<xml::Database> db_;
-  std::unique_ptr<index::DatabaseIndexes> indexes_;
 };
 
 TEST_F(PersistenceTest, DatabaseRoundTrip) {
@@ -45,19 +43,18 @@ TEST_F(PersistenceTest, DatabaseRoundTrip) {
   }
 }
 
-TEST_F(PersistenceTest, IndexRoundTripAnswersIdentically) {
+TEST_F(PersistenceTest, ReloadedDatabaseAnswersIdentically) {
   ASSERT_TRUE(SaveDatabase(*db_, dir_).ok());
-  ASSERT_TRUE(SaveIndexes(*db_, *indexes_, dir_).ok());
   auto loaded_db = LoadDatabase(dir_);
   ASSERT_TRUE(loaded_db.ok());
-  auto loaded_idx = LoadIndexes(**loaded_db, dir_);
-  ASSERT_TRUE(loaded_idx.ok()) << loaded_idx.status();
+  auto loaded_idx = index::BuildDatabaseIndexes(**loaded_db);
 
   // Full searches over original vs reloaded state agree exactly.
   DocumentStore store_a(*db_);
   DocumentStore store_b(**loaded_db);
-  engine::ViewSearchEngine original(db_.get(), indexes_.get(), &store_a);
-  engine::ViewSearchEngine reloaded(loaded_db->get(), loaded_idx->get(),
+  auto indexes = index::BuildDatabaseIndexes(*db_);
+  engine::ViewSearchEngine original(db_.get(), indexes.get(), &store_a);
+  engine::ViewSearchEngine reloaded(loaded_db->get(), loaded_idx.get(),
                                     &store_b);
   for (const auto& keywords :
        std::vector<std::vector<std::string>>{{"xml", "search"},
@@ -146,49 +143,24 @@ TEST_F(PersistenceTest, ManifestNamingMissingDocumentFileIsNotFound) {
   EXPECT_NE(loaded.status().message().find("ghost.xml"), std::string::npos);
 }
 
-TEST_F(PersistenceTest, LoadIndexesMissingFilesIsNotFound) {
-  ASSERT_TRUE(SaveDatabase(*db_, dir_).ok());
-  auto loaded_db = LoadDatabase(dir_);
-  ASSERT_TRUE(loaded_db.ok());
-  auto loaded_idx = LoadIndexes(**loaded_db, dir_);
-  ASSERT_FALSE(loaded_idx.ok());
-  EXPECT_EQ(loaded_idx.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(PersistenceTest, TruncatedIndexFileIsParseError) {
-  ASSERT_TRUE(SaveDatabase(*db_, dir_).ok());
-  ASSERT_TRUE(SaveIndexes(*db_, *indexes_, dir_).ok());
-  // Truncate one index file mid-record.
-  std::string victim = dir_ + "/idx_1.paths";
-  auto size = std::filesystem::file_size(victim);
-  std::filesystem::resize_file(victim, size / 2 + 3);
-  auto loaded_db = LoadDatabase(dir_);
-  ASSERT_TRUE(loaded_db.ok());
-  auto loaded_idx = LoadIndexes(**loaded_db, dir_);
-  EXPECT_FALSE(loaded_idx.ok());
-}
-
 TEST_F(PersistenceTest, ValuesWithSpecialBytesSurvive) {
   xml::Database db;
   auto doc = std::make_shared<xml::Document>(1);
   xml::NodeIndex root = doc->CreateRoot("r");
   doc->node(doc->AddChild(root, "v")).text = "line1\nline2 & <tag> 'q'";
   db.AddDocument("special.xml", doc);
-  auto indexes = index::BuildDatabaseIndexes(db);
   ASSERT_TRUE(SaveDatabase(db, dir_).ok());
-  ASSERT_TRUE(SaveIndexes(db, *indexes, dir_).ok());
   auto loaded_db = LoadDatabase(dir_);
   ASSERT_TRUE(loaded_db.ok()) << loaded_db.status();
-  auto loaded_idx = LoadIndexes(**loaded_db, dir_);
-  ASSERT_TRUE(loaded_idx.ok()) << loaded_idx.status();
   const xml::Document* reloaded = (*loaded_db)->GetDocument("special.xml");
   ASSERT_NE(reloaded, nullptr);
   EXPECT_EQ(reloaded->node(1).text, "line1\nline2 & <tag> 'q'");
-  // Index row with the multi-line value survived.
+  // The index row built over the reloaded document carries the
+  // multi-line value.
+  auto loaded_idx = index::BuildDatabaseIndexes(**loaded_db);
   index::PathPattern pattern{index::PathStep{false, "r"},
                              index::PathStep{false, "v"}};
-  auto entries = loaded_idx->get()
-                     ->Get("special.xml")
+  auto entries = loaded_idx->Get("special.xml")
                      ->path_index.LookUpIdValue(pattern);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(*entries[0].value, "line1\nline2 & <tag> 'q'");

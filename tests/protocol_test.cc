@@ -364,8 +364,6 @@ TEST(ProtocolPayloadTest, StatsResponseRoundTrip) {
   resp.cache_hits = 56;
   resp.cache_misses = 8;
   resp.search.matching_results = 12;
-  resp.buffer.hits = 30;
-  resp.buffer.frame_capacity = 256;
   std::string payload;
   Encode(resp, &payload);
   auto decoded = DecodeStatsResponse(payload);
@@ -382,7 +380,6 @@ TEST(ProtocolPayloadTest, StatsResponseRoundTrip) {
   EXPECT_EQ(decoded->queries, 64u);
   EXPECT_EQ(decoded->cache_hits, 56u);
   EXPECT_EQ(decoded->search.matching_results, 12u);
-  EXPECT_EQ(decoded->buffer.frame_capacity, 256u);
   EXPECT_FALSE(DecodeStatsResponse(payload.substr(0, 99)).ok());
   EXPECT_FALSE(DecodeStatsResponse(payload + "x").ok());
 }

@@ -14,6 +14,7 @@
 #include "index/index_builder.h"
 #include "common/thread_pool.h"
 #include "storage/document_store.h"
+#include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
 
 namespace quickview::service {
@@ -27,6 +28,8 @@ class QueryServiceTest : public ::testing::Test {
     store_ = std::make_unique<storage::DocumentStore>(*db_);
     engine_ = std::make_unique<engine::ViewSearchEngine>(
         db_.get(), indexes_.get(), store_.get());
+    corpus_ = std::make_unique<storage::ShardSet>(
+        storage::ShardSet::FromDatabase(db_));
   }
 
   std::unique_ptr<QueryService> MakeService(int threads,
@@ -36,8 +39,7 @@ class QueryServiceTest : public ::testing::Test {
     options.threads = threads;
     options.cache.capacity = cache_capacity;
     options.cache.shards = cache_shards;
-    auto service = std::make_unique<QueryService>(db_.get(), indexes_.get(),
-                                                  store_.get(), options);
+    auto service = std::make_unique<QueryService>(corpus_.get(), options);
     EXPECT_TRUE(
         service->RegisterView("bookrev", workload::BookRevView()).ok());
     return service;
@@ -65,6 +67,7 @@ class QueryServiceTest : public ::testing::Test {
   std::unique_ptr<index::DatabaseIndexes> indexes_;
   std::unique_ptr<storage::DocumentStore> store_;
   std::unique_ptr<engine::ViewSearchEngine> engine_;
+  std::unique_ptr<storage::ShardSet> corpus_;  // the service's one shard
 };
 
 // Serial oracle: the same view + keywords through the engine's unified

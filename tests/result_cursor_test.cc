@@ -1,12 +1,10 @@
-// ResultCursor semantics: paged fetches must equal one big fetch, the
-// Search/SearchView wrappers must stay byte-identical to the pre-cursor
+// ResultCursor semantics: paged fetches must equal one big fetch,
+// Execute(SearchRequest) must stay byte-identical to the pre-cursor
 // batch pipeline (reconstructed inline below), and materialization must
 // be lazy — store fetches accrue with FetchNext, never up front. Runs
 // under the Sanitize CI leg (the cursor pins PDTs and the evaluator
 // arena across calls; lifetime bugs here are memory bugs).
 #include "engine/result_cursor.h"
-
-#include "common/deprecation.h"
 
 #include <memory>
 #include <string>
@@ -95,8 +93,8 @@ TEST_F(ResultCursorTest, PagedFetchesEqualOneBigFetch) {
 
 // The pre-cursor ExecutePrepared pipeline, reconstructed from its public
 // pieces: evaluate -> ScoreResults (full sort) -> TakeTopK -> materialize
-// every kept hit. The Search wrapper must reproduce it byte for byte.
-TEST_F(ResultCursorTest, WrapperByteIdenticalToBatchPipeline) {
+// every kept hit. Execute must reproduce it byte for byte.
+TEST_F(ResultCursorTest, ExecuteByteIdenticalToBatchPipeline) {
   const std::vector<std::string> keywords{"xml", "search"};
   auto prepared = Prepare(keywords, /*conjunctive=*/true);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
@@ -128,10 +126,11 @@ TEST_F(ResultCursorTest, WrapperByteIdenticalToBatchPipeline) {
 
   SearchOptions options;
   options.top_k = 5;
-  QV_SUPPRESS_DEPRECATED_BEGIN
-  auto wrapped = engine_->SearchView(workload::BookRevView(), keywords,
-                                     options);
-  QV_SUPPRESS_DEPRECATED_END
+  SearchRequest request;
+  request.view = workload::BookRevView();
+  request.keywords = keywords;
+  request.options = options;
+  auto wrapped = engine_->Execute(request);
   ASSERT_TRUE(wrapped.ok()) << wrapped.status();
   ExpectSameHits(reference, wrapped->hits);
   EXPECT_EQ(wrapped->stats.store_fetches, fetches.fetch_calls);
@@ -227,12 +226,12 @@ TEST_F(ResultCursorTest, TopKBudgetCapsTheStream) {
 TEST_F(ResultCursorTest, CursorOutlivesCallerReferences) {
   // The cursor must pin the PreparedQuery (PDTs) and the evaluator's
   // result arena on its own: drop every caller-side reference before the
-  // first fetch and compare against the wrapper.
+  // first fetch and compare against Execute.
   const std::vector<std::string> keywords{"xml", "search"};
-  QV_SUPPRESS_DEPRECATED_BEGIN
-  auto expected = engine_->SearchView(workload::BookRevView(), keywords,
-                                      SearchOptions{});
-  QV_SUPPRESS_DEPRECATED_END
+  SearchRequest request;
+  request.view = workload::BookRevView();
+  request.keywords = keywords;
+  auto expected = engine_->Execute(request);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
   auto prepared = Prepare(keywords, /*conjunctive=*/true);
@@ -254,29 +253,28 @@ TEST_F(ResultCursorTest, TopKZeroIsInvalidArgument) {
   ASSERT_FALSE(cursor.ok());
   EXPECT_EQ(cursor.status().code(), StatusCode::kInvalidArgument);
 
-  QV_SUPPRESS_DEPRECATED_BEGIN
-  auto response = engine_->SearchView(workload::BookRevView(), {"xml"},
-                                      options);
-  QV_SUPPRESS_DEPRECATED_END
+  SearchRequest request;
+  request.view = workload::BookRevView();
+  request.keywords = {"xml"};
+  request.options = options;
+  auto response = engine_->Execute(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ResultCursorTest, EmptyKeywordListIsInvalidArgument) {
-  QV_SUPPRESS_DEPRECATED_BEGIN
-  auto response = engine_->SearchView(workload::BookRevView(), {},
-                                      SearchOptions{});
-  QV_SUPPRESS_DEPRECATED_END
+  SearchRequest request;
+  request.view = workload::BookRevView();
+  auto response = engine_->Execute(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
 
   // The full-query form: ftcontains() parses, but PlanQuery rejects it.
-  QV_SUPPRESS_DEPRECATED_BEGIN
-  auto full = engine_->Search(
+  SearchRequest full_request;
+  full_request.query =
       "let $view := " + workload::BookRevView() +
-          "\nfor $qv in $view\nwhere $qv ftcontains()\nreturn $qv",
-      SearchOptions{});
-  QV_SUPPRESS_DEPRECATED_END
+      "\nfor $qv in $view\nwhere $qv ftcontains()\nreturn $qv";
+  auto full = engine_->Execute(full_request);
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
 }

@@ -15,12 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include "index/index_builder.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "service/query_service.h"
-#include "storage/document_store.h"
 #include "storage/live_database.h"
+#include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
 
 namespace quickview::server {
@@ -75,14 +74,13 @@ std::string HitBytes(std::vector<engine::SearchHit> hits) {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_ = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
-    indexes_ = index::BuildDatabaseIndexes(*db_);
-    store_ = std::make_unique<storage::DocumentStore>(*db_);
+    corpus_ = std::make_unique<storage::ShardSet>(
+        storage::ShardSet::FromDatabase(workload::GenerateBookRevDatabase(
+            workload::BookRevOptions{})));
   }
 
   std::unique_ptr<service::QueryService> MakeService() {
-    auto service = std::make_unique<service::QueryService>(
-        db_.get(), indexes_.get(), store_.get());
+    auto service = std::make_unique<service::QueryService>(corpus_.get());
     Status registered =
         service->RegisterView("default", workload::BookRevView());
     EXPECT_TRUE(registered.ok()) << registered.ToString();
@@ -115,9 +113,7 @@ class ServerTest : public ::testing::Test {
     return query;
   }
 
-  std::shared_ptr<xml::Database> db_;
-  std::unique_ptr<index::DatabaseIndexes> indexes_;
-  std::unique_ptr<storage::DocumentStore> store_;
+  std::unique_ptr<storage::ShardSet> corpus_;  // the demo corpus, one shard
   std::unique_ptr<service::QueryService> remote_service_;
 };
 
@@ -211,6 +207,37 @@ TEST_F(ServerTest, ErrorStatusParityOnTheWire) {
   EXPECT_EQ(fetched.status().code(), StatusCode::kNotFound);
   Status closed = client.CloseCursor(12345);
   EXPECT_EQ(closed.code(), StatusCode::kNotFound);
+}
+
+TEST_F(ServerTest, OutOfRangeShardHintIsInvalidArgumentOnEveryBackend) {
+  // The demo corpus is one shard, static or live: a hint past it is the
+  // engine's typed range error on the wire, never silently ignored.
+  auto server = StartServer();
+  Client client = ConnectTo(*server);
+  SearchRpcRequest request;
+  request.view = "default";
+  request.keywords = {"xml"};
+  request.shard = 5;
+  auto remote = client.Search(request);
+  ASSERT_FALSE(remote.ok());
+  EXPECT_EQ(remote.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(remote.status().message().find("shard hint 5"), std::string::npos)
+      << remote.status().ToString();
+  request.shard = 0;  // the one shard: the whole corpus
+  auto whole = client.Search(request);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_FALSE(whole->hits.empty());
+
+  storage::LiveDatabase live(
+      workload::GenerateBookRevDatabase(workload::BookRevOptions{}));
+  service::QueryService live_service(&live);
+  ASSERT_TRUE(
+      live_service.RegisterView("default", workload::BookRevView()).ok());
+  service::BatchQuery query = ToQuery(request);
+  query.shard = 5;
+  auto live_result = live_service.SearchOne(query);
+  ASSERT_FALSE(live_result.ok());
+  EXPECT_EQ(live_result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ServerTest, RegisterViewOverTheWire) {

@@ -56,17 +56,6 @@ SearchRequest MakeRequest(const QuerySpec& spec, size_t top_k = 10) {
   return request;
 }
 
-std::vector<ShardContext> ContextsOf(const storage::ShardSet& shards) {
-  std::vector<ShardContext> contexts;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    const storage::Shard& shard = shards.shard(i);
-    contexts.push_back(ShardContext{shard.database.get(),
-                                    shard.index_source(),
-                                    shard.store.get()});
-  }
-  return contexts;
-}
-
 void ExpectIdentical(const SearchResponse& expected,
                      const SearchResponse& actual,
                      const std::string& label) {
@@ -104,7 +93,7 @@ TEST(ShardedParityTest, SixtyFourSignaturesAtOneTwoFourShards) {
     ASSERT_TRUE(set.ok()) << set.status();
     shard_sets.push_back(std::move(*set));
     sharded.push_back(std::make_unique<ViewSearchEngine>(
-        ContextsOf(shard_sets.back()), &pool));
+        ShardContexts(shard_sets.back()), &pool));
   }
 
   std::set<std::string> signatures;
@@ -141,7 +130,7 @@ TEST(ShardedParityTest, ShardHintExecutesOnlyThatShard) {
   auto set = storage::ShardSet::Partition(*db, spec);
   ASSERT_TRUE(set.ok()) << set.status();
   ThreadPool pool(2);
-  ViewSearchEngine engine(ContextsOf(*set), &pool);
+  ViewSearchEngine engine(ShardContexts(*set), &pool);
 
   SearchRequest request;
   request.view = workload::BookRevView();
@@ -194,7 +183,7 @@ TEST(ShardedParityTest, PackedShardFirstTenReadsFewerPagesPerShard) {
   auto run = [&](size_t fetch) -> std::vector<ShardStats> {
     auto shards = storage::ShardSet::OpenPacked(base, /*total_frames=*/512);
     EXPECT_TRUE(shards.ok()) << shards.status();
-    ViewSearchEngine engine(ContextsOf(*shards), nullptr);
+    ViewSearchEngine engine(ShardContexts(*shards), nullptr);
     auto cursor = engine.Open(request);
     EXPECT_TRUE(cursor.ok()) << cursor.status();
     EXPECT_GT((*cursor)->stats().search.matching_results, 1000u)

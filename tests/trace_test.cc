@@ -26,17 +26,6 @@
 namespace quickview::engine {
 namespace {
 
-std::vector<ShardContext> ContextsOf(const storage::ShardSet& shards) {
-  std::vector<ShardContext> contexts;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    const storage::Shard& shard = shards.shard(i);
-    contexts.push_back(ShardContext{shard.database.get(),
-                                    shard.index_source(),
-                                    shard.store.get()});
-  }
-  return contexts;
-}
-
 struct TracedRun {
   std::shared_ptr<obs::Trace> trace;
   EngineStats stats;
@@ -55,7 +44,7 @@ TracedRun RunTracedSearch(uint64_t trace_id) {
   auto set = storage::ShardSet::Partition(*db, spec);
   EXPECT_TRUE(set.ok()) << set.status();
   ThreadPool pool(4);
-  ViewSearchEngine engine(ContextsOf(*set), &pool);
+  ViewSearchEngine engine(ShardContexts(*set), &pool);
 
   SearchRequest request;
   request.view = workload::BookRevView();

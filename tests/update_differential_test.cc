@@ -39,6 +39,7 @@
 #include "service/query_service.h"
 #include "storage/document_store.h"
 #include "storage/live_database.h"
+#include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
 #include "xml/parser.h"
 
@@ -589,13 +590,10 @@ TEST(UpdateDeltaLogTest, OverlayAndCompactMatchDirectPack) {
 
   // (1) The overlaid pack answers queries byte-identically to an
   // in-memory engine over the folded corpus.
-  auto packed = pagestore::PackedDb::Open(base_pack);
+  auto packed = storage::ShardSet::FromPack(base_pack);
   ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  EXPECT_GE((*packed)->delta_stats().inserts, 1u);
-  auto packed_store =
-      std::make_unique<storage::DocumentStore>(*packed);
-  service::QueryService packed_service(nullptr, packed.value().get(),
-                                       packed_store.get());
+  EXPECT_GE(packed->shard(0).packed->delta_stats().inserts, 1u);
+  service::QueryService packed_service(&*packed);
   ASSERT_TRUE(
       packed_service.RegisterView("bookrev", workload::BookRevView()).ok());
 
@@ -632,13 +630,10 @@ TEST(UpdateDeltaLogTest, OverlayAndCompactMatchDirectPack) {
 
   // (3) Reopening the compacted pack (no delta log) serves the same
   // responses again.
-  auto reopened = pagestore::PackedDb::Open(compacted);
+  auto reopened = storage::ShardSet::FromPack(compacted);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_EQ((*reopened)->delta_stats().inserts, 0u);
-  auto reopened_store =
-      std::make_unique<storage::DocumentStore>(*reopened);
-  service::QueryService reopened_service(nullptr, reopened.value().get(),
-                                         reopened_store.get());
+  EXPECT_EQ(reopened->shard(0).packed->delta_stats().inserts, 0u);
+  service::QueryService reopened_service(&*reopened);
   ASSERT_TRUE(
       reopened_service.RegisterView("bookrev", workload::BookRevView())
           .ok());

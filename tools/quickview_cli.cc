@@ -1,7 +1,9 @@
 // quickview command-line interface.
 //
 //   quickview_cli index <xml-file>... --out <db-dir>
-//       Parse the XML files, build path + inverted indices, persist both.
+//       Parse the XML files and persist the database (manifest.qv plus
+//       one doc_<root>.xml per document). Indexes are built when a
+//       directory is opened; `pack` persists them in paged form.
 //   quickview_cli search <db-dir> --view <file> --keywords k1,k2 [--top N]
 //       [--any]
 //       Ranked keyword search over the virtual view (conjunctive by
@@ -13,7 +15,7 @@
 //       query end to end.
 //   quickview_cli pack <db-dir> <file.qvpack>   (or: pack --demo <file>)
 //       Pack a persisted database directory (or the built-in demo
-//       corpus) plus its indices into a single paged .qvpack file:
+//       corpus) plus its indexes into a single paged .qvpack file:
 //       node-record pages, B-tree-node pages and posting runs that
 //       serve/page read lazily through a buffer pool.
 //       With --shards N (output <file.qvset>) the corpus is partitioned
@@ -41,11 +43,16 @@
 //       block prints at the end). Over a .qvset shard set — or with
 //       --shards N over an in-memory corpus — every query fans out
 //       across the shards and merges lazily; responses are
-//       byte-identical to the unsharded run.
-//   quickview_cli page [<db.qvpack>] [--keywords k1,k2] [--page N]
-//       [--top N] [--any] [--frames N] [--demo-view]
-//       Cursor-lifecycle demo on the built-in corpus (or over a packed
-//       db): Open -> FetchNext page by page, showing that store fetches
+//       byte-identical to the unsharded run. --shards over a .qvpack or
+//       .qvset is an error (pack --shards N writes a .qvset). The
+//       corpus is opened by service::OpenBackend, shared with
+//       quickview_server.
+//   quickview_cli page [<db-dir>|<db.qvpack>|<db.qvset>] [--keywords k1,k2]
+//       [--page N] [--top N] [--any] [--frames N] [--shards N]
+//       [--view <file>|--demo-view] [--deadline-ms N]
+//       Cursor-lifecycle demo on the built-in corpus (or any serve
+//       source), through the same QueryService as serve: Open ->
+//       FetchNext page by page, showing that store fetches
 //       (the only base-data access) accrue per page instead of up
 //       front — with a packed db, so do page reads.
 //   quickview_cli append <db.qvpack> <name> <xml-file>
@@ -82,6 +89,7 @@
 #include "pagestore/packed_db.h"
 #include "pagestore/shard_pack.h"
 #include "obs/trace.h"
+#include "service/backend.h"
 #include "service/query_service.h"
 #include "storage/document_store.h"
 #include "storage/persistence.h"
@@ -116,9 +124,9 @@ int Usage() {
                "[--colocate tag] [--deadline-ms N] [--trace]\n"
                "    (keyword queries on stdin, one comma-separated "
                "list per line)\n"
-               "  quickview_cli page [<db.qvpack>|<db.qvset>] "
+               "  quickview_cli page [<db-dir>|<db.qvpack>|<db.qvset>] "
                "[--keywords k1,k2] [--page N] [--top N] [--any] [--frames N] "
-               "[--shards N] [--demo-view] [--deadline-ms N]\n"
+               "[--shards N] [--view <file>|--demo-view] [--deadline-ms N]\n"
                "  quickview_cli append <db.qvpack> <name> <xml-file>\n"
                "  quickview_cli tombstone <db.qvpack> <name>\n"
                "  quickview_cli compact <in.qvpack> <out.qvpack>\n"
@@ -129,20 +137,18 @@ int Usage() {
 struct Flags {
   std::vector<std::string> positional;
   std::string out;
-  std::string view;
   std::vector<std::string> keywords;
   size_t top_k = 10;
   bool any = false;
   bool demo = false;
-  int threads = 0;  // 0 = hardware concurrency
   int repeat = 1;   // serve: replicate the stdin batch N times
   size_t page = 0;  // cursor page size; 0 = whole-batch responses
-  size_t frames = 256;     // buffer-pool frame budget for .qvpack mode
   long long deadline_ms = 0;  // per-query deadline; 0 = none
   bool demo_view = false;  // use the built-in books/reviews view text
-  int shards = 0;          // 0 = unsharded; N >= 1 partitions the corpus
-  std::string colocate;    // join-key tag for shard co-location
   bool trace = false;      // serve: print per-query span-tree breakdowns
+  /// --view, --frames, --shards (0 = unsharded), --colocate and
+  /// --threads (0 = hardware concurrency); serve/page fill in the source.
+  service::BackendOptions backend;
 };
 
 /// Strict non-negative integer parse; false on junk or overflow (flag
@@ -172,7 +178,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--view") {
       const char* v = next();
       if (v == nullptr) return false;
-      flags->view = v;
+      flags->backend.view_file = v;
     } else if (arg == "--keywords") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -194,7 +200,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       const char* v = next();
       long long value = 0;
       if (!ParseCount(v, 4096, &value)) return false;
-      flags->threads = static_cast<int>(value);
+      flags->backend.threads = static_cast<int>(value);
     } else if (arg == "--repeat") {
       const char* v = next();
       long long value = 0;
@@ -209,7 +215,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       const char* v = next();
       long long value = 0;
       if (!ParseCount(v, 1 << 24, &value) || value == 0) return false;
-      flags->frames = static_cast<size_t>(value);
+      flags->backend.frames = static_cast<size_t>(value);
     } else if (arg == "--deadline-ms") {
       const char* v = next();
       if (!ParseCount(v, 1 << 30, &flags->deadline_ms)) return false;
@@ -221,11 +227,11 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       const char* v = next();
       long long value = 0;
       if (!ParseCount(v, 4096, &value) || value == 0) return false;
-      flags->shards = static_cast<int>(value);
+      flags->backend.shards = static_cast<int>(value);
     } else if (arg == "--colocate") {
       const char* v = next();
       if (v == nullptr) return false;
-      flags->colocate = v;
+      flags->backend.colocate = v;
     } else {
       flags->positional.push_back(std::move(arg));
     }
@@ -257,32 +263,23 @@ int CmdIndex(const Flags& flags) {
     db.AddDocument(BaseName(file), *doc);
     std::printf("loaded %s (%zu elements)\n", file.c_str(), (*doc)->size());
   }
-  auto indexes = index::BuildDatabaseIndexes(db);
   Status s = storage::SaveDatabase(db, flags.out);
-  if (s.ok()) s = storage::SaveIndexes(db, *indexes, flags.out);
   if (!s.ok()) return Fail(s);
-  std::printf("database + indices written to %s\n", flags.out.c_str());
+  std::printf("database written to %s\n", flags.out.c_str());
   return 0;
 }
 
 int CmdSearch(const Flags& flags) {
-  if (flags.positional.size() != 1 || flags.view.empty() ||
+  if (flags.positional.size() != 1 || flags.backend.view_file.empty() ||
       flags.keywords.empty()) {
     return Usage();
   }
   auto db = storage::LoadDatabase(flags.positional[0]);
   if (!db.ok()) return Fail(db.status());
-  auto indexes = storage::LoadIndexes(**db, flags.positional[0]);
-  std::unique_ptr<index::DatabaseIndexes> built;
-  if (!indexes.ok()) {
-    std::printf("no serialized indices, rebuilding...\n");
-    built = index::BuildDatabaseIndexes(**db);
-  }
-  index::DatabaseIndexes* idx = indexes.ok() ? indexes->get() : built.get();
-  auto view_text = ReadFile(flags.view);
+  auto view_text = ReadFile(flags.backend.view_file);
   if (!view_text.ok()) return Fail(view_text.status());
-  storage::DocumentStore store(**db);
-  engine::ViewSearchEngine engine(db->get(), idx, &store);
+  storage::ShardSet corpus = storage::ShardSet::FromDatabase(std::move(*db));
+  engine::ViewSearchEngine engine(engine::ShardContexts(corpus));
   engine::SearchRequest request;
   request.view = *view_text;
   request.keywords = flags.keywords;
@@ -309,14 +306,11 @@ int CmdBaseSearch(const Flags& flags) {
   }
   auto db = storage::LoadDatabase(flags.positional[0]);
   if (!db.ok()) return Fail(db.status());
-  auto indexes = storage::LoadIndexes(**db, flags.positional[0]);
-  std::unique_ptr<index::DatabaseIndexes> built;
-  if (!indexes.ok()) built = index::BuildDatabaseIndexes(**db);
-  index::DatabaseIndexes* idx = indexes.ok() ? indexes->get() : built.get();
+  auto indexes = index::BuildDatabaseIndexes(**db);
   engine::BaseSearchOptions options;
   options.top_k = flags.top_k;
   options.conjunctive = !flags.any;
-  auto hits = engine::SearchBaseDocuments(**db, *idx, flags.keywords,
+  auto hits = engine::SearchBaseDocuments(**db, *indexes, flags.keywords,
                                           options);
   if (!hits.ok()) return Fail(hits.status());
   for (size_t i = 0; i < hits->size(); ++i) {
@@ -344,159 +338,31 @@ int CmdDemo() {
   return 0;
 }
 
-/// True for paths that name a packed single-file database.
-bool IsPackedPath(const std::string& path) {
-  constexpr std::string_view kSuffix = ".qvpack";
-  return path.size() > kSuffix.size() &&
-         path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                      kSuffix) == 0;
-}
-
-/// True for paths that name a sharded pack-set manifest.
-bool IsShardSetPath(const std::string& path) {
-  constexpr std::string_view kSuffix = ".qvset";
-  return path.size() > kSuffix.size() &&
-         path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                      kSuffix) == 0;
-}
-
-/// The corpus a serve/page run executes over: in-memory structures, or a
-/// packed .qvpack file whose pages are pulled on demand through a
-/// bounded buffer pool.
-struct Backend {
-  std::shared_ptr<xml::Database> db;                // in-memory mode
-  std::unique_ptr<index::DatabaseIndexes> indexes;  // in-memory mode
-  std::shared_ptr<pagestore::PackedDb> packed;      // packed mode
-  std::unique_ptr<storage::DocumentStore> store;
-  /// Sharded mode: a .qvset shard set, or an in-memory partition made
-  /// with --shards N. Queries fan out per shard and merge lazily.
-  std::unique_ptr<storage::ShardSet> shards;
-
-  const xml::Database* database() const { return db.get(); }
-  const index::IndexSource* index_source() const {
-    if (packed != nullptr) {
-      return static_cast<const index::IndexSource*>(packed.get());
-    }
-    return static_cast<const index::IndexSource*>(indexes.get());
-  }
-
-  /// Shard execution contexts in corpus order (one per shard).
-  std::vector<engine::ShardContext> ShardContexts() const {
-    std::vector<engine::ShardContext> contexts;
-    contexts.reserve(shards->size());
-    for (size_t i = 0; i < shards->size(); ++i) {
-      const storage::Shard& shard = shards->shard(i);
-      contexts.push_back(engine::ShardContext{
-          shard.database.get(), shard.index_source(), shard.store.get()});
-    }
-    return contexts;
-  }
-};
-
-/// `source` is a db directory, a .qvpack path, or empty with
-/// flags.demo for the built-in corpus.
-Result<Backend> OpenBackend(const Flags& flags, const std::string& source) {
-  Backend backend;
-  if (!flags.demo && IsShardSetPath(source)) {
-    QUICKVIEW_ASSIGN_OR_RETURN(
-        storage::ShardSet set,
-        storage::ShardSet::OpenPacked(source, flags.frames));
-    backend.shards = std::make_unique<storage::ShardSet>(std::move(set));
-    std::printf("opened %s: %zu shards, %zu-frame pool total\n",
-                source.c_str(), backend.shards->size(), flags.frames);
-    return backend;
-  }
-  if (flags.demo) {
-    backend.db = workload::GenerateBookRevDatabase(workload::BookRevOptions{});
-    backend.indexes = index::BuildDatabaseIndexes(*backend.db);
-  } else if (IsPackedPath(source)) {
-    pagestore::BufferPoolOptions pool;
-    pool.frames = flags.frames;
-    QUICKVIEW_ASSIGN_OR_RETURN(backend.packed,
-                               pagestore::PackedDb::Open(source, pool));
-    backend.store =
-        std::make_unique<storage::DocumentStore>(backend.packed);
-    std::printf("opened %s: %u pages, %zu documents, %zu-frame pool\n",
-                source.c_str(), backend.packed->file().page_count(),
-                backend.packed->document_names().size(), flags.frames);
-    const pagestore::PackedDb::DeltaStats& delta =
-        backend.packed->delta_stats();
-    if (delta.inserts + delta.tombstones != 0) {
-      std::printf(
-          "delta log: %llu inserts, %llu tombstones applied "
-          "(%zu overlay documents, %zu packed documents masked)\n",
-          static_cast<unsigned long long>(delta.inserts),
-          static_cast<unsigned long long>(delta.tombstones),
-          delta.overlay_documents, delta.masked_base_documents);
-    }
-    return backend;
-  } else {
-    QUICKVIEW_ASSIGN_OR_RETURN(backend.db, storage::LoadDatabase(source));
-    auto persisted = storage::LoadIndexes(*backend.db, source);
-    if (persisted.ok()) {
-      backend.indexes = std::move(*persisted);
-    } else {
-      std::printf("no serialized indices, rebuilding...\n");
-      backend.indexes = index::BuildDatabaseIndexes(*backend.db);
-    }
-  }
-  backend.store = std::make_unique<storage::DocumentStore>(*backend.db);
-  // --shards N over an in-memory corpus: partition it into N
-  // self-contained shards (the unsharded structures stay around for
-  // side-by-side comparison output).
-  if (flags.shards > 0) {
-    storage::ShardingSpec spec;
-    spec.shards = flags.shards;
-    spec.colocate_tag = flags.colocate;
-    QUICKVIEW_ASSIGN_OR_RETURN(storage::ShardSet set,
-                               storage::ShardSet::Partition(*backend.db, spec));
-    backend.shards = std::make_unique<storage::ShardSet>(std::move(set));
-    std::string colocated =
-        flags.colocate.empty() ? std::string()
-                               : " (colocated by <" + flags.colocate + ">)";
-    std::printf("partitioned corpus into %d shards%s\n", flags.shards,
-                colocated.c_str());
-  }
-  return backend;
-}
-
-/// The end-of-run stats block (serve and page): per-store fetch totals,
-/// and — for packed databases — the buffer-pool picture. This is what
+/// The end-of-run stats block (serve and page): per-shard store fetch
+/// totals and, for packed shards, the buffer-pool picture. This is what
 /// bench and CI artifacts eyeball instead of a debugger.
-void PrintStorageStats(const Backend& backend) {
-  if (backend.shards != nullptr) {
-    for (size_t i = 0; i < backend.shards->size(); ++i) {
-      storage::DocumentStore::Stats s = backend.shards->shard(i).store->stats();
-      std::printf(
-          "shard %zu storage: %llu fetches, %llu bytes, %llu pages read, "
-          "%llu buffer hits\n",
-          i, static_cast<unsigned long long>(s.fetch_calls),
-          static_cast<unsigned long long>(s.bytes_fetched),
-          static_cast<unsigned long long>(s.pages_read),
-          static_cast<unsigned long long>(s.buffer_hits));
-    }
-  }
-  if (backend.store != nullptr) {
-    storage::DocumentStore::Stats store_stats = backend.store->stats();
+void PrintStorageStats(const storage::ShardSet& shards) {
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const storage::Shard& shard = shards.shard(i);
+    storage::DocumentStore::Stats s = shard.store->stats();
     std::printf(
-        "storage: %llu fetches, %llu bytes, %llu pages read, "
+        "shard %zu storage: %llu fetches, %llu bytes, %llu pages read, "
         "%llu buffer hits\n",
-        static_cast<unsigned long long>(store_stats.fetch_calls),
-        static_cast<unsigned long long>(store_stats.bytes_fetched),
-        static_cast<unsigned long long>(store_stats.pages_read),
-        static_cast<unsigned long long>(store_stats.buffer_hits));
-  }
-  if (backend.packed != nullptr) {
-    pagestore::BufferPoolStats pool = backend.packed->pool().stats();
+        i, static_cast<unsigned long long>(s.fetch_calls),
+        static_cast<unsigned long long>(s.bytes_fetched),
+        static_cast<unsigned long long>(s.pages_read),
+        static_cast<unsigned long long>(s.buffer_hits));
+    if (shard.packed == nullptr) continue;
+    pagestore::BufferPoolStats pool = shard.packed->pool().stats();
     std::printf(
-        "buffer pool: %llu hits, %llu misses, %llu evictions, "
+        "shard %zu buffer pool: %llu hits, %llu misses, %llu evictions, "
         "%llu bytes read, %llu frames resident (budget %zu)\n",
-        static_cast<unsigned long long>(pool.hits),
+        i, static_cast<unsigned long long>(pool.hits),
         static_cast<unsigned long long>(pool.misses),
         static_cast<unsigned long long>(pool.evictions),
         static_cast<unsigned long long>(pool.bytes_read),
         static_cast<unsigned long long>(pool.frames_in_use),
-        backend.packed->pool().frame_budget());
+        shard.packed->pool().frame_budget());
   }
 }
 
@@ -506,38 +372,37 @@ int CmdPack(const Flags& flags) {
   size_t expected = flags.demo ? 1 : 2;
   if (flags.positional.size() != expected) return Usage();
   const std::string& out = flags.positional.back();
-  const bool sharded = flags.shards > 0 || IsShardSetPath(out);
-  if (sharded && !IsShardSetPath(out)) {
+  const bool sharded =
+      flags.backend.shards > 0 || service::IsShardSetPath(out);
+  if (sharded && !service::IsShardSetPath(out)) {
     std::fprintf(stderr, "pack --shards: output must end in .qvset\n");
     return 2;
   }
-  if (!sharded && !IsPackedPath(out)) {
+  if (!sharded && !service::IsPackPath(out)) {
     std::fprintf(stderr, "pack: output must end in .qvpack\n");
     return 2;
   }
-  std::string source = flags.demo ? std::string() : flags.positional[0];
-  if (IsPackedPath(source) || IsShardSetPath(source)) {
+  if (!flags.demo && (service::IsPackPath(flags.positional[0]) ||
+                      service::IsShardSetPath(flags.positional[0]))) {
     std::fprintf(stderr,
                  "pack: input must be a database directory (or --demo), "
                  "not an already-packed file\n");
     return 2;
   }
-
-  // Keep OpenBackend from partitioning in memory — the sharded pack
-  // path partitions itself on the way to disk.
-  Flags backend_flags = flags;
-  backend_flags.shards = 0;
-  auto backend = OpenBackend(backend_flags, source);
-  if (!backend.ok()) return Fail(backend.status());
+  auto loaded = service::LoadCorpus(flags.demo ? "" : flags.positional[0]);
+  if (!loaded.ok()) return Fail(loaded.status());
+  const xml::Database& db = **loaded;
 
   if (sharded) {
+    // The sharded pack partitions on the way to disk and builds each
+    // shard's indexes itself.
     storage::ShardingSpec spec;
-    spec.shards = std::max(1, flags.shards);
-    spec.colocate_tag = flags.colocate;
-    Status packed = pagestore::PackShardedDb(*backend->db, spec, out);
+    spec.shards = std::max(1, flags.backend.shards);
+    spec.colocate_tag = flags.backend.colocate;
+    Status packed = pagestore::PackShardedDb(db, spec, out);
     if (!packed.ok()) return Fail(packed);
     std::printf("packed %zu documents into %d shards under %s:\n",
-                backend->db->documents().size(), spec.shards,
+                db.documents().size(), spec.shards,
                 pagestore::ShardManifestPath(out).c_str());
     for (int i = 0; i < spec.shards; ++i) {
       auto reopened =
@@ -550,14 +415,14 @@ int CmdPack(const Flags& flags) {
     return 0;
   }
 
-  Status packed =
-      pagestore::PackDatabase(*backend->db, *backend->indexes, out);
+  Status packed = pagestore::PackDatabase(
+      db, *index::BuildDatabaseIndexes(db), out);
   if (!packed.ok()) return Fail(packed);
   auto reopened = pagestore::PagedFile::Open(out);
   if (!reopened.ok()) return Fail(reopened.status());
   std::printf(
       "packed %zu documents into %s: %u pages of %u bytes (%llu total)\n",
-      backend->db->documents().size(), out.c_str(),
+      db.documents().size(), out.c_str(),
       (*reopened)->page_count(),
       pagestore::kPageSize,
       static_cast<unsigned long long>((*reopened)->page_count()) *
@@ -569,7 +434,7 @@ int CmdAppend(const Flags& flags) {
   if (flags.positional.size() != 3) return Usage();
   const std::string& pack = flags.positional[0];
   const std::string& name = flags.positional[1];
-  if (!IsPackedPath(pack)) {
+  if (!service::IsPackPath(pack)) {
     std::fprintf(stderr, "append: first argument must be a .qvpack file\n");
     return 2;
   }
@@ -586,7 +451,7 @@ int CmdTombstone(const Flags& flags) {
   if (flags.positional.size() != 2) return Usage();
   const std::string& pack = flags.positional[0];
   const std::string& name = flags.positional[1];
-  if (!IsPackedPath(pack)) {
+  if (!service::IsPackPath(pack)) {
     std::fprintf(stderr,
                  "tombstone: first argument must be a .qvpack file\n");
     return 2;
@@ -633,7 +498,7 @@ int CmdCompact(const Flags& flags) {
   if (flags.positional.size() != 2) return Usage();
   const std::string& in = flags.positional[0];
   const std::string& out = flags.positional[1];
-  if (!IsPackedPath(in) || !IsPackedPath(out)) {
+  if (!service::IsPackPath(in) || !service::IsPackPath(out)) {
     std::fprintf(stderr, "compact: both arguments must be .qvpack files\n");
     return 2;
   }
@@ -647,37 +512,17 @@ int CmdCompact(const Flags& flags) {
 }
 
 int CmdServe(const Flags& flags) {
-  if (!flags.demo && flags.positional.size() != 1) return Usage();
-  if (!flags.demo && flags.view.empty() && !flags.demo_view) return Usage();
+  if (flags.positional.size() != (flags.demo ? 0u : 1u)) return Usage();
+  if (!flags.demo && flags.backend.view_file.empty() && !flags.demo_view) {
+    return Usage();
+  }
 
-  auto backend = OpenBackend(
-      flags, flags.positional.empty() ? std::string() : flags.positional[0]);
+  service::BackendOptions options = flags.backend;
+  if (!flags.demo) options.source = flags.positional[0];
+  auto backend = service::OpenBackend(options);
   if (!backend.ok()) return Fail(backend.status());
-  std::string view_text;
-  if (!flags.view.empty()) {
-    auto view_file = ReadFile(flags.view);
-    if (!view_file.ok()) return Fail(view_file.status());
-    view_text = std::move(*view_file);
-  } else {
-    view_text = workload::BookRevView();
-  }
-
-  service::QueryServiceOptions options;
-  options.threads = flags.threads;
-  std::unique_ptr<service::QueryService> query_service;
-  if (backend->shards != nullptr) {
-    query_service = std::make_unique<service::QueryService>(
-        backend->shards.get(), options);
-  } else {
-    query_service = std::make_unique<service::QueryService>(
-        backend->database(), backend->index_source(), backend->store.get(),
-        options);
-    if (backend->packed != nullptr) {
-      query_service->AttachBufferPool(&backend->packed->pool());
-    }
-  }
-  Status registered = query_service->RegisterView("default", view_text);
-  if (!registered.ok()) return Fail(registered);
+  std::printf("%s", backend->banner.c_str());
+  service::QueryService* query_service = backend->service.get();
 
   // One query per stdin line: comma-separated keywords.
   std::vector<service::BatchQuery> batch;
@@ -706,7 +551,7 @@ int CmdServe(const Flags& flags) {
   // page — unfetched pages never touch base data — while repeated plan
   // signatures still hit the PDT cache.
   if (flags.page > 0) {
-    if (flags.threads != 0 || flags.repeat != 1) {
+    if (flags.backend.threads != 0 || flags.repeat != 1) {
       std::fprintf(stderr,
                    "serve --page: streaming serially on the calling "
                    "thread; --threads/--repeat are ignored\n");
@@ -758,7 +603,7 @@ int CmdServe(const Flags& flags) {
                 batch.size(),
                 static_cast<unsigned long long>(stats.cache.hits),
                 static_cast<unsigned long long>(stats.cache.misses));
-    PrintStorageStats(*backend);
+    PrintStorageStats(*backend->shards);
     return failures == 0 ? 0 : 1;
   }
 
@@ -810,56 +655,34 @@ int CmdServe(const Flags& flags) {
                   : 0.0,
       static_cast<unsigned long long>(stats.cache.hits),
       static_cast<unsigned long long>(stats.cache.misses));
-  PrintStorageStats(*backend);
+  PrintStorageStats(*backend->shards);
   return failures == 0 ? 0 : 1;
 }
 
 /// Cursor-lifecycle walkthrough on the built-in books/reviews corpus or
-/// a packed database: Open once, FetchNext page by page, and print the
+/// any serve source: Open once, FetchNext page by page, and print the
 /// store-fetch (and, when packed, page-read) counters after every page —
 /// the visible form of the lazy-materialization guarantee (hits never
 /// fetched never touch base data; with a packed db, never touch disk).
 int CmdPage(const Flags& flags) {
   if (flags.positional.size() > 1) return Usage();
-  Flags backend_flags = flags;
-  backend_flags.demo = flags.positional.empty();
-  auto backend = OpenBackend(
-      backend_flags,
-      flags.positional.empty() ? std::string() : flags.positional[0]);
+  service::BackendOptions options = flags.backend;
+  if (!flags.positional.empty()) options.source = flags.positional[0];
+  auto backend = service::OpenBackend(options);
   if (!backend.ok()) return Fail(backend.status());
-  std::string view_text;
-  if (!flags.view.empty()) {
-    auto view_file = ReadFile(flags.view);
-    if (!view_file.ok()) return Fail(view_file.status());
-    view_text = std::move(*view_file);
-  } else {
-    view_text = workload::BookRevView();
-  }
-  // One unified entry point at any shard count: a sharded backend fans
-  // the request out per shard, an unsharded one is the one-shard case.
-  std::vector<engine::ShardContext> contexts;
-  if (backend->shards != nullptr) {
-    contexts = backend->ShardContexts();
-  } else {
-    contexts.push_back(engine::ShardContext{backend->database(),
-                                            backend->index_source(),
-                                            backend->store.get()});
-  }
-  engine::ViewSearchEngine engine(std::move(contexts), /*pool=*/nullptr);
+  std::printf("%s", backend->banner.c_str());
 
-  std::vector<std::string> keywords = flags.keywords;
-  if (keywords.empty()) keywords = {"xml", "search"};
-  const size_t page_size = flags.page > 0 ? flags.page : 3;
-
-  engine::SearchRequest request;
-  request.view = view_text;
-  request.keywords = keywords;
-  request.options.top_k = flags.top_k;
-  request.options.conjunctive = !flags.any;
+  service::BatchQuery query;
+  query.view = "default";
+  query.keywords = flags.keywords;
+  if (query.keywords.empty()) query.keywords = {"xml", "search"};
+  query.options.top_k = flags.top_k;
+  query.options.conjunctive = !flags.any;
   if (flags.deadline_ms > 0) {
-    request.deadline = std::chrono::milliseconds(flags.deadline_ms);
+    query.deadline = std::chrono::milliseconds(flags.deadline_ms);
   }
-  auto cursor = engine.Open(request);
+  const size_t page_size = flags.page > 0 ? flags.page : 3;
+  auto cursor = backend->service->OpenSearch(query);
   if (!cursor.ok()) return Fail(cursor.status());
 
   std::printf(
@@ -883,8 +706,7 @@ int CmdPage(const Flags& flags) {
                     (*cursor)->stats().search.store_fetches),
                 static_cast<unsigned long long>(
                     (*cursor)->stats().search.store_bytes));
-    if (backend->packed != nullptr ||
-        (backend->shards != nullptr && backend->shards->paged())) {
+    if (backend->shards->paged()) {
       std::printf("   %llu pages read so far (%llu buffer hits)\n",
                   static_cast<unsigned long long>(
                       (*cursor)->stats().search.pages_read),
@@ -894,7 +716,7 @@ int CmdPage(const Flags& flags) {
   }
   std::printf("cursor drained: %zu hits in %zu pages\n",
               (*cursor)->fetched(), page_no);
-  PrintStorageStats(*backend);
+  PrintStorageStats(*backend->shards);
   return 0;
 }
 
