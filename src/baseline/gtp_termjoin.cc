@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 
 #include "common/strings.h"
 #include "qpt/generate_qpt.h"
@@ -29,12 +28,6 @@ struct GtpEntry {
   std::optional<std::string> value;
 };
 
-DeweyId Successor(const DeweyId& id) {
-  std::vector<uint32_t> components = id.components();
-  ++components.back();
-  return DeweyId(std::move(components));
-}
-
 /// Stack-style structural semijoin: parents that have at least one element
 /// of `children` as a child ('/') or descendant ('//'). Both inputs are
 /// Dewey-ordered; parent ranges may nest, so each parent binary-searches
@@ -48,9 +41,9 @@ std::vector<GtpEntry> HasDescendant(const std::vector<GtpEntry>& parents,
                                [](const GtpEntry& e, const DeweyId& key) {
                                  return e.id < key;
                                });
-    DeweyId succ = Successor(p.id);
     bool found = false;
-    for (auto it = lo; it != children.end() && it->id < succ; ++it) {
+    // p's subtree is the run of ids it prefixes, starting at `lo`.
+    for (auto it = lo; it != children.end() && p.id.IsPrefixOf(it->id); ++it) {
       if (!p.id.IsAncestorOf(it->id)) continue;
       if (!parent_child || it->id.depth() == p.id.depth() + 1) {
         found = true;
@@ -162,19 +155,19 @@ Result<std::shared_ptr<xml::Document>> BuildGtpPrunedDocument(
 
   // Assemble, fetching byte lengths for 'c' nodes from base storage and
   // keyword statistics from the inverted index (TermJoin's integration).
-  std::map<DeweyId, pdt::PdtElement> elements;
+  std::vector<pdt::PdtElement> elements;
   for (size_t i = 1; i < n; ++i) {
     const qpt::QptNode& node = qpt.nodes[i];
     for (GtpEntry& e : pe[i]) {
-      pdt::PdtElement& out = elements[e.id];
-      if (out.tag.empty()) out.tag = node.tag;
-      if (e.value.has_value()) out.value = std::move(e.value);
-      out.content = out.content || node.c_ann;
-      if (node.c_ann && out.byte_length == 0) {
-        QV_RETURN_IF_ERROR(store->GetSubtreeLength(
-            e.id.component(0), e.id, &out.byte_length, fetch_stats));
-      }
+      elements.push_back(pdt::PdtElement{std::move(e.id), node.tag,
+                                         std::move(e.value), 0, node.c_ann});
     }
+  }
+  pdt::SortAndFoldPdtElements(&elements);
+  for (pdt::PdtElement& out : elements) {
+    if (!out.content) continue;
+    QV_RETURN_IF_ERROR(store->GetSubtreeLength(
+        out.id.component(0), out.id, &out.byte_length, fetch_stats));
   }
   std::vector<pdt::InvList> inv_lists;
   for (const std::string& keyword : keywords) {
@@ -184,7 +177,7 @@ Result<std::shared_ptr<xml::Document>> BuildGtpPrunedDocument(
     inv.BuildPrefix();
     inv_lists.push_back(std::move(inv));
   }
-  return pdt::AssemblePdtDocument(elements, inv_lists);
+  return pdt::AssemblePdtDocument(std::move(elements), inv_lists);
 }
 
 Result<engine::SearchResponse> GtpTermJoinEngine::Search(

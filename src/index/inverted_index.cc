@@ -20,6 +20,12 @@ uint32_t DecodeTf(const std::string& bytes) {
          (static_cast<uint32_t>(static_cast<unsigned char>(bytes[2])) << 8) |
          static_cast<uint32_t>(static_cast<unsigned char>(bytes[3]));
 }
+
+/// The id encoded in `key` from byte `offset` on. Keys are built by
+/// MakeKey from DeweyId::Encode, so they always decode.
+xml::DeweyId DecodeKeyId(const std::string& key, size_t offset) {
+  return xml::DeweyId::Decode(std::string_view(key).substr(offset)).value();
+}
 }  // namespace
 
 std::string InvertedIndex::MakeKey(const std::string& term,
@@ -49,7 +55,7 @@ std::vector<Posting> InvertedIndex::Lookup(const std::string& term) const {
   prefix.push_back(kKeySep);
   for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
     if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(Posting{xml::DeweyId::Decode(it.key().substr(prefix.size())),
+    out.push_back(Posting{DecodeKeyId(it.key(), prefix.size()),
                           DecodeTf(it.value())});
   }
   return out;
@@ -68,8 +74,7 @@ void InvertedIndex::ForEachPosting(
                              uint32_t)>& fn) const {
   for (BTree::Iterator it = tree_.Begin(); it.Valid(); it.Next()) {
     size_t sep = it.key().find(kKeySep);
-    fn(it.key().substr(0, sep),
-       xml::DeweyId::Decode(it.key().substr(sep + 1)),
+    fn(it.key().substr(0, sep), DecodeKeyId(it.key(), sep + 1),
        DecodeTf(it.value()));
   }
 }

@@ -19,12 +19,18 @@ void AppendU32(std::string* out, uint32_t v) {
   }
 }
 
-uint32_t ReadU32(const std::string& in, size_t* pos) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(in[(*pos)++]);
+/// Reads a big-endian T at *pos; false (and *pos untouched) when fewer
+/// bytes remain.
+template <typename T>
+bool ReadBigEndian(std::string_view in, size_t* pos, T* out) {
+  if (in.size() - *pos < sizeof(T)) return false;
+  T v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>((v << 8) | static_cast<unsigned char>(in[*pos + i]));
   }
-  return v;
+  *pos += sizeof(T);
+  *out = v;
+  return true;
 }
 
 void AppendU64(std::string* out, uint64_t v) {
@@ -33,12 +39,42 @@ void AppendU64(std::string* out, uint64_t v) {
   }
 }
 
-uint64_t ReadU64(const std::string& in, size_t* pos) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(in[(*pos)++]);
+Status CorruptRow() { return Status::Internal("corrupt path-index row"); }
+
+/// Decodes an EncodePathEntryList row, calling sink(id, byte_length) per
+/// entry. Rows may come from disk pages, so every length is checked
+/// against the bytes actually present.
+template <typename Sink>
+Status DecodeEntries(std::string_view encoded, Sink&& sink) {
+  size_t pos = 0;
+  uint32_t count = 0;
+  if (!ReadBigEndian(encoded, &pos, &count)) return CorruptRow();
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t id_len = 0;
+    if (!ReadBigEndian(encoded, &pos, &id_len) ||
+        encoded.size() - pos < id_len) {
+      return CorruptRow();
+    }
+    std::optional<xml::DeweyId> id =
+        xml::DeweyId::Decode(encoded.substr(pos, id_len));
+    pos += id_len;
+    uint64_t byte_length = 0;
+    if (!id.has_value() || !ReadBigEndian(encoded, &pos, &byte_length)) {
+      return CorruptRow();
+    }
+    sink(std::move(*id), byte_length);
   }
-  return v;
+  return Status::OK();
+}
+
+/// Decodes a row this process encoded itself (in-memory B+-tree values),
+/// which cannot be corrupt.
+void DecodeOwnRow(std::string_view encoded,
+                  const std::optional<std::string>& value,
+                  std::vector<PathEntry>* out) {
+  Status status = DecodePathEntryListInto(encoded, value, out);
+  assert(status.ok());
+  (void)status;
 }
 
 }  // namespace
@@ -64,18 +100,12 @@ std::string EncodePathEntryList(
   return out;
 }
 
-void DecodePathEntryListInto(const std::string& encoded,
-                             const std::optional<std::string>& value,
-                             std::vector<PathEntry>* out) {
-  size_t pos = 0;
-  uint32_t count = ReadU32(encoded, &pos);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t id_len = ReadU32(encoded, &pos);
-    xml::DeweyId id = xml::DeweyId::Decode(encoded.substr(pos, id_len));
-    pos += id_len;
-    uint64_t byte_length = ReadU64(encoded, &pos);
+Status DecodePathEntryListInto(std::string_view encoded,
+                               const std::optional<std::string>& value,
+                               std::vector<PathEntry>* out) {
+  return DecodeEntries(encoded, [&](xml::DeweyId&& id, uint64_t byte_length) {
     out->push_back(PathEntry{std::move(id), byte_length, value});
-  }
+  });
 }
 
 std::string PatternToString(const PathPattern& pattern) {
@@ -141,16 +171,12 @@ namespace {
 std::vector<std::pair<xml::DeweyId, uint64_t>> DecodePathEntryPairs(
     const std::string& encoded) {
   std::vector<std::pair<xml::DeweyId, uint64_t>> out;
-  size_t pos = 0;
-  uint32_t count = ReadU32(encoded, &pos);
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t id_len = ReadU32(encoded, &pos);
-    xml::DeweyId id = xml::DeweyId::Decode(encoded.substr(pos, id_len));
-    pos += id_len;
-    uint64_t byte_length = ReadU64(encoded, &pos);
-    out.emplace_back(std::move(id), byte_length);
-  }
+  Status status =
+      DecodeEntries(encoded, [&](xml::DeweyId&& id, uint64_t byte_length) {
+        out.emplace_back(std::move(id), byte_length);
+      });
+  assert(status.ok());  // in-memory rows are written by this process
+  (void)status;
   return out;
 }
 
@@ -230,7 +256,7 @@ std::vector<PathEntry> PathIndex::Collect(const PathPattern& pattern,
       if (it.key().compare(0, prefix.size(), prefix) != 0) break;
       std::optional<std::string> value;
       if (with_values) value = it.key().substr(prefix.size());
-      DecodePathEntryListInto(it.value(), value, &out);
+      DecodeOwnRow(it.value(), value, &out);
     }
   }
   // Merge the per-row Dewey-ordered lists into one ordered list.
@@ -247,7 +273,7 @@ void PathIndex::ForEachRow(
     std::string path = it.key().substr(0, sep);
     std::string value = it.key().substr(sep + 1);
     std::vector<PathEntry> entries;
-    DecodePathEntryListInto(it.value(), std::nullopt, &entries);
+    DecodeOwnRow(it.value(), std::nullopt, &entries);
     fn(path, value, entries);
   }
 }
@@ -272,7 +298,7 @@ std::vector<PathIndex::PathRows> PathIndex::LookUpPerPath(
       if (it.key().compare(0, prefix.size(), prefix) != 0) break;
       std::optional<std::string> value;
       if (with_values) value = it.key().substr(prefix.size());
-      DecodePathEntryListInto(it.value(), value, &rows.entries);
+      DecodeOwnRow(it.value(), value, &rows.entries);
     }
     std::sort(
         rows.entries.begin(), rows.entries.end(),
@@ -297,7 +323,7 @@ std::vector<PathEntry> PathIndex::LookUpValue(const PathPattern& pattern,
   for (const std::string& path : ExpandPattern(pattern)) {
     std::string encoded;
     if (tree_.Get(MakePathValueKey(path, value), &encoded)) {
-      DecodePathEntryListInto(encoded, value, &out);
+      DecodeOwnRow(encoded, value, &out);
     }
   }
   std::sort(out.begin(), out.end(),

@@ -16,8 +16,10 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "index/btree.h"
 #include "xml/dewey_id.h"
 
@@ -66,9 +68,12 @@ std::string EncodePathEntryList(
     const std::vector<std::pair<xml::DeweyId, uint64_t>>& entries);
 
 /// Appends the row's entries to `out`, each carrying `value` (or nullopt).
-void DecodePathEntryListInto(const std::string& encoded,
-                             const std::optional<std::string>& value,
-                             std::vector<PathEntry>* out);
+/// The row may come from a disk page: a truncated or malformed row is an
+/// Internal "corrupt path-index row" error, and `out` may then hold the
+/// entries decoded before the damage.
+Status DecodePathEntryListInto(std::string_view encoded,
+                               const std::optional<std::string>& value,
+                               std::vector<PathEntry>* out);
 
 class PathIndex {
  public:

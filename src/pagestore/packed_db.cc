@@ -67,13 +67,14 @@ Status DecodePostingRun(const std::string& encoded,
         encoded.size() - pos < id_len) {
       return Status::Internal("corrupt posting run");
     }
-    xml::DeweyId id = xml::DeweyId::Decode(encoded.substr(pos, id_len));
+    std::optional<xml::DeweyId> id =
+        xml::DeweyId::Decode(std::string_view(encoded).substr(pos, id_len));
     pos += id_len;
     uint32_t tf = 0;
-    if (!ReadU32(encoded, &pos, &tf)) {
+    if (!id.has_value() || !ReadU32(encoded, &pos, &tf)) {
       return Status::Internal("corrupt posting run");
     }
-    out->push_back(index::Posting{std::move(id), tf});
+    out->push_back(index::Posting{std::move(*id), tf});
   }
   return Status::OK();
 }
@@ -127,7 +128,8 @@ Result<std::vector<index::PathEntry>> PagedPathIndex::Collect(
             const std::string& entries_encoded) -> Result<bool> {
           std::optional<std::string> attach;
           if (with_values) attach = std::move(row_value);
-          index::DecodePathEntryListInto(entries_encoded, attach, &out);
+          QUICKVIEW_RETURN_IF_ERROR(
+              index::DecodePathEntryListInto(entries_encoded, attach, &out));
           return true;
         }));
   }
@@ -165,7 +167,8 @@ Result<std::vector<index::PathEntry>> PagedPathIndex::LookUpValue(
             const std::string& entries_encoded) -> Result<bool> {
           if (row_value > value) return false;
           if (row_value == value) {
-            index::DecodePathEntryListInto(entries_encoded, value, &out);
+            QUICKVIEW_RETURN_IF_ERROR(
+                index::DecodePathEntryListInto(entries_encoded, value, &out));
             return false;
           }
           return true;
@@ -192,8 +195,8 @@ Result<std::vector<index::PathRows>> PagedPathIndex::LookUpPerPath(
             const std::string& entries_encoded) -> Result<bool> {
           std::optional<std::string> attach;
           if (with_values) attach = std::move(row_value);
-          index::DecodePathEntryListInto(entries_encoded, attach,
-                                         &rows.entries);
+          QUICKVIEW_RETURN_IF_ERROR(index::DecodePathEntryListInto(
+              entries_encoded, attach, &rows.entries));
           return true;
         }));
     std::sort(rows.entries.begin(), rows.entries.end(),

@@ -67,35 +67,43 @@ void CandidateTree::AddId(const xml::DeweyId& id,
   CtNode* current = root_.get();
   // Ancestor (node, entry index) pairs seen so far on this id's path,
   // used to build the parent lists of new entries.
-  std::vector<std::pair<CtNode*, int>> ancestry;
-  std::vector<std::pair<CtNode*, int>> new_entries;  // for notification
+  ancestry_.clear();
+  new_entries_.clear();  // for notification
+  const std::span<const uint32_t> components = id.components();
 
   for (size_t depth = 1; depth <= id.depth(); ++depth) {
     const std::vector<int>& qnodes = depth_qnodes[depth - 1];
-    xml::DeweyId prefix = id.Prefix(depth);
+    const std::span<const uint32_t> prefix = components.first(depth);
+    // The child at this prefix, or the insertion point for one.
+    std::vector<std::unique_ptr<CtNode>>& siblings = current->children;
+    auto it = std::lower_bound(
+        siblings.begin(), siblings.end(), prefix,
+        [](const std::unique_ptr<CtNode>& child,
+           std::span<const uint32_t> key) {
+          return xml::DeweyId::Compare(child->id.components(), key) < 0;
+        });
     CtNode* node = nullptr;
-    auto it = current->children.find(prefix);
-    if (it != current->children.end()) {
-      node = it->second.get();
+    if (it != siblings.end() &&
+        xml::DeweyId::Compare((*it)->id.components(), prefix) == 0) {
+      node = it->get();
     } else if (!qnodes.empty()) {
       auto created = std::make_unique<CtNode>();
-      created->id = prefix;
+      created->id = xml::DeweyId(prefix);
       created->parent = current;
       node = created.get();
-      // Containment invariant: any existing sibling that is really a
-      // descendant of the new prefix moves under the new node.
-      for (auto child_it = current->children.begin();
-           child_it != current->children.end();) {
-        if (prefix.IsAncestorOf(child_it->first)) {
-          child_it->second->parent = node;
-          node->children.emplace(child_it->first,
-                                 std::move(child_it->second));
-          child_it = current->children.erase(child_it);
-        } else {
-          ++child_it;
-        }
+      // Containment invariant: existing siblings that are really
+      // descendants of the new prefix move under the new node. In Dewey
+      // order they form the run starting at the insertion point.
+      auto run_end = it;
+      while (run_end != siblings.end() &&
+             node->id.IsAncestorOf((*run_end)->id)) {
+        (*run_end)->parent = node;
+        ++run_end;
       }
-      current->children.emplace(prefix, std::move(created));
+      node->children.assign(std::make_move_iterator(it),
+                            std::make_move_iterator(run_end));
+      it = siblings.erase(it, run_end);
+      siblings.insert(it, std::move(created));
       ++live_nodes;
       peak_nodes = std::max(peak_nodes, live_nodes);
     }
@@ -109,20 +117,20 @@ void CandidateTree::AddId(const xml::DeweyId& id,
       int parent_qnode = qpt_->nodes[qnode].parent;
       if (parent_qnode > 0) {
         bool descendant_axis = qpt_->nodes[qnode].parent_descendant;
-        for (auto& [anc, anc_index] : ancestry) {
+        for (auto& [anc, anc_index] : ancestry_) {
           if (anc->qentries[anc_index].qnode != parent_qnode) continue;
-          bool ok = descendant_axis ? anc->id.IsAncestorOf(prefix)
-                                    : anc->id.IsParentOf(prefix);
+          bool ok = descendant_axis ? anc->id.IsAncestorOf(node->id)
+                                    : anc->id.IsParentOf(node->id);
           if (ok) entry.parent_list.emplace_back(anc, anc_index);
         }
       }
       node->qentries.push_back(std::move(entry));
-      new_entries.emplace_back(node,
-                               static_cast<int>(node->qentries.size() - 1));
+      new_entries_.emplace_back(node,
+                                static_cast<int>(node->qentries.size() - 1));
     }
     // This prefix's entries are ancestry for deeper prefixes.
     for (size_t i = 0; i < node->qentries.size(); ++i) {
-      ancestry.emplace_back(node, static_cast<int>(i));
+      ancestry_.emplace_back(node, static_cast<int>(i));
     }
   }
 
@@ -134,6 +142,9 @@ void CandidateTree::AddId(const xml::DeweyId& id,
     if (std::find(current->source_lists.begin(), current->source_lists.end(),
                   list_index) == current->source_lists.end()) {
       current->source_lists.push_back(list_index);
+      if (static_cast<size_t>(list_index) >= list_counts_.size()) {
+        list_counts_.resize(list_index + 1, 0);
+      }
       ++list_counts_[list_index];
     }
   }
@@ -141,7 +152,7 @@ void CandidateTree::AddId(const xml::DeweyId& id,
   // DM propagation for entries that are candidates on arrival, and for
   // entries whose candidacy was already established (AddCTNode lines
   // 15-17 of Fig 26).
-  for (auto& [node, entry_index] : new_entries) {
+  for (auto& [node, entry_index] : new_entries_) {
     if (IsCandidate(node->qentries[entry_index])) {
       NotifyCandidate(node, entry_index);
     }
@@ -149,25 +160,28 @@ void CandidateTree::AddId(const xml::DeweyId& id,
 }
 
 int CandidateTree::ListCount(int list_index) const {
-  auto it = list_counts_.find(list_index);
-  return it == list_counts_.end() ? 0 : it->second;
+  return static_cast<size_t>(list_index) < list_counts_.size()
+             ? list_counts_[list_index]
+             : 0;
 }
 
 void CandidateTree::DecrementListCounts(const CtNode& node) {
   for (int list : node.source_lists) {
-    auto it = list_counts_.find(list);
-    if (it != list_counts_.end() && it->second > 0) --it->second;
+    if (static_cast<size_t>(list) < list_counts_.size() &&
+        list_counts_[list] > 0) {
+      --list_counts_[list];
+    }
   }
 }
 
-std::vector<CtNode*> CandidateTree::LeftMostPath() {
-  std::vector<CtNode*> out;
+const std::vector<CtNode*>& CandidateTree::LeftMostPath() {
+  left_most_path_.clear();
   CtNode* node = root_.get();
   while (!node->children.empty()) {
-    node = node->children.begin()->second.get();
-    out.push_back(node);
+    node = node->children.front().get();
+    left_most_path_.push_back(node);
   }
-  return out;
+  return left_most_path_;
 }
 
 }  // namespace quickview::pdt

@@ -19,7 +19,6 @@
 #define QUICKVIEW_PDT_CANDIDATE_TREE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -65,9 +64,10 @@ class CtNode {
  public:
   xml::DeweyId id;
   CtNode* parent = nullptr;
-  /// Children keyed by full Dewey id (depths without QPT matches are
-  /// pruned from the CT, so a child may be more than one level deeper).
-  std::map<xml::DeweyId, std::unique_ptr<CtNode>> children;
+  /// Children in Dewey order of their full ids (depths without QPT
+  /// matches are pruned from the CT, so a child may be more than one level
+  /// deeper). No child is an ancestor of another.
+  std::vector<std::unique_ptr<CtNode>> children;
   std::vector<CtQEntry> qentries;
   std::vector<PdtCacheEntry> pdt_cache;
 
@@ -125,8 +125,9 @@ class CandidateTree {
   /// True iff every mandatory child bit of the entry is set.
   bool IsCandidate(const CtQEntry& entry) const;
 
-  /// Nodes on the left-most path, top-down (root excluded).
-  std::vector<CtNode*> LeftMostPath();
+  /// Nodes on the left-most path, top-down (root excluded). The returned
+  /// buffer is reused: it stays valid until the next call.
+  const std::vector<CtNode*>& LeftMostPath();
 
   size_t peak_nodes = 0;  // high-water mark, reported by benchmarks
   size_t live_nodes = 0;
@@ -138,9 +139,14 @@ class CandidateTree {
 
   const qpt::Qpt* qpt_;
   std::unique_ptr<CtNode> root_;
-  std::map<int, int> list_counts_;
+  std::vector<int> list_counts_;                      // by path list
   std::vector<std::vector<int>> mandatory_children_;  // by QPT node
   std::vector<uint64_t> full_mask_;                   // by QPT node
+  // Scratch reused across AddId / LeftMostPath calls so the per-id work
+  // allocates only when the tree grows.
+  std::vector<std::pair<CtNode*, int>> ancestry_;
+  std::vector<std::pair<CtNode*, int>> new_entries_;
+  std::vector<CtNode*> left_most_path_;
 };
 
 }  // namespace quickview::pdt

@@ -1,44 +1,68 @@
 #include "pdt/generate_pdt.h"
 
 #include <algorithm>
-#include <map>
+#include <cassert>
 
 #include "pdt/candidate_tree.h"
 #include "xml/serializer.h"
 
 namespace quickview::pdt {
 
-std::shared_ptr<xml::Document> AssemblePdtDocument(
-    const std::map<xml::DeweyId, PdtElement>& elements,
-    const std::vector<InvList>& inv_lists) {
-  uint32_t root_component = 1;
-  if (!elements.empty()) {
-    root_component = elements.begin()->first.component(0);
+void SortAndFoldPdtElements(std::vector<PdtElement>* elements) {
+  auto by_id = [](const PdtElement& a, const PdtElement& b) {
+    return a.id < b.id;
+  };
+  // The merge pass usually emits in Dewey order already, but not always:
+  // an ancestor can be confirmed for a second QPT node after its
+  // descendants were emitted, and an id parked in a pdt cache is emitted
+  // once an ancestor is confirmed, after ids that follow it. The GTP
+  // baseline emits one QPT node at a time.
+  if (!std::is_sorted(elements->begin(), elements->end(), by_id)) {
+    std::stable_sort(elements->begin(), elements->end(), by_id);
   }
+  size_t kept = 0;
+  for (PdtElement& x : *elements) {
+    if (kept > 0 && (*elements)[kept - 1].id == x.id) {
+      PdtElement& folded = (*elements)[kept - 1];
+      if (folded.tag.empty()) folded.tag = std::move(x.tag);
+      if (x.value.has_value()) folded.value = std::move(x.value);
+      if (x.byte_length > 0) folded.byte_length = x.byte_length;
+      folded.content = folded.content || x.content;
+    } else {
+      if (&(*elements)[kept] != &x) (*elements)[kept] = std::move(x);
+      ++kept;
+    }
+  }
+  elements->resize(kept);
+}
+
+std::shared_ptr<xml::Document> AssemblePdtDocument(
+    std::vector<PdtElement> elements, const std::vector<InvList>& inv_lists) {
+  uint32_t root_component = 1;
+  if (!elements.empty()) root_component = elements.front().id.component(0);
   auto doc = std::make_shared<xml::Document>(root_component);
-  // Stack of (id, node) along the current root-to-leaf path.
-  std::vector<std::pair<xml::DeweyId, xml::NodeIndex>> stack;
-  for (auto& [id, entry] : elements) {
-    while (!stack.empty() && !stack.back().first.IsAncestorOf(id)) {
+  // Nodes along the current root-to-leaf path.
+  std::vector<xml::NodeIndex> stack;
+  for (PdtElement& entry : elements) {
+    const xml::DeweyId& id = entry.id;
+    while (!stack.empty() && !doc->node(stack.back()).id.IsAncestorOf(id)) {
       stack.pop_back();
     }
     // Ancestors absent from the element set become structural
     // placeholders (iterated in sorted order, any present ancestor is
     // already on the stack).
-    size_t base_depth = stack.empty() ? 0 : stack.back().first.depth();
+    size_t base_depth = stack.empty() ? 0 : doc->node(stack.back()).id.depth();
     for (size_t depth = base_depth + 1; depth < id.depth(); ++depth) {
-      xml::DeweyId prefix = id.Prefix(depth);
-      xml::NodeIndex placeholder =
-          stack.empty()
-              ? doc->CreateRoot("qv:gap")
-              : doc->AddChildWithId(stack.back().second, "qv:gap", prefix);
-      stack.emplace_back(std::move(prefix), placeholder);
+      stack.push_back(stack.empty() ? doc->CreateRoot("qv:gap")
+                                    : doc->AddChildWithId(stack.back(),
+                                                          "qv:gap",
+                                                          id.Prefix(depth)));
     }
     xml::NodeIndex node =
         stack.empty()
-            ? doc->CreateRoot(entry.tag)
-            : doc->AddChildWithId(stack.back().second, entry.tag, id);
-    if (entry.value.has_value()) doc->node(node).text = *entry.value;
+            ? doc->CreateRoot(std::move(entry.tag))
+            : doc->AddChildWithId(stack.back(), std::move(entry.tag), id);
+    if (entry.value.has_value()) doc->node(node).text = std::move(*entry.value);
     if (entry.content) {
       xml::NodeStats stats;
       stats.byte_length = entry.byte_length;
@@ -51,7 +75,7 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
       }
       doc->node(node).stats = std::move(stats);
     }
-    stack.emplace_back(id, node);
+    stack.push_back(node);
   }
   return doc;
 }
@@ -85,13 +109,20 @@ class PdtGenerator {
       // regardless: removing the bottom is only sound once no future id
       // can still be one of its descendants, and the in-CT ids of such a
       // list are necessarily all on the left-most path, so the two-id
-      // cap alone would starve exactly these pulls. Repeat until
-      // quiescent (each pull may deepen or reshape the left-most path).
+      // cap alone would starve exactly these pulls. Once those are done,
+      // any list at all whose next id still precedes the end of the
+      // bottom's subtree is pulled too: that id belongs at or above the
+      // left-most path, and processing the path before it arrives would
+      // emit a node without its value or byte length (or remove the
+      // bottom too early). Repeat until quiescent (each pull may deepen
+      // or reshape the left-most path).
       bool pulled = true;
       while (pulled) {
         pulled = false;
-        std::vector<CtNode*> lmp = ct_.LeftMostPath();
-        const xml::DeweyId bottom_id = lmp.back()->id;
+        // Pulls reshape the tree but never free a node, so the path's
+        // pointers (and the bottom's id) stay valid for this round.
+        const std::vector<CtNode*>& lmp = ct_.LeftMostPath();
+        const xml::DeweyId& bottom_id = lmp.back()->id;
         for (CtNode* node : lmp) {
           // Snapshot the qnode ids: Pull() may add entries to this very
           // node, reallocating `qentries` and invalidating any reference
@@ -113,9 +144,10 @@ class PdtGenerator {
           }
           if (pulled) break;  // the left-most path may have changed
         }
+        if (!pulled) pulled = PullThroughSubtreeOf(bottom_id);
       }
       // Step 2: create PDT nodes top-down along the left-most path.
-      std::vector<CtNode*> lmp = ct_.LeftMostPath();
+      const std::vector<CtNode*>& lmp = ct_.LeftMostPath();
       for (CtNode* node : lmp) ProcessTopDown(node);
       // Step 3: remove the bottom node (always childless by construction
       // of the left-most path), flushing its pdt cache upward.
@@ -125,11 +157,13 @@ class PdtGenerator {
     // constraint are final PDT nodes.
     FlushRootCache();
 
+    SortAndFoldPdtElements(&output_);
+    const uint64_t nodes_emitted = output_.size();
     std::shared_ptr<xml::Document> doc =
-        AssemblePdtDocument(output_, lists_.inv_lists);
+        AssemblePdtDocument(std::move(output_), lists_.inv_lists);
     if (stats_ != nullptr) {
       stats_->peak_ct_nodes = ct_.peak_nodes;
-      stats_->nodes_emitted = output_.size();
+      stats_->nodes_emitted = nodes_emitted;
       stats_->index_probes = lists_.index_probes;
       if (doc->has_root()) {
         stats_->pdt_bytes = xml::SubtreeByteLength(*doc, doc->root());
@@ -150,6 +184,9 @@ class PdtGenerator {
   /// its descendants (contiguous range in the Dewey-ordered list).
   bool ListHasPendingDescendant(int list, const xml::DeweyId& bottom) const {
     const PathList& pl = lists_.path_lists[list];
+    if (cursors_[list] >= pl.entries.size()) return false;
+    const xml::DeweyId& next = pl.entries[cursors_[list]].id;
+    if (!(next < bottom)) return bottom.IsPrefixOf(next);  // no search needed
     auto it = std::lower_bound(
         pl.entries.begin() + static_cast<ptrdiff_t>(cursors_[list]),
         pl.entries.end(), bottom,
@@ -157,6 +194,19 @@ class PdtGenerator {
           return e.id < key;
         });
     return it != pl.entries.end() && bottom.IsPrefixOf(it->id);
+  }
+
+  /// Pulls one id from the first list whose next id precedes the end of
+  /// `bottom`'s subtree in Dewey order; false when there is none.
+  bool PullThroughSubtreeOf(const xml::DeweyId& bottom) {
+    for (size_t list = 0; list < lists_.path_lists.size(); ++list) {
+      const xml::DeweyId* next = PeekNext(static_cast<int>(list));
+      if (next != nullptr && (*next < bottom || bottom.IsPrefixOf(*next))) {
+        Pull(static_cast<int>(list));
+        return true;
+      }
+    }
+    return false;
   }
 
   void Pull(int list) {
@@ -193,23 +243,23 @@ class PdtGenerator {
     }
   }
 
+  /// Appends one output record; SortAndFoldPdtElements merges the records
+  /// of an id matched by several QPT nodes at the end of the build.
   void Emit(CtNode* node, int qnode) {
-    PdtElement& out = output_[node->id];
-    if (out.tag.empty()) out.tag = qpt_.nodes[qnode].tag;
-    if (node->value.has_value() && qpt_.nodes[qnode].v_ann) {
-      out.value = node->value;
-    }
-    if (node->byte_length > 0) out.byte_length = node->byte_length;
-    out.content = out.content || qpt_.nodes[qnode].c_ann;
+    const qpt::QptNode& q = qpt_.nodes[qnode];
+    PdtElement& out = output_.emplace_back();
+    out.id = node->id;
+    out.tag = q.tag;
+    if (q.v_ann) out.value = node->value;
+    out.byte_length = node->byte_length;
+    out.content = q.c_ann;
     node->emitted = true;
   }
 
-  void EmitCache(const PdtCacheEntry& x) {
-    PdtElement& out = output_[x.id];
-    if (out.tag.empty()) out.tag = x.tag;
-    if (x.value.has_value()) out.value = x.value;
-    if (x.byte_length > 0) out.byte_length = x.byte_length;
-    out.content = out.content || x.content;
+  void EmitCache(PdtCacheEntry&& x) {
+    output_.push_back(PdtElement{std::move(x.id), std::move(x.tag),
+                                 std::move(x.value), x.byte_length,
+                                 x.content});
   }
 
   void CacheCandidate(CtNode* node, const CtQEntry& entry) {
@@ -258,30 +308,30 @@ class PdtGenerator {
         }
       }
       if (ancestors_ok) {
-        EmitCache(x);
+        EmitCache(std::move(x));
         continue;
       }
       // Rewrite references to the node being removed: a candidate parent
       // entry is replaced by its own parents (the constraint transfers one
       // level up); a non-candidate parent entry is dead — its descendant
       // map can no longer change — and is simply dropped (Fig 27 line 26).
-      std::vector<std::pair<CtNode*, int>> rewritten;
+      rewritten_.clear();
       for (auto& ref : x.parent_list) {
         if (ref.first != bottom) {
-          rewritten.push_back(ref);
+          rewritten_.push_back(ref);
           continue;
         }
         CtQEntry& q = bottom->qentries[ref.second];
         if (!ct_.IsCandidate(q)) continue;  // dead parent
         if (qpt_.nodes[q.qnode].parent == 0) x.root_parent = true;
         for (auto& up : q.parent_list) {
-          if (std::find(rewritten.begin(), rewritten.end(), up) ==
-              rewritten.end()) {
-            rewritten.push_back(up);
+          if (std::find(rewritten_.begin(), rewritten_.end(), up) ==
+              rewritten_.end()) {
+            rewritten_.push_back(up);
           }
         }
       }
-      x.parent_list = std::move(rewritten);
+      x.parent_list.swap(rewritten_);
       if (x.parent_list.empty() && !x.root_parent) continue;  // dead
       // Propagate to the parent's cache (merge by id).
       bool merged = false;
@@ -305,7 +355,9 @@ class PdtGenerator {
     }
     ct_.DecrementListCounts(*bottom);
     --ct_.live_nodes;
-    parent->children.erase(bottom->id);
+    // The bottom of the left-most path is its parent's first child.
+    assert(parent->children.front().get() == bottom);
+    parent->children.erase(parent->children.begin());
   }
 
   void FlushRootCache() {
@@ -313,7 +365,7 @@ class PdtGenerator {
       bool ancestors_ok = x.root_parent;
       // Any remaining parent refs point at removed entries' survivors —
       // by the flush discipline, only in_pdt parents can remain reachable.
-      if (ancestors_ok) EmitCache(x);
+      if (ancestors_ok) EmitCache(std::move(x));
     }
     ct_.root()->pdt_cache.clear();
   }
@@ -327,7 +379,10 @@ class PdtGenerator {
   /// Scratch buffer for the pull loop's per-node qnode snapshot (member to
   /// avoid reallocating once per node per round).
   std::vector<int> qnode_snapshot_;
-  std::map<xml::DeweyId, PdtElement> output_;
+  /// Scratch for RemoveBottom's parent-list rewrite.
+  std::vector<std::pair<CtNode*, int>> rewritten_;
+  /// Emitted records in emission order, folded once at the end.
+  std::vector<PdtElement> output_;
 };
 
 }  // namespace

@@ -8,7 +8,6 @@
 #ifndef QUICKVIEW_PDT_GENERATE_PDT_H_
 #define QUICKVIEW_PDT_GENERATE_PDT_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,22 +22,29 @@
 namespace quickview::pdt {
 
 /// A confirmed pruned-tree element: what PDT generation (and the GTP
-/// baseline) emit before document assembly.
+/// baseline) emit before document assembly. One id may be emitted several
+/// times, once per QPT node it matches.
 struct PdtElement {
+  xml::DeweyId id;
   std::string tag;
   std::optional<std::string> value;  // 'v' nodes: selectively materialized
   uint64_t byte_length = 0;
   bool content = false;  // 'c' nodes: carry tf/byte-length NodeStats
 };
 
-/// Assembles emitted elements (keyed by Dewey id, i.e. document order)
-/// into a Document, synthesizing placeholder ancestors for depths the QPT
-/// does not mention (only reachable via '//' steps, so their tags are
-/// never inspected). 'c' elements get NodeStats with per-keyword subtree
-/// term frequencies computed from `inv_lists`.
+/// Puts emitted elements in Dewey order (stably, so records of one id keep
+/// their emission order) and folds the records of each id into one: the
+/// first tag, the last value, the last non-zero byte length, and the OR
+/// of `content`.
+void SortAndFoldPdtElements(std::vector<PdtElement>* elements);
+
+/// Assembles folded elements (see SortAndFoldPdtElements) into a
+/// Document, synthesizing placeholder ancestors for depths the QPT does
+/// not mention (only reachable via '//' steps, so their tags are never
+/// inspected). 'c' elements get NodeStats with per-keyword subtree term
+/// frequencies computed from `inv_lists`.
 std::shared_ptr<xml::Document> AssemblePdtDocument(
-    const std::map<xml::DeweyId, PdtElement>& elements,
-    const std::vector<InvList>& inv_lists);
+    std::vector<PdtElement> elements, const std::vector<InvList>& inv_lists);
 
 struct PdtBuildStats {  // lint:allow(adhoc-stats) per-build result record returned to the caller
   uint64_t ids_processed = 0;    // ids consumed from path lists

@@ -14,23 +14,17 @@ void InvList::BuildPrefix() {
 }
 
 uint64_t InvList::SubtreeTf(const xml::DeweyId& id) const {
-  // Postings with `id` as a prefix form a contiguous range: [first posting
-  // >= id, first posting >= successor(id)), where the successor increments
-  // the last component.
+  // Postings with `id` as a prefix form a contiguous range in Dewey order:
+  // from the first posting >= id up to the first that `id` no longer
+  // prefixes.
   auto lo = std::lower_bound(
       postings.begin(), postings.end(), id,
       [](const index::Posting& p, const xml::DeweyId& key) {
         return p.id < key;
       });
-  std::vector<uint32_t> succ_components = id.components();
-  if (succ_components.empty()) return tf_prefix.back();
-  ++succ_components.back();
-  xml::DeweyId successor(std::move(succ_components));
-  auto hi = std::lower_bound(
-      postings.begin(), postings.end(), successor,
-      [](const index::Posting& p, const xml::DeweyId& key) {
-        return p.id < key;
-      });
+  auto hi = std::partition_point(
+      lo, postings.end(),
+      [&id](const index::Posting& p) { return id.IsPrefixOf(p.id); });
   return tf_prefix[hi - postings.begin()] - tf_prefix[lo - postings.begin()];
 }
 

@@ -1,11 +1,20 @@
 #include "xml/dewey_id.h"
 
-#include <algorithm>
 #include <cassert>
+#include <vector>
 
 #include "common/strings.h"
 
 namespace quickview::xml {
+
+uint32_t* DeweyId::Init(size_t depth) {
+  assert(!spilled());
+  words_[0] = static_cast<uint32_t>(depth);
+  if (depth <= kInlineDepth) return words_ + 1;
+  uint32_t* block = new uint32_t[depth];
+  std::memcpy(&words_[2], &block, sizeof(block));
+  return block;
+}
 
 DeweyId DeweyId::Parse(const std::string& text) {
   if (text.empty()) return DeweyId();
@@ -18,52 +27,42 @@ DeweyId DeweyId::Parse(const std::string& text) {
     }
     components.push_back(value);
   }
-  return DeweyId(std::move(components));
+  return DeweyId(components);
 }
 
 DeweyId DeweyId::Parent() const {
-  if (components_.empty()) return DeweyId();
-  return Prefix(components_.size() - 1);
+  if (empty()) return DeweyId();
+  return Prefix(depth() - 1);
 }
 
 DeweyId DeweyId::Prefix(size_t len) const {
-  assert(len <= components_.size());
-  return DeweyId(std::vector<uint32_t>(components_.begin(),
-                                       components_.begin() + len));
+  assert(len <= depth());
+  DeweyId out;
+  std::copy_n(data(), len, out.Init(len));
+  return out;
 }
 
 DeweyId DeweyId::Child(uint32_t ordinal) const {
-  std::vector<uint32_t> components = components_;
-  components.push_back(ordinal);
-  return DeweyId(std::move(components));
-}
-
-bool DeweyId::IsPrefixOf(const DeweyId& other) const {
-  if (components_.size() > other.components_.size()) return false;
-  return std::equal(components_.begin(), components_.end(),
-                    other.components_.begin());
-}
-
-bool DeweyId::IsAncestorOf(const DeweyId& other) const {
-  return components_.size() < other.components_.size() && IsPrefixOf(other);
-}
-
-bool DeweyId::IsParentOf(const DeweyId& other) const {
-  return components_.size() + 1 == other.components_.size() &&
-         IsPrefixOf(other);
+  DeweyId out;
+  uint32_t* components = out.Init(depth() + 1);
+  std::copy_n(data(), depth(), components);
+  components[depth()] = ordinal;
+  return out;
 }
 
 size_t DeweyId::CommonPrefixLength(const DeweyId& other) const {
-  size_t limit = std::min(components_.size(), other.components_.size());
+  size_t limit = std::min(depth(), other.depth());
+  const uint32_t* a = data();
+  const uint32_t* b = other.data();
   size_t i = 0;
-  while (i < limit && components_[i] == other.components_[i]) ++i;
+  while (i < limit && a[i] == b[i]) ++i;
   return i;
 }
 
 std::string DeweyId::Encode() const {
   std::string out;
-  out.reserve(components_.size() * 4);
-  for (uint32_t c : components_) {
+  out.reserve(depth() * 4);
+  for (uint32_t c : components()) {
     out.push_back(static_cast<char>((c >> 24) & 0xff));
     out.push_back(static_cast<char>((c >> 16) & 0xff));
     out.push_back(static_cast<char>((c >> 8) & 0xff));
@@ -72,28 +71,27 @@ std::string DeweyId::Encode() const {
   return out;
 }
 
-DeweyId DeweyId::Decode(const std::string& bytes) {
-  assert(bytes.size() % 4 == 0);
-  std::vector<uint32_t> components;
-  components.reserve(bytes.size() / 4);
+std::optional<DeweyId> DeweyId::Decode(std::string_view bytes) {
+  if (bytes.size() % 4 != 0) return std::nullopt;
+  DeweyId out;
+  uint32_t* components = out.Init(bytes.size() / 4);
   for (size_t i = 0; i < bytes.size(); i += 4) {
-    uint32_t c = (static_cast<uint32_t>(static_cast<unsigned char>(bytes[i]))
-                  << 24) |
-                 (static_cast<uint32_t>(static_cast<unsigned char>(bytes[i + 1]))
-                  << 16) |
-                 (static_cast<uint32_t>(static_cast<unsigned char>(bytes[i + 2]))
-                  << 8) |
-                 static_cast<uint32_t>(static_cast<unsigned char>(bytes[i + 3]));
-    components.push_back(c);
+    *components++ =
+        (static_cast<uint32_t>(static_cast<unsigned char>(bytes[i])) << 24) |
+        (static_cast<uint32_t>(static_cast<unsigned char>(bytes[i + 1]))
+         << 16) |
+        (static_cast<uint32_t>(static_cast<unsigned char>(bytes[i + 2]))
+         << 8) |
+        static_cast<uint32_t>(static_cast<unsigned char>(bytes[i + 3]));
   }
-  return DeweyId(std::move(components));
+  return out;
 }
 
 std::string DeweyId::ToString() const {
   std::string out;
-  for (size_t i = 0; i < components_.size(); ++i) {
+  for (size_t i = 0; i < depth(); ++i) {
     if (i > 0) out.push_back('.');
-    out += std::to_string(components_[i]);
+    out += std::to_string(component(i));
   }
   return out;
 }

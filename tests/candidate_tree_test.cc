@@ -101,9 +101,15 @@ TEST(CandidateTreeTest, ListCountsTrackDirectIdsOnly) {
   EXPECT_EQ(ct.ListCount(0), 1);
 }
 
+std::vector<std::string> ChildIds(const CtNode& node) {
+  std::vector<std::string> out;
+  for (const auto& child : node.children) out.push_back(child->id.ToString());
+  return out;
+}
+
 TEST(CandidateTreeTest, ReparentingPreservesContainment) {
-  // Insert a deep id whose intermediate depths map to no QPT node, then
-  // an id that *creates* the intermediate node: the earlier deep node
+  // Insert deep ids whose intermediate depths map to no QPT node, then
+  // an id that *creates* the intermediate node: the earlier deep nodes
   // must move under it.
   qpt::Qpt qpt;
   qpt.nodes.push_back(qpt::QptNode{});
@@ -111,10 +117,17 @@ TEST(CandidateTreeTest, ReparentingPreservesContainment) {
   int x = qpt.AddNode(r, "x", true, true);  // leaf via //
   (void)x;
   CandidateTree ct(&qpt);
-  // x at 1.5.2; depth 2 (the 1.5 element) maps to nothing for this path.
-  ct.AddId(DeweyId::Parse("1.5.2"), {{r}, {}, {x}}, 0, std::nullopt, 1);
+  // x at 1.5.2, 1.5.4, 1.5.7 and 1.6.1; depth 2 (the 1.5 and 1.6
+  // elements) maps to nothing for this path, so all four hang off node 1.
+  for (const char* id : {"1.5.2", "1.5.4", "1.5.7", "1.6.1"}) {
+    ct.AddId(DeweyId::Parse(id), {{r}, {}, {x}}, 0, std::nullopt, 1);
+  }
+  const CtNode* top = ct.LeftMostPath()[0];
+  EXPECT_EQ(ChildIds(*top),
+            (std::vector<std::string>{"1.5.2", "1.5.4", "1.5.7", "1.6.1"}));
   // Another id maps depth 2 to r (repeating-tag scenario): node 1.5 is
-  // created and must adopt 1.5.2.
+  // created and must adopt 1.5.2, 1.5.4 and 1.5.7 in order, while the
+  // non-descendant 1.6.1 stays under node 1.
   ct.AddId(DeweyId::Parse("1.5.9"), {{r}, {r}, {x}}, 0, std::nullopt, 1);
   std::vector<CtNode*> lmp = ct.LeftMostPath();
   ASSERT_EQ(lmp.size(), 3u);
@@ -122,6 +135,14 @@ TEST(CandidateTreeTest, ReparentingPreservesContainment) {
   EXPECT_EQ(lmp[1]->id.ToString(), "1.5");
   EXPECT_EQ(lmp[2]->id.ToString(), "1.5.2");
   EXPECT_EQ(lmp[2]->parent, lmp[1]);
+  EXPECT_EQ(ChildIds(*lmp[0]), (std::vector<std::string>{"1.5", "1.6.1"}));
+  EXPECT_EQ(lmp[0]->children[1]->parent, lmp[0]);
+  EXPECT_EQ(ChildIds(*lmp[1]),
+            (std::vector<std::string>{"1.5.2", "1.5.4", "1.5.7", "1.5.9"}));
+  for (const auto& child : lmp[1]->children) {
+    EXPECT_EQ(child->parent, lmp[1]) << child->id.ToString();
+  }
+  EXPECT_EQ(ct.live_nodes, 7u);
 }
 
 TEST(CandidateTreeTest, PayloadAttachesToFullDepthNode) {

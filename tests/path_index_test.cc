@@ -1,5 +1,12 @@
 #include "index/path_index.h"
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "index/index_builder.h"
@@ -126,6 +133,53 @@ TEST_F(PathIndexTest, ByteLengthsMatchSerializedSubtrees) {
 TEST_F(PathIndexTest, NoMatchesForUnknownPattern) {
   EXPECT_TRUE(
       indexes_->path_index.LookUpId(Pattern({{true, "nothing"}})).empty());
+}
+
+// ---- Row codec: rows read from disk pages are untrusted bytes ----
+
+std::vector<std::pair<xml::DeweyId, uint64_t>> ThreeEntries() {
+  return {{xml::DeweyId::Parse("1.2"), 17},
+          {xml::DeweyId::Parse("1.2.3.4.5.6.7.8.9"), 40},
+          {xml::DeweyId::Parse("1.3"), 9}};
+}
+
+TEST(PathEntryListCodecTest, RoundTrip) {
+  const std::string row = EncodePathEntryList(ThreeEntries());
+  std::vector<PathEntry> decoded;
+  ASSERT_TRUE(DecodePathEntryListInto(row, std::string("v"), &decoded).ok());
+  ASSERT_EQ(decoded.size(), 3u);
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(decoded[i].id, ThreeEntries()[i].first);
+    EXPECT_EQ(decoded[i].byte_length, ThreeEntries()[i].second);
+    EXPECT_EQ(decoded[i].value, std::optional<std::string>("v"));
+  }
+}
+
+TEST(PathEntryListCodecTest, TruncatedRowIsATypedErrorAtEveryOffset) {
+  const std::string row = EncodePathEntryList(ThreeEntries());
+  for (size_t len = 0; len < row.size(); ++len) {
+    // An allocation of exactly `len` bytes: reading past it is a
+    // heap-buffer-overflow the sanitizer build reports.
+    std::unique_ptr<char[]> bytes(new char[len]);
+    std::copy_n(row.data(), len, bytes.get());
+    std::vector<PathEntry> out;
+    Status status = DecodePathEntryListInto(std::string_view(bytes.get(), len),
+                                            std::nullopt, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << "length " << len;
+    EXPECT_EQ(status.message(), "corrupt path-index row") << "length " << len;
+    EXPECT_LT(out.size(), 3u) << "length " << len;
+  }
+}
+
+TEST(PathEntryListCodecTest, PartialIdComponentIsATypedError) {
+  // count 1, id length 5 (not a whole number of 4-byte components).
+  std::string row("\0\0\0\x01\0\0\0\x05", 8);
+  row.append(5, '\x01');
+  row.append(8, '\0');
+  std::vector<PathEntry> out;
+  Status status = DecodePathEntryListInto(row, std::nullopt, &out);
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include "pdt/generate_pdt.h"
 #include "qpt/qpt.h"
 #include "xml/dom.h"
+#include "xml/serializer.h"
+#include "xml/tokenizer.h"
 
 namespace quickview::pdt {
 namespace {
@@ -92,14 +96,76 @@ void ComputePe(const qpt::Qpt& qpt, const std::vector<std::set<DeweyId>>& ce,
   }
 }
 
-std::set<DeweyId> BruteForcePdtIds(const qpt::Qpt& qpt, const Document& doc) {
+/// PE(n, D) for every QPT node n: the elements the PDT holds for n.
+std::vector<std::set<DeweyId>> BruteForcePe(const qpt::Qpt& qpt,
+                                            const Document& doc) {
   std::vector<std::set<DeweyId>> ce;
   ComputeCe(qpt, doc, &ce);
   std::vector<std::set<DeweyId>> pe;
   ComputePe(qpt, ce, &pe);
+  return pe;
+}
+
+std::set<DeweyId> UnionOf(const std::vector<std::set<DeweyId>>& pe) {
   std::set<DeweyId> out;
-  for (size_t n = 1; n < qpt.nodes.size(); ++n) {
-    out.insert(pe[n].begin(), pe[n].end());
+  for (size_t n = 1; n < pe.size(); ++n) out.insert(pe[n].begin(), pe[n].end());
+  return out;
+}
+
+/// Occurrences of `keyword` among the direct terms of `base`'s subtree.
+uint32_t BruteForceSubtreeTf(const Document& doc, NodeIndex base,
+                             const std::string& keyword) {
+  uint32_t tf = 0;
+  for (NodeIndex i : doc.SubtreeNodes(base)) {
+    for (const std::string& term : xml::DirectTerms(doc.node(i))) {
+      if (term == keyword) ++tf;
+    }
+  }
+  return tf;
+}
+
+/// The folded fields of every PDT node against the base element: its tag;
+/// its value when a matching QPT node is 'v'; its NodeStats (byte length
+/// and per-keyword subtree tf) when a matching QPT node is 'c'.
+void CheckFoldedFields(const qpt::Qpt& qpt, const Document& doc,
+                       const Document& pdt,
+                       const std::vector<std::set<DeweyId>>& pe,
+                       const std::vector<std::string>& keywords) {
+  for (NodeIndex i = 0; i < pdt.size(); ++i) {
+    const xml::Node& node = pdt.node(i);
+    if (node.tag == "qv:gap") continue;
+    SCOPED_TRACE(node.id.ToString());
+    NodeIndex base = doc.FindByDewey(node.id);
+    ASSERT_NE(base, xml::kInvalidNode);
+    EXPECT_EQ(node.tag, doc.node(base).tag);
+    bool v_match = false;
+    bool c_match = false;
+    for (size_t n = 1; n < qpt.nodes.size(); ++n) {
+      if (pe[n].count(node.id) == 0) continue;
+      v_match = v_match || qpt.nodes[n].v_ann;
+      c_match = c_match || qpt.nodes[n].c_ann;
+    }
+    if (v_match) {
+      EXPECT_EQ(node.text, doc.node(base).text);
+    }
+    if (!c_match) continue;
+    ASSERT_TRUE(node.stats.has_value());
+    EXPECT_EQ(node.stats->byte_length, xml::SubtreeByteLength(doc, base));
+    ASSERT_EQ(node.stats->term_tf.size(), keywords.size());
+    for (size_t k = 0; k < keywords.size(); ++k) {
+      EXPECT_EQ(node.stats->term_tf[k],
+                BruteForceSubtreeTf(doc, base, keywords[k]))
+          << "keyword " << keywords[k];
+    }
+  }
+}
+
+/// One or two distinct digit keywords (element texts are single digits).
+std::vector<std::string> RandomKeywords(std::mt19937_64* rng) {
+  std::vector<std::string> out = {std::to_string((*rng)() % 10)};
+  if ((*rng)() % 2 == 0) {
+    std::string second = std::to_string((*rng)() % 10);
+    if (second != out[0]) out.push_back(second);
   }
   return out;
 }
@@ -185,14 +251,19 @@ class PdtDefinitionProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(PdtDefinitionProperty, MergePassMatchesBruteForceDefinitions) {
   std::mt19937_64 rng(GetParam());
+  // Keywords draw from their own stream so the documents and QPTs stay
+  // the ones each seed has always produced.
+  std::mt19937_64 keyword_rng(GetParam() + 1000);
   for (int round = 0; round < 20; ++round) {
     std::shared_ptr<Document> doc = RandomDocument(&rng);
     qpt::Qpt qpt = RandomQpt(&rng);
+    std::vector<std::string> keywords = RandomKeywords(&keyword_rng);
     auto indexes = index::BuildDocumentIndexes(*doc);
-    auto pdt = GeneratePdt(qpt, *indexes, {}, nullptr);
+    auto pdt = GeneratePdt(qpt, *indexes, keywords, nullptr);
     ASSERT_TRUE(pdt.ok()) << pdt.status() << "\nQPT:\n" << qpt.ToString();
     std::set<DeweyId> actual = PdtIds(**pdt);
-    std::set<DeweyId> expected = BruteForcePdtIds(qpt, *doc);
+    std::vector<std::set<DeweyId>> pe = BruteForcePe(qpt, *doc);
+    std::set<DeweyId> expected = UnionOf(pe);
     if (actual != expected) {
       std::string msg = "QPT:\n" + qpt.ToString() + "\nexpected:";
       for (const DeweyId& id : expected) msg += " " + id.ToString();
@@ -208,6 +279,8 @@ TEST_P(PdtDefinitionProperty, MergePassMatchesBruteForceDefinitions) {
       ASSERT_NE(base, xml::kInvalidNode);
       EXPECT_EQ(node.text, doc->node(base).text) << node.id.ToString();
     }
+    SCOPED_TRACE("QPT:\n" + qpt.ToString());
+    CheckFoldedFields(qpt, *doc, **pdt, pe, keywords);
   }
 }
 

@@ -137,7 +137,7 @@ struct RebuiltEngine {
 // ---------------------------------------------------------------------------
 
 std::vector<uint32_t> TailComponents(const xml::DeweyId& id) {
-  const std::vector<uint32_t>& all = id.components();
+  std::span<const uint32_t> all = id.components();
   return std::vector<uint32_t>(all.begin() + (all.empty() ? 0 : 1),
                                all.end());
 }

@@ -139,7 +139,7 @@ uint64_t ReadAcked(const std::string& ack_path) {
 // mask it anyway so the check pins logical content, not allocation) ----
 
 std::vector<uint32_t> TailComponents(const xml::DeweyId& id) {
-  const std::vector<uint32_t>& all = id.components();
+  std::span<const uint32_t> all = id.components();
   return std::vector<uint32_t>(all.begin() + (all.empty() ? 0 : 1),
                                all.end());
 }
