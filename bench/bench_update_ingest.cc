@@ -1,11 +1,13 @@
 // Live-ingest benchmarks for the update write path:
-//   BM_InsertThroughput         documents/sec through LiveDatabase
-//                               (parse + incremental index maintenance +
-//                               COW store snapshot), at several document
-//                               sizes, steady-state (a bounded window of
+//   BM_InsertThroughput         documents/sec through LiveDatabase's
+//                               CommitInsert without a WAL (parse +
+//                               per-document bulk index build + COW store
+//                               snapshot), at several document sizes,
+//                               steady-state (a bounded window of
 //                               documents is kept live via removals);
-//   BM_ReplaceThroughput        same-name replacement — the posting-
-//                               removal + re-insert RMW path;
+//   BM_ReplaceThroughput        same-name replacement — the same path,
+//                               plus dropping the old version's document
+//                               and indexes;
 //   BM_QueryLatencyDuringIngest per-query latency through a live
 //                               QueryService while a background mutator
 //                               sustains document ingest. `unrelated`
@@ -47,20 +49,16 @@ std::string IngestDocXml(int generation, int books) {
 
 void BM_InsertThroughput(benchmark::State& state) {
   const int books_per_doc = static_cast<int>(state.range(0));
-  // Every iteration inserts a FRESH name (the bulk-build path — reusing
-  // a name would silently measure the replacement RMW path instead, see
-  // BM_ReplaceThroughput) and removes the name that fell out of a
-  // bounded window, so the corpus stays at `kWindow` documents:
-  // steady-state insert+remove, not an ever-growing snapshot.
+  // Every iteration inserts a FRESH name (reusing a name would measure
+  // a replacement instead, see BM_ReplaceThroughput) and removes the
+  // name that fell out of a bounded window, so the corpus stays at
+  // `kWindow` documents: steady-state insert+remove, not an
+  // ever-growing snapshot.
   constexpr int kWindow = 64;
   storage::LiveDatabase live;
   int generation = 0;
   for (auto _ : state) {
-    // Direct LiveDatabase use: the bench is the writer, so it takes the
-    // corpus writer lock itself (exactly what QueryService does per
-    // mutation; uncontended here).
-    qv::WriterLock lock(live.mu());
-    Status inserted = live.InsertDocument(
+    Status inserted = live.CommitInsert(
         "ingest" + std::to_string(generation) + ".xml",
         IngestDocXml(generation, books_per_doc));
     if (!inserted.ok()) {
@@ -68,7 +66,7 @@ void BM_InsertThroughput(benchmark::State& state) {
       abort();
     }
     if (generation >= kWindow) {
-      Status removed = live.RemoveDocument(
+      Status removed = live.CommitRemove(
           "ingest" + std::to_string(generation - kWindow) + ".xml");
       if (!removed.ok()) {
         fprintf(stderr, "FATAL remove: %s\n", removed.ToString().c_str());
@@ -89,16 +87,11 @@ BENCHMARK(BM_InsertThroughput)
 void BM_ReplaceThroughput(benchmark::State& state) {
   const int books_per_doc = static_cast<int>(state.range(0));
   storage::LiveDatabase live;
-  {
-    qv::WriterLock lock(live.mu());
-    Status seeded =
-        live.InsertDocument("hot.xml", IngestDocXml(0, books_per_doc));
-    if (!seeded.ok()) abort();
-  }
+  Status seeded = live.CommitInsert("hot.xml", IngestDocXml(0, books_per_doc));
+  if (!seeded.ok()) abort();
   int generation = 1;
   for (auto _ : state) {
-    qv::WriterLock lock(live.mu());
-    Status replaced = live.InsertDocument(
+    Status replaced = live.CommitInsert(
         "hot.xml", IngestDocXml(generation++, books_per_doc));
     if (!replaced.ok()) {
       fprintf(stderr, "FATAL replace: %s\n", replaced.ToString().c_str());

@@ -144,20 +144,6 @@ bool BTree::Get(std::string_view key, std::string* value) const {
   return true;
 }
 
-bool BTree::Delete(std::string_view key) {
-  Leaf* leaf = FindLeaf(key);
-  auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key,
-                             [](const std::string& a, std::string_view b) {
-                               return std::string_view(a) < b;
-                             });
-  if (it == leaf->keys.end() || *it != key) return false;
-  size_t pos = static_cast<size_t>(it - leaf->keys.begin());
-  leaf->keys.erase(it);
-  leaf->values.erase(leaf->values.begin() + pos);
-  --size_;
-  return true;
-}
-
 bool BTree::Iterator::Valid() const {
   return leaf_ != nullptr && pos_ < static_cast<int>(leaf_->keys.size());
 }
@@ -201,7 +187,8 @@ BTree::Iterator BTree::Seek(std::string_view key) const {
   iter.tree_ = this;
   iter.leaf_ = leaf;
   iter.pos_ = static_cast<int>(it - leaf->keys.begin());
-  // Skip an exhausted leaf (possible after lazy deletes).
+  // A key above every key of its leaf lands past that leaf's end; the
+  // first key >= `key` then starts the next leaf.
   while (iter.leaf_ != nullptr &&
          iter.pos_ >= static_cast<int>(iter.leaf_->keys.size())) {
     iter.leaf_ = iter.leaf_->next;

@@ -16,18 +16,14 @@
 namespace quickview::index {
 
 /// B+-tree mapping string keys to string values. Keys are unique; Insert
-/// overwrites. Deletion is lazy (no rebalancing) since quickview indices
-/// are bulk-built once per database load.
+/// overwrites. There is no deletion: quickview indices are bulk-built
+/// once per document, and a replaced document gets a fresh tree.
 ///
-/// Thread safety: externally synchronized, thread-compatible. Lookups
-/// and scans are const and may run concurrently; Insert/Delete require
-/// exclusion against all other access. The tree itself carries no mutex
-/// (and hence no QV_GUARDED_BY members — see common/sync.h): in the
-/// live engine every BTree lives inside a DatabaseIndexes owned by
-/// LiveDatabase, whose annotated reader-writer lock is the capability
-/// that guards it. When latch-crabbed concurrent writers land (ROADMAP),
-/// the per-node latches will be qv primitives so the same analysis
-/// covers them.
+/// Thread safety: thread-compatible. Lookups and scans are const and
+/// may run concurrently; Insert requires exclusion against all other
+/// access. The tree itself carries no mutex (and hence no QV_GUARDED_BY
+/// members — see common/sync.h): a tree is filled by the one thread that
+/// builds its document's indexes and only read once published.
 class BTree {
  private:
   struct Node;
@@ -57,9 +53,6 @@ class BTree {
   /// Point lookup; returns false if absent (ignoring that is always a
   /// bug — `value` is untouched then).
   [[nodiscard]] bool Get(std::string_view key, std::string* value) const;
-
-  /// Removes the key if present; returns whether it existed.
-  bool Delete(std::string_view key);
 
   size_t size() const { return size_; }
   int height() const { return height_; }

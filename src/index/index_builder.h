@@ -31,14 +31,6 @@ struct DocumentIndexes {
   /// this object lives.
   DocumentIndexView View() const { return {&path_view_, &term_view_}; }
 
-  /// Incremental write path (live document updates): adds / removes every
-  /// path-index entry and posting of `doc` in place, without rebuilding.
-  /// Replacing a document under the same name is RemoveDocument(old) +
-  /// AddDocument(new). Requires a finalized path index (BuildDocumentIndexes
-  /// output); external synchronization against concurrent readers.
-  void AddDocument(const xml::Document& doc);
-  void RemoveDocument(const xml::Document& doc);
-
  private:
   InMemoryPathIndexView path_view_{&path_index};
   InMemoryTermIndexView term_view_{&inverted_index};
@@ -51,11 +43,10 @@ struct DocumentIndexes {
 class DatabaseIndexes : public IndexSource {
  public:
   const DocumentIndexes* Get(const std::string& doc_name) const;
-  DocumentIndexes* GetMutable(const std::string& doc_name);
+  /// Registers (or replaces) the document's indices.
   void Put(const std::string& doc_name, std::unique_ptr<DocumentIndexes> idx);
 
-  /// Drops the document's indices (per-document posting removal at
-  /// corpus granularity); returns whether they existed.
+  /// Drops the document's indices; returns whether they existed.
   bool Remove(const std::string& doc_name);
 
   std::optional<DocumentIndexView> GetView(
@@ -69,7 +60,9 @@ class DatabaseIndexes : public IndexSource {
   std::map<std::string, std::unique_ptr<DocumentIndexes>> indexes_;
 };
 
-/// Builds path + inverted indices for one document.
+/// Builds path + inverted indices for one document. The one way a
+/// document is indexed: at load time, and for every live insert or
+/// replacement (which gets a fresh build, never an edit of the old one).
 std::unique_ptr<DocumentIndexes> BuildDocumentIndexes(
     const xml::Document& doc);
 

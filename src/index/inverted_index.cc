@@ -45,10 +45,6 @@ void InvertedIndex::Add(const std::string& term, const xml::DeweyId& id,
   tree_.Insert(key, EncodeTf(count));
 }
 
-bool InvertedIndex::Remove(const std::string& term, const xml::DeweyId& id) {
-  return tree_.Delete(MakeKey(term, id));
-}
-
 std::vector<Posting> InvertedIndex::Lookup(const std::string& term) const {
   std::vector<Posting> out;
   std::string prefix = term;

@@ -35,10 +35,6 @@ class InvertedIndex {
   /// by element `id`. `term` must already be lowercased.
   void Add(const std::string& term, const xml::DeweyId& id, uint32_t count);
 
-  /// Removes the (term, id) posting entirely (live document updates);
-  /// returns whether it existed.
-  bool Remove(const std::string& term, const xml::DeweyId& id);
-
   /// Full postings list for `term`, Dewey-ordered. Empty if unknown.
   std::vector<Posting> Lookup(const std::string& term) const;
 

@@ -158,81 +158,9 @@ void PathIndex::Finalize() {
       paths_.push_back(path);
       last_path = path;
     }
-    ++path_rows_[path];
     tree_.Insert(MakePathValueKey(path, value), EncodePathEntryList(entries));
   }
   pending_.clear();
-}
-
-namespace {
-
-/// Inverse of EncodePathEntryList, back to the (id, byte length) pairs
-/// the read-modify-write mutation path re-encodes.
-std::vector<std::pair<xml::DeweyId, uint64_t>> DecodePathEntryPairs(
-    const std::string& encoded) {
-  std::vector<std::pair<xml::DeweyId, uint64_t>> out;
-  Status status =
-      DecodeEntries(encoded, [&](xml::DeweyId&& id, uint64_t byte_length) {
-        out.emplace_back(std::move(id), byte_length);
-      });
-  assert(status.ok());  // in-memory rows are written by this process
-  (void)status;
-  return out;
-}
-
-}  // namespace
-
-void PathIndex::InsertEntry(const std::string& path, const std::string& value,
-                            const xml::DeweyId& id, uint64_t byte_length) {
-  assert(pending_.empty());
-  std::string key = MakePathValueKey(path, value);
-  std::string encoded;
-  std::vector<std::pair<xml::DeweyId, uint64_t>> entries;
-  if (tree_.Get(key, &encoded)) {
-    entries = DecodePathEntryPairs(encoded);
-  } else if (++path_rows_[path] == 1) {
-    paths_.insert(std::lower_bound(paths_.begin(), paths_.end(), path), path);
-  }
-  auto it = std::lower_bound(entries.begin(), entries.end(), id,
-                             [](const std::pair<xml::DeweyId, uint64_t>& e,
-                                const xml::DeweyId& target) {
-                               return e.first < target;
-                             });
-  if (it != entries.end() && it->first == id) {
-    it->second = byte_length;
-  } else {
-    entries.emplace(it, id, byte_length);
-  }
-  tree_.Insert(key, EncodePathEntryList(entries));
-}
-
-bool PathIndex::RemoveEntry(const std::string& path, const std::string& value,
-                            const xml::DeweyId& id) {
-  assert(pending_.empty());
-  std::string key = MakePathValueKey(path, value);
-  std::string encoded;
-  if (!tree_.Get(key, &encoded)) return false;
-  std::vector<std::pair<xml::DeweyId, uint64_t>> entries =
-      DecodePathEntryPairs(encoded);
-  auto it = std::lower_bound(entries.begin(), entries.end(), id,
-                             [](const std::pair<xml::DeweyId, uint64_t>& e,
-                                const xml::DeweyId& target) {
-                               return e.first < target;
-                             });
-  if (it == entries.end() || it->first != id) return false;
-  entries.erase(it);
-  if (!entries.empty()) {
-    tree_.Insert(key, EncodePathEntryList(entries));
-    return true;
-  }
-  tree_.Delete(key);
-  auto rows = path_rows_.find(path);
-  if (rows != path_rows_.end() && --rows->second == 0) {
-    path_rows_.erase(rows);
-    auto pos = std::lower_bound(paths_.begin(), paths_.end(), path);
-    if (pos != paths_.end() && *pos == path) paths_.erase(pos);
-  }
-  return true;
 }
 
 std::vector<std::string> PathIndex::ExpandPattern(

@@ -94,22 +94,6 @@ class PathIndex {
   /// see nothing.
   void Finalize();
 
-  /// Incremental write path (live document updates). Both methods operate
-  /// on the finalized B+-tree with read-modify-write of the affected
-  /// (path, value) row and keep the distinct-path dictionary consistent;
-  /// they must not be mixed with un-finalized AddEntry buffering.
-  ///
-  /// InsertEntry adds (or replaces, when `id` is already present in the
-  /// row) a single element entry.
-  void InsertEntry(const std::string& path, const std::string& value,
-                   const xml::DeweyId& id, uint64_t byte_length);
-
-  /// Removes the entry for `id` from the (path, value) row; returns
-  /// whether it existed. Deletes the row (and, when it was the path's
-  /// last row, the path dictionary entry) once empty.
-  bool RemoveEntry(const std::string& path, const std::string& value,
-                   const xml::DeweyId& id);
-
   /// Distinct full data paths matching the pattern, in path order
   /// ("the index is probed for each full data path", §3.2).
   std::vector<std::string> ExpandPattern(const PathPattern& pattern) const;
@@ -169,9 +153,6 @@ class PathIndex {
            std::vector<std::pair<xml::DeweyId, uint64_t>>>
       pending_;
   std::vector<std::string> paths_;  // sorted distinct full data paths
-  // Live (path, value) row count per path: how InsertEntry/RemoveEntry
-  // know when a path enters or leaves the dictionary above.
-  std::map<std::string, size_t> path_rows_;
 };
 
 /// True iff the full data path `path` (e.g. "/books/book/isbn") matches

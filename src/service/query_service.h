@@ -24,9 +24,10 @@
 //  - in live mode (constructed over a storage::LiveDatabase) queries
 //    plan, build PDTs and evaluate under the shared side of the live
 //    database's own reader-writer lock (LiveDatabase::mu()), while
-//    InsertDocument/RemoveDocument mutate under the exclusive side, so a
-//    query sees the corpus entirely before or entirely after any update
-//    — never in between. Each mutation bumps a
+//    InsertDocument/RemoveDocument publish under the exclusive side (the
+//    new version is parsed and indexed beforehand, with no lock held),
+//    so a query sees the corpus entirely before or entirely after any
+//    update — never in between. Each mutation bumps a
 //    data epoch on exactly the views that reference the mutated
 //    document; the epoch is part of the PreparedQueryCache key, so only
 //    those views' cached PDTs are invalidated. Cursors opened before an
@@ -119,9 +120,12 @@ class QueryService {
                         const QueryServiceOptions& options = {});
 
   /// Live mode: queries and document mutations interleave against `live`
-  /// (which must outlive the service) under the service's reader-writer
-  /// lock. The service is the live database's only synchronization —
-  /// don't mutate it directly while the service exists.
+  /// (which must outlive the service). Queries read under live->mu()
+  /// shared; the database synchronizes its own writes. Mutate it only
+  /// through InsertDocument/RemoveDocument while the service exists: a
+  /// direct CommitInsert/CommitRemove is safe for the database but skips
+  /// the view data-epoch bump, so cached PDTs could answer for the old
+  /// document.
   explicit QueryService(storage::LiveDatabase* live,
                         const QueryServiceOptions& options = {});
 
@@ -193,11 +197,11 @@ class QueryService {
 
   enum class Mutation { kInsert, kRemove };
 
-  /// Shared body of both mutation entry points: applies the insert or
-  /// remove under the live database's exclusive lock; on success the
-  /// affected views' data epochs bump (under the same exclusive hold, so
-  /// epoch d in a cache key always means "built from corpus state d")
-  /// and `counter` advances.
+  /// Shared body of both mutation entry points: hands the insert or
+  /// remove to the live database, which publishes it under its exclusive
+  /// lock; on success the affected views' data epochs bump (under the
+  /// same exclusive hold, so epoch d in a cache key always means "built
+  /// from corpus state d") and `counter` advances.
   Status ApplyMutation(Mutation op, const std::string& name,
                        const std::string& xml_text, obs::Counter* counter);
 

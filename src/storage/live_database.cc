@@ -19,36 +19,43 @@ LiveDatabase::LiveDatabase(std::shared_ptr<xml::Database> initial)
   documents_.Set(static_cast<int64_t>(db_->documents().size()));
 }
 
-Status LiveDatabase::InsertDocument(const std::string& name,
-                                    const std::string& xml_text) {
-  std::shared_ptr<xml::Document> old_doc = db_->GetDocumentShared(name);
+Status LiveDatabase::ApplyInsert(const std::string& name,
+                                 const std::string& xml_text,
+                                 const std::function<void()>& post_apply) {
+  qv::MutexLock apply_lock(apply_mu_);
   // Replacements keep their root Dewey component so the document's "path
-  // ordinal" stays stable across versions; new names get a fresh one. The
-  // parse happens before any state changes: a bad document leaves the
-  // corpus, the indexes and the published snapshot untouched.
-  uint32_t root_component = old_doc != nullptr ? old_doc->root_component()
-                                               : db_->NextRootComponent();
+  // ordinal" stays stable across versions; new names get a fresh one.
+  // Holding apply_mu_ keeps this answer valid until the publish below.
+  uint32_t root_component = 0;
+  {
+    qv::ReaderLock lock(mu_);
+    const xml::Document* old_doc = db_->GetDocument(name);
+    root_component = old_doc != nullptr ? old_doc->root_component()
+                                        : db_->NextRootComponent();
+  }
+  // Parse and build with no corpus lock held: readers keep running
+  // against the previous version. A bad document fails here, before any
+  // state changes.
   QUICKVIEW_ASSIGN_OR_RETURN(std::shared_ptr<xml::Document> doc,
                              xml::ParseXml(xml_text, root_component));
+  std::unique_ptr<index::DocumentIndexes> doc_indexes =
+      index::BuildDocumentIndexes(*doc);
 
-  if (old_doc != nullptr) {
-    // In-place incremental maintenance: remove the old version's postings
-    // and path entries from the live B+-trees, insert the new version's.
-    index::DocumentIndexes* doc_indexes = indexes_->GetMutable(name);
-    doc_indexes->RemoveDocument(*old_doc);
-    doc_indexes->AddDocument(*doc);
-    db_->RemoveDocument(name);
-  } else {
-    indexes_->Put(name, index::BuildDocumentIndexes(*doc));
-  }
+  qv::WriterLock lock(mu_);
+  db_->RemoveDocument(name);  // the replaced version, if any
   db_->AddDocument(name, std::move(doc));
+  indexes_->Put(name, std::move(doc_indexes));
   store_ = std::make_shared<const DocumentStore>(*db_);
   inserts_.Increment();
   documents_.Set(static_cast<int64_t>(db_->documents().size()));
+  if (post_apply) post_apply();
   return Status::OK();
 }
 
-Status LiveDatabase::RemoveDocument(const std::string& name) {
+Status LiveDatabase::ApplyRemove(const std::string& name,
+                                 const std::function<void()>& post_apply) {
+  qv::MutexLock apply_lock(apply_mu_);
+  qv::WriterLock lock(mu_);
   if (!db_->RemoveDocument(name)) {
     return Status::NotFound("no document named '" + name + "'");
   }
@@ -56,6 +63,7 @@ Status LiveDatabase::RemoveDocument(const std::string& name) {
   store_ = std::make_shared<const DocumentStore>(*db_);
   removes_.Increment();
   documents_.Set(static_cast<int64_t>(db_->documents().size()));
+  if (post_apply) post_apply();
   return Status::OK();
 }
 
@@ -72,17 +80,16 @@ Status LiveDatabase::OpenWal(const std::string& path,
   // CommitRemove's race note), anything else that fails to apply is a
   // real error — the log would not match the corpus it claims to
   // describe.
-  qv::WriterLock lock(mu_);
   for (const std::string& payload : wal->replay().payloads) {
     QUICKVIEW_ASSIGN_OR_RETURN(pagestore::DeltaRecord record,
                                pagestore::DecodeDeltaPayload(payload));
     if (record.tombstone) {
-      Status removed = RemoveDocument(record.name);
+      Status removed = ApplyRemove(record.name, nullptr);
       if (!removed.ok() && removed.code() != StatusCode::kNotFound) {
         return removed;
       }
     } else {
-      QUICKVIEW_RETURN_IF_ERROR(InsertDocument(record.name, record.xml));
+      QUICKVIEW_RETURN_IF_ERROR(ApplyInsert(record.name, record.xml, nullptr));
     }
   }
   wal_ = std::move(wal);
@@ -92,15 +99,10 @@ Status LiveDatabase::OpenWal(const std::string& path,
 Status LiveDatabase::CommitInsert(const std::string& name,
                                   const std::string& xml_text,
                                   const std::function<void()>& post_apply) {
-  if (wal_ == nullptr) {
-    qv::WriterLock lock(mu_);
-    QUICKVIEW_RETURN_IF_ERROR(InsertDocument(name, xml_text));
-    if (post_apply) post_apply();
-    return Status::OK();
-  }
   if (name.empty()) {
     return Status::InvalidArgument("document name must not be empty");
   }
+  if (wal_ == nullptr) return ApplyInsert(name, xml_text, post_apply);
   // Validate before logging (and before joining a commit group): a
   // record that cannot replay would poison recovery, and rejecting it
   // here keeps the failure out of the WAL entirely.
@@ -113,24 +115,15 @@ Status LiveDatabase::CommitInsert(const std::string& name,
   // order agree and replay reproduces exactly this corpus.
   QUICKVIEW_ASSIGN_OR_RETURN(
       uint64_t seq,
-      wal_->Append(pagestore::EncodeDeltaPayload(record), [&]() {
-        qv::WriterLock lock(mu_);
-        Status applied = InsertDocument(name, xml_text);
-        if (applied.ok() && post_apply) post_apply();
-        return applied;
-      }));
+      wal_->Append(pagestore::EncodeDeltaPayload(record),
+                   [&]() { return ApplyInsert(name, xml_text, post_apply); }));
   (void)seq;
   return Status::OK();
 }
 
 Status LiveDatabase::CommitRemove(const std::string& name,
                                   const std::function<void()>& post_apply) {
-  if (wal_ == nullptr) {
-    qv::WriterLock lock(mu_);
-    Status removed = RemoveDocument(name);
-    if (removed.ok() && post_apply) post_apply();
-    return removed;
-  }
+  if (wal_ == nullptr) return ApplyRemove(name, post_apply);
   {
     // Pre-check so a remove of an absent name fails without logging a
     // tombstone. Two racing removers may both pass and both log; the
@@ -145,12 +138,8 @@ Status LiveDatabase::CommitRemove(const std::string& name,
   record.name = name;
   QUICKVIEW_ASSIGN_OR_RETURN(
       uint64_t seq,
-      wal_->Append(pagestore::EncodeDeltaPayload(record), [&]() {
-        qv::WriterLock lock(mu_);
-        Status removed = RemoveDocument(name);
-        if (removed.ok() && post_apply) post_apply();
-        return removed;
-      }));
+      wal_->Append(pagestore::EncodeDeltaPayload(record),
+                   [&]() { return ApplyRemove(name, post_apply); }));
   (void)seq;
   return Status::OK();
 }

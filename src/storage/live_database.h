@@ -1,19 +1,24 @@
 // LiveDatabase: the mutable face of an in-memory corpus — documents, their
 // per-document path/inverted indices, and a copy-on-write DocumentStore
 // snapshot chain. Queries over a static corpus never needed a write path;
-// a service ingesting and deleting documents while queries run does, and
-// it must maintain the indexes incrementally instead of rebuilding them.
+// a service ingesting and deleting documents while queries run does.
 //
-//   InsertDocument(name, xml)  parse -> assign the document's root Dewey
-//                              component (reused on replacement, fresh
-//                              otherwise — the "path ordinal" every id in
-//                              the document starts with) -> per-document
-//                              index maintenance (posting removal + re-add
-//                              in place for replacements, a fresh bulk
-//                              build for new names) -> publish a new store
-//                              snapshot.
-//   RemoveDocument(name)       drop the document, its indices and its
-//                              store entry.
+// There is one write path, CommitInsert / CommitRemove:
+//
+//   CommitInsert(name, xml)  assign the document's root Dewey component
+//                            (reused on replacement, fresh otherwise — the
+//                            "path ordinal" every id in the document
+//                            starts with) -> parse -> bulk-build its
+//                            indexes with index::BuildDocumentIndexes,
+//                            the same builder every corpus uses at load
+//                            time -> publish the document, its indexes
+//                            and a new store snapshot.
+//   CommitRemove(name)       drop the document, its indices and its
+//                            store entry.
+//
+// A replacement never edits the previous version's indexes: it gets a
+// fresh per-document build, made with no corpus lock held, and the
+// exclusive lock is taken only to swap the new version in.
 //
 // Snapshot isolation: every mutation publishes a NEW DocumentStore that
 // shares the unchanged documents by shared_ptr; readers that captured the
@@ -22,16 +27,18 @@
 // failed mutation (bad XML, unknown name) changes nothing — readers can
 // never observe a half-applied update.
 //
-// Thread safety: the database OWNS its reader-writer lock but callers
-// drive it — mutations and multi-call read sequences must span one
-// critical section (a query must see the corpus entirely before or
-// entirely after an update, and QueryService bumps view data epochs
-// under the same exclusive hold as the mutation they tag). The lock
-// discipline is compiler-enforced: every accessor is QV_REQUIRES(mu())
-// and clang's thread-safety analysis rejects call sites that don't hold
-// it — take a qv::ReaderLock/WriterLock on mu() first. Snapshots
-// returned by store() are immutable and safe to use lock-free after
-// capture.
+// Thread safety: callers that write never take the corpus lock —
+// CommitInsert and CommitRemove take it themselves, exclusively and only
+// for the swap. Readers still drive it: multi-call read sequences must
+// span one shared critical section (a query must see the corpus entirely
+// before or entirely after an update). The reader discipline is
+// compiler-enforced: every accessor is QV_REQUIRES_SHARED(mu()) and
+// clang's thread-safety analysis rejects call sites that don't hold it —
+// take a qv::ReaderLock on mu() first. Snapshots returned by store() are
+// immutable and safe to use lock-free after capture. Writers are
+// serialized by a second mutex (apply_mu_), so roots are assigned in
+// commit order. Lock order: apply_mu_ -> mu() -> QueryService's
+// views_mu_ (taken by post_apply).
 #ifndef QUICKVIEW_STORAGE_LIVE_DATABASE_H_
 #define QUICKVIEW_STORAGE_LIVE_DATABASE_H_
 
@@ -53,7 +60,7 @@ namespace quickview::storage {
 
 class LiveDatabase {
  public:
-  /// Starts empty (documents arrive through InsertDocument).
+  /// Starts empty (documents arrive through CommitInsert).
   LiveDatabase();
 
   /// Adopts an existing corpus: shares its documents, builds their
@@ -64,58 +71,50 @@ class LiveDatabase {
   LiveDatabase& operator=(const LiveDatabase&) = delete;
 
   /// The corpus lock. Readers hold it shared across every database()/
-  /// indexes()/store() sequence that must see one corpus state; writers
-  /// hold it exclusively across InsertDocument/RemoveDocument (plus any
-  /// bookkeeping that must publish atomically with the mutation, e.g.
-  /// QueryService's view data epochs).
+  /// indexes()/store() sequence that must see one corpus state. Callers
+  /// never take it exclusively: CommitInsert/CommitRemove take it
+  /// themselves, and only while they publish a finished mutation (and
+  /// run its post_apply).
   qv::SharedMutex& mu() const QV_RETURN_CAPABILITY(mu_) { return mu_; }
-
-  /// Parses `xml_text` and registers it under `name`. An existing name is
-  /// replaced in place: its root Dewey component is kept, its old postings
-  /// and path entries are removed from the live B+-trees and the new
-  /// document's are inserted. A new name gets the smallest unused root
-  /// component and a bulk-built index. ParseError on bad input (state
-  /// untouched).
-  Status InsertDocument(const std::string& name, const std::string& xml_text)
-      QV_REQUIRES(mu_);
-
-  /// Unregisters `name`, dropping its indices and store entry. NotFound
-  /// if absent. Store snapshots captured earlier keep the document alive.
-  Status RemoveDocument(const std::string& name) QV_REQUIRES(mu_);
 
   /// Attaches a write-ahead log at `path` and replays its committed
   /// records into the corpus (a torn tail is truncated — see
   /// pagestore/wal.h). Call once, before the database is shared with
-  /// other threads; afterwards CommitInsert/CommitRemove are the durable
-  /// mutation entry points. InvalidArgument if a WAL is already attached.
+  /// other threads; afterwards CommitInsert/CommitRemove are durable.
+  /// InvalidArgument if a WAL is already attached.
   Status OpenWal(const std::string& path,
-                 const pagestore::WalOptions& options = {}) QV_EXCLUDES(mu_);
+                 const pagestore::WalOptions& options = {})
+      QV_EXCLUDES(apply_mu_, mu_);
 
   /// The attached WAL (nullptr when none) — replay info, instruments.
   const pagestore::Wal* wal() const { return wal_.get(); }
 
-  /// Durable insert/replace: the record is group-committed to the WAL
-  /// (fdatasync) and only then applied under the exclusive lock, so an
-  /// acknowledged mutation can always be replayed. `post_apply` (when
-  /// provided) runs after a successful apply, under the same exclusive
-  /// hold — bookkeeping that must publish atomically with the mutation
-  /// (QueryService's view data epochs) goes there. Without an attached
-  /// WAL these degrade to the plain in-memory mutation under the lock.
+  /// Inserts `xml_text` under `name`, replacing any document of that
+  /// name (which keeps its root Dewey component; a new name gets the
+  /// smallest unused one). InvalidArgument for an empty name, ParseError
+  /// on bad XML — both leave the corpus and the log untouched. With a
+  /// WAL attached the record is group-committed (fdatasync) first and
+  /// only then applied, so an acknowledged mutation can always be
+  /// replayed. `post_apply` (when provided) runs after a successful
+  /// apply, under the same exclusive hold that publishes it —
+  /// bookkeeping that must publish atomically with the mutation
+  /// (QueryService's view data epochs) goes there.
   Status CommitInsert(const std::string& name, const std::string& xml_text,
                       const std::function<void()>& post_apply = nullptr)
-      QV_EXCLUDES(mu_);
+      QV_EXCLUDES(apply_mu_, mu_);
 
-  /// Durable remove. NotFound (nothing logged) if `name` is absent at
+  /// Removes `name`. NotFound (nothing logged) if `name` is absent at
   /// the pre-check; under a concurrent-remover race the tombstone may
   /// still commit and the loser gets NotFound — replay treats a
   /// tombstone for an absent name as a no-op, so recovery is unaffected.
+  /// Store snapshots captured earlier keep the document alive.
   Status CommitRemove(const std::string& name,
                       const std::function<void()>& post_apply = nullptr)
-      QV_EXCLUDES(mu_);
+      QV_EXCLUDES(apply_mu_, mu_);
 
   /// Current corpus / index surface. Pointers are valid only while the
-  /// shared lock is held (a mutation may replace per-document indexes in
-  /// place).
+  /// shared lock is held (a mutation may replace a document and its
+  /// indexes).
   const xml::Database* database() const QV_REQUIRES_SHARED(mu_) {
     return db_.get();
   }
@@ -139,7 +138,21 @@ class LiveDatabase {
                          obs::LabelSet labels = {}) const;
 
  private:
-  mutable qv::SharedMutex mu_;
+  /// The appliers — the only code that changes the corpus, shared by the
+  /// WAL-less path, the WAL apply callback and OpenWal's replay. Each
+  /// holds apply_mu_ throughout; ApplyInsert parses and builds with no
+  /// corpus lock held and takes mu_ exclusively only to publish.
+  Status ApplyInsert(const std::string& name, const std::string& xml_text,
+                     const std::function<void()>& post_apply)
+      QV_EXCLUDES(apply_mu_, mu_);
+  Status ApplyRemove(const std::string& name,
+                     const std::function<void()>& post_apply)
+      QV_EXCLUDES(apply_mu_, mu_);
+
+  // One applier at a time: a root component read under the shared lock
+  // stays valid until the same applier publishes.
+  qv::Mutex apply_mu_;
+  mutable qv::SharedMutex mu_ QV_ACQUIRED_AFTER(apply_mu_);
   // Set once by OpenWal before the database is shared; the Wal itself is
   // internally synchronized (its group-commit mutex), so the pointer
   // needs no lock after attachment.
@@ -149,8 +162,8 @@ class LiveDatabase {
   std::shared_ptr<const DocumentStore> store_ QV_GUARDED_BY(mu_);
   // Registry-native instruments, maintained under the exclusive lock
   // but readable lock-free (exposition never blocks on a mutation).
-  obs::Counter inserts_;   // successful InsertDocument calls
-  obs::Counter removes_;   // successful RemoveDocument calls
+  obs::Counter inserts_;   // successful inserts and replacements
+  obs::Counter removes_;   // successful removals
   obs::Gauge documents_;   // current corpus size
 };
 

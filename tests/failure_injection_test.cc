@@ -20,6 +20,7 @@
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
 #include "storage/document_store.h"
+#include "storage/live_database.h"
 #include "workload/bookrev_generator.h"
 #include "xml/parser.h"
 #include "xquery/evaluator.h"
@@ -187,6 +188,46 @@ TEST_F(InjectionFixture, EmptyDatabase) {
   EXPECT_FALSE(response.ok());
 }
 
+TEST(LiveWriteTest, EmptyDocumentNameIsRejectedWithAndWithoutWal) {
+  // fn:doc() cannot name a document called "", so both write paths must
+  // refuse it up front: nothing applied, nothing logged.
+  const std::string wal_path =
+      (std::filesystem::path(::testing::TempDir()) / "empty_name.wal").string();
+  std::filesystem::remove(wal_path);
+  for (bool with_wal : {false, true}) {
+    SCOPED_TRACE(with_wal ? "with WAL" : "without WAL");
+    {
+      storage::LiveDatabase live;
+      if (with_wal) {
+        ASSERT_TRUE(live.OpenWal(wal_path).ok());
+      }
+      ASSERT_TRUE(live.CommitInsert("a.xml", "<a>x</a>").ok());
+      const uintmax_t wal_bytes =
+          with_wal ? std::filesystem::file_size(wal_path) : 0;
+
+      Status rejected = live.CommitInsert("", "<a>x</a>");
+      EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
+          << rejected.ToString();
+      {
+        qv::ReaderLock lock(live.mu());
+        EXPECT_EQ(live.document_names(), std::vector<std::string>{"a.xml"});
+      }
+      if (with_wal) {
+        EXPECT_EQ(std::filesystem::file_size(wal_path), wal_bytes);
+      }
+    }
+    if (with_wal) {
+      // The log replays to exactly the one accepted insert.
+      storage::LiveDatabase replayed;
+      ASSERT_TRUE(replayed.OpenWal(wal_path).ok());
+      EXPECT_EQ(replayed.wal()->replay().payloads.size(), 1u);
+      qv::ReaderLock lock(replayed.mu());
+      EXPECT_EQ(replayed.document_names(), std::vector<std::string>{"a.xml"});
+    }
+  }
+  std::filesystem::remove(wal_path);
+}
+
 TEST(FailpointTest, DisarmedInjectionIsANoop) {
   fail::Disarm();
   ASSERT_FALSE(fail::Armed());
@@ -238,7 +279,8 @@ TEST(FailpointTest, TornWriteLeavesAStrictPrefix) {
       (std::filesystem::path(::testing::TempDir()) / "fp_torn.bin").string();
   std::filesystem::remove(path);
   std::string buffer;
-  for (int i = 0; i < 100; ++i) buffer.push_back(static_cast<char>('A' + i % 26));
+  for (int i = 0; i < 100; ++i)
+    buffer.push_back(static_cast<char>('A' + i % 26));
   pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {

@@ -9,11 +9,17 @@
 //     exactly one corpus version — never a torn mix of two (snapshot
 //     atomicity);
 //   - a cursor opened before the storm drains the corpus version it was
-//     opened against.
+//     opened against;
+//   - concurrent writers on a WAL-attached database leave a corpus that
+//     replaying the WAL reproduces exactly, root Dewey components
+//     included.
 #include <atomic>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +30,7 @@
 #include "service/query_service.h"
 #include "storage/document_store.h"
 #include "storage/live_database.h"
+#include "xml/dewey_id.h"
 #include "xml/parser.h"
 
 namespace quickview {
@@ -242,6 +249,151 @@ TEST(UpdateConcurrencyTest, CursorDrainsItsSnapshotThroughTheStorm) {
   auto after = service.SearchOne(query);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kNotFound);
+}
+
+/// Every path-index entry and posting of every document, with FULL
+/// Dewey ids (root component included) — unlike the masked dumps of
+/// update_differential_test and wal_crash_test, this one tells two
+/// corpora apart when they assigned roots in different orders.
+using FullIndexDump = std::vector<
+    std::tuple<std::string, std::string, std::string, std::vector<uint32_t>,
+               uint64_t>>;
+
+FullIndexDump DumpWithRoots(const index::DatabaseIndexes& indexes) {
+  FullIndexDump out;
+  auto ids = [](const xml::DeweyId& id) {
+    return std::vector<uint32_t>(id.components().begin(),
+                                 id.components().end());
+  };
+  for (const auto& [name, doc] : indexes.all()) {
+    doc->path_index.ForEachRow(
+        [&, doc_name = name](const std::string& path, const std::string& value,
+                             const std::vector<index::PathEntry>& entries) {
+          for (const index::PathEntry& entry : entries) {
+            out.emplace_back(doc_name, "path:" + path, value, ids(entry.id),
+                             entry.byte_length);
+          }
+        });
+    doc->inverted_index.ForEachPosting(
+        [&, doc_name = name](const std::string& term, const xml::DeweyId& id,
+                             uint32_t tf) {
+          out.emplace_back(doc_name, "term:" + term, "", ids(id), tf);
+        });
+  }
+  return out;
+}
+
+struct CorpusState {
+  std::map<std::string, uint32_t> roots;  // document name -> root component
+  FullIndexDump indexes;
+};
+
+CorpusState CaptureState(const storage::LiveDatabase& live) {
+  qv::ReaderLock lock(live.mu());
+  CorpusState state;
+  for (const auto& [name, doc] : live.database()->documents()) {
+    state.roots[name] = doc->root_component();
+  }
+  state.indexes = DumpWithRoots(*live.indexes());
+  return state;
+}
+
+TEST(UpdateConcurrencyTest, ConcurrentWritersReplayToTheIdenticalCorpus) {
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 12;
+  const std::string wal_path =
+      (std::filesystem::path(::testing::TempDir()) / "concurrent_writers.wal")
+          .string();
+  std::filesystem::remove(wal_path);
+
+  service::BatchQuery query{"books", {"xml"}, engine::SearchOptions{}};
+  query.options.top_k = 16;
+  // books.xml is the one name every writer replaces: writer w writes
+  // version w, and the corpus starts at version 0.
+  std::vector<engine::SearchResponse> expected;
+  for (int v = 0; v < kWriters; ++v) {
+    expected.push_back(
+        ExpectedFor(BooksXml(v, 4 + v), query.keywords, query.options));
+  }
+
+  CorpusState written;
+  uint64_t commits = 0;
+  {
+    storage::LiveDatabase live;
+    ASSERT_TRUE(live.OpenWal(wal_path).ok());
+    service::QueryServiceOptions options;
+    options.threads = 2;
+    service::QueryService service(&live, options);
+    ASSERT_TRUE(service.InsertDocument("books.xml", BooksXml(0, 4)).ok());
+    ASSERT_TRUE(service.RegisterView("books", kBooksView).ok());
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::atomic<uint64_t> acked{1};
+    // Each writer inserts fresh names, replaces the shared books.xml every
+    // third round and removes its own names two rounds later, so removals
+    // free root components that racing inserts then compete for.
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&service, &failures, &acked, w] {
+        auto name = [w](int round) {
+          return "w" + std::to_string(w) + "-" + std::to_string(round) + ".xml";
+        };
+        auto commit = [&failures, &acked](const Status& status) {
+          if (status.ok()) {
+            acked.fetch_add(1);
+          } else {
+            failures.fetch_add(1);
+          }
+        };
+        for (int i = 0; i < kRounds; ++i) {
+          std::string note = "<notes><note>writer " + std::to_string(w) +
+                             " round " + std::to_string(i) + "</note></notes>";
+          commit(service.InsertDocument(name(i), note));
+          if (i % 3 == 0) {
+            commit(service.InsertDocument("books.xml", BooksXml(w, 4 + w)));
+          }
+          if (i >= 2) commit(service.RemoveDocument(name(i - 2)));
+        }
+      });
+    }
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&service, &query, &expected, &failures, &stop] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          auto response = service.SearchOne(query);
+          bool matched = false;
+          for (const engine::SearchResponse& candidate : expected) {
+            if (response.ok() && SameHits(candidate, *response)) {
+              matched = true;
+              break;
+            }
+          }
+          if (!matched) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : readers) t.join();
+    ASSERT_EQ(failures.load(), 0);
+    written = CaptureState(live);
+    commits = acked.load();
+  }
+
+  storage::LiveDatabase replayed;
+  ASSERT_TRUE(replayed.OpenWal(wal_path).ok());
+  EXPECT_EQ(replayed.wal()->replay().payloads.size(), commits);
+  CorpusState recovered = CaptureState(replayed);
+  // Same names with the same root per name, and identical index
+  // contents down to the root component of every Dewey id.
+  EXPECT_EQ(recovered.roots, written.roots);
+  EXPECT_EQ(recovered.indexes, written.indexes);
+  EXPECT_EQ(written.roots.size(), 1u + kWriters * 2);
+  std::filesystem::remove(wal_path);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential proof of the live update path: a corpus mutated through
-// InsertDocument/RemoveDocument — incrementally maintained documents,
-// path indexes, inverted indexes and store snapshots — must be
+// InsertDocument/RemoveDocument — documents, path indexes, inverted
+// indexes and store snapshots published one mutation at a time — must be
 // indistinguishable from a corpus rebuilt from scratch. The harness
 // interleaves hundreds of seeded random insert/remove/query steps on a
 // bookrev-shaped corpus and, after EVERY mutation, checks

@@ -262,14 +262,11 @@ TEST(WalCrashTest, RecoveredStateIsAPrefixOfAckedHistory) {
 
     // Clause 3: the corpus equals an oracle that ran exactly ops[0..R).
     storage::LiveDatabase oracle;
-    {
-      qv::WriterLock lock(oracle.mu());
-      for (uint64_t i = 0; i < replayed; ++i) {
-        Status applied =
-            ops[i].remove ? oracle.RemoveDocument(ops[i].name)
-                          : oracle.InsertDocument(ops[i].name, ops[i].xml);
-        ASSERT_TRUE(applied.ok()) << applied.ToString();
-      }
+    for (uint64_t i = 0; i < replayed; ++i) {
+      Status applied =
+          ops[i].remove ? oracle.CommitRemove(ops[i].name)
+                        : oracle.CommitInsert(ops[i].name, ops[i].xml);
+      ASSERT_TRUE(applied.ok()) << applied.ToString();
     }
     {
       qv::ReaderLock recovered_lock(recovered.mu());
