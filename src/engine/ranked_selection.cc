@@ -107,7 +107,7 @@ Result<SearchResponse> RankedSelectionSearch(
   size_t view_results = 0;
   for (xml::NodeIndex i = 0; i < pdt->size(); ++i) {
     const xml::Node& node = pdt->node(i);
-    if (!node.stats.has_value() || !node.stats->content_pruned) continue;
+    if (node.stats == nullptr || !node.stats->content_pruned) continue;
     ++view_results;
     Candidate candidate;
     candidate.node = i;

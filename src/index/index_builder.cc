@@ -1,9 +1,9 @@
 #include "index/index_builder.h"
 
+#include <utility>
 #include <vector>
 
 #include "xml/serializer.h"
-#include "xml/tokenizer.h"
 
 namespace quickview::index {
 
@@ -12,13 +12,18 @@ const DocumentIndexes* DatabaseIndexes::Get(const std::string& doc_name) const {
   return it == indexes_.end() ? nullptr : it->second.get();
 }
 
-void DatabaseIndexes::Put(const std::string& doc_name,
-                          std::unique_ptr<DocumentIndexes> idx) {
-  indexes_[doc_name] = std::move(idx);
+std::unique_ptr<DocumentIndexes> DatabaseIndexes::Put(
+    const std::string& doc_name, std::unique_ptr<DocumentIndexes> idx) {
+  return std::exchange(indexes_[doc_name], std::move(idx));
 }
 
-bool DatabaseIndexes::Remove(const std::string& doc_name) {
-  return indexes_.erase(doc_name) != 0;
+std::unique_ptr<DocumentIndexes> DatabaseIndexes::Remove(
+    const std::string& doc_name) {
+  auto it = indexes_.find(doc_name);
+  if (it == indexes_.end()) return nullptr;
+  std::unique_ptr<DocumentIndexes> removed = std::move(it->second);
+  indexes_.erase(it);
+  return removed;
 }
 
 std::optional<DocumentIndexView> DatabaseIndexes::GetView(
@@ -40,13 +45,6 @@ void IndexSubtree(const xml::Document& doc, xml::NodeIndex index,
 
   out->path_index.AddEntry(*path, node.text, node.id, byte_lengths[index]);
 
-  // Count directly-contained terms (tag-name tokens + direct text tokens).
-  std::map<std::string, uint32_t> counts;
-  for (std::string& term : xml::DirectTerms(node)) ++counts[term];
-  for (const auto& [term, count] : counts) {
-    out->inverted_index.Add(term, node.id, count);
-  }
-
   for (xml::NodeIndex child : node.children) {
     IndexSubtree(doc, child, byte_lengths, path, out);
   }
@@ -65,6 +63,7 @@ std::unique_ptr<DocumentIndexes> BuildDocumentIndexes(
     xml::SubtreeByteLengths(doc, doc.root(), &byte_lengths);
     std::string path;
     IndexSubtree(doc, doc.root(), byte_lengths, &path, out.get());
+    out->inverted_index.AddDocument(doc);
   }
   out->path_index.Finalize();
   return out;

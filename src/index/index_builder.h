@@ -43,11 +43,15 @@ struct DocumentIndexes {
 class DatabaseIndexes : public IndexSource {
  public:
   const DocumentIndexes* Get(const std::string& doc_name) const;
-  /// Registers (or replaces) the document's indices.
-  void Put(const std::string& doc_name, std::unique_ptr<DocumentIndexes> idx);
+  /// Registers (or replaces) the document's indices. Returns the replaced
+  /// indices (null if none), so a caller under a lock can free them after
+  /// releasing it.
+  std::unique_ptr<DocumentIndexes> Put(const std::string& doc_name,
+                                       std::unique_ptr<DocumentIndexes> idx);
 
-  /// Drops the document's indices; returns whether they existed.
-  bool Remove(const std::string& doc_name);
+  /// Unregisters the document's indices and returns them (null if there
+  /// were none).
+  std::unique_ptr<DocumentIndexes> Remove(const std::string& doc_name);
 
   std::optional<DocumentIndexView> GetView(
       const std::string& doc_name) const override;

@@ -1,5 +1,13 @@
 #include "index/inverted_index.h"
 
+#include <algorithm>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+
+#include "common/strings.h"
+#include "xml/tokenizer.h"
+
 namespace quickview::index {
 
 namespace {
@@ -28,21 +36,48 @@ xml::DeweyId DecodeKeyId(const std::string& key, size_t offset) {
 }
 }  // namespace
 
-std::string InvertedIndex::MakeKey(const std::string& term,
+std::string InvertedIndex::MakeKey(std::string_view term,
                                    const xml::DeweyId& id) {
-  std::string key = term;
+  std::string key(term);
   key.push_back(kKeySep);
   key.append(id.Encode());
   return key;
 }
 
-void InvertedIndex::Add(const std::string& term, const xml::DeweyId& id,
-                        uint32_t count) {
-  if (count == 0) return;
-  std::string key = MakeKey(term, id);
-  std::string existing;
-  if (tree_.Get(key, &existing)) count += DecodeTf(existing);
-  tree_.Insert(key, EncodeTf(count));
+void InvertedIndex::AddDocument(const xml::Document& doc) {
+  // Per term, (id, tf) in node order: a term repeated within one node
+  // bumps that node's tf.
+  std::unordered_map<std::string,
+                     std::vector<std::pair<const xml::DeweyId*, uint32_t>>>
+      by_term;
+  for (xml::NodeIndex i = 0; i < doc.size(); ++i) {
+    const xml::DeweyId* id = &doc.node(i).id;
+    xml::ForEachDirectTerm(doc.node(i), [&by_term, id](std::string_view run) {
+      auto& postings = by_term[AsciiToLower(run)];
+      if (!postings.empty() && postings.back().first == id) {
+        ++postings.back().second;
+      } else {
+        postings.emplace_back(id, 1);
+      }
+    });
+  }
+  // Key order is term order, then Dewey order within a term (terms hold no
+  // separator byte, and encoded ids compare as Dewey ids).
+  std::vector<std::pair<std::string_view,
+                        std::vector<std::pair<const xml::DeweyId*, uint32_t>>*>>
+      terms;
+  terms.reserve(by_term.size());
+  for (auto& [text, postings] : by_term) terms.emplace_back(text, &postings);
+  std::sort(terms.begin(), terms.end());
+  auto by_id = [](const auto& a, const auto& b) { return *a.first < *b.first; };
+  for (auto& [text, postings] : terms) {
+    if (!std::is_sorted(postings->begin(), postings->end(), by_id)) {
+      std::sort(postings->begin(), postings->end(), by_id);
+    }
+    for (const auto& [id, tf] : *postings) {
+      tree_.Insert(MakeKey(text, *id), EncodeTf(tf));
+    }
+  }
 }
 
 std::vector<Posting> InvertedIndex::Lookup(const std::string& term) const {

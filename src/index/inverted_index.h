@@ -11,10 +11,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "index/btree.h"
 #include "xml/dewey_id.h"
+#include "xml/dom.h"
 
 namespace quickview::index {
 
@@ -31,9 +33,12 @@ class InvertedIndex {
   InvertedIndex(InvertedIndex&&) = default;
   InvertedIndex& operator=(InvertedIndex&&) = default;
 
-  /// Adds (accumulates) `count` occurrences of `term` directly contained
-  /// by element `id`. `term` must already be lowercased.
-  void Add(const std::string& term, const xml::DeweyId& id, uint32_t count);
+  /// Indexes every element of `doc` by its lowercased direct terms
+  /// (xml::ForEachDirectTerm)
+  /// with their per-element counts. None of the document's ids may have a
+  /// posting yet (each posting is written once, not accumulated): postings
+  /// are grouped by term and inserted in key order.
+  void AddDocument(const xml::Document& doc);
 
   /// Full postings list for `term`, Dewey-ordered. Empty if unknown.
   std::vector<Posting> Lookup(const std::string& term) const;
@@ -58,7 +63,7 @@ class InvertedIndex {
   void ResetStats() { tree_.ResetStats(); }
 
  private:
-  static std::string MakeKey(const std::string& term, const xml::DeweyId& id);
+  static std::string MakeKey(std::string_view term, const xml::DeweyId& id);
 
   BTree tree_;
 };

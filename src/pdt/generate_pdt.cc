@@ -41,6 +41,13 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
   uint32_t root_component = 1;
   if (!elements.empty()) root_component = elements.front().id.component(0);
   auto doc = std::make_shared<xml::Document>(root_component);
+  // Every 'c' node's stats live in one block, sized up front so that it
+  // never reallocates: a node's stats pointer aliases its slot and shares
+  // the block's ownership.
+  auto stats_block = std::make_shared<std::vector<xml::NodeStats>>();
+  stats_block->reserve(static_cast<size_t>(std::count_if(
+      elements.begin(), elements.end(),
+      [](const PdtElement& e) { return e.content; })));
   // Nodes along the current root-to-leaf path.
   std::vector<xml::NodeIndex> stack;
   for (PdtElement& entry : elements) {
@@ -64,7 +71,7 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
             : doc->AddChildWithId(stack.back(), std::move(entry.tag), id);
     if (entry.value.has_value()) doc->node(node).text = std::move(*entry.value);
     if (entry.content) {
-      xml::NodeStats stats;
+      xml::NodeStats& stats = stats_block->emplace_back();
       stats.byte_length = entry.byte_length;
       stats.content_pruned = true;
       stats.source_doc = id.component(0);
@@ -73,7 +80,8 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
       for (const InvList& inv : inv_lists) {
         stats.term_tf.push_back(static_cast<uint32_t>(inv.SubtreeTf(id)));
       }
-      doc->node(node).stats = std::move(stats);
+      doc->node(node).stats =
+          std::shared_ptr<const xml::NodeStats>(stats_block, &stats);
     }
     stack.push_back(node);
   }

@@ -9,7 +9,7 @@ Status MaterializeResult(const xquery::NodeHandle& result,
                          xml::Document* target, xml::NodeIndex target_parent,
                          storage::DocumentStore::Stats* fetch_stats) {
   const xml::Node& node = result.node();
-  if (node.stats.has_value() && node.stats->content_pruned) {
+  if (node.stats != nullptr && node.stats->content_pruned) {
     // Fetch the full subtree from base storage; the pruned node's children
     // are structural duplicates of fetched content and are dropped.
     return store->CopySubtree(node.stats->source_doc, node.stats->source_id,

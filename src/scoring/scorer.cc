@@ -35,7 +35,7 @@ void Walk(const xml::Document& doc, xml::NodeIndex index,
           const std::vector<std::string>& keywords, std::vector<uint64_t>* tf,
           uint64_t* byte_length) {
   const xml::Node& node = doc.node(index);
-  if (node.stats.has_value() && node.stats->content_pruned) {
+  if (node.stats != nullptr && node.stats->content_pruned) {
     // Summarized subtree: statistics were computed from indices during PDT
     // generation; the node's children (if any) duplicate summarized
     // content and must not be counted again.
@@ -45,11 +45,11 @@ void Walk(const xml::Document& doc, xml::NodeIndex index,
     *byte_length += node.stats->byte_length;
     return;
   }
-  for (const std::string& term : xml::DirectTerms(node)) {
+  xml::ForEachDirectTerm(node, [&keywords, tf](std::string_view run) {
     for (size_t k = 0; k < keywords.size(); ++k) {
-      if (term == keywords[k]) ++(*tf)[k];
+      if (xml::TokenEquals(run, keywords[k])) ++(*tf)[k];
     }
-  }
+  });
   *byte_length += 2 * node.tag.size() + 5;  // <tag></tag>
   if (!node.text.empty()) *byte_length += EscapedLength(node.text);
   for (xml::NodeIndex child : node.children) {

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -48,6 +49,13 @@ std::string DescribeSearch(const char* verb, const SearchRpcRequest& req) {
 }
 
 }  // namespace
+
+bool TcpNoDelayEnabled(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) == 0 &&
+         value != 0;
+}
 
 Server::Connection::~Connection() {
   // The fd closes exactly once, after the last holder (reader thread,
@@ -211,6 +219,11 @@ void Server::AcceptLoop() {
       ::close(fd);
       break;
     }
+    // Every response is one small frame written as soon as it is ready;
+    // with Nagle's algorithm on, a write behind an unacknowledged one
+    // waits for the client's delayed ACK.
+    int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ReapFinishedReaders();
     conns_accepted_.fetch_add(1, std::memory_order_relaxed);
     if (conns_open_.load(std::memory_order_acquire) >=

@@ -81,6 +81,10 @@ struct ServerOptions {
   size_t slow_query_capacity = 8;
 };
 
+/// Whether TCP_NODELAY is set on socket `fd`; false for a descriptor that
+/// is not an open TCP socket.
+bool TcpNoDelayEnabled(int fd);
+
 class Server {
  public:
   /// `service` must outlive the server. Call Start() to begin serving.

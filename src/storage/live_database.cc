@@ -41,11 +41,19 @@ Status LiveDatabase::ApplyInsert(const std::string& name,
   std::unique_ptr<index::DocumentIndexes> doc_indexes =
       index::BuildDocumentIndexes(*doc);
 
+  // The replaced version (document, indexes, store snapshot) is moved
+  // into these locals, declared before the lock so that they are freed
+  // after it drops, off the readers' path.
+  std::shared_ptr<xml::Document> old_doc;
+  std::unique_ptr<index::DocumentIndexes> old_indexes;
+  std::shared_ptr<const DocumentStore> old_store;
   qv::WriterLock lock(mu_);
-  db_->RemoveDocument(name);  // the replaced version, if any
+  old_doc = db_->GetDocumentShared(name);
+  db_->RemoveDocument(name);
   db_->AddDocument(name, std::move(doc));
-  indexes_->Put(name, std::move(doc_indexes));
-  store_ = std::make_shared<const DocumentStore>(*db_);
+  old_indexes = indexes_->Put(name, std::move(doc_indexes));
+  old_store =
+      std::exchange(store_, std::make_shared<const DocumentStore>(*db_));
   inserts_.Increment();
   documents_.Set(static_cast<int64_t>(db_->documents().size()));
   if (post_apply) post_apply();
@@ -55,12 +63,18 @@ Status LiveDatabase::ApplyInsert(const std::string& name,
 Status LiveDatabase::ApplyRemove(const std::string& name,
                                  const std::function<void()>& post_apply) {
   qv::MutexLock apply_lock(apply_mu_);
+  // Freed after the lock drops, as in ApplyInsert.
+  std::shared_ptr<xml::Document> old_doc;
+  std::unique_ptr<index::DocumentIndexes> old_indexes;
+  std::shared_ptr<const DocumentStore> old_store;
   qv::WriterLock lock(mu_);
+  old_doc = db_->GetDocumentShared(name);
   if (!db_->RemoveDocument(name)) {
     return Status::NotFound("no document named '" + name + "'");
   }
-  indexes_->Remove(name);
-  store_ = std::make_shared<const DocumentStore>(*db_);
+  old_indexes = indexes_->Remove(name);
+  old_store =
+      std::exchange(store_, std::make_shared<const DocumentStore>(*db_));
   removes_.Increment();
   documents_.Set(static_cast<int64_t>(db_->documents().size()));
   if (post_apply) post_apply();

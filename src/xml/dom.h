@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,9 @@ struct Node {
   DeweyId id;
   NodeIndex parent = kInvalidNode;
   std::vector<NodeIndex> children;
-  /// Present on PDT / result-tree nodes only.
-  std::optional<NodeStats> stats;
+  /// Present on PDT / result-tree nodes only. Immutable and shared: a
+  /// result-tree node copied from a PDT node points at the same stats.
+  std::shared_ptr<const NodeStats> stats;
 };
 
 /// A single XML tree. Nodes are stored contiguously and addressed by

@@ -2,29 +2,34 @@
 
 #include <cctype>
 
+#include "common/strings.h"
+
 namespace quickview::xml {
+
+bool TokenEquals(std::string_view token, std::string_view term) {
+  if (token.size() != term.size()) return false;
+  for (size_t i = 0; i < token.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(token[i])) !=
+        static_cast<unsigned char>(term[i])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 std::vector<std::string> Tokenize(std::string_view text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if (!current.empty()) {
-      tokens.push_back(std::move(current));
-      current.clear();
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
+  ForEachToken(text, [&tokens](std::string_view run) {
+    tokens.push_back(AsciiToLower(run));
+  });
   return tokens;
 }
 
 std::vector<std::string> DirectTerms(const Node& node) {
-  std::vector<std::string> terms = Tokenize(node.tag);
-  std::vector<std::string> text_terms = Tokenize(node.text);
-  terms.insert(terms.end(), std::make_move_iterator(text_terms.begin()),
-               std::make_move_iterator(text_terms.end()));
+  std::vector<std::string> terms;
+  ForEachDirectTerm(node, [&terms](std::string_view run) {
+    terms.push_back(AsciiToLower(run));
+  });
   return terms;
 }
 
@@ -32,9 +37,9 @@ uint32_t SubtreeTermFrequency(const Document& doc, NodeIndex node,
                               std::string_view term) {
   uint32_t count = 0;
   for (NodeIndex index : doc.SubtreeNodes(node)) {
-    for (const std::string& t : DirectTerms(doc.node(index))) {
-      if (t == term) ++count;
-    }
+    ForEachDirectTerm(doc.node(index), [&count, term](std::string_view run) {
+      if (TokenEquals(run, term)) ++count;
+    });
   }
   return count;
 }

@@ -4,14 +4,24 @@
 // elements. The evaluator is deliberately unaware of PDTs: pruned nodes
 // carry their NodeStats payload through element construction, which is the
 // paper's "no changes to the XML query evaluator" property.
+//
+// Once a plan's PDTs are cached the evaluator is the whole query, so it
+// avoids per-step heap traffic: every expression appends its items to a
+// Sequence the caller supplies, intermediate results live in scratch
+// sequences reused at each nesting depth, and variables live on an
+// evaluator-owned binding stack whose slots pop when their scope exits.
 #ifndef QUICKVIEW_XQUERY_EVALUATOR_H_
 #define QUICKVIEW_XQUERY_EVALUATOR_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -41,29 +51,6 @@ struct NodeHandle {
 using Item = std::variant<NodeHandle, std::string, double, bool>;
 using Sequence = std::vector<Item>;
 
-/// Immutable variable environment with structural sharing, so FLWOR
-/// iteration does not copy bindings.
-class Environment {
- public:
-  Environment() = default;
-
-  Environment Bind(const std::string& name, Sequence value) const;
-  Environment WithContext(Item context) const;
-
-  /// nullptr when unbound.
-  const Sequence* Lookup(const std::string& name) const;
-  const std::optional<Item>& context() const { return context_; }
-
- private:
-  struct Binding {
-    std::string name;
-    Sequence value;
-    std::shared_ptr<const Binding> next;
-  };
-  std::shared_ptr<const Binding> head_;
-  std::optional<Item> context_;
-};
-
 /// Effective boolean value: false for the empty sequence and a lone false
 /// boolean; true otherwise.
 bool EffectiveBoolean(const Sequence& seq);
@@ -85,7 +72,6 @@ class Evaluator {
 
   /// Evaluates the query body (with its function declarations in scope).
   Result<Sequence> Evaluate(const Query& query);
-  Result<Sequence> Evaluate(const Query& query, const Environment& env);
 
   /// Arena holding elements constructed during evaluation. Valid until the
   /// evaluator is destroyed; shared ownership is available for callers
@@ -96,69 +82,137 @@ class Evaluator {
   }
 
  private:
-  Result<Sequence> Eval(const Expr& expr, const Environment& env);
-  Result<Sequence> EvalPath(const PathExpr& path, const Environment& env);
-  Result<Sequence> EvalFlwor(const FlworExpr& flwor, size_t clause_index,
-                             const Environment& env, Sequence* out);
-  Result<Sequence> EvalCtor(const ElementCtorExpr& ctor,
-                            const Environment& env);
-  Result<Sequence> EvalComparison(const ComparisonExpr& cmp,
-                                  const Environment& env);
-  Result<Sequence> EvalFunctionCall(const FunctionCallExpr& call,
-                                    const Environment& env);
+  /// One variable on the binding stack. A popped slot keeps its value's
+  /// capacity, so the next binding at the same depth allocates nothing.
+  struct Binding {
+    const std::string* name = nullptr;
+    Sequence value;
+  };
 
-  /// Applies one location step to every node of `input`, deduplicated and
-  /// in document order.
-  Sequence ApplyStep(const Sequence& input, const PathStepAst& step);
+  /// Pushes a binding slot for `name`; the destructor pops it.
+  class BindingScope {
+   public:
+    BindingScope(Evaluator* evaluator, const std::string& name);
+    ~BindingScope() { --evaluator_->depth_; }
+    BindingScope(const BindingScope&) = delete;
+    BindingScope& operator=(const BindingScope&) = delete;
+    Sequence& value() { return *value_; }
 
-  /// Keeps the items for which every predicate's effective boolean value
-  /// is true (predicates see the item as the context '.').
-  Result<Sequence> FilterByPredicates(Sequence input,
-                                      const std::vector<ExprPtr>& predicates,
-                                      const Environment& env);
+   private:
+    Evaluator* evaluator_;
+    Sequence* value_;
+  };
 
-  /// Deep-copies a subtree (preserving NodeStats) into the result arena.
+  /// Borrows an empty sequence from the scratch pool for one scope. The
+  /// pool is a stack, so each nesting depth reuses the same storage.
+  class Scratch {
+   public:
+    explicit Scratch(Evaluator* evaluator);
+    ~Scratch() { --evaluator_->scratch_top_; }
+    Scratch(const Scratch&) = delete;
+    Scratch& operator=(const Scratch&) = delete;
+    Sequence* get() { return seq_; }
+    Sequence& operator*() { return *seq_; }
+    Sequence* operator->() { return seq_; }
+
+   private:
+    Evaluator* evaluator_;
+    Sequence* seq_;
+  };
+
+  /// Hash-join index of one FLWOR's inner sequence, built once per
+  /// evaluator: `(normalized key, item position)` pairs sorted by key.
+  /// Keys borrow the text of document nodes, which is immutable while the
+  /// evaluator runs; keys of arena nodes or atomic items (whose bytes can
+  /// move) and re-spelled numbers are copied into `owned_keys`, whose
+  /// elements never move.
+  struct JoinIndex {
+    Sequence items;
+    std::vector<std::pair<std::string_view, uint32_t>> by_key;
+    std::deque<std::string> owned_keys;
+  };
+
+  /// What a path expression's value depends on, worked out on its first
+  /// evaluation: an environment-free path (no variables, context item or
+  /// function calls) is loop-invariant and evaluates once per evaluator.
+  struct PathPlan {
+    bool invariant = false;
+    bool cached = false;
+    Sequence value;
+  };
+
+  /// A FLWOR's hash-join shape, worked out on its first evaluation: for
+  /// `for $x in <invariant> where $x/p = <outer>` the inner sequence is
+  /// indexed once by the join key instead of scanned per outer binding
+  /// (the value-join evaluation the paper's engine provides).
+  struct FlworPlan {
+    const Expr* probe = nullptr;     // non-null iff the last clause joins
+    const Expr* key_side = nullptr;  // `$x/p`, applied to each inner item
+    std::optional<JoinIndex> join;   // built on first use
+  };
+
+  Status Eval(const Expr& expr, Sequence* out);
+  Status EvalPath(const PathExpr& path, Sequence* out);
+  Status EvalFlwor(const FlworExpr& flwor, FlworPlan& plan,
+                   size_t clause_index, Sequence* out);
+  Status EvalHashJoin(const FlworExpr& flwor, FlworPlan& plan,
+                      Sequence* out);
+  /// Builds the element under `parent` (the arena root for a top-level
+  /// constructor); appends a handle to it to `out` when non-null. A
+  /// constructor nested directly in another is built in place under its
+  /// parent, never as a temporary that is then copied.
+  Status EvalCtor(const ElementCtorExpr& ctor, xml::NodeIndex parent,
+                  Sequence* out);
+  Status EvalComparison(const ComparisonExpr& cmp, Sequence* out);
+  Status EvalFunctionCall(const FunctionCallExpr& call, Sequence* out);
+  Status CallFunction(const FunctionDecl& decl, const FunctionCallExpr& call,
+                      Sequence* out);
+
+  /// Appends to `out` one location step applied to every node of `input`,
+  /// deduplicated and in document order.
+  static void ApplyStep(std::span<const Item> input, const PathStepAst& step,
+                        Sequence* out);
+
+  /// Keeps the items of `seq` from position `from` on for which every
+  /// predicate's effective boolean value is true (predicates see the item
+  /// as the context '.').
+  Status FilterByPredicates(Sequence* seq, size_t from,
+                            const std::vector<ExprPtr>& predicates);
+
+  /// Copies a subtree into the result arena, sharing each pruned node's
+  /// NodeStats.
   void CopyIntoArena(const xml::Document& src, xml::NodeIndex src_index,
                      xml::NodeIndex dst_parent);
 
-  /// True iff the expression reads nothing from the environment (no
-  /// variables, no context item, no function calls) — its value is
-  /// loop-invariant. Memoized per expression node.
-  bool IsEnvironmentFree(const Expr& expr);
+  Status BuildJoinIndex(const FlworExpr& flwor, const FlworPlan& plan,
+                        JoinIndex* index);
 
-  /// True iff a predicate expression only reads its own context chain
-  /// (no variables/functions), so it doesn't break invariance of the
-  /// enclosing path.
-  static bool IsPredicateSelfContained(const Expr& expr);
+  /// Innermost binding of `name`, or nullptr when unbound.
+  const Sequence* Lookup(const std::string& name) const;
+  Binding& PushBinding(const std::string& name);
 
   const xml::Database* database_;
   std::map<std::string, const xml::Document*> overrides_;
   std::shared_ptr<xml::Document> result_doc_;
   const Query* query_ = nullptr;  // for function resolution
   int call_depth_ = 0;            // guards against recursive functions
-  // Loop-invariant path hoisting (a standard XQuery-engine optimization):
-  // environment-free path expressions evaluate once per query, not once
-  // per FLWOR iteration.
-  std::map<const Expr*, Sequence> invariant_cache_;
-  std::map<const Expr*, bool> env_free_;
 
-  // Hash-join fast path: for `for $x in <invariant> where $x/p = <outer>`
-  // the inner sequence is indexed once by the join key instead of being
-  // scanned per outer binding (the value-join evaluation the paper's
-  // engine provides).
-  struct JoinIndex {
-    Sequence items;
-    std::unordered_multimap<std::string, size_t> by_key;
-  };
-  Result<Sequence> EvalHashJoin(const FlworExpr& flwor, size_t clause_index,
-                                const Expr& probe_expr,
-                                const Environment& env, Sequence* out);
-  /// nullptr when the clause/where shape doesn't admit a hash join.
-  const Expr* HashJoinProbeExpr(const FlworExpr& flwor, size_t clause_index);
-  Result<JoinIndex*> GetJoinIndex(const FlworClause& clause,
-                                  const Expr& key_path,
-                                  const Environment& env);
-  std::map<const FlworClause*, JoinIndex> join_indexes_;
+  // Binding stack: slots [0, depth_) are live; deque slots never move.
+  std::deque<Binding> bindings_;
+  size_t depth_ = 0;
+  // Scratch pool: sequences [0, scratch_top_) are borrowed.
+  std::deque<Sequence> scratch_;
+  size_t scratch_top_ = 0;
+  // The context item '.' of the predicate being evaluated.
+  const Item* context_ = nullptr;
+  // Matched inner positions of the hash joins in progress, used as a
+  // stack: a nested join appends above its caller's range and truncates
+  // back on exit.
+  std::vector<uint32_t> join_matches_;
+
+  // Node-based maps: plans stay put while later plans are added.
+  std::unordered_map<const PathExpr*, PathPlan> path_plans_;
+  std::unordered_map<const FlworExpr*, FlworPlan> flwor_plans_;
 };
 
 }  // namespace quickview::xquery

@@ -156,5 +156,69 @@ TEST_F(EvaluatorExtendedTest, ConstructedElementsAreIndependentCopies) {
   EXPECT_EQ(a->doc, b->doc);  // same arena document
 }
 
+TEST_F(EvaluatorExtendedTest, ShadowedVariableIsVisibleAgainAfterInnerScope) {
+  // The inner $x pops when its FLWOR ends, so the trailing {$x/v} reads
+  // the outer binding again.
+  auto result = Run(
+      "for $x in fn:doc(data.xml)//s "
+      "return <o>{for $x in fn:doc(data.xml)//n return $x/v}{$x/v}</o>");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 2u);
+  std::vector<std::string> xml;
+  for (const Item& item : *result) {
+    const NodeHandle& h = std::get<NodeHandle>(item);
+    xml.push_back(xml::Serialize(*h.doc, h.index));
+  }
+  EXPECT_EQ(xml[0], "<o><v>7</v><v>07</v><v>100</v><v>abc</v></o>");
+  EXPECT_EQ(xml[1], "<o><v>7</v><v>07</v><v>100</v><v>abd</v></o>");
+}
+
+TEST_F(EvaluatorExtendedTest, FunctionParameterBoundToSeveralItems) {
+  auto result = Run(
+      "declare function wrap($xs) { for $x in $xs return <i>{$x/v}</i> } "
+      "wrap(fn:doc(data.xml)//n)");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 3u);
+  const NodeHandle& last = std::get<NodeHandle>((*result)[2]);
+  EXPECT_EQ(xml::Serialize(*last.doc, last.index), "<i><v>100</v></i>");
+}
+
+TEST_F(EvaluatorExtendedTest, ArgumentsSeeCallerBindingsNotParameters) {
+  // The second argument reads the caller's $a even though the function's
+  // first parameter is also named $a.
+  auto result = Run(
+      "declare function g($a, $b) { <g>{$b/v}</g> } "
+      "for $a in fn:doc(data.xml)//s return g(fn:doc(data.xml)//n, $a)");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->size(), 2u);
+  const NodeHandle& first = std::get<NodeHandle>((*result)[0]);
+  EXPECT_EQ(xml::Serialize(*first.doc, first.index), "<g><v>abc</v></g>");
+}
+
+TEST_F(EvaluatorExtendedTest, NestedConstructorsKeepChildAndDocumentOrder) {
+  // Directly nested constructors are built in place under their parent,
+  // interleaved with copied content; a multi-node step over the
+  // constructed results must still see document order.
+  auto result = Run(
+      "let $rs := for $n in fn:doc(data.xml)//n "
+      "  return <r><t>{$n/v}</t>{$n/v}<u><t>x</t></u><z></z></r> "
+      "return ($rs, $rs//t)");
+  ASSERT_TRUE(result.ok()) << result.status();
+  std::vector<std::string> xml;
+  for (const Item& item : *result) {
+    const NodeHandle& h = std::get<NodeHandle>(item);
+    xml.push_back(xml::Serialize(*h.doc, h.index));
+  }
+  ASSERT_EQ(xml.size(), 9u);
+  EXPECT_EQ(xml[0], "<r><t><v>7</v></t><v>7</v><u><t>x</t></u><z></z></r>");
+  EXPECT_EQ(xml[2], "<r><t><v>100</v></t><v>100</v><u><t>x</t></u><z></z></r>");
+  EXPECT_EQ(xml[3], "<t><v>7</v></t>");
+  EXPECT_EQ(xml[4], "<t>x</t>");
+  EXPECT_EQ(xml[5], "<t><v>07</v></t>");
+  EXPECT_EQ(xml[6], "<t>x</t>");
+  EXPECT_EQ(xml[7], "<t><v>100</v></t>");
+  EXPECT_EQ(xml[8], "<t>x</t>");
+}
+
 }  // namespace
 }  // namespace quickview::xquery

@@ -138,5 +138,55 @@ TEST_F(HashJoinTest, JoinInsideOuterLoopReusesIndex) {
             "<v>r-y</v></g>");
 }
 
+TEST_F(HashJoinTest, NumericProbeValuesAreNormalized) {
+  // A probe of 1.0 (a number or a string spelling it) joins the key 1,
+  // and the key 1.0 joins a probe of 1.
+  auto numbers = xml::ParseXml(
+      "<ns><n><k>1</k><v>one</v></n><n><k>1.0</k><v>one-point-oh</v></n>"
+      "<n><k>2</k><v>two</v></n></ns>",
+      3);
+  ASSERT_TRUE(numbers.ok());
+  db_.AddDocument("n.xml", *numbers);
+  for (const std::string probe : {"1.0", "'1.0'", "1", "'01'"}) {
+    auto out = Run("let $p := " + probe +
+                   " for $n in fn:doc(n.xml)//n where $n/k = $p "
+                   "return $n/v");
+    ASSERT_EQ(out.size(), 2u) << probe;
+    EXPECT_EQ(out[0], "<v>one</v>") << probe;
+    EXPECT_EQ(out[1], "<v>one-point-oh</v>") << probe;
+  }
+}
+
+TEST_F(HashJoinTest, ConstructedProbeKeysSurviveArenaGrowth) {
+  // The probe side reads constructed elements, whose text lives in the
+  // evaluator's arena; every return clause grows that arena (moving its
+  // nodes) while later probes still run. Enough rows to reallocate it
+  // many times; the nested-loop form (inner clause bound through a let,
+  // so no hash join) is the oracle.
+  std::string left = "<ls>";
+  std::string right = "<rs>";
+  for (int i = 0; i < 300; ++i) {
+    left += "<l><k>key-number-" + std::to_string(i % 97) + "</k></l>";
+    right += "<r><k>key-number-" + std::to_string(i % 89) + "</k><v>" +
+             std::to_string(i) + "</v></r>";
+  }
+  auto l = xml::ParseXml(left + "</ls>", 3);
+  auto r = xml::ParseXml(right + "</rs>", 4);
+  ASSERT_TRUE(l.ok() && r.ok());
+  db_.AddDocument("big_l.xml", *l);
+  db_.AddDocument("big_r.xml", *r);
+  auto joined = Run(
+      "for $l in fn:doc(big_l.xml)//l let $c := <c>{$l/k}</c> "
+      "for $r in fn:doc(big_r.xml)//r where $r/k = $c/k "
+      "return <m>{$c/k}{$r/v}</m>");
+  auto nested = Run(
+      "let $rd := fn:doc(big_r.xml) "
+      "for $l in fn:doc(big_l.xml)//l let $c := <c>{$l/k}</c> "
+      "for $r in $rd//r where $r/k = $c/k "
+      "return <m>{$c/k}{$r/v}</m>");
+  EXPECT_GT(joined.size(), 300u);
+  EXPECT_EQ(joined, nested);
+}
+
 }  // namespace
 }  // namespace quickview::xquery

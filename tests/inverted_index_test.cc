@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "index/index_builder.h"
 #include "xml/parser.h"
 
@@ -10,54 +13,58 @@ namespace {
 
 using xml::DeweyId;
 
-TEST(InvertedIndexTest, AddLookupOrdered) {
-  InvertedIndex index;
-  index.Add("xml", DeweyId::Parse("1.2.3"), 2);
-  index.Add("xml", DeweyId::Parse("1.1.4"), 1);
-  index.Add("search", DeweyId::Parse("2.1.3"), 5);
-  auto postings = index.Lookup("xml");
-  ASSERT_EQ(postings.size(), 2u);
-  EXPECT_EQ(postings[0].id.ToString(), "1.1.4");
-  EXPECT_EQ(postings[0].tf, 1u);
-  EXPECT_EQ(postings[1].id.ToString(), "1.2.3");
-  EXPECT_EQ(postings[1].tf, 2u);
-  EXPECT_TRUE(index.Lookup("absent").empty());
+/// The inverted index of one parsed document (root component 1).
+std::unique_ptr<InvertedIndex> IndexOf(const std::string& xml_text) {
+  auto index = std::make_unique<InvertedIndex>();
+  auto doc = xml::ParseXml(xml_text);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (doc.ok()) index->AddDocument(**doc);
+  return index;
 }
 
-TEST(InvertedIndexTest, AddAccumulates) {
-  InvertedIndex index;
-  index.Add("xml", DeweyId::Parse("1.1"), 1);
-  index.Add("xml", DeweyId::Parse("1.1"), 3);
-  index.Add("xml", DeweyId::Parse("1.1"), 0);  // no-op
+TEST(InvertedIndexTest, ListsAreDeweyOrderedWithDirectTf) {
+  auto index =
+      IndexOf("<r><a><x>search</x></a><b>xml xml</b><c>xml</c></r>");
+  auto postings = index->Lookup("xml");
+  ASSERT_EQ(postings.size(), 2u);
+  EXPECT_EQ(postings[0].id.ToString(), "1.2");
+  EXPECT_EQ(postings[0].tf, 2u);
+  EXPECT_EQ(postings[1].id.ToString(), "1.3");
+  EXPECT_EQ(postings[1].tf, 1u);
+  ASSERT_EQ(index->Lookup("search").size(), 1u);
+  EXPECT_EQ(index->Lookup("search")[0].id.ToString(), "1.1.1");
+  EXPECT_TRUE(index->Lookup("absent").empty());
+}
+
+TEST(InvertedIndexTest, TagAndTextOccurrencesInOneElementAccumulate) {
+  // The tag name and both (case-folded) text tokens are one element's.
+  auto index = IndexOf("<r><xml>xml XML</xml></r>");
   uint32_t tf = 0;
-  EXPECT_TRUE(index.Contains("xml", DeweyId::Parse("1.1"), &tf));
-  EXPECT_EQ(tf, 4u);
+  EXPECT_TRUE(index->Contains("xml", DeweyId::Parse("1.1"), &tf));
+  EXPECT_EQ(tf, 3u);
+  EXPECT_EQ(index->ListLength("xml"), 1u);
 }
 
 TEST(InvertedIndexTest, ContainsPointProbe) {
-  InvertedIndex index;
-  index.Add("xml", DeweyId::Parse("1.2"), 1);
-  EXPECT_TRUE(index.Contains("xml", DeweyId::Parse("1.2")));
-  EXPECT_FALSE(index.Contains("xml", DeweyId::Parse("1.3")));
-  EXPECT_FALSE(index.Contains("search", DeweyId::Parse("1.2")));
+  auto index = IndexOf("<r><a>xml</a><b>web</b></r>");
+  EXPECT_TRUE(index->Contains("xml", DeweyId::Parse("1.1")));
+  EXPECT_FALSE(index->Contains("xml", DeweyId::Parse("1.2")));
+  EXPECT_FALSE(index->Contains("search", DeweyId::Parse("1.1")));
 }
 
 TEST(InvertedIndexTest, ListLength) {
-  InvertedIndex index;
-  for (int i = 1; i <= 9; ++i) {
-    index.Add("t", DeweyId::Parse("1." + std::to_string(i)), 1);
-  }
-  EXPECT_EQ(index.ListLength("t"), 9u);
-  EXPECT_EQ(index.ListLength("u"), 0u);
+  std::string xml_text = "<r>";
+  for (int i = 1; i <= 9; ++i) xml_text += "<e>t</e>";
+  auto index = IndexOf(xml_text + "</r>");
+  EXPECT_EQ(index->ListLength("t"), 9u);
+  EXPECT_EQ(index->ListLength("u"), 0u);
 }
 
 TEST(InvertedIndexTest, NoCrossTermBleedWithPrefixTerms) {
   // "xml" and "xmls" share a prefix; the separator must keep lists apart.
-  InvertedIndex index;
-  index.Add("xml", DeweyId::Parse("1.1"), 1);
-  index.Add("xmls", DeweyId::Parse("1.2"), 1);
-  EXPECT_EQ(index.Lookup("xml").size(), 1u);
-  EXPECT_EQ(index.Lookup("xmls").size(), 1u);
+  auto index = IndexOf("<r><a>xml</a><b>xmls</b></r>");
+  EXPECT_EQ(index->Lookup("xml").size(), 1u);
+  EXPECT_EQ(index->Lookup("xmls").size(), 1u);
 }
 
 TEST(IndexBuilderTest, DirectContainmentOnly) {

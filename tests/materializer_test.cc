@@ -35,7 +35,7 @@ TEST_F(MaterializerTest, PrunedNodeExpandsFromStorage) {
   stats.content_pruned = true;
   stats.source_doc = 1;
   stats.source_id = xml::DeweyId::Parse("1.1.2");
-  result.node(stub).stats = stats;
+  result.node(stub).stats = std::make_shared<xml::NodeStats>(stats);
 
   auto xml_text = MaterializeToXml(xquery::NodeHandle{&result, hit},
                                    store_.get());
@@ -55,7 +55,7 @@ TEST_F(MaterializerTest, PrunedNodeChildrenAreDropped) {
   stats.content_pruned = true;
   stats.source_doc = 1;
   stats.source_id = xml::DeweyId::Parse("1.1");
-  result.node(stub).stats = stats;
+  result.node(stub).stats = std::make_shared<xml::NodeStats>(stats);
   result.AddChild(stub, "isbn");  // pruned-tree structural child
 
   auto xml_text =
@@ -86,7 +86,7 @@ TEST_F(MaterializerTest, DanglingSourceIsReported) {
   stats.content_pruned = true;
   stats.source_doc = 9;  // no such document
   stats.source_id = xml::DeweyId::Parse("9.1");
-  result.node(root).stats = stats;
+  result.node(root).stats = std::make_shared<xml::NodeStats>(stats);
   auto xml_text =
       MaterializeToXml(xquery::NodeHandle{&result, root}, store_.get());
   ASSERT_FALSE(xml_text.ok());

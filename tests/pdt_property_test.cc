@@ -149,7 +149,7 @@ void CheckFoldedFields(const qpt::Qpt& qpt, const Document& doc,
       EXPECT_EQ(node.text, doc.node(base).text);
     }
     if (!c_match) continue;
-    ASSERT_TRUE(node.stats.has_value());
+    ASSERT_NE(node.stats, nullptr);
     EXPECT_EQ(node.stats->byte_length, xml::SubtreeByteLength(doc, base));
     ASSERT_EQ(node.stats->term_tf.size(), keywords.size());
     for (size_t k = 0; k < keywords.size(); ++k) {

@@ -89,7 +89,7 @@ TEST_F(PdtFig1Test, ValuesSelectivelyMaterialized) {
   xml::NodeIndex title = doc.FindByDewey(xml::DeweyId::Parse("1.1.2"));
   ASSERT_NE(title, xml::kInvalidNode);
   EXPECT_TRUE(doc.node(title).text.empty());
-  ASSERT_TRUE(doc.node(title).stats.has_value());
+  ASSERT_NE(doc.node(title).stats, nullptr);
   EXPECT_TRUE(doc.node(title).stats->content_pruned);
 }
 

@@ -36,7 +36,7 @@ TEST(ScorerTest, StatisticsFromPrunedTreeUseNodeStats) {
   stats.term_tf = {5, 0};
   stats.byte_length = 100;
   stats.content_pruned = true;
-  doc.node(pruned).stats = stats;
+  doc.node(pruned).stats = std::make_shared<xml::NodeStats>(stats);
   // A child under the pruned node must NOT be double counted.
   xml::NodeIndex dup = doc.AddChild(pruned, "xml");
   doc.node(dup).text = "xml xml";

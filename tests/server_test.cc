@@ -392,6 +392,25 @@ TEST_F(ServerTest, ConnectionCapRejectsWithTypedError) {
   EXPECT_EQ(again->connections_rejected, 1u);
 }
 
+TEST_F(ServerTest, AcceptedSocketsSetTcpNoDelay) {
+  // The server runs in this process, and neither the listener nor the
+  // Client sets TCP_NODELAY, so the option appears on exactly the sockets
+  // the server accepts.
+  auto count_nodelay = [] {
+    int count = 0;
+    for (int fd = 0; fd < 1024; ++fd) count += TcpNoDelayEnabled(fd);
+    return count;
+  };
+  auto server = StartServer(ServerOptions{});
+  const int before = count_nodelay();
+  Client first = ConnectTo(*server);
+  Client second = ConnectTo(*server);
+  // A round trip on each connection: both accepts have been processed.
+  ASSERT_TRUE(first.Stats().ok());
+  ASSERT_TRUE(second.Stats().ok());
+  EXPECT_EQ(count_nodelay(), before + 2);
+}
+
 TEST_F(ServerTest, LiveBackendMutatesOverTheWire) {
   auto live_db =
       workload::GenerateBookRevDatabase(workload::BookRevOptions{});
