@@ -87,6 +87,8 @@ BENCHMARK(BM_PagedFirst10Cold)->Unit(benchmark::kMillisecond);
 void BM_PagedFirst10Warm(benchmark::State& state) {
   auto query_service = MakeService();
   service::BatchQuery query = MakeQuery();
+  // Two sightings: the cache admits a plan on its second.
+  DieOnError(query_service->SearchOne(query), "warmup");
   DieOnError(query_service->SearchOne(query), "warmup");
   engine::SearchStats last;
   for (auto _ : state) {
@@ -104,6 +106,8 @@ BENCHMARK(BM_PagedFirst10Warm)->Unit(benchmark::kMillisecond);
 void BM_PagedDrainAllWarm(benchmark::State& state) {
   auto query_service = MakeService();
   service::BatchQuery query = MakeQuery();
+  // Two sightings: the cache admits a plan on its second.
+  DieOnError(query_service->SearchOne(query), "warmup");
   DieOnError(query_service->SearchOne(query), "warmup");
   engine::SearchStats last;
   for (auto _ : state) {

@@ -130,6 +130,59 @@ void BTree::Insert(std::string_view key, std::string_view value) {
   ++size_;
 }
 
+void BTree::BulkLoad(
+    std::vector<std::pair<std::string, std::string>> entries) {
+  assert(size_ == 0 && "BulkLoad needs an empty tree");
+  assert(std::adjacent_find(entries.begin(), entries.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first >= b.first;
+                            }) == entries.end() &&
+         "BulkLoad needs strictly increasing keys");
+  if (entries.empty()) return;
+  // The level being built on: its nodes in key order, each with the
+  // smallest key of its subtree (the separator its parent needs).
+  std::vector<std::pair<Node*, std::string_view>> level;
+  level.reserve((entries.size() + kFanout - 1) / kFanout);
+  Leaf* previous = nullptr;
+  for (size_t begin = 0; begin < entries.size(); begin += kFanout) {
+    const size_t end = std::min(entries.size(), begin + kFanout);
+    Leaf* leaf = new Leaf();
+    leaf->keys.reserve(end - begin);
+    leaf->values.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      leaf->keys.push_back(std::move(entries[i].first));
+      leaf->values.push_back(std::move(entries[i].second));
+    }
+    if (previous != nullptr) previous->next = leaf;
+    previous = leaf;
+    level.emplace_back(leaf, leaf->keys.front());
+  }
+  int height = 1;
+  // An interior node holds up to kFanout keys, so kFanout + 1 children.
+  constexpr size_t kChildren = kFanout + 1;
+  while (level.size() > 1) {
+    std::vector<std::pair<Node*, std::string_view>> parents;
+    parents.reserve((level.size() + kChildren - 1) / kChildren);
+    for (size_t begin = 0; begin < level.size(); begin += kChildren) {
+      const size_t end = std::min(level.size(), begin + kChildren);
+      Interior* interior = new Interior();
+      interior->children.reserve(end - begin);
+      interior->keys.reserve(end - begin - 1);
+      for (size_t i = begin; i < end; ++i) {
+        interior->children.push_back(level[i].first);
+        if (i > begin) interior->keys.emplace_back(level[i].second);
+      }
+      parents.emplace_back(interior, level[begin].second);
+    }
+    level = std::move(parents);
+    ++height;
+  }
+  FreeNode(root_);  // the empty leaf
+  root_ = level.front().first;
+  size_ = entries.size();
+  height_ = height;
+}
+
 bool BTree::Get(std::string_view key, std::string* value) const {
   Leaf* leaf = FindLeaf(key);
   auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key,

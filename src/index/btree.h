@@ -11,13 +11,15 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace quickview::index {
 
 /// B+-tree mapping string keys to string values. Keys are unique; Insert
 /// overwrites. There is no deletion: quickview indices are bulk-built
-/// once per document, and a replaced document gets a fresh tree.
+/// once per document (BulkLoad), and a replaced document gets a fresh
+/// tree.
 ///
 /// Thread safety: thread-compatible. Lookups and scans are const and
 /// may run concurrently; Insert requires exclusion against all other
@@ -49,6 +51,13 @@ class BTree {
 
   /// Inserts or overwrites.
   void Insert(std::string_view key, std::string_view value);
+
+  /// Fills an empty tree from strictly key-ordered entries in one pass:
+  /// full leaves linked left to right, then each interior level built
+  /// bottom-up over the one below. Linear in the entry count, where
+  /// inserting the same keys one by one descends from the root per key
+  /// and leaves every leaf but the last half full.
+  void BulkLoad(std::vector<std::pair<std::string, std::string>> entries);
 
   /// Point lookup; returns false if absent (ignoring that is always a
   /// bug — `value` is untouched then).

@@ -70,14 +70,16 @@ void InvertedIndex::AddDocument(const xml::Document& doc) {
   for (auto& [text, postings] : by_term) terms.emplace_back(text, &postings);
   std::sort(terms.begin(), terms.end());
   auto by_id = [](const auto& a, const auto& b) { return *a.first < *b.first; };
+  std::vector<std::pair<std::string, std::string>> entries;
   for (auto& [text, postings] : terms) {
     if (!std::is_sorted(postings->begin(), postings->end(), by_id)) {
       std::sort(postings->begin(), postings->end(), by_id);
     }
     for (const auto& [id, tf] : *postings) {
-      tree_.Insert(MakeKey(text, *id), EncodeTf(tf));
+      entries.emplace_back(MakeKey(text, *id), EncodeTf(tf));
     }
   }
+  tree_.BulkLoad(std::move(entries));
 }
 
 std::vector<Posting> InvertedIndex::Lookup(const std::string& term) const {

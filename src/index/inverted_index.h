@@ -34,10 +34,9 @@ class InvertedIndex {
   InvertedIndex& operator=(InvertedIndex&&) = default;
 
   /// Indexes every element of `doc` by its lowercased direct terms
-  /// (xml::ForEachDirectTerm)
-  /// with their per-element counts. None of the document's ids may have a
-  /// posting yet (each posting is written once, not accumulated): postings
-  /// are grouped by term and inserted in key order.
+  /// (xml::ForEachDirectTerm) with their per-element counts. Called once,
+  /// on an empty index: postings are grouped by term and the tree is
+  /// bulk-loaded in key order.
   void AddDocument(const xml::Document& doc);
 
   /// Full postings list for `term`, Dewey-ordered. Empty if unknown.

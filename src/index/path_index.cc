@@ -151,16 +151,18 @@ void PathIndex::AddEntry(const std::string& path, const std::string& value,
 }
 
 void PathIndex::Finalize() {
-  std::string last_path;
+  // (path, value) order is key order: the separator sorts below every
+  // byte of a path.
+  std::vector<std::pair<std::string, std::string>> rows;
+  rows.reserve(pending_.size());
   for (auto& [key, entries] : pending_) {
     const auto& [path, value] = key;
-    if (path != last_path) {
-      paths_.push_back(path);
-      last_path = path;
-    }
-    tree_.Insert(MakePathValueKey(path, value), EncodePathEntryList(entries));
+    if (paths_.empty() || path != paths_.back()) paths_.push_back(path);
+    rows.emplace_back(MakePathValueKey(path, value),
+                      EncodePathEntryList(entries));
   }
   pending_.clear();
+  tree_.BulkLoad(std::move(rows));
 }
 
 std::vector<std::string> PathIndex::ExpandPattern(

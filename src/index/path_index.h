@@ -90,8 +90,8 @@ class PathIndex {
   void AddEntry(const std::string& path, const std::string& value,
                 const xml::DeweyId& id, uint64_t byte_length);
 
-  /// Moves buffered rows into the B+-tree. Lookups before Finalize()
-  /// see nothing.
+  /// Bulk-loads the buffered rows into the B+-tree; called once, after
+  /// the last AddEntry. Lookups before Finalize() see nothing.
   void Finalize();
 
   /// Distinct full data paths matching the pattern, in path order

@@ -127,7 +127,7 @@ class PdtGenerator {
       bool pulled = true;
       while (pulled) {
         pulled = false;
-        // Pulls reshape the tree but never free a node, so the path's
+        // Pulls reshape the tree but never release a node, so the path's
         // pointers (and the bottom's id) stay valid for this round.
         const std::vector<CtNode*>& lmp = ct_.LeftMostPath();
         const xml::DeweyId& bottom_id = lmp.back()->id;
@@ -135,7 +135,7 @@ class PdtGenerator {
           // Snapshot the qnode ids: Pull() may add entries to this very
           // node, reallocating `qentries` and invalidating any reference
           // held across the call. (CtNode objects themselves are stable —
-          // they are owned by unique_ptr — only the vector moves.)
+          // the tree's pool never moves them — only the vector moves.)
           qnode_snapshot_.clear();
           for (const CtQEntry& entry : node->qentries) {
             qnode_snapshot_.push_back(entry.qnode);
@@ -159,7 +159,7 @@ class PdtGenerator {
       for (CtNode* node : lmp) ProcessTopDown(node);
       // Step 3: remove the bottom node (always childless by construction
       // of the left-most path), flushing its pdt cache upward.
-      RemoveBottom(lmp.back());
+      FlushAndRemoveBottom(lmp.back());
     }
     // Entries that reached the CT root's cache with a vacuous ancestor
     // constraint are final PDT nodes.
@@ -222,7 +222,8 @@ class PdtGenerator {
     if (cursors_[list] >= pl.entries.size()) return;
     const ListEntry& entry = pl.entries[cursors_[list]++];
     ct_.AddId(entry.id, pl.depth_qnodes[entry.path_ordinal], list,
-              entry.value, entry.byte_length);
+              entry.value.has_value() ? &*entry.value : nullptr,
+              entry.byte_length);
     if (stats_ != nullptr) ++stats_->ids_processed;
   }
 
@@ -235,8 +236,8 @@ class PdtGenerator {
       bool root_parent = qpt_.nodes[entry.qnode].parent == 0;
       bool ancestors_ok = root_parent;
       if (!ancestors_ok) {
-        for (auto& [anc, idx] : entry.parent_list) {
-          if (anc->qentries[idx].in_pdt) {
+        for (const CtRef& ref : entry.parent_list) {
+          if (CandidateTree::Entry(ref).in_pdt) {
             ancestors_ok = true;
             break;
           }
@@ -252,22 +253,26 @@ class PdtGenerator {
   }
 
   /// Appends one output record; SortAndFoldPdtElements merges the records
-  /// of an id matched by several QPT nodes at the end of the build.
+  /// of an id matched by several QPT nodes at the end of the build. The
+  /// record is where a borrowed list value is copied, once.
   void Emit(CtNode* node, int qnode) {
     const qpt::QptNode& q = qpt_.nodes[qnode];
     PdtElement& out = output_.emplace_back();
     out.id = node->id;
     out.tag = q.tag;
-    if (q.v_ann) out.value = node->value;
+    if (q.v_ann && node->value != nullptr) out.value = *node->value;
     out.byte_length = node->byte_length;
     out.content = q.c_ann;
     node->emitted = true;
   }
 
-  void EmitCache(PdtCacheEntry&& x) {
-    output_.push_back(PdtElement{std::move(x.id), std::move(x.tag),
-                                 std::move(x.value), x.byte_length,
-                                 x.content});
+  void EmitCache(const PdtCacheEntry& x) {
+    PdtElement& out = output_.emplace_back();
+    out.id = x.id;
+    out.tag = *x.tag;
+    if (x.value != nullptr) out.value = *x.value;
+    out.byte_length = x.byte_length;
+    out.content = x.content;
   }
 
   void CacheCandidate(CtNode* node, const CtQEntry& entry) {
@@ -284,39 +289,40 @@ class PdtGenerator {
           }
         }
         existing.content = existing.content || qnode.c_ann;
-        if (qnode.v_ann && node->value.has_value()) {
+        if (qnode.v_ann && node->value != nullptr) {
           existing.value = node->value;
         }
         return;
       }
     }
-    PdtCacheEntry x;
+    PdtCacheEntry& x = parent->pdt_cache.emplace_back();
     x.id = node->id;
-    x.tag = qnode.tag;
-    if (qnode.v_ann) x.value = node->value;
+    x.tag = &qnode.tag;
+    x.value = qnode.v_ann ? node->value : nullptr;
     x.byte_length = node->byte_length;
     x.content = qnode.c_ann;
     x.root_parent = false;  // root-parent entries are confirmed directly
-    x.parent_list = entry.parent_list;
-    parent->pdt_cache.push_back(std::move(x));
+    x.parent_list = ct_.TakeParentList();
+    x.parent_list.assign(entry.parent_list.begin(), entry.parent_list.end());
   }
 
   /// Fig 27 lines 19-34: flush the bottom node's pdt cache (emit, drop, or
-  /// propagate with rewritten parent lists), then unlink the node.
-  void RemoveBottom(CtNode* bottom) {
+  /// propagate with rewritten parent lists), then unlink the node and
+  /// return it to the tree's pool.
+  void FlushAndRemoveBottom(CtNode* bottom) {
     CtNode* parent = bottom->parent;
     for (PdtCacheEntry& x : bottom->pdt_cache) {
       bool ancestors_ok = x.root_parent;
       if (!ancestors_ok) {
-        for (auto& [anc, idx] : x.parent_list) {
-          if (anc->qentries[idx].in_pdt) {
+        for (const CtRef& ref : x.parent_list) {
+          if (CandidateTree::Entry(ref).in_pdt) {
             ancestors_ok = true;
             break;
           }
         }
       }
       if (ancestors_ok) {
-        EmitCache(std::move(x));
+        EmitCache(x);
         continue;
       }
       // Rewrite references to the node being removed: a candidate parent
@@ -354,26 +360,21 @@ class PdtGenerator {
           }
           existing.content = existing.content || x.content;
           existing.root_parent = existing.root_parent || x.root_parent;
-          if (x.value.has_value()) existing.value = x.value;
+          if (x.value != nullptr) existing.value = x.value;
           merged = true;
           break;
         }
       }
       if (!merged) parent->pdt_cache.push_back(std::move(x));
     }
-    ct_.DecrementListCounts(*bottom);
-    --ct_.live_nodes;
-    // The bottom of the left-most path is its parent's first child.
-    assert(parent->children.front().get() == bottom);
-    parent->children.erase(parent->children.begin());
+    ct_.RemoveBottom(bottom);
   }
 
   void FlushRootCache() {
-    for (PdtCacheEntry& x : ct_.root()->pdt_cache) {
-      bool ancestors_ok = x.root_parent;
+    for (const PdtCacheEntry& x : ct_.root()->pdt_cache) {
       // Any remaining parent refs point at removed entries' survivors —
       // by the flush discipline, only in_pdt parents can remain reachable.
-      if (ancestors_ok) EmitCache(std::move(x));
+      if (x.root_parent) EmitCache(x);
     }
     ct_.root()->pdt_cache.clear();
   }
@@ -387,8 +388,8 @@ class PdtGenerator {
   /// Scratch buffer for the pull loop's per-node qnode snapshot (member to
   /// avoid reallocating once per node per round).
   std::vector<int> qnode_snapshot_;
-  /// Scratch for RemoveBottom's parent-list rewrite.
-  std::vector<std::pair<CtNode*, int>> rewritten_;
+  /// Scratch for FlushAndRemoveBottom's parent-list rewrite.
+  ParentList rewritten_;
   /// Emitted records in emission order, folded once at the end.
   std::vector<PdtElement> output_;
 };

@@ -1,13 +1,17 @@
 #include "service/prepared_query_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <utility>
 
 namespace quickview::service {
 
 PreparedQueryCache::PreparedQueryCache(const Options& options)
-    : capacity_(options.capacity), max_bytes_(options.max_bytes) {
+    : capacity_(options.capacity),
+      max_bytes_(options.max_bytes),
+      doorkeeper_(options.capacity == 0 ? 0
+                                        : std::bit_ceil(options.capacity)) {
   size_t shard_count = std::max<size_t>(1, options.shards);
   if (options.capacity == 0) {
     // Disabled: one empty shard.
@@ -62,6 +66,43 @@ void PreparedQueryCache::Put(
   EvictLocked(&shard);
 }
 
+bool PreparedQueryCache::Sighted(uint64_t sighting) {
+  // The bucket comes from a multiplicative remix of the sighting; the
+  // whole hash, low bit forced, is the fingerprint. Concurrent first
+  // sightings of one plan may both miss it, and a race may store a
+  // fingerprint twice: either costs one more sighting, never a wrong
+  // entry.
+  DoorkeeperBucket& bucket =
+      doorkeeper_[((sighting * 0x9e3779b97f4a7c15ull) >> 32) &
+                  (doorkeeper_.size() - 1)];
+  const uint64_t fingerprint = sighting | 1;
+  for (const std::atomic<uint64_t>& way : bucket.ways) {
+    if (way.load(std::memory_order_relaxed) == fingerprint) return true;
+  }
+  for (std::atomic<uint64_t>& way : bucket.ways) {
+    uint64_t empty = 0;
+    if (way.compare_exchange_strong(empty, fingerprint,
+                                    std::memory_order_relaxed)) {
+      return false;
+    }
+  }
+  bucket.ways[(sighting >> 8) % DoorkeeperBucket::kWays].store(
+      fingerprint, std::memory_order_relaxed);
+  return false;
+}
+
+bool PreparedQueryCache::Offer(
+    const std::string& key, uint64_t sighting,
+    std::shared_ptr<const engine::PreparedQuery> prepared) {
+  if (capacity_ == 0 || prepared == nullptr) return false;
+  if (!Sighted(sighting)) {
+    declined_.Increment();
+    return false;
+  }
+  Put(key, std::move(prepared));
+  return true;
+}
+
 void PreparedQueryCache::EvictLocked(Shard* shard) {
   // Budgets are global; the inserting shard pays while the cache as a
   // whole is over one of them — but never with the entry just inserted
@@ -98,7 +139,7 @@ void PreparedQueryCache::Clear() {
 
 PreparedQueryCache::Stats PreparedQueryCache::stats() const {
   return Stats{hits_.value(), misses_.value(), insertions_.value(),
-               evictions_.value()};
+               evictions_.value(), declined_.value()};
 }
 
 Status PreparedQueryCache::RegisterMetrics(obs::MetricsRegistry* registry,
@@ -111,6 +152,8 @@ Status PreparedQueryCache::RegisterMetrics(obs::MetricsRegistry* registry,
                                                labels, &insertions_));
   QV_RETURN_IF_ERROR(registry->RegisterCounter("qv_pdtcache_evictions_total",
                                                labels, &evictions_));
+  QV_RETURN_IF_ERROR(registry->RegisterCounter("qv_pdtcache_declined_total",
+                                               labels, &declined_));
   QV_RETURN_IF_ERROR(registry->RegisterCallback(
       "qv_pdtcache_entries", labels,
       obs::MetricsRegistry::InstrumentKind::kGauge, [this]() -> int64_t {

@@ -16,6 +16,15 @@
 // per-shard quota thrashed exactly that way: any change to the key
 // format reshuffles every hash, and a shard that drew more than
 // capacity/shards hot keys evicted them on every round robin.)
+//
+// Admission: Put stores unconditionally; Offer stores only a plan sighted
+// before (TinyLFU's doorkeeper, Einziger, Friedman & Manes). A one-shot
+// plan's PDTs are built, served and dropped without ever taking cache
+// memory or evicting a plan that recurs. The doorkeeper is a fixed,
+// lock-free table of 64-bit fingerprints sized from `capacity`: one
+// bucket of eight per cache entry. A sighting that finds its bucket full
+// overwrites a pseudo-random one of the eight, so the table forgets old
+// one-shot plans by itself and never grows with the number of plans.
 #ifndef QUICKVIEW_SERVICE_PREPARED_QUERY_CACHE_H_
 #define QUICKVIEW_SERVICE_PREPARED_QUERY_CACHE_H_
 
@@ -51,6 +60,8 @@ class PreparedQueryCache {
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
+    /// Offers refused because the plan had not been sighted before.
+    uint64_t declined = 0;
   };
 
   explicit PreparedQueryCache(const Options& options);
@@ -64,12 +75,27 @@ class PreparedQueryCache {
   void Put(const std::string& key,
            std::shared_ptr<const engine::PreparedQuery> prepared);
 
+  /// Put on the second sighting: `sighting` hashes the plan's admission
+  /// key, which may stay the same across several cache keys (the service
+  /// leaves its version pair out). Records the sighting; Puts only when
+  /// it was recorded before, and otherwise counts a declined admission.
+  /// Returns whether `prepared` was put.
+  bool Offer(const std::string& key, uint64_t sighting,
+             std::shared_ptr<const engine::PreparedQuery> prepared);
+
   /// Drops every entry (in-flight queries keep their references alive).
+  /// The doorkeeper keeps its sightings, so a plan seen before is
+  /// admitted again on its next miss.
   void Clear();
 
   /// Thin view over the cache's registry instruments.
   Stats stats() const;
   size_t size() const;
+  /// The doorkeeper's fixed fingerprint count (0 when caching is
+  /// disabled).
+  size_t doorkeeper_slots() const {
+    return doorkeeper_.size() * DoorkeeperBucket::kWays;
+  }
 
   /// Registers the cache's instruments (qv_pdtcache_*) under `labels`.
   /// The cache must outlive the registry reads.
@@ -81,6 +107,11 @@ class PreparedQueryCache {
     std::string key;
     std::shared_ptr<const engine::PreparedQuery> prepared;
   };
+  /// One cache line of sighting fingerprints (0 = empty).
+  struct alignas(64) DoorkeeperBucket {
+    static constexpr size_t kWays = 8;
+    std::atomic<uint64_t> ways[kWays];
+  };
   struct Shard {
     qv::Mutex mu;
     std::list<Entry> lru QV_GUARDED_BY(mu);  // front = most recently used
@@ -89,6 +120,8 @@ class PreparedQueryCache {
   };
 
   Shard& ShardFor(const std::string& key);
+  /// Records `sighting`; true iff it was recorded before.
+  bool Sighted(uint64_t sighting);
   void EvictLocked(Shard* shard) QV_REQUIRES(shard->mu);
 
   size_t capacity_;     // global entry budget (0 = caching disabled)
@@ -96,11 +129,16 @@ class PreparedQueryCache {
   std::atomic<size_t> total_entries_{0};
   std::atomic<uint64_t> total_bytes_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Indexed by the sighting's own hash, not by cache shard: one plan's
+  /// keys at different versions land in different shards but share a
+  /// bucket. A power of two in size.
+  std::vector<DoorkeeperBucket> doorkeeper_;
   // Registry-native counters (relaxed atomics, lock-free reads).
   mutable obs::Counter hits_;
   mutable obs::Counter misses_;
   mutable obs::Counter insertions_;
   mutable obs::Counter evictions_;
+  mutable obs::Counter declined_;
 };
 
 }  // namespace quickview::service

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -158,7 +159,7 @@ Result<QueryService::ViewSnapshot> QueryService::SnapshotView(
 }
 
 std::string QueryService::BaseCacheKey(const std::string& view_name,
-                                       const ViewSnapshot& view,
+                                       const ViewSnapshot* view,
                                        const std::string& signature) {
   // Length-prefix the view name so no name can collide with another
   // name + version suffix; the plan signature is injective on its own.
@@ -168,10 +169,12 @@ std::string QueryService::BaseCacheKey(const std::string& view_name,
   std::string key = std::to_string(view_name.size());
   key.push_back(':');
   key.append(view_name);
-  key.push_back('#');
-  key.append(std::to_string(view.version));
-  key.push_back('.');
-  key.append(std::to_string(view.data_version));
+  if (view != nullptr) {
+    key.push_back('#');
+    key.append(std::to_string(view->version));
+    key.push_back('.');
+    key.append(std::to_string(view->data_version));
+  }
   key.push_back('\x1f');
   key.append(signature);
   return key;
@@ -203,7 +206,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
       view.text, query.keywords, query.options.conjunctive);
   QUICKVIEW_ASSIGN_OR_RETURN(engine::QueryPlan plan,
                              engine.PlanQuery(full_query));
-  const std::string base = BaseCacheKey(query.view, view, plan.signature);
+  const std::string base = BaseCacheKey(query.view, &view, plan.signature);
 
   // The request's deadline (and caller token) governs PDT build and
   // evaluation; the shard hint is the engine's to validate.
@@ -245,12 +248,19 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   // cursor's snapshot.
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
                              engine.Open(request, prepared));
-  // Backfill the shards the engine had to build, so the next query over
-  // them hits.
+  // Offer the shards the engine had to build to the cache, which admits
+  // a plan on its second sighting. The admission key leaves the version
+  // pair out, so a plan seen before a re-registration or a write is
+  // admitted on its first miss after it.
+  std::string admission;
   for (size_t slot = 0; slot < keys.size(); ++slot) {
-    if (prepared[slot] == nullptr) {
-      cache_.Put(keys[slot], cursor->SharedPrepared(slot));
+    if (prepared[slot] != nullptr) continue;
+    if (admission.empty()) {
+      admission = BaseCacheKey(query.view, /*view=*/nullptr, plan.signature);
     }
+    const uint64_t sighting = std::hash<std::string>{}(
+        admission + "/s" + std::to_string(selected[slot]));
+    cache_.Offer(keys[slot], sighting, cursor->SharedPrepared(slot));
   }
   if (lease != nullptr) cursor->AddLease(std::move(lease));
   return cursor;

@@ -3,6 +3,9 @@
 // views execute concurrently on a fixed thread pool, sharing one
 // PreparedQueryCache so identical plans (same view, same QPT signature,
 // same keywords) reuse already-generated PDTs instead of rebuilding them.
+// A plan's PDTs enter the cache on its second sighting
+// (PreparedQueryCache::Offer), so a one-shot plan never takes cache
+// memory or evicts a plan that recurs.
 //
 // The result surface is pull-based: OpenSearch returns a session-handle
 // ResultCursor whose FetchNext(n) materializes hits lazily (pagination
@@ -167,7 +170,8 @@ class QueryService {
   /// public so callers can bypass the pool): OpenSearch + drain.
   Result<engine::SearchResponse> SearchOne(const BatchQuery& query);
 
-  /// Drops all cached PDTs (cold-cache measurements, corpus swaps).
+  /// Drops all cached PDTs (cold-cache measurements, corpus swaps); plans
+  /// sighted before are admitted again on their next miss.
   void ClearCache() { cache_.Clear(); }
 
   Stats stats() const;
@@ -216,9 +220,11 @@ class QueryService {
 
   /// The shard-independent cache key prefix: length-prefixed view name,
   /// version pair, plan signature (see PrepareCursor for why each part
-  /// is there). Per-shard keys append "/s<i>".
+  /// is there). Per-shard keys append "/s<i>". With `view` null the
+  /// version pair is left out: that is the plan's admission key, the
+  /// same before and after a re-registration or a write.
   static std::string BaseCacheKey(const std::string& view_name,
-                                  const ViewSnapshot& view,
+                                  const ViewSnapshot* view,
                                   const std::string& signature);
 
   /// The tail of OpenSearch once the corpus surface is fixed: plan,

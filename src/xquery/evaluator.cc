@@ -60,10 +60,19 @@ Evaluator::Binding& Evaluator::PushBinding(const std::string& name) {
 }
 
 const Sequence* Evaluator::Lookup(const std::string& name) const {
-  for (size_t i = depth_; i-- > 0;) {
+  for (size_t i = depth_; i-- > frame_floor_;) {
     if (*bindings_[i].name == name) return &bindings_[i].value;
   }
   return nullptr;
+}
+
+Status Evaluator::UnboundVariable(const std::string& name) const {
+  if (frame_ != nullptr) {
+    return Status::InvalidArgument(
+        "XPST0008: variable $" + name + " is not in scope in function " +
+        frame_->name + " (a function body sees only its parameters)");
+  }
+  return Status::EvalError("unbound variable $" + name);
 }
 
 Evaluator::Evaluator(const xml::Database* database)
@@ -334,9 +343,7 @@ Status Evaluator::Eval(const Expr& expr, Sequence* out) {
     case ExprKind::kVar: {
       const auto& var = static_cast<const VarExpr&>(expr);
       const Sequence* bound = Lookup(var.name);
-      if (bound == nullptr) {
-        return Status::EvalError("unbound variable $" + var.name);
-      }
+      if (bound == nullptr) return UnboundVariable(var.name);
       out->insert(out->end(), bound->begin(), bound->end());
       return Status::OK();
     }
@@ -512,9 +519,7 @@ Status Evaluator::EvalPath(const PathExpr& path, Sequence* out) {
   if (path.source->kind == ExprKind::kVar && path.predicates.empty()) {
     const auto& var = static_cast<const VarExpr&>(*path.source);
     const Sequence* bound = Lookup(var.name);
-    if (bound == nullptr) {
-      return Status::EvalError("unbound variable $" + var.name);
-    }
+    if (bound == nullptr) return UnboundVariable(var.name);
     current = *bound;
   } else {
     QV_RETURN_IF_ERROR(Eval(*path.source, source.get()));
@@ -780,7 +785,8 @@ Status Evaluator::CallFunction(const FunctionDecl& decl,
                                const FunctionCallExpr& call, Sequence* out) {
   // Every argument sees the caller's bindings only, so all are evaluated
   // (into one scratch sequence, split at `ends`) before any parameter is
-  // bound. The body sees the caller's bindings under its parameters.
+  // bound. The body sees its parameters and nothing of the caller's: its
+  // frame floor hides every binding below them.
   Scratch args(this);
   std::vector<size_t> ends;
   ends.reserve(call.args.size());
@@ -796,7 +802,13 @@ Status Evaluator::CallFunction(const FunctionDecl& decl,
                       args->begin() + static_cast<std::ptrdiff_t>(ends[i]));
     begin = ends[i];
   }
+  const size_t caller_floor = frame_floor_;
+  const FunctionDecl* caller = frame_;
+  frame_floor_ = depth;
+  frame_ = &decl;
   Status status = Eval(*decl.body, out);
+  frame_floor_ = caller_floor;
+  frame_ = caller;
   depth_ = depth;
   return status;
 }

@@ -187,8 +187,15 @@ class Evaluator {
   Status BuildJoinIndex(const FlworExpr& flwor, const FlworPlan& plan,
                         JoinIndex* index);
 
-  /// Innermost binding of `name`, or nullptr when unbound.
+  /// Innermost binding of `name` visible in the current scope, or
+  /// nullptr when unbound. Inside a function body the search stops at the
+  /// call's frame floor: the body sees its parameters and its own
+  /// bindings, never its callers'.
   const Sequence* Lookup(const std::string& name) const;
+  /// The error for a variable Lookup did not find: a free variable of a
+  /// function body is a static error (XQuery's XPST0008), reported as
+  /// InvalidArgument naming it; elsewhere it is an EvalError.
+  Status UnboundVariable(const std::string& name) const;
   Binding& PushBinding(const std::string& name);
 
   const xml::Database* database_;
@@ -198,8 +205,12 @@ class Evaluator {
   int call_depth_ = 0;            // guards against recursive functions
 
   // Binding stack: slots [0, depth_) are live; deque slots never move.
+  // Slots below frame_floor_ belong to the callers of `frame_`, the
+  // function whose body is being evaluated (nullptr outside any call).
   std::deque<Binding> bindings_;
   size_t depth_ = 0;
+  size_t frame_floor_ = 0;
+  const FunctionDecl* frame_ = nullptr;
   // Scratch pool: sequences [0, scratch_top_) are borrowed.
   std::deque<Sequence> scratch_;
   size_t scratch_top_ = 0;

@@ -122,5 +122,58 @@ TEST(BTreeTest, RandomizedAgainstStdMap) {
   EXPECT_EQ(ref_it, reference.end());
 }
 
+// A bulk-loaded tree is the same map as one built by Insert: same
+// iteration, point lookups, seeks and prefix scans, on random keys and
+// at sizes around the leaf and interior fan-outs.
+TEST(BTreeTest, BulkLoadMatchesInsertBuiltTree) {
+  std::mt19937 rng(20070923);
+  const char kAlphabet[] = "abcx\x01";
+  auto random_key = [&rng, &kAlphabet](size_t max_len) {
+    std::string key;
+    const size_t len = 1 + rng() % max_len;
+    for (size_t i = 0; i < len; ++i) key.push_back(kAlphabet[rng() % 5]);
+    return key;
+  };
+  for (size_t n : {0u, 1u, 63u, 64u, 65u, 500u, 4160u, 4225u, 20000u}) {
+    std::map<std::string, std::string> model;
+    while (model.size() < n) {
+      model.emplace(random_key(12), std::to_string(rng()));
+    }
+    BTree inserted;
+    for (const auto& [key, value] : model) inserted.Insert(key, value);
+    BTree bulk;
+    bulk.BulkLoad({model.begin(), model.end()});
+    ASSERT_EQ(bulk.size(), model.size()) << n;
+    EXPECT_LE(bulk.height(), inserted.height()) << n;
+
+    BTree::Iterator a = inserted.Begin();
+    BTree::Iterator b = bulk.Begin();
+    for (; a.Valid(); a.Next(), b.Next()) {
+      ASSERT_TRUE(b.Valid()) << n;
+      ASSERT_EQ(a.key(), b.key());
+      ASSERT_EQ(a.value(), b.value());
+    }
+    EXPECT_FALSE(b.Valid()) << n;
+
+    for (int probe = 0; probe < 300; ++probe) {
+      const std::string key = random_key(12);
+      std::string from_inserted = "unset";
+      std::string from_bulk = "unset";
+      ASSERT_EQ(inserted.Get(key, &from_inserted), bulk.Get(key, &from_bulk))
+          << key;
+      EXPECT_EQ(from_inserted, from_bulk) << key;
+      BTree::Iterator si = inserted.Seek(key);
+      BTree::Iterator sb = bulk.Seek(key);
+      ASSERT_EQ(si.Valid(), sb.Valid()) << key;
+      if (si.Valid()) {
+        EXPECT_EQ(si.key(), sb.key()) << key;
+      }
+      const std::string prefix = random_key(3);
+      EXPECT_EQ(inserted.PrefixScan(prefix), bulk.PrefixScan(prefix))
+          << prefix;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace quickview::index

@@ -195,6 +195,36 @@ TEST_F(EvaluatorExtendedTest, ArgumentsSeeCallerBindingsNotParameters) {
   EXPECT_EQ(xml::Serialize(*first.doc, first.index), "<g><v>abc</v></g>");
 }
 
+TEST_F(EvaluatorExtendedTest, FunctionBodyDoesNotSeeCallerBindings) {
+  // Function bodies are scoped statically: the caller's $x is not in
+  // scope in f's body, so the free $x is XQuery's static error XPST0008.
+  auto result = Run(
+      "declare function f($y) { $x/v } "
+      "for $x in fn:doc(data.xml)//n return f(1)");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("$x"), std::string::npos)
+      << result.status();
+  EXPECT_NE(result.status().message().find("XPST0008"), std::string::npos)
+      << result.status();
+  // The same name bound as a parameter, or inside the body, is in scope;
+  // a nested call's body again sees only its own parameters.
+  auto bound = Run(
+      "declare function g($x) { $x/v } "
+      "declare function h($y) { for $x in $y return g($x) } "
+      "for $x in fn:doc(data.xml)//s return h(fn:doc(data.xml)//n)");
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_EQ(bound->size(), 6u);
+  auto nested = Run(
+      "declare function inner($a) { $b } "
+      "declare function outer($b) { inner($b) } "
+      "outer(fn:doc(data.xml)//n)");
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nested.status().message().find("$b"), std::string::npos)
+      << nested.status();
+}
+
 TEST_F(EvaluatorExtendedTest, NestedConstructorsKeepChildAndDocumentOrder) {
   // Directly nested constructors are built in place under their parent,
   // interleaved with copied content; a multi-node step over the

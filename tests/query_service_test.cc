@@ -4,6 +4,7 @@
 #include "service/query_service.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "storage/document_store.h"
 #include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
+#include "xml/serializer.h"
 
 namespace quickview::service {
 namespace {
@@ -98,10 +100,12 @@ TEST_F(QueryServiceTest, ConcurrentIdenticalBatchMatchesSerial) {
   ASSERT_TRUE(expected.ok());
   ASSERT_FALSE(expected->hits.empty());
 
-  // Warm the cache with one serial call so the batch counters below are
-  // deterministic (no warm-up race between workers).
+  // Warm the cache with serial calls so the batch counters below are
+  // deterministic (no warm-up race between workers); the cache admits a
+  // plan on its second sighting.
   ASSERT_TRUE(service->SearchOne(query).ok());
-  EXPECT_EQ(service->stats().cache.misses, 1u);
+  ASSERT_TRUE(service->SearchOne(query).ok());
+  EXPECT_EQ(service->stats().cache.misses, 2u);
 
   constexpr size_t kBatch = 32;
   std::vector<BatchQuery> batch(kBatch, query);
@@ -112,8 +116,8 @@ TEST_F(QueryServiceTest, ConcurrentIdenticalBatchMatchesSerial) {
     ExpectSameResponse(*expected, *response);
   }
   EXPECT_EQ(service->stats().cache.hits, kBatch);
-  EXPECT_EQ(service->stats().cache.misses, 1u);
-  EXPECT_EQ(service->stats().queries, kBatch + 1);
+  EXPECT_EQ(service->stats().cache.misses, 2u);
+  EXPECT_EQ(service->stats().queries, kBatch + 2);
 }
 
 TEST_F(QueryServiceTest, ConcurrentDistinctBatchMatchesSerial) {
@@ -151,6 +155,11 @@ TEST_F(QueryServiceTest, ConcurrentDistinctBatchMatchesSerial) {
 TEST_F(QueryServiceTest, CacheEvictsLruAtCapacity) {
   auto service = MakeService(/*threads=*/2, /*cache_capacity=*/2,
                              /*cache_shards=*/1);
+  // Warm-up sightings: the cache admits a plan on its second sighting.
+  for (const auto& keywords : KeywordSets()) {
+    BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+    ASSERT_TRUE(service->SearchOne(query).ok());
+  }
   for (const auto& keywords : KeywordSets()) {
     BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
     ASSERT_TRUE(service->SearchOne(query).ok());
@@ -192,12 +201,15 @@ TEST_F(QueryServiceTest, SameSignatureViewsNeverCrossHit) {
   BatchQuery alpha{"alpha", {"xml"}, engine::SearchOptions{}};
   BatchQuery beta{"beta", {"xml"}, engine::SearchOptions{}};
 
+  // Warm-up sightings: the cache admits a plan on its second sighting.
+  ASSERT_TRUE(service->SearchOne(alpha).ok());
+  ASSERT_TRUE(service->SearchOne(beta).ok());
   auto alpha_before = service->SearchOne(alpha);
   ASSERT_TRUE(alpha_before.ok());
   auto beta_before = service->SearchOne(beta);
   ASSERT_TRUE(beta_before.ok());
-  // Same text, same plan — but distinct cache entries (2 misses).
-  EXPECT_EQ(service->stats().cache.misses, 2u);
+  // Same text, same plan — but distinct cache entries (2 misses each).
+  EXPECT_EQ(service->stats().cache.misses, 4u);
   ExpectSameResponse(*alpha_before, *beta_before);
 
   // Update beta to a different view; alpha's cached entry must survive
@@ -207,12 +219,12 @@ TEST_F(QueryServiceTest, SameSignatureViewsNeverCrossHit) {
   ASSERT_TRUE(service->RegisterView("beta", new_view).ok());
   auto alpha_after = service->SearchOne(alpha);
   ASSERT_TRUE(alpha_after.ok());
-  EXPECT_EQ(service->stats().cache.misses, 2u);  // alpha: cache hit
+  EXPECT_EQ(service->stats().cache.misses, 4u);  // alpha: cache hit
   ExpectSameResponse(*alpha_before, *alpha_after);
 
   auto beta_after = service->SearchOne(beta);
   ASSERT_TRUE(beta_after.ok());
-  EXPECT_EQ(service->stats().cache.misses, 3u);  // beta: rebuilt
+  EXPECT_EQ(service->stats().cache.misses, 5u);  // beta: rebuilt
   auto expected = ExecView(*engine_, new_view, beta.keywords, beta.options);
   ASSERT_TRUE(expected.ok());
   ExpectSameResponse(*expected, *beta_after);
@@ -249,6 +261,15 @@ TEST_F(QueryServiceTest, OpenCursorSurvivesCacheEviction) {
                            query.keywords, query.options);
   ASSERT_TRUE(expected.ok());
   ASSERT_GE(expected->hits.size(), 4u);
+
+  // Warm-up sightings: the cache admits a plan on its second sighting.
+  ASSERT_TRUE(service->SearchOne(query).ok());
+  for (const auto& keywords : KeywordSets()) {
+    ASSERT_TRUE(
+        service->SearchOne(BatchQuery{"bookrev", keywords,
+                                      engine::SearchOptions{}})
+            .ok());
+  }
 
   auto cursor = service->OpenSearch(query);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
@@ -324,6 +345,117 @@ TEST_F(QueryServiceTest, RejectsQuoteBearingKeyword) {
   auto response = service->SearchOne(query);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Second-sighting admission: a plan's PDTs enter the cache only once the
+// plan has been built before.
+TEST_F(QueryServiceTest, OneShotPlansNeverEnterTheCache) {
+  auto service = MakeService(/*threads=*/2);
+  constexpr size_t kPlans = 40;
+  for (size_t i = 0; i < kPlans; ++i) {
+    BatchQuery query{"bookrev", {"xml", "w" + std::to_string(i)},
+                     engine::SearchOptions{}};
+    query.options.conjunctive = false;
+    ASSERT_TRUE(service->SearchOne(query).ok());
+  }
+  PreparedQueryCache::Stats cache = service->stats().cache;
+  EXPECT_EQ(cache.misses, kPlans);
+  EXPECT_EQ(cache.declined, kPlans);
+  EXPECT_EQ(cache.insertions, 0u);
+  EXPECT_EQ(cache.evictions, 0u);
+}
+
+TEST_F(QueryServiceTest, SecondSightingAdmits) {
+  auto service = MakeService(/*threads=*/2);
+  BatchQuery query{"bookrev", {"xml", "search"}, engine::SearchOptions{}};
+  auto expected = ExecView(*engine_, workload::BookRevView(), query.keywords,
+                           query.options);
+  ASSERT_TRUE(expected.ok());
+  for (int sighting = 1; sighting <= 3; ++sighting) {
+    auto response = service->SearchOne(query);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ExpectSameResponse(*expected, *response);
+  }
+  PreparedQueryCache::Stats cache = service->stats().cache;
+  EXPECT_EQ(cache.declined, 1u);    // first sighting
+  EXPECT_EQ(cache.insertions, 1u);  // second sighting
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.hits, 1u);        // third
+}
+
+TEST_F(QueryServiceTest, PlanSeenBeforeReRegistrationIsAdmittedOnFirstMiss) {
+  auto service = MakeService(/*threads=*/1);
+  BatchQuery query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  ASSERT_TRUE(service->SearchOne(query).ok());
+  EXPECT_EQ(service->stats().cache.declined, 1u);
+  // Same text again: the version bump changes every cache key of the
+  // view, but not the plan's admission key.
+  ASSERT_TRUE(service->RegisterView("bookrev", workload::BookRevView()).ok());
+  ASSERT_TRUE(service->SearchOne(query).ok());
+  PreparedQueryCache::Stats cache = service->stats().cache;
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.declined, 1u);
+  EXPECT_EQ(cache.insertions, 1u);
+  ASSERT_TRUE(service->SearchOne(query).ok());
+  EXPECT_EQ(service->stats().cache.hits, 1u);
+}
+
+TEST_F(QueryServiceTest, PlanSeenBeforeAWriteIsAdmittedOnFirstMiss) {
+  storage::LiveDatabase live;
+  QueryServiceOptions options;
+  options.threads = 1;
+  QueryService service(&live, options);
+  for (const auto& [name, doc] : db_->documents()) {
+    ASSERT_TRUE(service.InsertDocument(name, xml::Serialize(*doc)).ok());
+  }
+  ASSERT_TRUE(service.RegisterView("bookrev", workload::BookRevView()).ok());
+  BatchQuery query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  ASSERT_TRUE(service.SearchOne(query).ok());
+  EXPECT_EQ(service.stats().cache.declined, 1u);
+  // Rewriting a document the view reads bumps the view's data epoch.
+  ASSERT_TRUE(service
+                  .InsertDocument("reviews.xml",
+                                  xml::Serialize(
+                                      *db_->GetDocument("reviews.xml")))
+                  .ok());
+  auto after = service.SearchOne(query);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  PreparedQueryCache::Stats cache = service.stats().cache;
+  EXPECT_EQ(cache.misses, 2u);
+  EXPECT_EQ(cache.declined, 1u);
+  EXPECT_EQ(cache.insertions, 1u);
+  auto hit = service.SearchOne(query);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(service.stats().cache.hits, 1u);
+  ExpectSameResponse(*after, *hit);
+}
+
+TEST(PreparedQueryCacheTest, DoorkeeperMemoryDoesNotGrowWithDistinctPlans) {
+  PreparedQueryCache::Options options;
+  options.capacity = 4;
+  options.shards = 1;
+  PreparedQueryCache cache(options);
+  const size_t slots = cache.doorkeeper_slots();
+  EXPECT_GT(slots, 0u);
+  auto prepared = std::make_shared<const engine::PreparedQuery>();
+  constexpr uint64_t kPlans = 100000;
+  for (uint64_t plan = 0; plan < kPlans; ++plan) {
+    const uint64_t sighting = std::hash<std::string>{}(std::to_string(plan));
+    EXPECT_FALSE(cache.Offer("p" + std::to_string(plan), sighting, prepared));
+  }
+  EXPECT_EQ(cache.doorkeeper_slots(), slots);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().declined, kPlans);
+  // The newest sighting is still remembered.
+  const uint64_t last = std::hash<std::string>{}(std::to_string(kPlans - 1));
+  EXPECT_TRUE(cache.Offer("last", last, prepared));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+
+  PreparedQueryCache disabled(PreparedQueryCache::Options{0, 1, 0});
+  EXPECT_EQ(disabled.doorkeeper_slots(), 0u);
+  EXPECT_FALSE(disabled.Offer("k", 1, prepared));
+  EXPECT_FALSE(disabled.Offer("k", 1, prepared));
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

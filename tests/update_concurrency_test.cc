@@ -96,9 +96,11 @@ TEST(UpdateConcurrencyTest, UnrelatedMutationsNeverPerturbQueries) {
   engine::SearchResponse expected =
       ExpectedFor(BooksXml(0, 6), query.keywords, query.options);
   // Warm the single plan serially so the miss counter below is exact
-  // (no warm-up race between the reader threads).
+  // (no warm-up race between the reader threads); the cache admits a
+  // plan on its second sighting.
   ASSERT_TRUE(service.SearchOne(query).ok());
-  ASSERT_EQ(service.stats().cache.misses, 1u);
+  ASSERT_TRUE(service.SearchOne(query).ok());
+  ASSERT_EQ(service.stats().cache.misses, 2u);
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -140,7 +142,7 @@ TEST(UpdateConcurrencyTest, UnrelatedMutationsNeverPerturbQueries) {
   EXPECT_EQ(failures.load(), 0);
   // The view's documents never changed: the warm PDT entry stayed valid
   // through 100+ unrelated mutations.
-  EXPECT_EQ(service.stats().cache.misses, 1u);
+  EXPECT_EQ(service.stats().cache.misses, 2u);
   EXPECT_GE(service.stats().documents_inserted, 120u);
 }
 

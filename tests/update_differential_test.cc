@@ -438,6 +438,9 @@ TEST(UpdateDifferentialTest, MutationInvalidatesOnlyReferencingViews) {
   service::BatchQuery books_query{"allbooks", {"xml"},
                                   engine::SearchOptions{}};
   service::BatchQuery rev_query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  // Two sightings each: the cache admits a plan on its second.
+  ASSERT_TRUE(service.SearchOne(books_query).ok());
+  ASSERT_TRUE(service.SearchOne(rev_query).ok());
   ASSERT_TRUE(service.SearchOne(books_query).ok());
   ASSERT_TRUE(service.SearchOne(rev_query).ok());
   uint64_t misses = service.stats().cache.misses;
