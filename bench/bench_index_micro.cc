@@ -1,40 +1,11 @@
-// Microbenchmarks for the index substrates: B+-tree point ops, path-index
-// probes (the unit of PrepareLists cost) and inverted-list scans.
+// Microbenchmarks for the two index probes PrepareLists issues: per-path
+// rows for a path pattern and one term's inverted list.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
-#include "index/btree.h"
 
 namespace quickview::bench {
 namespace {
-
-void BM_BTreeInsert(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    index::BTree tree;
-    state.ResumeTiming();
-    for (int i = 0; i < state.range(0); ++i) {
-      tree.Insert("key" + std::to_string(i), "value");
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BTreeInsert)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_BTreeGet(benchmark::State& state) {
-  index::BTree tree;
-  for (int i = 0; i < state.range(0); ++i) {
-    tree.Insert("key" + std::to_string(i), "value");
-  }
-  int i = 0;
-  std::string value;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.Get("key" + std::to_string(i++ % state.range(0)), &value));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BTreeGet)->Arg(1000)->Arg(100000);
 
 void BM_PathIndexProbe(benchmark::State& state) {
   workload::InexOptions opts;
@@ -45,8 +16,8 @@ void BM_PathIndexProbe(benchmark::State& state) {
                              index::PathStep{true, "article"},
                              index::PathStep{false, "year"}};
   for (auto _ : state) {
-    auto entries = index.LookUpIdValue(pattern);
-    benchmark::DoNotOptimize(entries);
+    auto rows = index.LookUpPerPath(pattern, /*with_values=*/true);
+    benchmark::DoNotOptimize(rows);
   }
 }
 BENCHMARK(BM_PathIndexProbe)->Unit(benchmark::kMicrosecond);

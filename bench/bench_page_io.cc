@@ -65,10 +65,18 @@ engine::SearchOptions MakeOptions() {
   return options;
 }
 
+engine::SearchRequest MakeRequest() {
+  engine::SearchRequest request;
+  request.view = workload::BookRevView();
+  request.keywords = {"xml", "search", "web", "database"};
+  request.options = MakeOptions();
+  return request;
+}
+
 std::string MakeQueryText() {
-  return engine::ComposeKeywordQuery(
-      workload::BookRevView(), {"xml", "search", "web", "database"},
-      /*conjunctive=*/false);
+  const engine::SearchRequest request = MakeRequest();
+  return engine::ComposeKeywordQuery(request.view, request.keywords,
+                                     request.options.conjunctive);
 }
 
 constexpr size_t kPage = 10;
@@ -92,7 +100,7 @@ void ReportPageIo(benchmark::State& state, const engine::SearchStats& stats,
 void RunPackedCold(benchmark::State& state, size_t fetch_all) {
   PageIoFixture& fixture = GetPageIoFixture();
   const std::string query = MakeQueryText();
-  const engine::SearchOptions options = MakeOptions();
+  const engine::SearchRequest request = MakeRequest();
   pagestore::BufferPoolOptions pool;
   pool.frames = static_cast<size_t>(state.range(0));
   engine::SearchStats last;
@@ -106,7 +114,7 @@ void RunPackedCold(benchmark::State& state, size_t fetch_all) {
     auto plan = DieOnError(engine.PlanQuery(query), "PlanQuery");
     auto prepared = DieOnError(engine.BuildPdts(std::move(plan)),
                                "BuildPdts");
-    auto cursor = DieOnError(engine.Open(prepared, options), "Open");
+    auto cursor = DieOnError(engine.Open(request, {prepared}), "Open");
     auto hits = DieOnError(
         cursor->FetchNext(fetch_all ? cursor->pending() : kPage),
         "FetchNext");
@@ -138,7 +146,7 @@ BENCHMARK(BM_PageIoDrainAllCold)
 void BM_PageIoInMemoryFirst10(benchmark::State& state) {
   PageIoFixture& fixture = GetPageIoFixture();
   const std::string query = MakeQueryText();
-  const engine::SearchOptions options = MakeOptions();
+  const engine::SearchRequest request = MakeRequest();
   engine::ViewSearchEngine engine(fixture.db.get(), fixture.indexes.get(),
                                   fixture.mem_store.get());
   engine::SearchStats last;
@@ -146,7 +154,7 @@ void BM_PageIoInMemoryFirst10(benchmark::State& state) {
     auto plan = DieOnError(engine.PlanQuery(query), "PlanQuery");
     auto prepared = DieOnError(engine.BuildPdts(std::move(plan)),
                                "BuildPdts");
-    auto cursor = DieOnError(engine.Open(prepared, options), "Open");
+    auto cursor = DieOnError(engine.Open(request, {prepared}), "Open");
     auto hits = DieOnError(cursor->FetchNext(kPage), "FetchNext");
     benchmark::DoNotOptimize(hits);
     last = cursor->stats().search;

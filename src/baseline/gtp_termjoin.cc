@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/strings.h"
 #include "qpt/generate_qpt.h"
 #include "scoring/materializer.h"
 #include "scoring/scorer.h"
@@ -173,7 +172,8 @@ Result<std::shared_ptr<xml::Document>> BuildGtpPrunedDocument(
   for (const std::string& keyword : keywords) {
     pdt::InvList inv;
     inv.term = keyword;
-    inv.postings = indexes.inverted_index.Lookup(keyword);
+    QV_ASSIGN_OR_RETURN(inv.postings,
+                        indexes.inverted_index.Lookup(keyword));
     inv.BuildPrefix();
     inv_lists.push_back(std::move(inv));
   }
@@ -242,14 +242,9 @@ Result<engine::SearchResponse> GtpTermJoinEngine::Search(
 Result<engine::SearchResponse> GtpTermJoinEngine::SearchView(
     const std::string& view_text, const std::vector<std::string>& keywords,
     const engine::SearchOptions& options) const {
-  std::string query = "let $view := " + view_text + "\nfor $qv in $view\n";
-  query += "where $qv ftcontains(";
-  for (size_t i = 0; i < keywords.size(); ++i) {
-    if (i > 0) query += options.conjunctive ? " & " : " | ";
-    query += "'" + AsciiToLower(keywords[i]) + "'";
-  }
-  query += ")\nreturn $qv";
-  return Search(query, options);
+  return Search(
+      engine::ComposeKeywordQuery(view_text, keywords, options.conjunctive),
+      options);
 }
 
 }  // namespace quickview::baseline

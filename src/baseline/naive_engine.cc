@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "common/strings.h"
 #include "scoring/scorer.h"
 #include "xml/serializer.h"
 #include "xquery/evaluator.h"
@@ -57,14 +56,9 @@ Result<engine::SearchResponse> NaiveEngine::Search(
 Result<engine::SearchResponse> NaiveEngine::SearchView(
     const std::string& view_text, const std::vector<std::string>& keywords,
     const engine::SearchOptions& options) const {
-  std::string query = "let $view := " + view_text + "\nfor $qv in $view\n";
-  query += "where $qv ftcontains(";
-  for (size_t i = 0; i < keywords.size(); ++i) {
-    if (i > 0) query += options.conjunctive ? " & " : " | ";
-    query += "'" + AsciiToLower(keywords[i]) + "'";
-  }
-  query += ")\nreturn $qv";
-  return Search(query, options);
+  return Search(
+      engine::ComposeKeywordQuery(view_text, keywords, options.conjunctive),
+      options);
 }
 
 }  // namespace quickview::baseline

@@ -34,14 +34,11 @@ std::set<xml::DeweyId> CollectCandidates(
 Result<std::vector<BaseSearchHit>> SearchBaseDocuments(
     const xml::Database& database, const index::DatabaseIndexes& indexes,
     const std::vector<std::string>& keywords,
-    const BaseSearchOptions& options) {
+    const SearchOptions& options) {
   if (keywords.empty()) {
     return Status::InvalidArgument("base search requires keywords");
   }
-  if (options.top_k == 0) {
-    return Status::InvalidArgument(
-        "top_k must be at least 1 (a zero-result search is a caller bug)");
-  }
+  QV_RETURN_IF_ERROR(ValidateSearchOptions(options));
   std::vector<BaseSearchHit> qualifying;
   for (const auto& [name, doc] : database.documents()) {
     const index::DocumentIndexes* doc_indexes = indexes.Get(name);
@@ -52,7 +49,8 @@ Result<std::vector<BaseSearchHit>> SearchBaseDocuments(
     for (const std::string& keyword : keywords) {
       pdt::InvList list;
       list.term = keyword;
-      list.postings = doc_indexes->inverted_index.Lookup(keyword);
+      QV_ASSIGN_OR_RETURN(list.postings,
+                          doc_indexes->inverted_index.Lookup(keyword));
       list.BuildPrefix();
       lists.push_back(std::move(list));
     }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "engine/search_request.h"
 #include "index/index_builder.h"
 #include "xml/dom.h"
 
@@ -26,18 +27,13 @@ struct BaseSearchHit {
   std::string xml;  // materialized element
 };
 
-struct BaseSearchOptions {
-  size_t top_k = 10;
-  bool conjunctive = true;
-};
-
 /// Keyword search over every document of `database`. Keywords are
 /// expected lowercased. Hits are sorted by descending score, ties in
 /// document order.
 Result<std::vector<BaseSearchHit>> SearchBaseDocuments(
     const xml::Database& database, const index::DatabaseIndexes& indexes,
     const std::vector<std::string>& keywords,
-    const BaseSearchOptions& options);
+    const SearchOptions& options);
 
 }  // namespace quickview::engine
 

@@ -3,9 +3,9 @@
 // (pipeline counters), and buffer-pool counters surfaced ad hoc by the
 // service layer. EngineStats nests all of them plus the per-shard
 // breakdown sharded execution adds, and is what ResultCursor::stats()
-// and QueryService::stats() return. The legacy structs survive as the
-// nested members (and inside SearchResponse), so batch-response shapes
-// are unchanged.
+// returns (QueryService::stats() sums only its SearchStats). The legacy
+// structs survive as the nested members (and inside SearchResponse), so
+// batch-response shapes are unchanged.
 #ifndef QUICKVIEW_ENGINE_ENGINE_STATS_H_
 #define QUICKVIEW_ENGINE_ENGINE_STATS_H_
 
@@ -63,10 +63,6 @@ struct ShardStats {  // lint:allow(adhoc-stats) per-request value type returned 
   uint64_t buffer_hits = 0;
   double pdt_ms = 0;
   double eval_ms = 0;
-  /// True when this shard's work was stopped by the cancellation token
-  /// rather than completed (the query as a whole then failed Cancelled /
-  /// DeadlineExceeded, or another shard failed first).
-  bool cancelled = false;
 };
 
 /// The one nested stats answer. `shards` has one entry per executed

@@ -357,19 +357,12 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
 
 Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     const SearchRequest& request) const {
-  return OpenImpl(request, {});
+  return Open(request, {});
 }
 
 Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     const SearchRequest& request,
     std::vector<std::shared_ptr<const PreparedQuery>> prepared) const {
-  return OpenImpl(request, prepared);
-}
-
-Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::OpenImpl(
-    const SearchRequest& request,
-    const std::vector<std::shared_ptr<const PreparedQuery>>& prepared)
-    const {
   QV_RETURN_IF_ERROR(request.Validate());
   if (request.shard >= shard_count()) {
     return Status::InvalidArgument(
@@ -511,30 +504,10 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::OpenImpl(
                         std::move(shard_spans));
 }
 
-Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
-    std::shared_ptr<const PreparedQuery> prepared,
-    const SearchOptions& options) const {
-  if (prepared == nullptr) {
-    return Status::InvalidArgument("Open requires a prepared query");
-  }
-  QV_RETURN_IF_ERROR(ValidateSearchOptions(options));
-  if (shards_.size() > 1) {
-    return Status::InvalidArgument(
-        "single-PreparedQuery Open is only valid on an unsharded engine; "
-        "use Open(SearchRequest, per-shard prepared queries)");
-  }
-  QUICKVIEW_ASSIGN_OR_RETURN(
-      ShardEval eval, EvaluateShard(0, std::move(prepared), nullptr));
-  std::vector<ShardEval> evals;
-  evals.push_back(std::move(eval));
-  return FinalizeCursor(std::move(evals), {0}, options.top_k, nullptr, nullptr,
-                        {});
-}
-
 Result<SearchResponse> ViewSearchEngine::Execute(
     const SearchRequest& request) const {
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<ResultCursor> cursor,
-                             OpenImpl(request, {}));
+                             Open(request));
   return DrainToResponse(cursor.get());
 }
 

@@ -173,27 +173,11 @@ class ViewSearchEngine {
   Result<std::shared_ptr<const PreparedQuery>> BuildPdts(QueryPlan plan,
                                                          int shard = 0) const;
 
-  /// Stage 3, single-shard cursor form: evaluates the plan over its PDTs,
-  /// scores every view result, and returns a cursor over the ranked
-  /// stream. Only valid on a one-shard engine (sharded engines go
-  /// through Open(request, prepared) so idf spans the corpus). The
-  /// cursor yields at most `options.top_k` hits in total and keeps the
-  /// PreparedQuery alive for its own lifetime, so it survives cache
-  /// eviction on the caller's side. `options.conjunctive` is overridden
-  /// by the query's own connective.
-  Result<std::unique_ptr<ResultCursor>> Open(
-      std::shared_ptr<const PreparedQuery> prepared,
-      const SearchOptions& options) const;
-
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct ShardEval;  // one shard's evaluation product (defined in .cc)
 
-  Result<std::unique_ptr<ResultCursor>> OpenImpl(
-      const SearchRequest& request,
-      const std::vector<std::shared_ptr<const PreparedQuery>>& prepared)
-      const;
   Result<std::shared_ptr<const PreparedQuery>> BuildPdtsImpl(
       QueryPlan plan, int shard, const CancellationToken* cancel) const;
   Result<ShardEval> EvaluateShard(

@@ -16,9 +16,8 @@
 
 namespace quickview::index {
 
-/// The indices for one document. Always heap-allocated and pinned (the
-/// views below point back into this object), hence neither copyable nor
-/// movable.
+/// The indices for one document. Always heap-allocated and pinned (views
+/// point into this object), hence neither copyable nor movable.
 struct DocumentIndexes {
   PathIndex path_index;
   InvertedIndex inverted_index;
@@ -29,11 +28,7 @@ struct DocumentIndexes {
 
   /// The PageSource-style view the PDT pipeline consumes; valid while
   /// this object lives.
-  DocumentIndexView View() const { return {&path_view_, &term_view_}; }
-
- private:
-  InMemoryPathIndexView path_view_{&path_index};
-  InMemoryTermIndexView term_view_{&inverted_index};
+  DocumentIndexView View() const { return {&path_index, &inverted_index}; }
 };
 
 /// Indices for every document in a database, keyed by document name (the

@@ -1,49 +1,67 @@
 // Index views: the PageSource-facing abstraction of the two query-time
-// index surfaces. The PDT pipeline only ever issues the probe set of
-// paper Fig 7 (path-pattern lookups and inverted-list retrievals), so
-// that narrow surface is what gets virtualized: the same PrepareLists /
-// GeneratePdt code runs over the in-memory B+-trees (index/btree.h) or
-// over disk-resident B-tree pages pulled on demand through a buffer pool
-// (pagestore/packed_db.h). Lookups against a paged backing can fail with
-// real I/O errors (truncated file, checksum mismatch), so every view
-// method returns Result<> even though the in-memory adapters cannot fail.
+// index surfaces. PrepareLists issues exactly two probes — per-path rows
+// for a path pattern and one term's inverted list — so that narrow
+// surface is what gets virtualized: the same PrepareLists / GeneratePdt
+// code runs over the in-memory sorted arrays (PathIndex, InvertedIndex)
+// or over disk-resident B-tree pages pulled on demand through a buffer
+// pool (pagestore/packed_db.h). Lookups against a paged backing can fail
+// with real I/O errors (truncated file, checksum mismatch), so both
+// probes return Result<> even though the in-memory indexes cannot fail.
 #ifndef QUICKVIEW_INDEX_INDEX_VIEW_H_
 #define QUICKVIEW_INDEX_INDEX_VIEW_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
-#include "index/inverted_index.h"
-#include "index/path_index.h"
+#include "xml/dewey_id.h"
 
 namespace quickview::index {
+
+/// One step of a path pattern: axis ('/' or '//') plus a tag-name test.
+struct PathStep {
+  bool descendant = false;  // true for '//'
+  std::string tag;
+
+  bool operator==(const PathStep&) const = default;
+};
+
+/// A root-anchored path pattern such as /books//book/isbn.
+using PathPattern = std::vector<PathStep>;
+
+/// An id retrieved from the path index, with its element's subtree byte
+/// length and (when values are requested) its atomic value.
+struct PathEntry {
+  xml::DeweyId id;
+  uint64_t byte_length = 0;
+  std::optional<std::string> value;
+};
+
+/// One (data path, Dewey-ordered entries) group per distinct full data
+/// path matching a pattern. PDT generation needs the per-path grouping
+/// to map each id's ancestors back to QPT nodes.
+struct PathRows {
+  std::string path;
+  std::vector<PathEntry> entries;
+};
+
+/// One element of an inverted list: an element directly containing the
+/// term, and how often it does.
+struct Posting {
+  xml::DeweyId id;
+  uint32_t tf = 0;
+};
 
 /// Query-time surface of a path index (paper §3.2, Fig 5).
 class PathIndexView {
  public:
   virtual ~PathIndexView() = default;
 
-  /// Distinct full data paths matching the pattern, in path order.
-  virtual Result<std::vector<std::string>> ExpandPattern(
-      const PathPattern& pattern) const = 0;
-
-  /// All ids on paths matching `pattern`, merged into one Dewey-ordered
-  /// list; values are not materialized.
-  virtual Result<std::vector<PathEntry>> LookUpId(
-      const PathPattern& pattern) const = 0;
-
-  /// As LookUpId but each entry carries its atomic value.
-  virtual Result<std::vector<PathEntry>> LookUpIdValue(
-      const PathPattern& pattern) const = 0;
-
-  /// Ids on paths matching `pattern` whose atomic value equals `value`.
-  virtual Result<std::vector<PathEntry>> LookUpValue(
-      const PathPattern& pattern, const std::string& value) const = 0;
-
   /// One (data path, Dewey-ordered entries) group per distinct matching
-  /// full data path.
+  /// full data path, in path order; each entry carries its atomic value
+  /// iff `with_values`.
   virtual Result<std::vector<PathRows>> LookUpPerPath(
       const PathPattern& pattern, bool with_values) const = 0;
 };
@@ -56,14 +74,6 @@ class TermIndexView {
   /// Full postings list for `term`, Dewey-ordered; empty if unknown.
   virtual Result<std::vector<Posting>> Lookup(
       const std::string& term) const = 0;
-
-  /// Point probe: does element `id` directly contain `term`?
-  virtual Result<bool> Contains(const std::string& term,
-                                const xml::DeweyId& id,
-                                uint32_t* tf) const = 0;
-
-  /// Number of elements directly containing `term`.
-  virtual Result<uint64_t> ListLength(const std::string& term) const = 0;
 };
 
 /// The two views of one document's indices, as consumed by PrepareLists /
@@ -84,56 +94,6 @@ class IndexSource {
   /// pointers stay valid for the lifetime of the source.
   virtual std::optional<DocumentIndexView> GetView(
       const std::string& doc_name) const = 0;
-};
-
-/// In-memory adapters: forward to the concrete B+-tree-backed indexes,
-/// which cannot fail.
-class InMemoryPathIndexView final : public PathIndexView {
- public:
-  explicit InMemoryPathIndexView(const PathIndex* impl) : impl_(impl) {}
-
-  Result<std::vector<std::string>> ExpandPattern(
-      const PathPattern& pattern) const override {
-    return impl_->ExpandPattern(pattern);
-  }
-  Result<std::vector<PathEntry>> LookUpId(
-      const PathPattern& pattern) const override {
-    return impl_->LookUpId(pattern);
-  }
-  Result<std::vector<PathEntry>> LookUpIdValue(
-      const PathPattern& pattern) const override {
-    return impl_->LookUpIdValue(pattern);
-  }
-  Result<std::vector<PathEntry>> LookUpValue(
-      const PathPattern& pattern, const std::string& value) const override {
-    return impl_->LookUpValue(pattern, value);
-  }
-  Result<std::vector<PathRows>> LookUpPerPath(const PathPattern& pattern,
-                                              bool with_values) const override {
-    return impl_->LookUpPerPath(pattern, with_values);
-  }
-
- private:
-  const PathIndex* impl_;
-};
-
-class InMemoryTermIndexView final : public TermIndexView {
- public:
-  explicit InMemoryTermIndexView(const InvertedIndex* impl) : impl_(impl) {}
-
-  Result<std::vector<Posting>> Lookup(const std::string& term) const override {
-    return impl_->Lookup(term);
-  }
-  Result<bool> Contains(const std::string& term, const xml::DeweyId& id,
-                        uint32_t* tf) const override {
-    return impl_->Contains(term, id, tf);
-  }
-  Result<uint64_t> ListLength(const std::string& term) const override {
-    return static_cast<uint64_t>(impl_->ListLength(term));
-  }
-
- private:
-  const InvertedIndex* impl_;
 };
 
 }  // namespace quickview::index

@@ -10,40 +10,6 @@
 
 namespace quickview::index {
 
-namespace {
-constexpr char kKeySep = '\x01';
-
-std::string EncodeTf(uint32_t tf) {
-  std::string out(4, '\0');
-  out[0] = static_cast<char>((tf >> 24) & 0xff);
-  out[1] = static_cast<char>((tf >> 16) & 0xff);
-  out[2] = static_cast<char>((tf >> 8) & 0xff);
-  out[3] = static_cast<char>(tf & 0xff);
-  return out;
-}
-
-uint32_t DecodeTf(const std::string& bytes) {
-  return (static_cast<uint32_t>(static_cast<unsigned char>(bytes[0])) << 24) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(bytes[1])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(bytes[2])) << 8) |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[3]));
-}
-
-/// The id encoded in `key` from byte `offset` on. Keys are built by
-/// MakeKey from DeweyId::Encode, so they always decode.
-xml::DeweyId DecodeKeyId(const std::string& key, size_t offset) {
-  return xml::DeweyId::Decode(std::string_view(key).substr(offset)).value();
-}
-}  // namespace
-
-std::string InvertedIndex::MakeKey(std::string_view term,
-                                   const xml::DeweyId& id) {
-  std::string key(term);
-  key.push_back(kKeySep);
-  key.append(id.Encode());
-  return key;
-}
-
 void InvertedIndex::AddDocument(const xml::Document& doc) {
   // Per term, (id, tf) in node order: a term repeated within one node
   // bumps that node's tf.
@@ -61,66 +27,40 @@ void InvertedIndex::AddDocument(const xml::Document& doc) {
       }
     });
   }
-  // Key order is term order, then Dewey order within a term (terms hold no
-  // separator byte, and encoded ids compare as Dewey ids).
-  std::vector<std::pair<std::string_view,
-                        std::vector<std::pair<const xml::DeweyId*, uint32_t>>*>>
-      terms;
-  terms.reserve(by_term.size());
-  for (auto& [text, postings] : by_term) terms.emplace_back(text, &postings);
-  std::sort(terms.begin(), terms.end());
+  // Node order need not be Dewey order (a document built by AddChild
+  // keeps creation order), so each list is sorted before it is stored.
   auto by_id = [](const auto& a, const auto& b) { return *a.first < *b.first; };
-  std::vector<std::pair<std::string, std::string>> entries;
-  for (auto& [text, postings] : terms) {
-    if (!std::is_sorted(postings->begin(), postings->end(), by_id)) {
-      std::sort(postings->begin(), postings->end(), by_id);
+  lists_.reserve(by_term.size());
+  for (auto& [term, postings] : by_term) {
+    if (!std::is_sorted(postings.begin(), postings.end(), by_id)) {
+      std::sort(postings.begin(), postings.end(), by_id);
     }
-    for (const auto& [id, tf] : *postings) {
-      entries.emplace_back(MakeKey(text, *id), EncodeTf(tf));
-    }
+    TermList list{term, {}};
+    list.postings.reserve(postings.size());
+    for (const auto& [id, tf] : postings) list.postings.push_back({*id, tf});
+    lists_.push_back(std::move(list));
   }
-  tree_.BulkLoad(std::move(entries));
+  std::sort(lists_.begin(), lists_.end(),
+            [](const TermList& a, const TermList& b) { return a.term < b.term; });
 }
 
-std::vector<Posting> InvertedIndex::Lookup(const std::string& term) const {
-  std::vector<Posting> out;
-  std::string prefix = term;
-  prefix.push_back(kKeySep);
-  for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-    if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(Posting{DecodeKeyId(it.key(), prefix.size()),
-                          DecodeTf(it.value())});
-  }
-  return out;
-}
-
-bool InvertedIndex::Contains(const std::string& term, const xml::DeweyId& id,
-                             uint32_t* tf) const {
-  std::string encoded;
-  if (!tree_.Get(MakeKey(term, id), &encoded)) return false;
-  if (tf != nullptr) *tf = DecodeTf(encoded);
-  return true;
+Result<std::vector<Posting>> InvertedIndex::Lookup(
+    const std::string& term) const {
+  auto it = std::lower_bound(
+      lists_.begin(), lists_.end(), term,
+      [](const TermList& list, const std::string& t) { return list.term < t; });
+  if (it == lists_.end() || it->term != term) return std::vector<Posting>{};
+  return it->postings;
 }
 
 void InvertedIndex::ForEachPosting(
     const std::function<void(const std::string&, const xml::DeweyId&,
                              uint32_t)>& fn) const {
-  for (BTree::Iterator it = tree_.Begin(); it.Valid(); it.Next()) {
-    size_t sep = it.key().find(kKeySep);
-    fn(it.key().substr(0, sep), DecodeKeyId(it.key(), sep + 1),
-       DecodeTf(it.value()));
+  for (const TermList& list : lists_) {
+    for (const Posting& posting : list.postings) {
+      fn(list.term, posting.id, posting.tf);
+    }
   }
-}
-
-size_t InvertedIndex::ListLength(const std::string& term) const {
-  size_t count = 0;
-  std::string prefix = term;
-  prefix.push_back(kKeySep);
-  for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-    if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace quickview::index

@@ -1,31 +1,23 @@
 // Inverted-list index (paper §3.2, Fig 4b): for each term, the Dewey-
 // ordered list of elements that *directly* contain it, with the term
-// frequency. A B+-tree over (term, id) composite keys provides both full
-// list retrieval (prefix scan) and point containment probes, matching
-// "an index such as a B+-tree is usually built on top of each inverted
-// list so that we can efficiently check whether a given element contains
-// a keyword".
+// frequency. The index is built once per document and never modified,
+// so it is a term-sorted array of per-term posting lists: a lookup is a
+// binary search over the terms and a copy of one list.
 #ifndef QUICKVIEW_INDEX_INVERTED_INDEX_H_
 #define QUICKVIEW_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "index/btree.h"
+#include "index/index_view.h"
 #include "xml/dewey_id.h"
 #include "xml/dom.h"
 
 namespace quickview::index {
 
-struct Posting {
-  xml::DeweyId id;
-  uint32_t tf = 0;
-};
-
-class InvertedIndex {
+class InvertedIndex final : public TermIndexView {
  public:
   InvertedIndex() = default;
   InvertedIndex(const InvertedIndex&) = delete;
@@ -35,20 +27,10 @@ class InvertedIndex {
 
   /// Indexes every element of `doc` by its lowercased direct terms
   /// (xml::ForEachDirectTerm) with their per-element counts. Called once,
-  /// on an empty index: postings are grouped by term and the tree is
-  /// bulk-loaded in key order.
+  /// on an empty index.
   void AddDocument(const xml::Document& doc);
 
-  /// Full postings list for `term`, Dewey-ordered. Empty if unknown.
-  std::vector<Posting> Lookup(const std::string& term) const;
-
-  /// Point probe: does element `id` directly contain `term`? Fills `*tf`
-  /// when non-null.
-  bool Contains(const std::string& term, const xml::DeweyId& id,
-                uint32_t* tf = nullptr) const;
-
-  /// Number of elements directly containing `term`.
-  size_t ListLength(const std::string& term) const;
+  Result<std::vector<Posting>> Lookup(const std::string& term) const override;
 
   /// Iterates every (term, id, tf) posting in (term, id) order. Used by
   /// persistence.
@@ -57,14 +39,13 @@ class InvertedIndex {
                                const xml::DeweyId& id, uint32_t tf)>& fn)
       const;
 
-  size_t size() const { return tree_.size(); }
-  BTree::Stats stats() const { return tree_.stats(); }
-  void ResetStats() { tree_.ResetStats(); }
-
  private:
-  static std::string MakeKey(std::string_view term, const xml::DeweyId& id);
+  struct TermList {
+    std::string term;
+    std::vector<Posting> postings;  // Dewey order
+  };
 
-  BTree tree_;
+  std::vector<TermList> lists_;  // term order
 };
 
 }  // namespace quickview::index

@@ -9,10 +9,6 @@ namespace quickview::index {
 
 namespace {
 
-// Separates the path from the value in composite B+-tree keys. '\x01' is
-// below any tag or value character we produce.
-constexpr char kKeySep = '\x01';
-
 void AppendU32(std::string* out, uint32_t v) {
   for (int shift = 24; shift >= 0; shift -= 8) {
     out->push_back(static_cast<char>((v >> shift) & 0xff));
@@ -67,8 +63,8 @@ Status DecodeEntries(std::string_view encoded, Sink&& sink) {
   return Status::OK();
 }
 
-/// Decodes a row this process encoded itself (in-memory B+-tree values),
-/// which cannot be corrupt.
+/// Decodes a row this process encoded itself (in-memory rows), which
+/// cannot be corrupt.
 void DecodeOwnRow(std::string_view encoded,
                   const std::optional<std::string>& value,
                   std::vector<PathEntry>* out) {
@@ -78,14 +74,6 @@ void DecodeOwnRow(std::string_view encoded,
 }
 
 }  // namespace
-
-std::string MakePathValueKey(const std::string& path,
-                             const std::string& value) {
-  std::string key = path;
-  key.push_back(kKeySep);
-  key.append(value);
-  return key;
-}
 
 std::string EncodePathEntryList(
     const std::vector<std::pair<xml::DeweyId, uint64_t>>& entries) {
@@ -106,6 +94,11 @@ Status DecodePathEntryListInto(std::string_view encoded,
   return DecodeEntries(encoded, [&](xml::DeweyId&& id, uint64_t byte_length) {
     out->push_back(PathEntry{std::move(id), byte_length, value});
   });
+}
+
+void SortByDewey(std::vector<PathEntry>* entries) {
+  std::sort(entries->begin(), entries->end(),
+            [](const PathEntry& a, const PathEntry& b) { return a.id < b.id; });
 }
 
 std::string PatternToString(const PathPattern& pattern) {
@@ -151,25 +144,38 @@ void PathIndex::AddEntry(const std::string& path, const std::string& value,
 }
 
 void PathIndex::Finalize() {
-  // (path, value) order is key order: the separator sorts below every
-  // byte of a path.
-  std::vector<std::pair<std::string, std::string>> rows;
-  rows.reserve(pending_.size());
-  for (auto& [key, entries] : pending_) {
+  // Map order is (path, value) order: one run of rows per distinct path.
+  for (const auto& [key, entries] : pending_) {
     const auto& [path, value] = key;
-    if (paths_.empty() || path != paths_.back()) paths_.push_back(path);
-    rows.emplace_back(MakePathValueKey(path, value),
-                      EncodePathEntryList(entries));
+    if (paths_.empty() || path != paths_.back()) {
+      paths_.push_back(path);
+      rows_.emplace_back();
+    }
+    rows_.back().push_back(Row{value, EncodePathEntryList(entries)});
   }
   pending_.clear();
-  tree_.BulkLoad(std::move(rows));
 }
 
-std::vector<std::string> PathIndex::ExpandPattern(
-    const PathPattern& pattern) const {
-  std::vector<std::string> out;
-  for (const std::string& path : paths_) {
-    if (PatternMatchesPath(pattern, path)) out.push_back(path);
+void PathIndex::AppendRows(size_t path, bool with_values,
+                           std::vector<PathEntry>* out) const {
+  for (const Row& row : rows_[path]) {
+    DecodeOwnRow(row.entries,
+                 with_values ? std::optional<std::string>(row.value)
+                             : std::nullopt,
+                 out);
+  }
+}
+
+Result<std::vector<PathRows>> PathIndex::LookUpPerPath(
+    const PathPattern& pattern, bool with_values) const {
+  std::vector<PathRows> out;
+  for (size_t p = 0; p < paths_.size(); ++p) {
+    if (!PatternMatchesPath(pattern, paths_[p])) continue;
+    // Every dictionary path has at least one row of at least one entry.
+    PathRows rows{paths_[p], {}};
+    AppendRows(p, with_values, &rows.entries);
+    SortByDewey(&rows.entries);
+    out.push_back(std::move(rows));
   }
   return out;
 }
@@ -177,64 +183,12 @@ std::vector<std::string> PathIndex::ExpandPattern(
 std::vector<PathEntry> PathIndex::Collect(const PathPattern& pattern,
                                           bool with_values) const {
   std::vector<PathEntry> out;
-  for (const std::string& path : ExpandPattern(pattern)) {
-    // Prefix scan over all (path, value) rows for this path: the path plus
-    // separator is a prefix of the composite key.
-    std::string prefix = path;
-    prefix.push_back(kKeySep);
-    for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-      if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-      std::optional<std::string> value;
-      if (with_values) value = it.key().substr(prefix.size());
-      DecodeOwnRow(it.value(), value, &out);
+  for (size_t p = 0; p < paths_.size(); ++p) {
+    if (PatternMatchesPath(pattern, paths_[p])) {
+      AppendRows(p, with_values, &out);
     }
   }
-  // Merge the per-row Dewey-ordered lists into one ordered list.
-  std::sort(out.begin(), out.end(),
-            [](const PathEntry& a, const PathEntry& b) { return a.id < b.id; });
-  return out;
-}
-
-void PathIndex::ForEachRow(
-    const std::function<void(const std::string&, const std::string&,
-                             const std::vector<PathEntry>&)>& fn) const {
-  for (BTree::Iterator it = tree_.Begin(); it.Valid(); it.Next()) {
-    size_t sep = it.key().find(kKeySep);
-    std::string path = it.key().substr(0, sep);
-    std::string value = it.key().substr(sep + 1);
-    std::vector<PathEntry> entries;
-    DecodeOwnRow(it.value(), std::nullopt, &entries);
-    fn(path, value, entries);
-  }
-}
-
-void PathIndex::ForEachRaw(
-    const std::function<void(const std::string&, const std::string&)>& fn)
-    const {
-  for (BTree::Iterator it = tree_.Begin(); it.Valid(); it.Next()) {
-    fn(it.key(), it.value());
-  }
-}
-
-std::vector<PathIndex::PathRows> PathIndex::LookUpPerPath(
-    const PathPattern& pattern, bool with_values) const {
-  std::vector<PathRows> out;
-  for (const std::string& path : ExpandPattern(pattern)) {
-    PathRows rows;
-    rows.path = path;
-    std::string prefix = path;
-    prefix.push_back(kKeySep);
-    for (BTree::Iterator it = tree_.Seek(prefix); it.Valid(); it.Next()) {
-      if (it.key().compare(0, prefix.size(), prefix) != 0) break;
-      std::optional<std::string> value;
-      if (with_values) value = it.key().substr(prefix.size());
-      DecodeOwnRow(it.value(), value, &rows.entries);
-    }
-    std::sort(
-        rows.entries.begin(), rows.entries.end(),
-        [](const PathEntry& a, const PathEntry& b) { return a.id < b.id; });
-    if (!rows.entries.empty()) out.push_back(std::move(rows));
-  }
+  SortByDewey(&out);
   return out;
 }
 
@@ -250,15 +204,37 @@ std::vector<PathEntry> PathIndex::LookUpIdValue(
 std::vector<PathEntry> PathIndex::LookUpValue(const PathPattern& pattern,
                                               const std::string& value) const {
   std::vector<PathEntry> out;
-  for (const std::string& path : ExpandPattern(pattern)) {
-    std::string encoded;
-    if (tree_.Get(MakePathValueKey(path, value), &encoded)) {
-      DecodeOwnRow(encoded, value, &out);
+  for (size_t p = 0; p < paths_.size(); ++p) {
+    if (!PatternMatchesPath(pattern, paths_[p])) continue;
+    const std::vector<Row>& rows = rows_[p];
+    auto row = std::lower_bound(
+        rows.begin(), rows.end(), value,
+        [](const Row& r, const std::string& v) { return r.value < v; });
+    if (row != rows.end() && row->value == value) {
+      DecodeOwnRow(row->entries, value, &out);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const PathEntry& a, const PathEntry& b) { return a.id < b.id; });
+  SortByDewey(&out);
   return out;
+}
+
+void PathIndex::ForEachRaw(
+    const std::function<void(const std::string&, const std::string&,
+                             const std::string&)>& fn) const {
+  for (size_t p = 0; p < paths_.size(); ++p) {
+    for (const Row& row : rows_[p]) fn(paths_[p], row.value, row.entries);
+  }
+}
+
+void PathIndex::ForEachRow(
+    const std::function<void(const std::string&, const std::string&,
+                             const std::vector<PathEntry>&)>& fn) const {
+  ForEachRaw([&fn](const std::string& path, const std::string& value,
+                   const std::string& encoded) {
+    std::vector<PathEntry> entries;
+    DecodeOwnRow(encoded, std::nullopt, &entries);
+    fn(path, value, entries);
+  });
 }
 
 }  // namespace quickview::index

@@ -110,40 +110,33 @@ Status PackDocument(const std::string& name, const xml::Document& doc,
 
   // --- Path index --------------------------------------------------------
   // On disk a row is keyed by (path \x01 ordinal-in-value-order), with
-  // the atomic value moved into the row payload (value_len | value |
-  // entry list). Keys stay bounded — a multi-KB text value would blow
-  // the one-page leaf-entry limit if it sat in the key, as it does in
-  // the in-memory composite key — while long values and fat entry
-  // lists spill to posting-run chains like any other big B-tree value.
-  // Ordinals are assigned in (path, value) order, so prefix scans
+  // the atomic value in the row payload (value_len | value | entry
+  // list). Keys stay bounded — a multi-KB text value would blow the
+  // one-page leaf-entry limit if it sat in the key — while long values
+  // and fat entry lists spill to posting-run chains like any other big
+  // B-tree value. Rows arrive in (path, value) order, so prefix scans
   // reproduce the in-memory row order exactly.
   DiskBTreeBuilder paths(writer);
   Status path_status = Status::OK();
   std::string current_path;
   uint32_t path_ordinal = 0;
-  doc_indexes.path_index.ForEachRaw(
-      [&](const std::string& key, const std::string& value) {
-        if (!path_status.ok()) return;
-        size_t sep = key.find('\x01');
-        if (sep == std::string::npos) {
-          path_status = Status::Internal("malformed path-index key");
-          return;
-        }
-        std::string path = key.substr(0, sep);
-        std::string row_value = key.substr(sep + 1);
-        if (path != current_path) {
-          current_path = path;
-          path_ordinal = 0;
-        }
-        std::string disk_key = path;
-        disk_key.push_back('\x01');
-        AppendU32(&disk_key, path_ordinal++);
-        std::string payload;
-        AppendU32(&payload, static_cast<uint32_t>(row_value.size()));
-        payload.append(row_value);
-        payload.append(value);
-        path_status = paths.Add(disk_key, payload);
-      });
+  doc_indexes.path_index.ForEachRaw([&](const std::string& path,
+                                        const std::string& row_value,
+                                        const std::string& entries) {
+    if (!path_status.ok()) return;
+    if (path != current_path) {
+      current_path = path;
+      path_ordinal = 0;
+    }
+    std::string disk_key = path;
+    disk_key.push_back('\x01');
+    AppendU32(&disk_key, path_ordinal++);
+    std::string payload;
+    AppendU32(&payload, static_cast<uint32_t>(row_value.size()));
+    payload.append(row_value);
+    payload.append(entries);
+    path_status = paths.Add(disk_key, payload);
+  });
   QUICKVIEW_RETURN_IF_ERROR(path_status);
   QUICKVIEW_ASSIGN_OR_RETURN(entry->path_root, paths.Finish());
 

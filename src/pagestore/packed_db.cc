@@ -12,7 +12,8 @@ namespace quickview::pagestore {
 
 namespace {
 
-// Must match the separator MakePathValueKey appends (path_index.cc).
+// Separates the path from the row ordinal in disk path-index keys
+// (PackDocument writes them).
 constexpr char kPathKeySep = '\x01';
 
 struct NodeRecord {
@@ -82,135 +83,39 @@ Status DecodePostingRun(const std::string& encoded,
 }  // namespace
 
 // --------------------------------------------------------------------------
-// PagedPathIndex — the same probe algorithms as the in-memory PathIndex,
-// expressed over DiskBTree scans.
+// PagedPathIndex / PagedTermIndex
 // --------------------------------------------------------------------------
-
-Result<std::vector<std::string>> PagedPathIndex::ExpandPattern(
-    const index::PathPattern& pattern) const {
-  std::vector<std::string> out;
-  for (const std::string& path : paths_) {
-    if (index::PatternMatchesPath(pattern, path)) out.push_back(path);
-  }
-  return out;
-}
-
-Status PagedPathIndex::ForEachPathRow(
-    const std::string& path,
-    const std::function<Result<bool>(std::string&& row_value,
-                                     const std::string& entries_encoded)>&
-        fn) const {
-  std::string prefix = path;
-  prefix.push_back(kPathKeySep);
-  return tree_.ScanFrom(
-      prefix,
-      [&](std::string_view key,
-          const DiskBTree::ValueRef& value) -> Result<bool> {
-        if (key.substr(0, prefix.size()) != prefix) return false;
-        QUICKVIEW_ASSIGN_OR_RETURN(std::string payload, value.Read());
-        std::string row_value;
-        std::string entries_encoded;
-        QUICKVIEW_RETURN_IF_ERROR(
-            SplitPathRow(payload, &row_value, &entries_encoded));
-        return fn(std::move(row_value), entries_encoded);
-      });
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::Collect(
-    const index::PathPattern& pattern, bool with_values) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<std::string> expanded,
-                             ExpandPattern(pattern));
-  std::vector<index::PathEntry> out;
-  for (const std::string& path : expanded) {
-    QUICKVIEW_RETURN_IF_ERROR(ForEachPathRow(
-        path,
-        [&](std::string&& row_value,
-            const std::string& entries_encoded) -> Result<bool> {
-          std::optional<std::string> attach;
-          if (with_values) attach = std::move(row_value);
-          QUICKVIEW_RETURN_IF_ERROR(
-              index::DecodePathEntryListInto(entries_encoded, attach, &out));
-          return true;
-        }));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const index::PathEntry& a, const index::PathEntry& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::LookUpId(
-    const index::PathPattern& pattern) const {
-  return Collect(pattern, /*with_values=*/false);
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::LookUpIdValue(
-    const index::PathPattern& pattern) const {
-  return Collect(pattern, /*with_values=*/true);
-}
-
-Result<std::vector<index::PathEntry>> PagedPathIndex::LookUpValue(
-    const index::PathPattern& pattern, const std::string& value) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<std::string> expanded,
-                             ExpandPattern(pattern));
-  std::vector<index::PathEntry> out;
-  for (const std::string& path : expanded) {
-    // Rows scan in value order, so stop at the first row past `value`
-    // (at most one row per (path, value) pair exists). This is a
-    // materializing scan over the path's earlier rows — the price of
-    // keeping values out of the disk keys; acceptable while predicate
-    // evaluation happens on LookUpPerPath entries, not through here.
-    QUICKVIEW_RETURN_IF_ERROR(ForEachPathRow(
-        path,
-        [&](std::string&& row_value,
-            const std::string& entries_encoded) -> Result<bool> {
-          if (row_value > value) return false;
-          if (row_value == value) {
-            QUICKVIEW_RETURN_IF_ERROR(
-                index::DecodePathEntryListInto(entries_encoded, value, &out));
-            return false;
-          }
-          return true;
-        }));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const index::PathEntry& a, const index::PathEntry& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
 
 Result<std::vector<index::PathRows>> PagedPathIndex::LookUpPerPath(
     const index::PathPattern& pattern, bool with_values) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<std::string> expanded,
-                             ExpandPattern(pattern));
   std::vector<index::PathRows> out;
-  for (const std::string& path : expanded) {
+  for (const std::string& path : paths_) {
+    if (!index::PatternMatchesPath(pattern, path)) continue;
     index::PathRows rows;
     rows.path = path;
-    QUICKVIEW_RETURN_IF_ERROR(ForEachPathRow(
-        path,
-        [&](std::string&& row_value,
-            const std::string& entries_encoded) -> Result<bool> {
+    std::string prefix = path;
+    prefix.push_back(kPathKeySep);
+    QUICKVIEW_RETURN_IF_ERROR(tree_.ScanFrom(
+        prefix,
+        [&](std::string_view key,
+            const DiskBTree::ValueRef& value) -> Result<bool> {
+          if (key.substr(0, prefix.size()) != prefix) return false;
+          QUICKVIEW_ASSIGN_OR_RETURN(std::string payload, value.Read());
+          std::string row_value;
+          std::string entries_encoded;
+          QUICKVIEW_RETURN_IF_ERROR(
+              SplitPathRow(payload, &row_value, &entries_encoded));
           std::optional<std::string> attach;
           if (with_values) attach = std::move(row_value);
           QUICKVIEW_RETURN_IF_ERROR(index::DecodePathEntryListInto(
               entries_encoded, attach, &rows.entries));
           return true;
         }));
-    std::sort(rows.entries.begin(), rows.entries.end(),
-              [](const index::PathEntry& a, const index::PathEntry& b) {
-                return a.id < b.id;
-              });
+    index::SortByDewey(&rows.entries);
     if (!rows.entries.empty()) out.push_back(std::move(rows));
   }
   return out;
 }
-
-// --------------------------------------------------------------------------
-// PagedTermIndex
-// --------------------------------------------------------------------------
 
 Result<std::vector<index::Posting>> PagedTermIndex::Lookup(
     const std::string& term) const {
@@ -219,39 +124,6 @@ Result<std::vector<index::Posting>> PagedTermIndex::Lookup(
   QUICKVIEW_ASSIGN_OR_RETURN(bool found, tree_.Get(term, &encoded));
   if (found) QUICKVIEW_RETURN_IF_ERROR(DecodePostingRun(encoded, &out));
   return out;
-}
-
-// Point probes below pay O(run size) page I/O: a run is one B-tree
-// value (possibly an overflow chain), so Contains/ListLength read it
-// whole where the in-memory index answers from the composite-key tree.
-// Nothing on the query path uses them today (PrepareLists wants full
-// runs); if a pushdown ever does, serve counts from a bounded prefix
-// read of the chain instead.
-Result<bool> PagedTermIndex::Contains(const std::string& term,
-                                      const xml::DeweyId& id,
-                                      uint32_t* tf) const {
-  QUICKVIEW_ASSIGN_OR_RETURN(std::vector<index::Posting> postings,
-                             Lookup(term));
-  auto it = std::lower_bound(postings.begin(), postings.end(), id,
-                             [](const index::Posting& p,
-                                const xml::DeweyId& key) {
-                               return p.id < key;
-                             });
-  if (it == postings.end() || it->id != id) return false;
-  if (tf != nullptr) *tf = it->tf;
-  return true;
-}
-
-Result<uint64_t> PagedTermIndex::ListLength(const std::string& term) const {
-  std::string encoded;
-  QUICKVIEW_ASSIGN_OR_RETURN(bool found, tree_.Get(term, &encoded));
-  if (!found) return static_cast<uint64_t>(0);
-  size_t pos = 0;
-  uint32_t count = 0;
-  if (!ReadU32(encoded, &pos, &count)) {
-    return Status::Internal("corrupt posting run for term '" + term + "'");
-  }
-  return static_cast<uint64_t>(count);
 }
 
 // --------------------------------------------------------------------------
@@ -431,8 +303,8 @@ Status PackedDb::CopySubtree(uint32_t root_component, const xml::DeweyId& id,
     if (source == xml::kInvalidNode) {
       return Status::NotFound("no element " + id.ToString());
     }
-    xml::CopySubtreeInto(*overlay->doc, source, target, target_parent);
-    *fetched_bytes = xml::SubtreeByteLength(*overlay->doc, source);
+    *fetched_bytes =
+        xml::CopySubtreeInto(*overlay->doc, source, target, target_parent);
     return Status::OK();
   }
   QUICKVIEW_ASSIGN_OR_RETURN(ChainReader reader,

@@ -24,7 +24,6 @@
 #define QUICKVIEW_PAGESTORE_PACKED_DB_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -42,41 +41,21 @@
 
 namespace quickview::pagestore {
 
-/// Path-index view answered from disk B-tree pages. Mirrors the
-/// in-memory PathIndex probe algorithms over the identical key space
-/// ((path \x01 value) composite keys, EncodePathEntryList row payloads),
-/// so both backings return byte-identical results.
+/// Path-index view answered from disk B-tree pages. A disk row is keyed
+/// by (path \x01 ordinal), the ordinal counting the path's rows in value
+/// order, and its payload is (value_len | value | EncodePathEntryList
+/// bytes). So a prefix scan over one path reads the same rows, in the
+/// same order, as the in-memory PathIndex, and both backings return
+/// byte-identical results.
 class PagedPathIndex final : public index::PathIndexView {
  public:
   PagedPathIndex(DiskBTree tree, std::vector<std::string> distinct_paths)
       : tree_(tree), paths_(std::move(distinct_paths)) {}
 
-  Result<std::vector<std::string>> ExpandPattern(
-      const index::PathPattern& pattern) const override;
-  Result<std::vector<index::PathEntry>> LookUpId(
-      const index::PathPattern& pattern) const override;
-  Result<std::vector<index::PathEntry>> LookUpIdValue(
-      const index::PathPattern& pattern) const override;
-  Result<std::vector<index::PathEntry>> LookUpValue(
-      const index::PathPattern& pattern,
-      const std::string& value) const override;
   Result<std::vector<index::PathRows>> LookUpPerPath(
       const index::PathPattern& pattern, bool with_values) const override;
 
  private:
-  Result<std::vector<index::PathEntry>> Collect(
-      const index::PathPattern& pattern, bool with_values) const;
-
-  /// Scans the disk rows of one data path in value order, decoding each
-  /// payload into (atomic value, encoded entry list); `fn` returns false
-  /// to stop early. The single home of the prefix-scan/row-split logic
-  /// all probes share.
-  Status ForEachPathRow(
-      const std::string& path,
-      const std::function<Result<bool>(std::string&& row_value,
-                                       const std::string& entries_encoded)>&
-          fn) const;
-
   DiskBTree tree_;
   std::vector<std::string> paths_;  // sorted distinct full data paths
 };
@@ -88,9 +67,6 @@ class PagedTermIndex final : public index::TermIndexView {
 
   Result<std::vector<index::Posting>> Lookup(
       const std::string& term) const override;
-  Result<bool> Contains(const std::string& term, const xml::DeweyId& id,
-                        uint32_t* tf) const override;
-  Result<uint64_t> ListLength(const std::string& term) const override;
 
  private:
   DiskBTree tree_;

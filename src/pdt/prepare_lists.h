@@ -68,7 +68,8 @@ std::vector<std::vector<int>> MapDepthsToQptNodes(const qpt::Qpt& qpt,
                                                   const std::string& path);
 
 /// Runs the probes of Fig 7 against the document's index views — the
-/// in-memory B+-trees or disk-resident pages, whichever backs the view.
+/// in-memory sorted arrays or disk-resident pages, whichever backs the
+/// view.
 Result<PreparedLists> PrepareLists(const qpt::Qpt& qpt,
                                    const index::DocumentIndexView& indexes,
                                    const std::vector<std::string>& keywords);

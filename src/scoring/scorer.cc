@@ -3,33 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "xml/serializer.h"
 #include "xml/tokenizer.h"
 
 namespace quickview::scoring {
 
 namespace {
-
-uint64_t EscapedLength(const std::string& text) {
-  uint64_t length = 0;
-  for (char c : text) {
-    switch (c) {
-      case '&':
-        length += 5;
-        break;
-      case '<':
-      case '>':
-        length += 4;
-        break;
-      case '"':
-      case '\'':
-        length += 6;
-        break;
-      default:
-        length += 1;
-    }
-  }
-  return length;
-}
 
 void Walk(const xml::Document& doc, xml::NodeIndex index,
           const std::vector<std::string>& keywords, std::vector<uint64_t>* tf,
@@ -50,8 +29,7 @@ void Walk(const xml::Document& doc, xml::NodeIndex index,
       if (xml::TokenEquals(run, keywords[k])) ++(*tf)[k];
     }
   });
-  *byte_length += 2 * node.tag.size() + 5;  // <tag></tag>
-  if (!node.text.empty()) *byte_length += EscapedLength(node.text);
+  *byte_length += xml::OwnByteLength(node);
   for (xml::NodeIndex child : node.children) {
     Walk(doc, child, keywords, tf, byte_length);
   }

@@ -657,7 +657,7 @@ StatsResponse Server::SnapshotStats() const {
   out.cache_hits = service_stats.cache.hits;
   out.cache_misses = service_stats.cache.misses;
   out.cache_evictions = service_stats.cache.evictions;
-  out.search = service_stats.engine.search;
+  out.search = service_stats.search;
   for (obs::SlowQueryLog::Entry& entry : slow_log_.Snapshot()) {
     SlowQueryEntry wire;
     wire.latency_us = entry.latency_us;

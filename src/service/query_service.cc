@@ -272,8 +272,8 @@ Result<engine::SearchResponse> QueryService::SearchOne(
                              OpenSearch(query));
   Result<engine::SearchResponse> response =
       engine::DrainToResponse(cursor.get());
-  // Drained queries feed the service-lifetime stats().engine aggregate.
-  if (response.ok()) FoldEngineStats(cursor->stats());
+  // Drained queries feed the service-lifetime stats().search aggregate.
+  if (response.ok()) FoldSearchStats(cursor->stats().search);
   return response;
 }
 
@@ -315,49 +315,22 @@ std::vector<Result<engine::SearchResponse>> QueryService::SearchBatch(
   return responses;
 }
 
-void QueryService::FoldEngineStats(const engine::EngineStats& stats) {
+void QueryService::FoldSearchStats(const engine::SearchStats& stats) {
   qv::MutexLock lock(stats_mu_);
-  engine::SearchStats& search = engine_stats_.search;
-  search.view_results += stats.search.view_results;
-  search.matching_results += stats.search.matching_results;
-  search.pdt.ids_processed += stats.search.pdt.ids_processed;
-  search.pdt.nodes_emitted += stats.search.pdt.nodes_emitted;
-  search.pdt.peak_ct_nodes =
-      std::max(search.pdt.peak_ct_nodes, stats.search.pdt.peak_ct_nodes);
-  search.pdt.index_probes += stats.search.pdt.index_probes;
-  search.pdt.pdt_bytes += stats.search.pdt.pdt_bytes;
-  search.store_fetches += stats.search.store_fetches;
-  search.store_bytes += stats.search.store_bytes;
-  search.pages_read += stats.search.pages_read;
-  search.buffer_hits += stats.search.buffer_hits;
-  search.view_bytes += stats.search.view_bytes;
-  engine_stats_.timings.qpt_ms += stats.timings.qpt_ms;
-  engine_stats_.timings.pdt_ms += stats.timings.pdt_ms;
-  engine_stats_.timings.eval_ms += stats.timings.eval_ms;
-  engine_stats_.timings.post_ms += stats.timings.post_ms;
-  for (const engine::ShardStats& s : stats.shards) {
-    engine::ShardStats* slot = nullptr;
-    for (engine::ShardStats& have : engine_stats_.shards) {
-      if (have.shard == s.shard) {
-        slot = &have;
-        break;
-      }
-    }
-    if (slot == nullptr) {
-      engine_stats_.shards.emplace_back();
-      slot = &engine_stats_.shards.back();
-      slot->shard = s.shard;
-    }
-    slot->view_results += s.view_results;
-    slot->matching_results += s.matching_results;
-    slot->store_fetches += s.store_fetches;
-    slot->store_bytes += s.store_bytes;
-    slot->pages_read += s.pages_read;
-    slot->buffer_hits += s.buffer_hits;
-    slot->pdt_ms += s.pdt_ms;
-    slot->eval_ms += s.eval_ms;
-    slot->cancelled = slot->cancelled || s.cancelled;
-  }
+  engine::SearchStats& sum = search_stats_;
+  sum.view_results += stats.view_results;
+  sum.matching_results += stats.matching_results;
+  sum.pdt.ids_processed += stats.pdt.ids_processed;
+  sum.pdt.nodes_emitted += stats.pdt.nodes_emitted;
+  sum.pdt.peak_ct_nodes = std::max(sum.pdt.peak_ct_nodes,
+                                   stats.pdt.peak_ct_nodes);
+  sum.pdt.index_probes += stats.pdt.index_probes;
+  sum.pdt.pdt_bytes += stats.pdt.pdt_bytes;
+  sum.store_fetches += stats.store_fetches;
+  sum.store_bytes += stats.store_bytes;
+  sum.pages_read += stats.pages_read;
+  sum.buffer_hits += stats.buffer_hits;
+  sum.view_bytes += stats.view_bytes;
 }
 
 QueryService::Stats QueryService::stats() const {
@@ -368,7 +341,7 @@ QueryService::Stats QueryService::stats() const {
   out.cache = cache_.stats();
   {
     qv::MutexLock lock(stats_mu_);
-    out.engine = engine_stats_;
+    out.search = search_stats_;
   }
   return out;
 }

@@ -105,13 +105,11 @@ class QueryService {
     uint64_t documents_inserted = 0;
     uint64_t documents_removed = 0;
     PreparedQueryCache::Stats cache;
-    /// The unified engine view (same shape ResultCursor::stats()
-    /// returns): search counters, module timings and per-shard counters
-    /// accumulated over every DRAINED query (SearchOne / SearchBatch —
-    /// cursors handed out by OpenSearch fold in only if drained through
-    /// DrainToResponse by SearchOne). Buffer-pool counters are registry
-    /// series (RegisterMetrics), not part of this snapshot.
-    engine::EngineStats engine;
+    /// Search counters summed over every DRAINED query (SearchOne /
+    /// SearchBatch — cursors handed out by OpenSearch are not counted).
+    /// Buffer-pool counters are registry series (RegisterMetrics), not
+    /// part of this snapshot.
+    engine::SearchStats search;
   };
 
   /// Static mode: queries fan out over every shard of `shards` (which
@@ -239,18 +237,18 @@ class QueryService {
       std::shared_ptr<const storage::DocumentStore> lease)
       QV_EXCLUDES(views_mu_);
 
-  /// Folds one drained cursor's EngineStats into the service-lifetime
-  /// accumulator behind stats().engine.
-  void FoldEngineStats(const engine::EngineStats& stats)
+  /// Folds one drained cursor's search counters into the service-lifetime
+  /// accumulator behind stats().search.
+  void FoldSearchStats(const engine::SearchStats& stats)
       QV_EXCLUDES(stats_mu_);
 
   /// Exactly one of the two is set. In live mode the one shard context
   /// is re-read from live_ under its lock on every query.
   const storage::ShardSet* shards_ = nullptr;
   storage::LiveDatabase* live_ = nullptr;
-  /// Cumulative EngineStats over drained queries (see Stats::engine).
+  /// Cumulative search counters over drained queries (Stats::search).
   mutable qv::Mutex stats_mu_;
-  engine::EngineStats engine_stats_ QV_GUARDED_BY(stats_mu_);
+  engine::SearchStats search_stats_ QV_GUARDED_BY(stats_mu_);
   /// Lock order: live_->mu() first, views_mu_ nested inside it (both
   /// PrepareCursor and ApplyMutation) — never take live_->mu() while
   /// holding views_mu_.

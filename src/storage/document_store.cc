@@ -49,8 +49,8 @@ Status DocumentStore::CopySubtree(uint32_t root_component,
   if (source == xml::kInvalidNode) {
     return Status::NotFound("no element " + id.ToString());
   }
-  xml::CopySubtreeInto(*doc, source, target, target_parent);
-  CountFetch(xml::SubtreeByteLength(*doc, source), 0, 0, accounting);
+  CountFetch(xml::CopySubtreeInto(*doc, source, target, target_parent), 0, 0,
+             accounting);
   return Status::OK();
 }
 

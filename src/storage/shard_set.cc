@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "pagestore/shard_pack.h"
+#include "xml/serializer.h"
 
 namespace quickview::storage {
 

@@ -76,19 +76,6 @@ std::vector<NodeIndex> Document::SubtreeNodes(NodeIndex start) const {
   return out;
 }
 
-NodeIndex CopySubtreeInto(const Document& source, NodeIndex source_index,
-                          Document* target, NodeIndex target_parent) {
-  const Node& node = source.node(source_index);
-  NodeIndex copied = target_parent == kInvalidNode
-                         ? target->CreateRoot(node.tag)
-                         : target->AddChild(target_parent, node.tag);
-  target->node(copied).text = node.text;
-  for (NodeIndex child : node.children) {
-    CopySubtreeInto(source, child, target, copied);
-  }
-  return copied;
-}
-
 void Database::AddDocument(const std::string& name,
                            std::shared_ptr<Document> doc) {
   assert(doc != nullptr);

@@ -99,15 +99,6 @@ class Document {
   std::vector<Node> nodes_;
 };
 
-/// Copies the subtree of `source` rooted at `source_index` into `target`
-/// as a child of `target_parent` (or as the root when `target_parent` is
-/// kInvalidNode and `target` is empty). The copy gets fresh contiguous
-/// Dewey ordinals under the target position. Returns the copy's index.
-/// Shared by the in-memory DocumentStore fetch path, the packed-database
-/// delta overlay, and pack compaction.
-NodeIndex CopySubtreeInto(const Document& source, NodeIndex source_index,
-                          Document* target, NodeIndex target_parent);
-
 /// A named collection of documents (the database instance D of §2.1).
 /// Each document is registered under the name used by fn:doc() in views
 /// and is assigned a distinct root Dewey component.

@@ -19,6 +19,10 @@ std::string Serialize(const Document& doc, NodeIndex node);
 /// Serializes the whole document.
 std::string Serialize(const Document& doc);
 
+/// Bytes the node's own tags and escaped text take in Serialize output,
+/// children excluded.
+uint64_t OwnByteLength(const Node& node);
+
 /// Byte length of Serialize(doc, node) without building the string.
 uint64_t SubtreeByteLength(const Document& doc, NodeIndex node);
 
@@ -29,6 +33,15 @@ uint64_t SubtreeByteLength(const Document& doc, NodeIndex node);
 /// recursive SubtreeByteLength calls (O(n) vs O(n x depth)).
 uint64_t SubtreeByteLengths(const Document& doc, NodeIndex node,
                             std::vector<uint64_t>* lengths);
+
+/// Copies the subtree of `source` rooted at `source_index` into `target`
+/// as a child of `target_parent` (or as the root when `target_parent` is
+/// kInvalidNode and `target` is empty). The copy gets fresh contiguous
+/// Dewey ordinals under the target position. Returns
+/// SubtreeByteLength(source, source_index), summed during the copy walk:
+/// a store fetch reports the bytes it copied without a second walk.
+uint64_t CopySubtreeInto(const Document& source, NodeIndex source_index,
+                         Document* target, NodeIndex target_parent);
 
 /// Escapes &, <, >, " and ' for element content.
 std::string EscapeText(const std::string& text);

@@ -32,7 +32,7 @@ class BaseSearchTest : public ::testing::Test {
 
 TEST_F(BaseSearchTest, ReturnsDeepestContainingElements) {
   auto hits = SearchBaseDocuments(db_, *indexes_, {"xml", "search"},
-                                  BaseSearchOptions{});
+                                  SearchOptions{});
   ASSERT_TRUE(hits.ok()) << hits.status();
   // "xml search" together: deepest containers are the first p (1.1.2.1)
   // and — via title+chap — the book (1.1); the book qualifies but has a
@@ -54,7 +54,7 @@ TEST_F(BaseSearchTest, ReturnsDeepestContainingElements) {
 
 TEST_F(BaseSearchTest, TfMatchesDirectCount) {
   auto hits = SearchBaseDocuments(db_, *indexes_, {"search"},
-                                  BaseSearchOptions{});
+                                  SearchOptions{});
   ASSERT_TRUE(hits.ok());
   const xml::Document* doc = db_.GetDocument("lib.xml");
   for (const BaseSearchHit& hit : *hits) {
@@ -64,7 +64,7 @@ TEST_F(BaseSearchTest, TfMatchesDirectCount) {
 }
 
 TEST_F(BaseSearchTest, DisjunctiveFindsEitherKeyword) {
-  BaseSearchOptions options;
+  SearchOptions options;
   options.conjunctive = false;
   auto both = SearchBaseDocuments(db_, *indexes_, {"recipes", "cooking"},
                                   options);
@@ -73,7 +73,7 @@ TEST_F(BaseSearchTest, DisjunctiveFindsEitherKeyword) {
 }
 
 TEST_F(BaseSearchTest, TopKAndOrdering) {
-  BaseSearchOptions options;
+  SearchOptions options;
   options.top_k = 1;
   auto hits = SearchBaseDocuments(db_, *indexes_, {"search"}, options);
   ASSERT_TRUE(hits.ok());
@@ -87,14 +87,14 @@ TEST_F(BaseSearchTest, TopKAndOrdering) {
 }
 
 TEST_F(BaseSearchTest, NoKeywordsIsAnError) {
-  auto hits = SearchBaseDocuments(db_, *indexes_, {}, BaseSearchOptions{});
+  auto hits = SearchBaseDocuments(db_, *indexes_, {}, SearchOptions{});
   ASSERT_FALSE(hits.ok());
   EXPECT_EQ(hits.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(BaseSearchTest, UnknownKeywordYieldsNothing) {
   auto hits = SearchBaseDocuments(db_, *indexes_, {"zzzz"},
-                                  BaseSearchOptions{});
+                                  SearchOptions{});
   ASSERT_TRUE(hits.ok());
   EXPECT_TRUE(hits->empty());
 }
@@ -105,7 +105,7 @@ TEST_F(BaseSearchTest, SearchesEveryDocument) {
   db_.AddDocument("notes.xml", *extra);
   indexes_ = index::BuildDatabaseIndexes(db_);
   auto hits = SearchBaseDocuments(db_, *indexes_, {"search"},
-                                  BaseSearchOptions{});
+                                  SearchOptions{});
   ASSERT_TRUE(hits.ok());
   bool saw_notes = false;
   for (const BaseSearchHit& hit : *hits) {

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "index/index_builder.h"
 #include "xml/parser.h"
@@ -22,49 +23,57 @@ std::unique_ptr<InvertedIndex> IndexOf(const std::string& xml_text) {
   return index;
 }
 
+/// `id`'s tf in `term`'s list; 0 when the list does not hold `id`.
+uint32_t TfOf(const InvertedIndex& index, const std::string& term,
+              const DeweyId& id) {
+  const std::vector<Posting> postings = *index.Lookup(term);
+  for (const Posting& posting : postings) {
+    if (posting.id == id) return posting.tf;
+  }
+  return 0;
+}
+
 TEST(InvertedIndexTest, ListsAreDeweyOrderedWithDirectTf) {
   auto index =
       IndexOf("<r><a><x>search</x></a><b>xml xml</b><c>xml</c></r>");
-  auto postings = index->Lookup("xml");
+  auto postings = *index->Lookup("xml");
   ASSERT_EQ(postings.size(), 2u);
   EXPECT_EQ(postings[0].id.ToString(), "1.2");
   EXPECT_EQ(postings[0].tf, 2u);
   EXPECT_EQ(postings[1].id.ToString(), "1.3");
   EXPECT_EQ(postings[1].tf, 1u);
-  ASSERT_EQ(index->Lookup("search").size(), 1u);
-  EXPECT_EQ(index->Lookup("search")[0].id.ToString(), "1.1.1");
-  EXPECT_TRUE(index->Lookup("absent").empty());
+  ASSERT_EQ(index->Lookup("search")->size(), 1u);
+  EXPECT_EQ((*index->Lookup("search"))[0].id.ToString(), "1.1.1");
+  EXPECT_TRUE(index->Lookup("absent")->empty());
 }
 
 TEST(InvertedIndexTest, TagAndTextOccurrencesInOneElementAccumulate) {
   // The tag name and both (case-folded) text tokens are one element's.
   auto index = IndexOf("<r><xml>xml XML</xml></r>");
-  uint32_t tf = 0;
-  EXPECT_TRUE(index->Contains("xml", DeweyId::Parse("1.1"), &tf));
-  EXPECT_EQ(tf, 3u);
-  EXPECT_EQ(index->ListLength("xml"), 1u);
+  EXPECT_EQ(TfOf(*index, "xml", DeweyId::Parse("1.1")), 3u);
+  EXPECT_EQ(index->Lookup("xml")->size(), 1u);
 }
 
-TEST(InvertedIndexTest, ContainsPointProbe) {
+TEST(InvertedIndexTest, ListsHoldOnlyDirectContainers) {
   auto index = IndexOf("<r><a>xml</a><b>web</b></r>");
-  EXPECT_TRUE(index->Contains("xml", DeweyId::Parse("1.1")));
-  EXPECT_FALSE(index->Contains("xml", DeweyId::Parse("1.2")));
-  EXPECT_FALSE(index->Contains("search", DeweyId::Parse("1.1")));
+  EXPECT_EQ(TfOf(*index, "xml", DeweyId::Parse("1.1")), 1u);
+  EXPECT_EQ(TfOf(*index, "xml", DeweyId::Parse("1.2")), 0u);
+  EXPECT_EQ(TfOf(*index, "search", DeweyId::Parse("1.1")), 0u);
 }
 
 TEST(InvertedIndexTest, ListLength) {
   std::string xml_text = "<r>";
   for (int i = 1; i <= 9; ++i) xml_text += "<e>t</e>";
   auto index = IndexOf(xml_text + "</r>");
-  EXPECT_EQ(index->ListLength("t"), 9u);
-  EXPECT_EQ(index->ListLength("u"), 0u);
+  EXPECT_EQ(index->Lookup("t")->size(), 9u);
+  EXPECT_EQ(index->Lookup("u")->size(), 0u);
 }
 
 TEST(InvertedIndexTest, NoCrossTermBleedWithPrefixTerms) {
-  // "xml" and "xmls" share a prefix; the separator must keep lists apart.
+  // "xml" and "xmls" share a prefix; their lists must stay apart.
   auto index = IndexOf("<r><a>xml</a><b>xmls</b></r>");
-  EXPECT_EQ(index->Lookup("xml").size(), 1u);
-  EXPECT_EQ(index->Lookup("xmls").size(), 1u);
+  EXPECT_EQ(index->Lookup("xml")->size(), 1u);
+  EXPECT_EQ(index->Lookup("xmls")->size(), 1u);
 }
 
 TEST(IndexBuilderTest, DirectContainmentOnly) {
@@ -75,15 +84,14 @@ TEST(IndexBuilderTest, DirectContainmentOnly) {
   auto indexes = BuildDocumentIndexes(**parsed);
   // "xml" is directly contained by title (1.1) and content (1.2.1) only —
   // not by their ancestors.
-  auto postings = indexes->inverted_index.Lookup("xml");
+  auto postings = *indexes->inverted_index.Lookup("xml");
   ASSERT_EQ(postings.size(), 2u);
   EXPECT_EQ(postings[0].id.ToString(), "1.1");
   EXPECT_EQ(postings[1].id.ToString(), "1.2.1");
   // Tag names are terms of the element itself.
-  EXPECT_TRUE(
-      indexes->inverted_index.Contains("book", DeweyId::Parse("1")));
-  EXPECT_TRUE(
-      indexes->inverted_index.Contains("title", DeweyId::Parse("1.1")));
+  EXPECT_EQ(TfOf(indexes->inverted_index, "book", DeweyId::Parse("1")), 1u);
+  EXPECT_EQ(TfOf(indexes->inverted_index, "title", DeweyId::Parse("1.1")),
+            1u);
 }
 
 TEST(IndexBuilderTest, DatabaseIndexesPerDocument) {
@@ -97,8 +105,8 @@ TEST(IndexBuilderTest, DatabaseIndexesPerDocument) {
   ASSERT_NE(indexes->Get("a.xml"), nullptr);
   ASSERT_NE(indexes->Get("b.xml"), nullptr);
   EXPECT_EQ(indexes->Get("c.xml"), nullptr);
-  EXPECT_EQ(indexes->Get("a.xml")->inverted_index.ListLength("foo"), 1u);
-  EXPECT_EQ(indexes->Get("a.xml")->inverted_index.ListLength("bar"), 0u);
+  EXPECT_EQ(indexes->Get("a.xml")->inverted_index.Lookup("foo")->size(), 1u);
+  EXPECT_EQ(indexes->Get("a.xml")->inverted_index.Lookup("bar")->size(), 0u);
 }
 
 }  // namespace

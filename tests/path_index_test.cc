@@ -77,9 +77,10 @@ class PathIndexTest : public ::testing::Test {
 TEST_F(PathIndexTest, DistinctPathsAndExpansion) {
   const PathIndex& index = indexes_->path_index;
   EXPECT_EQ(index.distinct_paths(), 5u);  // /books{,/book{,/isbn,/title,/year}}
-  auto paths = index.ExpandPattern(Pattern({{false, "books"}, {true, "isbn"}}));
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0], "/books/book/isbn");
+  auto rows = index.LookUpPerPath(Pattern({{false, "books"}, {true, "isbn"}}),
+                                  /*with_values=*/false);
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].path, "/books/book/isbn");
 }
 
 TEST_F(PathIndexTest, LookUpIdMergesInDeweyOrder) {
@@ -116,9 +117,9 @@ TEST_F(PathIndexTest, LookUpValueEqualityProbe) {
 TEST_F(PathIndexTest, LookUpPerPathGroups) {
   auto rows = indexes_->path_index.LookUpPerPath(
       Pattern({{true, "book"}}), /*with_values=*/false);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].path, "/books/book");
-  EXPECT_EQ(rows[0].entries.size(), 3u);
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].path, "/books/book");
+  EXPECT_EQ((*rows)[0].entries.size(), 3u);
 }
 
 TEST_F(PathIndexTest, ByteLengthsMatchSerializedSubtrees) {

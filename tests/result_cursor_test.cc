@@ -36,12 +36,26 @@ class ResultCursorTest : public ::testing::Test {
                                                  store_.get());
   }
 
+  /// Plans the view-form request for `keywords` and builds its PDTs;
+  /// OpenPrepared then opens that request over them.
   Result<std::shared_ptr<const PreparedQuery>> Prepare(
       const std::vector<std::string>& keywords, bool conjunctive) {
+    request_ = SearchRequest{};
+    request_.view = workload::BookRevView();
+    request_.keywords = keywords;
+    request_.options.conjunctive = conjunctive;
     auto plan = engine_->PlanQuery(ComposeKeywordQuery(
         workload::BookRevView(), keywords, conjunctive));
     if (!plan.ok()) return plan.status();
     return engine_->BuildPdts(std::move(*plan));
+  }
+
+  Result<std::unique_ptr<ResultCursor>> OpenPrepared(
+      std::shared_ptr<const PreparedQuery> prepared,
+      const SearchOptions& options) {
+    SearchRequest request = request_;
+    request.options.top_k = options.top_k;
+    return engine_->Open(request, {std::move(prepared)});
   }
 
   static void ExpectSameHits(const std::vector<SearchHit>& expected,
@@ -60,6 +74,7 @@ class ResultCursorTest : public ::testing::Test {
   std::unique_ptr<index::DatabaseIndexes> indexes_;
   std::unique_ptr<storage::DocumentStore> store_;
   std::unique_ptr<ViewSearchEngine> engine_;
+  SearchRequest request_;  // the request the last Prepare planned
 };
 
 TEST_F(ResultCursorTest, PagedFetchesEqualOneBigFetch) {
@@ -68,13 +83,13 @@ TEST_F(ResultCursorTest, PagedFetchesEqualOneBigFetch) {
   SearchOptions options;
   options.top_k = 10;
 
-  auto whole = engine_->Open(*prepared, options);
+  auto whole = OpenPrepared(*prepared, options);
   ASSERT_TRUE(whole.ok()) << whole.status();
   auto all = (*whole)->FetchNext(10);
   ASSERT_TRUE(all.ok()) << all.status();
   ASSERT_FALSE(all->empty());
 
-  auto paged = engine_->Open(*prepared, options);
+  auto paged = OpenPrepared(*prepared, options);
   ASSERT_TRUE(paged.ok()) << paged.status();
   std::vector<SearchHit> collected;
   while (!(*paged)->Done()) {
@@ -151,7 +166,7 @@ TEST_F(ResultCursorTest, FetchTenMaterializesLessThanDrain) {
   SearchOptions options;
   options.top_k = 1u << 20;  // stream everything the query matches
 
-  auto first_page = engine_->Open(*prepared, options);
+  auto first_page = OpenPrepared(*prepared, options);
   ASSERT_TRUE(first_page.ok()) << first_page.status();
   ASSERT_GE((*first_page)->stats().search.matching_results, 100u);
   EXPECT_EQ((*first_page)->stats().search.store_fetches, 0u)
@@ -162,7 +177,7 @@ TEST_F(ResultCursorTest, FetchTenMaterializesLessThanDrain) {
   uint64_t ten_fetches = (*first_page)->stats().search.store_fetches;
   EXPECT_GT(ten_fetches, 0u);
 
-  auto drained = engine_->Open(*prepared, options);
+  auto drained = OpenPrepared(*prepared, options);
   ASSERT_TRUE(drained.ok()) << drained.status();
   auto everything = (*drained)->FetchNext((*drained)->pending());
   ASSERT_TRUE(everything.ok()) << everything.status();
@@ -179,7 +194,7 @@ TEST_F(ResultCursorTest, ExhaustedCursorStaysExhausted) {
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   SearchOptions options;
   options.top_k = 1u << 20;
-  auto cursor = engine_->Open(*prepared, options);
+  auto cursor = OpenPrepared(*prepared, options);
   ASSERT_TRUE(cursor.ok()) << cursor.status();
 
   auto all = (*cursor)->FetchNext((*cursor)->pending());
@@ -199,7 +214,7 @@ TEST_F(ResultCursorTest, ExhaustedCursorStaysExhausted) {
 TEST_F(ResultCursorTest, FetchZeroIsANoOp) {
   auto prepared = Prepare({"xml"}, /*conjunctive=*/true);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  auto cursor = engine_->Open(*prepared, SearchOptions{});
+  auto cursor = OpenPrepared(*prepared, SearchOptions{});
   ASSERT_TRUE(cursor.ok()) << cursor.status();
   auto none = (*cursor)->FetchNext(0);
   ASSERT_TRUE(none.ok()) << none.status();
@@ -214,7 +229,7 @@ TEST_F(ResultCursorTest, TopKBudgetCapsTheStream) {
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   SearchOptions options;
   options.top_k = 2;
-  auto cursor = engine_->Open(*prepared, options);
+  auto cursor = OpenPrepared(*prepared, options);
   ASSERT_TRUE(cursor.ok()) << cursor.status();
   ASSERT_GT((*cursor)->stats().search.matching_results, 2u);
   auto hits = (*cursor)->FetchNext(100);
@@ -236,7 +251,7 @@ TEST_F(ResultCursorTest, CursorOutlivesCallerReferences) {
 
   auto prepared = Prepare(keywords, /*conjunctive=*/true);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  auto cursor = engine_->Open(std::move(*prepared), SearchOptions{});
+  auto cursor = OpenPrepared(std::move(*prepared), SearchOptions{});
   ASSERT_TRUE(cursor.ok()) << cursor.status();
   // *prepared was moved into Open; no caller-side owner remains.
   auto hits = (*cursor)->FetchNext((*cursor)->pending());
@@ -249,7 +264,7 @@ TEST_F(ResultCursorTest, TopKZeroIsInvalidArgument) {
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   SearchOptions options;
   options.top_k = 0;
-  auto cursor = engine_->Open(*prepared, options);
+  auto cursor = OpenPrepared(*prepared, options);
   ASSERT_FALSE(cursor.ok());
   EXPECT_EQ(cursor.status().code(), StatusCode::kInvalidArgument);
 

@@ -62,9 +62,9 @@ TEST(InexGeneratorTest, SelectivityTiersOrderInvertedListLengths) {
   auto indexes = index::BuildDatabaseIndexes(*db);
   const auto& inv = indexes->Get("inex.xml")->inverted_index;
   // Low selectivity = frequent terms = long lists; high = short.
-  size_t low = inv.ListLength("ieee");
-  size_t medium = inv.ListLength("thomas");
-  size_t high = inv.ListLength("moore");
+  size_t low = inv.Lookup("ieee")->size();
+  size_t medium = inv.Lookup("thomas")->size();
+  size_t high = inv.Lookup("moore")->size();
   EXPECT_GT(low, medium);
   EXPECT_GT(medium, high);
   EXPECT_GT(high, 0u);

@@ -1,14 +1,23 @@
 // Round-trip and byte-length properties of the XML substrate on random
-// documents: serialize∘parse must be the identity on serialized form, and
+// documents: serialize∘parse must be the identity on serialized form,
 // SubtreeByteLength must equal the serialized size everywhere (it is the
 // len(e) of score normalization, so an off-by-one here silently breaks
-// Theorem 4.1 parity).
+// Theorem 4.1 parity), and the path and inverted indexes must equal a
+// brute-force walk of the DOM.
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <ostream>
 #include <random>
 #include <set>
+#include <string_view>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "index/index_builder.h"
 #include "xml/dom.h"
 #include "xml/parser.h"
@@ -16,6 +25,10 @@
 #include "xml/tokenizer.h"
 
 namespace quickview::xml {
+
+// Failure messages print ids as "1.2.3", not as raw bytes.
+void PrintTo(const DeweyId& id, std::ostream* os) { *os << id.ToString(); }
+
 namespace {
 
 std::shared_ptr<Document> RandomDocument(std::mt19937_64* rng) {
@@ -72,22 +85,96 @@ TEST_P(XmlRoundTripProperty, ByteLengthEqualsSerializedSizeEverywhere) {
   }
 }
 
+/// Root-to-node tags of `node`, as a full data path ("/a/bee").
+std::string DataPath(const Document& doc, const DeweyId& id) {
+  std::string path;
+  for (size_t depth = 1; depth <= id.depth(); ++depth) {
+    path += "/" + doc.node(doc.FindByDewey(id.Prefix(depth))).tag;
+  }
+  return path;
+}
+
+/// The child-axis pattern that matches exactly `path`.
+index::PathPattern PatternOf(const std::string& path) {
+  index::PathPattern pattern;
+  for (std::string_view tag : SplitString(std::string_view(path).substr(1),
+                                          '/')) {
+    pattern.push_back(index::PathStep{false, std::string(tag)});
+  }
+  return pattern;
+}
+
+using EntryTuple = std::tuple<DeweyId, uint64_t, std::optional<std::string>>;
+
+std::vector<EntryTuple> Tuples(const std::vector<index::PathEntry>& entries) {
+  std::vector<EntryTuple> out;
+  for (const index::PathEntry& e : entries) {
+    out.emplace_back(e.id, e.byte_length, e.value);
+  }
+  return out;
+}
+
 TEST_P(XmlRoundTripProperty, IndexedTfMatchesTokenizerEverywhere) {
-  // The inverted index must agree with a direct tokenization of the
-  // document — the foundation of tf parity.
+  // The indexes must agree with a direct walk of the document — the
+  // foundation of tf and PDT parity. Random documents keep creation
+  // order, not Dewey order, and carry empty and repeated values and
+  // text that needs escaping.
   std::mt19937_64 rng(GetParam() + 2000);
-  auto doc = RandomDocument(&rng);
-  auto indexes = index::BuildDocumentIndexes(*doc);
-  for (NodeIndex i = 0; i < doc->size(); ++i) {
-    std::map<std::string, uint32_t> direct;
-    for (const std::string& term : DirectTerms(doc->node(i))) {
-      ++direct[term];
+  for (int round = 0; round < 5; ++round) {
+    auto doc = RandomDocument(&rng);
+    auto indexes = index::BuildDocumentIndexes(*doc);
+
+    // Brute-force inverted lists and path rows, Dewey-ordered.
+    std::map<std::string, std::map<DeweyId, uint32_t>> lists;
+    std::map<std::string, std::vector<EntryTuple>> by_path;
+    size_t postings = 0;
+    for (NodeIndex i = 0; i < doc->size(); ++i) {
+      const Node& node = doc->node(i);
+      for (const std::string& term : DirectTerms(node)) {
+        if (lists[term][node.id]++ == 0) ++postings;
+      }
+      by_path[DataPath(*doc, node.id)].emplace_back(
+          node.id, SubtreeByteLength(*doc, i), node.text);
     }
-    for (const auto& [term, count] : direct) {
-      uint32_t tf = 0;
-      EXPECT_TRUE(indexes->inverted_index.Contains(term, doc->node(i).id,
-                                                   &tf));
-      EXPECT_EQ(tf, count) << term;
+
+    using Postings = std::vector<std::pair<DeweyId, uint32_t>>;
+    for (const auto& [term, expected] : lists) {
+      auto actual = indexes->inverted_index.Lookup(term);
+      ASSERT_TRUE(actual.ok());
+      Postings got;
+      for (const index::Posting& p : *actual) got.emplace_back(p.id, p.tf);
+      EXPECT_EQ(got, Postings(expected.begin(), expected.end())) << term;
+    }
+    size_t indexed = 0;
+    indexes->inverted_index.ForEachPosting(
+        [&indexed](const std::string&, const DeweyId&, uint32_t) {
+          ++indexed;
+        });
+    EXPECT_EQ(indexed, postings) << "the index holds a term the walk lacks";
+
+    EXPECT_EQ(indexes->path_index.distinct_paths(), by_path.size());
+    for (auto& [path, expected] : by_path) {
+      std::sort(expected.begin(), expected.end());
+      auto rows = indexes->path_index.LookUpPerPath(PatternOf(path),
+                                                    /*with_values=*/true);
+      ASSERT_TRUE(rows.ok());
+      ASSERT_EQ(rows->size(), 1u) << path;
+      EXPECT_EQ((*rows)[0].path, path);
+      EXPECT_EQ(Tuples((*rows)[0].entries), expected) << path;
+
+      std::set<std::string> values;
+      for (const EntryTuple& e : expected) values.insert(*std::get<2>(e));
+      values.insert("no such value");
+      for (const std::string& value : values) {
+        std::vector<EntryTuple> want;
+        for (const EntryTuple& e : expected) {
+          if (std::get<2>(e) == value) want.push_back(e);
+        }
+        EXPECT_EQ(Tuples(indexes->path_index.LookUpValue(PatternOf(path),
+                                                         value)),
+                  want)
+            << path << " = '" << value << "'";
+      }
     }
   }
 }

@@ -24,7 +24,7 @@ unchecked-value Calling .value() on a variable declared as Result<T>
                 the rule keys on a visible `Result<...> ident`
                 declaration — `auto` declarations and chained
                 temporaries are not matched (kept conservative to stay
-                false-positive-free on e.g. BTree::Iterator::value()).
+                false-positive-free on e.g. obs::Counter::value()).
 
 raw-durability  fsync / fdatasync / pwrite outside src/pagestore/. All
                 durability syscalls belong to the storage engine; a

@@ -307,7 +307,7 @@ int CmdBaseSearch(const Flags& flags) {
   auto db = storage::LoadDatabase(flags.positional[0]);
   if (!db.ok()) return Fail(db.status());
   auto indexes = index::BuildDatabaseIndexes(**db);
-  engine::BaseSearchOptions options;
+  engine::SearchOptions options;
   options.top_k = flags.top_k;
   options.conjunctive = !flags.any;
   auto hits = engine::SearchBaseDocuments(**db, *indexes, flags.keywords,
