@@ -21,8 +21,7 @@ void BM_Modules(benchmark::State& state) {
                       "efficient");
   }
   ReportTimings(state, last);
-  state.counters["qpt_ms"] = benchmark::Counter(
-      last.timings.qpt_ms, benchmark::Counter::kAvgIterations);
+  state.counters["qpt_ms"] = benchmark::Counter(last.timings.qpt_ms);
 }
 BENCHMARK(BM_Modules)->DenseRange(1, 5)->Unit(benchmark::kMillisecond);
 

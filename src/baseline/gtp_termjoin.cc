@@ -168,15 +168,8 @@ Result<std::shared_ptr<xml::Document>> BuildGtpPrunedDocument(
     QV_RETURN_IF_ERROR(store->GetSubtreeLength(
         out.id.component(0), out.id, &out.byte_length, fetch_stats));
   }
-  std::vector<pdt::InvList> inv_lists;
-  for (const std::string& keyword : keywords) {
-    pdt::InvList inv;
-    inv.term = keyword;
-    QV_ASSIGN_OR_RETURN(inv.postings,
-                        indexes.inverted_index.Lookup(keyword));
-    inv.BuildPrefix();
-    inv_lists.push_back(std::move(inv));
-  }
+  QV_ASSIGN_OR_RETURN(std::vector<pdt::InvList> inv_lists,
+                      pdt::PrepareInvLists(indexes.View(), keywords));
   return pdt::AssemblePdtDocument(std::move(elements), inv_lists);
 }
 

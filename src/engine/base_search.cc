@@ -45,15 +45,8 @@ Result<std::vector<BaseSearchHit>> SearchBaseDocuments(
     if (doc_indexes == nullptr) {
       return Status::NotFound("no indexes for document '" + name + "'");
     }
-    std::vector<pdt::InvList> lists;
-    for (const std::string& keyword : keywords) {
-      pdt::InvList list;
-      list.term = keyword;
-      QV_ASSIGN_OR_RETURN(list.postings,
-                          doc_indexes->inverted_index.Lookup(keyword));
-      list.BuildPrefix();
-      lists.push_back(std::move(list));
-    }
+    QV_ASSIGN_OR_RETURN(std::vector<pdt::InvList> lists,
+                        pdt::PrepareInvLists(doc_indexes->View(), keywords));
     // Elements whose subtree satisfies the keyword semantics.
     std::vector<BaseSearchHit> matching;
     for (const xml::DeweyId& id : CollectCandidates(lists)) {

@@ -1,5 +1,5 @@
 // RankedStream: the incremental ranked-selection core shared by the
-// ResultCursor, RankedSelectionSearch and SearchBaseDocuments. Candidates
+// ResultCursor and SearchBaseDocuments. Candidates
 // are pushed unsorted as (score, position) pairs and popped in descending
 // score order, ties broken by ascending position — exactly the total
 // order the batch pipeline's sort produced, so draining a stream is

@@ -56,6 +56,15 @@ void AppendQptSignature(const qpt::Qpt& qpt, std::string* out) {
   }
 }
 
+Result<index::DocumentIndexView> DocumentView(
+    const index::IndexSource& indexes, const std::string& doc_name) {
+  std::optional<index::DocumentIndexView> view = indexes.GetView(doc_name);
+  if (!view.has_value()) {
+    return Status::NotFound("no indexes for document '" + doc_name + "'");
+  }
+  return *view;
+}
+
 // Fixed-slot completion barrier for the per-shard fan-out (the PX-style
 // coordinator's result channel): each shard task fills its slot exactly
 // once; the coordinator waits for all slots, HELPING the pool drain its
@@ -132,14 +141,19 @@ std::vector<ShardContext> ShardContexts(const storage::ShardSet& shards) {
   return contexts;
 }
 
-std::string PlanSignature(const std::vector<qpt::Qpt>& qpts,
-                          const std::vector<std::string>& keywords,
-                          bool conjunctive) {
+std::string PdtSignature(const std::vector<qpt::Qpt>& qpts) {
   std::string signature;
   for (const qpt::Qpt& qpt : qpts) {
     AppendQptSignature(qpt, &signature);
     signature.push_back('\x1e');
   }
+  return signature;
+}
+
+std::string PlanSignature(const std::vector<qpt::Qpt>& qpts,
+                          const std::vector<std::string>& keywords,
+                          bool conjunctive) {
+  std::string signature = PdtSignature(qpts);
   signature.push_back(conjunctive ? '&' : '!');
   for (const std::string& keyword : keywords) {
     signature.push_back('\x1f');
@@ -178,51 +192,81 @@ Result<QueryPlan> ViewSearchEngine::PlanQuery(const std::string& query) const {
   QUICKVIEW_ASSIGN_OR_RETURN(plan.qpts, qpt::GenerateQpts(&plan.kq.view));
   plan.signature =
       PlanSignature(plan.qpts, plan.kq.keywords, plan.kq.conjunctive);
+  plan.pdt_signature = PdtSignature(plan.qpts);
   plan.qpt_ms = MsSince(start);
   return plan;
 }
 
 Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildPdts(
     QueryPlan plan, int shard) const {
-  return BuildPdtsImpl(std::move(plan), shard, /*cancel=*/nullptr);
+  return BuildPdtsImpl(std::move(plan), shard, /*skeleton=*/nullptr,
+                       /*cancel=*/nullptr);
+}
+
+Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildSkeleton(
+    const QueryPlan& plan, const index::IndexSource& indexes,
+    const CancellationToken* cancel) const {
+  Clock::time_point start = Clock::now();
+  auto skeleton = std::make_shared<PreparedQuery>();
+  skeleton->skeleton = true;
+  skeleton->plan.pdt_signature = plan.pdt_signature;
+  skeleton->pdts.reserve(plan.qpts.size());
+  for (const qpt::Qpt& q : plan.qpts) {
+    if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
+    QUICKVIEW_ASSIGN_OR_RETURN(index::DocumentIndexView doc_indexes,
+                               DocumentView(indexes, q.source_doc));
+    pdt::PdtBuildStats build_stats;
+    QUICKVIEW_ASSIGN_OR_RETURN(
+        std::shared_ptr<xml::Document> pdt,
+        pdt::GeneratePdt(q, doc_indexes, /*keywords=*/{}, &build_stats));
+    skeleton->pdt_stats.ids_processed += build_stats.ids_processed;
+    skeleton->pdt_stats.nodes_emitted += build_stats.nodes_emitted;
+    skeleton->pdt_stats.peak_ct_nodes += build_stats.peak_ct_nodes;
+    skeleton->pdt_stats.index_probes += build_stats.index_probes;
+    skeleton->pdt_stats.pdt_bytes += build_stats.pdt_bytes;
+    skeleton->memory_bytes +=
+        build_stats.pdt_bytes + pdt->size() * sizeof(xml::Node);
+    skeleton->pdts.push_back(std::move(pdt));
+  }
+  skeleton->pdt_ms = MsSince(start);
+  return std::shared_ptr<const PreparedQuery>(std::move(skeleton));
 }
 
 Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildPdtsImpl(
-    QueryPlan plan, int shard, const CancellationToken* cancel) const {
+    QueryPlan plan, int shard, std::shared_ptr<const PreparedQuery> skeleton,
+    const CancellationToken* cancel) const {
   if (shard < 0 || shard >= shard_count()) {
     return Status::InvalidArgument(
         "BuildPdts shard " + std::to_string(shard) +
         " out of range: engine has " + std::to_string(shard_count()) +
         " shard(s)");
   }
-  const index::IndexSource* indexes =
-      shards_[static_cast<size_t>(shard)].indexes;
+  const index::IndexSource& indexes =
+      *shards_[static_cast<size_t>(shard)].indexes;
   Clock::time_point start = Clock::now();
   auto prepared = std::make_shared<PreparedQuery>();
-  prepared->plan = std::move(plan);
-  prepared->pdts.reserve(prepared->plan.qpts.size());
-  for (const qpt::Qpt& q : prepared->plan.qpts) {
-    if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
-    std::optional<index::DocumentIndexView> doc_indexes =
-        indexes->GetView(q.source_doc);
-    if (!doc_indexes.has_value()) {
-      return Status::NotFound("no indexes for document '" + q.source_doc +
-                              "'");
-    }
-    pdt::PdtBuildStats build_stats;
-    QUICKVIEW_ASSIGN_OR_RETURN(
-        std::shared_ptr<xml::Document> pdt,
-        pdt::GeneratePdt(q, *doc_indexes, prepared->plan.kq.keywords,
-                         &build_stats));
-    prepared->pdt_stats.ids_processed += build_stats.ids_processed;
-    prepared->pdt_stats.nodes_emitted += build_stats.nodes_emitted;
-    prepared->pdt_stats.peak_ct_nodes += build_stats.peak_ct_nodes;
-    prepared->pdt_stats.index_probes += build_stats.index_probes;
-    prepared->pdt_stats.pdt_bytes += build_stats.pdt_bytes;
-    prepared->memory_bytes +=
-        build_stats.pdt_bytes + pdt->size() * sizeof(xml::Node);
-    prepared->pdts.push_back(std::move(pdt));
+  if (skeleton == nullptr) {
+    QUICKVIEW_ASSIGN_OR_RETURN(skeleton,
+                               BuildSkeleton(plan, indexes, cancel));
+    prepared->built_skeleton = skeleton;
+  } else if (skeleton->plan.pdt_signature != plan.pdt_signature) {
+    return Status::InvalidArgument(
+        "prepared skeleton was built for another plan's QPTs");
   }
+  prepared->plan = std::move(plan);
+  prepared->pdts.reserve(skeleton->pdts.size());
+  for (size_t i = 0; i < skeleton->pdts.size(); ++i) {
+    if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
+    QUICKVIEW_ASSIGN_OR_RETURN(
+        index::DocumentIndexView doc_indexes,
+        DocumentView(indexes, prepared->plan.qpts[i].source_doc));
+    QUICKVIEW_ASSIGN_OR_RETURN(
+        std::vector<pdt::InvList> inv_lists,
+        pdt::PrepareInvLists(doc_indexes, prepared->plan.kq.keywords));
+    prepared->pdts.push_back(pdt::AnnotatePdt(skeleton->pdts[i], inv_lists));
+  }
+  prepared->pdt_stats = skeleton->pdt_stats;
+  prepared->memory_bytes = skeleton->memory_bytes;
   prepared->pdt_ms = MsSince(start);
   return std::shared_ptr<const PreparedQuery>(std::move(prepared));
 }
@@ -418,7 +462,7 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     if (token->Fired()) return token->ToStatus();
     std::shared_ptr<const PreparedQuery> pq =
         slot < prepared.size() ? prepared[slot] : nullptr;
-    if (pq == nullptr) {
+    if (pq == nullptr || pq->skeleton) {
       // Parsing is query-proportional and deterministic, so each shard
       // re-plans from the same text instead of sharing one move-only
       // plan: every PreparedQuery stays self-contained for the caches.
@@ -432,9 +476,10 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
       }
       obs::SpanScope build_span(trace, "build_pdts", shard_span,
                                 static_cast<int>(shard));
+      build_span.AddCounter("skeleton_hit", pq != nullptr ? 1 : 0);
       QUICKVIEW_ASSIGN_OR_RETURN(
           pq, BuildPdtsImpl(std::move(plan), static_cast<int>(shard),
-                            token.get()));
+                            std::move(pq), token.get()));
       build_span.AddCounter("ids_processed", pq->pdt_stats.ids_processed);
       build_span.AddCounter("nodes_emitted", pq->pdt_stats.nodes_emitted);
       build_span.AddCounter("index_probes", pq->pdt_stats.index_probes);

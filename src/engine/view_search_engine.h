@@ -18,8 +18,11 @@
 //   PlanQuery       parse + QPT generation + canonical plan signature
 //                   (cost proportional to the query, never the data);
 //   BuildPdts       PrepareLists + GeneratePdt per QPT against ONE
-//                   shard's indexes (the data-dependent stage; its
-//                   PreparedQuery output is immutable and shareable);
+//                   shard's indexes, with no keywords (the PDT skeleton:
+//                   the data-dependent stage, the same for every keyword
+//                   set), then the keywords' term frequencies added to a
+//                   copy (the annotated bundle). Both are PreparedQuery
+//                   values, immutable and shareable;
 //   Open            evaluation + scoring + ranked merge, returning a
 //                   ResultCursor. Hits are materialized lazily, per
 //                   ResultCursor::FetchNext call, shard by shard.
@@ -65,31 +68,52 @@ struct SearchResponse {
 };
 
 /// A planned query: the parsed keyword query with its view rewritten over
-/// PDT occurrence names, the generated QPTs, and a canonical signature of
-/// (QPT structure, keywords, semantics) that identifies which PDTs the
-/// plan needs — the cache key material of the service layer.
+/// PDT occurrence names, the generated QPTs, and canonical signatures
+/// that identify which PDTs the plan needs — the cache key material of
+/// the service layer.
 struct QueryPlan {
   xquery::KeywordQuery kq;
   std::vector<qpt::Qpt> qpts;
+  /// PlanSignature: QPT shapes, keywords and semantics.
   std::string signature;
+  /// PdtSignature: QPT shapes only, what a PDT skeleton depends on.
+  std::string pdt_signature;
   double qpt_ms = 0;
 };
 
 /// A plan plus its generated PDTs — for ONE shard (an unsharded corpus
 /// is the one-shard case). Immutable after BuildPdts returns; any number
-/// of threads may open cursors against one instance.
+/// of threads may open cursors against one instance. It comes in two
+/// kinds:
+///  - an annotated bundle (the default): PDTs whose 'c' nodes carry the
+///    plan's keywords' term frequencies, ready to evaluate;
+///  - a skeleton: the PDTs built with no keywords, whose 'c' nodes carry
+///    no term frequencies. Its plan holds only the PDT signature.
+///    Every keyword set over the same QPTs shares it; Open annotates a
+///    copy per query.
 struct PreparedQuery {
   QueryPlan plan;
   std::vector<std::shared_ptr<xml::Document>> pdts;
-  pdt::PdtBuildStats pdt_stats;  // aggregated over all QPTs
+  /// Aggregated over all QPTs. An annotated bundle reports its
+  /// skeleton's figures: the PDTs are the same nodes.
+  pdt::PdtBuildStats pdt_stats;
   double pdt_ms = 0;
   /// Approximate resident footprint of the PDTs, for cache budgets.
   uint64_t memory_bytes = 0;
+  bool skeleton = false;
+  /// On an annotated bundle whose skeleton was built along with it (not
+  /// taken from the caller): that skeleton, so the service can cache it.
+  std::shared_ptr<const PreparedQuery> built_skeleton;
 };
 
-/// Canonical signature of the PDT inputs: QPT shapes (tags, axes,
-/// annotations, predicates) plus keywords and conjunctive flag. Two
-/// queries with equal signatures need byte-identical PDTs (per shard).
+/// Canonical signature of the keyword-free PDT inputs: QPT shapes (tags,
+/// axes, annotations, predicates). Two plans with equal PDT signatures
+/// have byte-identical PDT skeletons (per shard).
+std::string PdtSignature(const std::vector<qpt::Qpt>& qpts);
+
+/// Canonical signature of the PDT inputs: PdtSignature plus keywords and
+/// conjunctive flag. Two queries with equal signatures need
+/// byte-identical PDTs (per shard).
 std::string PlanSignature(const std::vector<qpt::Qpt>& qpts,
                           const std::vector<std::string>& keywords,
                           bool conjunctive);
@@ -155,9 +179,14 @@ class ViewSearchEngine {
   /// Open with caller-provided per-shard PreparedQueries (the service
   /// layer's cache hits). `prepared` must have exactly one entry per
   /// EXECUTED shard — all of them, or just the hinted one — each built
-  /// by BuildPdts against that shard (null entries are built on the
-  /// fly). Entries must all share one plan signature matching the
-  /// request.
+  /// against that shard. An entry is one of:
+  ///  - null: the shard's skeleton is built, then annotated;
+  ///  - a skeleton (PreparedQuery::skeleton) with the request's PDT
+  ///    signature: it is annotated with the request's keywords;
+  ///  - an annotated bundle with the request's plan signature: it is
+  ///    evaluated as it is.
+  /// The annotated bundle each shard ran is the cursor's
+  /// SharedPrepared(slot); it carries the skeleton it built, if any.
   Result<std::unique_ptr<ResultCursor>> Open(
       const SearchRequest& request,
       std::vector<std::shared_ptr<const PreparedQuery>> prepared) const;
@@ -169,7 +198,8 @@ class ViewSearchEngine {
   Result<QueryPlan> PlanQuery(const std::string& query) const;
 
   /// Stage 2: PDT generation for every QPT of the plan, against shard
-  /// `shard`'s indexes (0 = the only shard of an unsharded engine).
+  /// `shard`'s indexes (0 = the only shard of an unsharded engine): the
+  /// skeleton, then its annotated copy, which is returned.
   Result<std::shared_ptr<const PreparedQuery>> BuildPdts(QueryPlan plan,
                                                          int shard = 0) const;
 
@@ -178,8 +208,14 @@ class ViewSearchEngine {
  private:
   struct ShardEval;  // one shard's evaluation product (defined in .cc)
 
+  /// Annotates `skeleton` with the plan's keywords, building the
+  /// skeleton first when it is null.
   Result<std::shared_ptr<const PreparedQuery>> BuildPdtsImpl(
-      QueryPlan plan, int shard, const CancellationToken* cancel) const;
+      QueryPlan plan, int shard, std::shared_ptr<const PreparedQuery> skeleton,
+      const CancellationToken* cancel) const;
+  Result<std::shared_ptr<const PreparedQuery>> BuildSkeleton(
+      const QueryPlan& plan, const index::IndexSource& indexes,
+      const CancellationToken* cancel) const;
   Result<ShardEval> EvaluateShard(
       size_t shard, std::shared_ptr<const PreparedQuery> prepared,
       const CancellationToken* cancel) const;

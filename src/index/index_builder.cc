@@ -43,7 +43,8 @@ void IndexSubtree(const xml::Document& doc, xml::NodeIndex index,
   path->push_back('/');
   path->append(node.tag);
 
-  out->path_index.AddEntry(*path, node.text, node.id, byte_lengths[index]);
+  out->path_index.AddEntry(out->path_index.InternPath(*path), node.text,
+                           node.id, byte_lengths[index]);
 
   for (xml::NodeIndex child : node.children) {
     IndexSubtree(doc, child, byte_lengths, path, out);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "common/strings.h"
 
@@ -138,22 +139,66 @@ bool PatternMatchesPath(const PathPattern& pattern, const std::string& path) {
   return MatchFrom(pattern, 0, segments, 0);
 }
 
-void PathIndex::AddEntry(const std::string& path, const std::string& value,
+uint32_t PathIndex::InternPath(const std::string& path) {
+  auto it = path_ordinals_.find(path);
+  if (it != path_ordinals_.end()) return it->second;
+  const auto ordinal = static_cast<uint32_t>(path_ordinals_.size());
+  path_ordinals_.emplace(path, ordinal);
+  return ordinal;
+}
+
+void PathIndex::AddEntry(uint32_t path, std::string_view value,
                          const xml::DeweyId& id, uint64_t byte_length) {
-  pending_[{path, value}].emplace_back(id, byte_length);
+  pending_.push_back(PendingEntry{path, value, id, byte_length});
 }
 
 void PathIndex::Finalize() {
-  // Map order is (path, value) order: one run of rows per distinct path.
-  for (const auto& [key, entries] : pending_) {
-    const auto& [path, value] = key;
-    if (paths_.empty() || path != paths_.back()) {
-      paths_.push_back(path);
-      rows_.emplace_back();
-    }
-    rows_.back().push_back(Row{value, EncodePathEntryList(entries)});
+  // The sorted path dictionary, and each interned ordinal's rank in it.
+  std::vector<std::pair<std::string, uint32_t>> interned(
+      path_ordinals_.begin(), path_ordinals_.end());
+  path_ordinals_.clear();
+  std::sort(interned.begin(), interned.end());
+  std::vector<uint32_t> rank(interned.size());
+  paths_.reserve(interned.size());
+  for (size_t i = 0; i < interned.size(); ++i) {
+    rank[interned[i].second] = static_cast<uint32_t>(i);
+    paths_.push_back(std::move(interned[i].first));
   }
-  pending_.clear();
+  rows_.resize(paths_.size());
+  // Rows in (path, value) order, each row's ids in arrival (Dewey) order:
+  // entry positions are bucketed by path rank in arrival order, then each
+  // path's run is sorted by value with arrival order breaking ties. That
+  // is a stable sort without std::stable_sort, whose buffer comes from
+  // the nothrow operator new the allocation-counting tests do not
+  // replace.
+  std::vector<uint32_t> start(paths_.size() + 1, 0);
+  for (const PendingEntry& e : pending_) ++start[rank[e.path] + 1];
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  std::vector<uint32_t> order(pending_.size());
+  std::vector<uint32_t> next(start.begin(), start.end() - 1);
+  for (uint32_t i = 0; i < pending_.size(); ++i) {
+    order[next[rank[pending_[i].path]]++] = i;
+  }
+  auto by_value = [this](uint32_t a, uint32_t b) {
+    const int c = pending_[a].value.compare(pending_[b].value);
+    return c != 0 ? c < 0 : a < b;
+  };
+  std::vector<std::pair<xml::DeweyId, uint64_t>> entries;
+  for (size_t p = 0; p < paths_.size(); ++p) {
+    const auto run_end = order.begin() + start[p + 1];
+    auto it = order.begin() + start[p];
+    std::sort(it, run_end, by_value);
+    while (it != run_end) {
+      const std::string_view value = pending_[*it].value;
+      entries.clear();
+      for (; it != run_end && pending_[*it].value == value; ++it) {
+        entries.emplace_back(pending_[*it].id, pending_[*it].byte_length);
+      }
+      rows_[p].push_back(
+          Row{std::string(value), EncodePathEntryList(entries)});
+    }
+  }
+  pending_ = {};
 }
 
 void PathIndex::AppendRows(size_t path, bool with_values,

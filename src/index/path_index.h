@@ -15,10 +15,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -56,15 +56,21 @@ class PathIndex final : public PathIndexView {
   PathIndex(PathIndex&&) = default;
   PathIndex& operator=(PathIndex&&) = default;
 
-  /// Registers an element on `path` (a full data path like
-  /// "/books/book/isbn") with atomic value `value` (empty string is the
-  /// null value of Fig 5). Must be called in non-decreasing Dewey order
-  /// per (path, value) pair; the builder guarantees document order.
-  void AddEntry(const std::string& path, const std::string& value,
-                const xml::DeweyId& id, uint64_t byte_length);
+  /// Interns a full data path like "/books/book/isbn" and returns the
+  /// ordinal AddEntry takes; a path interned again keeps its ordinal.
+  uint32_t InternPath(const std::string& path);
 
-  /// Moves the buffered rows into the sorted table; called once, after
-  /// the last AddEntry. Lookups before Finalize() see nothing.
+  /// Registers an element on the interned path `path` with atomic value
+  /// `value` (empty string is the null value of Fig 5). `value` is
+  /// borrowed until Finalize: the indexed document must outlive the
+  /// build. Must be called in non-decreasing Dewey order per (path,
+  /// value) pair, which each row keeps; the builder calls in document
+  /// order.
+  void AddEntry(uint32_t path, std::string_view value, const xml::DeweyId& id,
+                uint64_t byte_length);
+
+  /// Groups the buffered entries into the sorted table; called once,
+  /// after the last AddEntry. Lookups before Finalize() see nothing.
   void Finalize();
 
   Result<std::vector<PathRows>> LookUpPerPath(const PathPattern& pattern,
@@ -120,10 +126,17 @@ class PathIndex final : public PathIndexView {
   std::vector<PathEntry> Collect(const PathPattern& pattern,
                                  bool with_values) const;
 
-  // Buffered rows before Finalize: (path, value) -> entries.
-  std::map<std::pair<std::string, std::string>,
-           std::vector<std::pair<xml::DeweyId, uint64_t>>>
-      pending_;
+  /// One AddEntry call, buffered until Finalize.
+  struct PendingEntry {
+    uint32_t path;
+    std::string_view value;
+    xml::DeweyId id;
+    uint64_t byte_length;
+  };
+
+  // Before Finalize: interned paths and the entries in arrival order.
+  std::unordered_map<std::string, uint32_t> path_ordinals_;
+  std::vector<PendingEntry> pending_;
   std::vector<std::string> paths_;  // sorted distinct full data paths
   std::vector<std::vector<Row>> rows_;  // rows_[i]: paths_[i]'s, by value
 };

@@ -37,7 +37,8 @@ void SortAndFoldPdtElements(std::vector<PdtElement>* elements) {
 }
 
 std::shared_ptr<xml::Document> AssemblePdtDocument(
-    std::vector<PdtElement> elements, const std::vector<InvList>& inv_lists) {
+    std::vector<PdtElement> elements, const std::vector<InvList>& inv_lists,
+    uint64_t* pdt_bytes) {
   uint32_t root_component = 1;
   if (!elements.empty()) root_component = elements.front().id.component(0);
   auto doc = std::make_shared<xml::Document>(root_component);
@@ -48,6 +49,10 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
   stats_block->reserve(static_cast<size_t>(std::count_if(
       elements.begin(), elements.end(),
       [](const PdtElement& e) { return e.content; })));
+  // 'c' nodes come in Dewey order, so their term frequencies come from
+  // one forward pass over each keyword list.
+  SubtreeTfCursor tf_cursor(inv_lists);
+  uint64_t bytes = 0;
   // Nodes along the current root-to-leaf path.
   std::vector<xml::NodeIndex> stack;
   for (PdtElement& entry : elements) {
@@ -64,12 +69,14 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
                                     : doc->AddChildWithId(stack.back(),
                                                           "qv:gap",
                                                           id.Prefix(depth)));
+      bytes += xml::OwnByteLength(doc->node(stack.back()));
     }
     xml::NodeIndex node =
         stack.empty()
             ? doc->CreateRoot(std::move(entry.tag))
             : doc->AddChildWithId(stack.back(), std::move(entry.tag), id);
     if (entry.value.has_value()) doc->node(node).text = std::move(*entry.value);
+    bytes += xml::OwnByteLength(doc->node(node));
     if (entry.content) {
       xml::NodeStats& stats = stats_block->emplace_back();
       stats.byte_length = entry.byte_length;
@@ -77,13 +84,39 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
       stats.source_doc = id.component(0);
       stats.source_id = id;
       stats.term_tf.reserve(inv_lists.size());
-      for (const InvList& inv : inv_lists) {
-        stats.term_tf.push_back(static_cast<uint32_t>(inv.SubtreeTf(id)));
-      }
+      tf_cursor.Append(id, &stats.term_tf);
       doc->node(node).stats =
           std::shared_ptr<const xml::NodeStats>(stats_block, &stats);
     }
     stack.push_back(node);
+  }
+  if (pdt_bytes != nullptr) *pdt_bytes = bytes;
+  return doc;
+}
+
+std::shared_ptr<xml::Document> AnnotatePdt(
+    std::shared_ptr<xml::Document> skeleton,
+    const std::vector<InvList>& inv_lists) {
+  size_t content_nodes = 0;
+  for (xml::NodeIndex i = 0; i < skeleton->size(); ++i) {
+    if (skeleton->node(i).stats != nullptr) ++content_nodes;
+  }
+  if (content_nodes == 0) return skeleton;
+  auto doc = std::make_shared<xml::Document>(skeleton->Clone());
+  // As in AssemblePdtDocument: one block, sized up front, holds every
+  // 'c' node's stats. The node array is in Dewey order (pre-order), as
+  // the cursor needs.
+  auto stats_block = std::make_shared<std::vector<xml::NodeStats>>();
+  stats_block->reserve(content_nodes);
+  SubtreeTfCursor tf_cursor(inv_lists);
+  for (xml::NodeIndex i = 0; i < doc->size(); ++i) {
+    xml::Node& node = doc->node(i);
+    if (node.stats == nullptr) continue;
+    assert(node.stats->term_tf.empty());  // built with no keywords
+    xml::NodeStats& stats = stats_block->emplace_back(*node.stats);
+    stats.term_tf.reserve(inv_lists.size());
+    tf_cursor.Append(node.id, &stats.term_tf);
+    node.stats = std::shared_ptr<const xml::NodeStats>(stats_block, &stats);
   }
   return doc;
 }
@@ -167,15 +200,14 @@ class PdtGenerator {
 
     SortAndFoldPdtElements(&output_);
     const uint64_t nodes_emitted = output_.size();
+    uint64_t pdt_bytes = 0;
     std::shared_ptr<xml::Document> doc =
-        AssemblePdtDocument(std::move(output_), lists_.inv_lists);
+        AssemblePdtDocument(std::move(output_), lists_.inv_lists, &pdt_bytes);
     if (stats_ != nullptr) {
       stats_->peak_ct_nodes = ct_.peak_nodes;
       stats_->nodes_emitted = nodes_emitted;
       stats_->index_probes = lists_.index_probes;
-      if (doc->has_root()) {
-        stats_->pdt_bytes = xml::SubtreeByteLength(*doc, doc->root());
-      }
+      stats_->pdt_bytes = pdt_bytes;
     }
     return doc;
   }

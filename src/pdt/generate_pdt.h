@@ -42,9 +42,22 @@ void SortAndFoldPdtElements(std::vector<PdtElement>* elements);
 /// Document, synthesizing placeholder ancestors for depths the QPT does
 /// not mention (only reachable via '//' steps, so their tags are never
 /// inspected). 'c' elements get NodeStats with per-keyword subtree term
-/// frequencies computed from `inv_lists`.
+/// frequencies computed from `inv_lists` (none when it is empty: a
+/// keyword-free PDT). When `pdt_bytes` is set, it receives the PDT's
+/// serialized size, summed over the nodes as they are appended.
 std::shared_ptr<xml::Document> AssemblePdtDocument(
-    std::vector<PdtElement> elements, const std::vector<InvList>& inv_lists);
+    std::vector<PdtElement> elements, const std::vector<InvList>& inv_lists,
+    uint64_t* pdt_bytes = nullptr);
+
+/// A PDT's nodes, values and byte lengths never depend on the keywords:
+/// only the 'c' nodes' term frequencies do. Given `skeleton`, a PDT
+/// built with no keywords, returns the PDT the same QPT yields with the
+/// keywords of `inv_lists` (node for node what GeneratePdt builds with
+/// them): a copy whose 'c' nodes gain per-keyword subtree term
+/// frequencies, or `skeleton` itself when it has no 'c' node.
+std::shared_ptr<xml::Document> AnnotatePdt(
+    std::shared_ptr<xml::Document> skeleton,
+    const std::vector<InvList>& inv_lists);
 
 struct PdtBuildStats {  // lint:allow(adhoc-stats) per-build result record returned to the caller
   uint64_t ids_processed = 0;    // ids consumed from path lists

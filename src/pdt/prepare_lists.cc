@@ -28,6 +28,49 @@ uint64_t InvList::SubtreeTf(const xml::DeweyId& id) const {
   return tf_prefix[hi - postings.begin()] - tf_prefix[lo - postings.begin()];
 }
 
+namespace {
+
+/// End of the run of postings from `from` on that satisfy `pred`, which
+/// holds on a prefix of [from, size): probes at gaps 1, 2, 4, ... until
+/// one fails, then binary-searches the last gap. O(log run) per call.
+template <typename Pred>
+size_t GallopPast(const std::vector<index::Posting>& postings, size_t from,
+                  Pred pred) {
+  size_t lo = from;  // pred holds on [from, lo)
+  size_t probe = from;
+  size_t gap = 1;
+  while (probe < postings.size() && pred(postings[probe])) {
+    lo = probe + 1;
+    probe = lo + gap;
+    gap *= 2;
+  }
+  const size_t hi = std::min(probe, postings.size());
+  return static_cast<size_t>(
+      std::partition_point(postings.begin() + static_cast<ptrdiff_t>(lo),
+                           postings.begin() + static_cast<ptrdiff_t>(hi),
+                           pred) -
+      postings.begin());
+}
+
+}  // namespace
+
+void SubtreeTfCursor::Append(const xml::DeweyId& id,
+                             std::vector<uint32_t>* term_tf) {
+  for (size_t k = 0; k < inv_lists_.size(); ++k) {
+    const InvList& inv = inv_lists_[k];
+    // Postings below a previous id are below `id` too: resume there.
+    const size_t lo = GallopPast(
+        inv.postings, next_[k],
+        [&id](const index::Posting& p) { return p.id < id; });
+    const size_t hi = GallopPast(
+        inv.postings, lo,
+        [&id](const index::Posting& p) { return id.IsPrefixOf(p.id); });
+    next_[k] = lo;
+    term_tf->push_back(
+        static_cast<uint32_t>(inv.tf_prefix[hi] - inv.tf_prefix[lo]));
+  }
+}
+
 std::vector<std::vector<int>> MapDepthsToQptNodes(const qpt::Qpt& qpt,
                                                   int leaf,
                                                   const std::string& path) {
@@ -156,12 +199,21 @@ Result<PreparedLists> PrepareLists(const qpt::Qpt& qpt,
     out.path_lists.push_back(std::move(list));
   }
 
+  QUICKVIEW_ASSIGN_OR_RETURN(out.inv_lists, PrepareInvLists(indexes, keywords));
+  return out;
+}
+
+Result<std::vector<InvList>> PrepareInvLists(
+    const index::DocumentIndexView& indexes,
+    const std::vector<std::string>& keywords) {
+  std::vector<InvList> out;
+  out.reserve(keywords.size());
   for (const std::string& keyword : keywords) {
     InvList inv;
     inv.term = keyword;
     QUICKVIEW_ASSIGN_OR_RETURN(inv.postings, indexes.terms->Lookup(keyword));
     inv.BuildPrefix();
-    out.inv_lists.push_back(std::move(inv));
+    out.push_back(std::move(inv));
   }
   return out;
 }

@@ -54,6 +54,27 @@ struct InvList {
   uint64_t SubtreeTf(const xml::DeweyId& id) const;
 };
 
+/// Subtree term frequencies for ids visited in Dewey order, as a PDT's
+/// 'c' nodes are: the postings of each id's subtree start at or after
+/// those of the previous id, so one forward cursor per list replaces
+/// SubtreeTf's two binary searches. The cursor and each subtree's end
+/// are found by galloping, so a long list with few matching ids is not
+/// scanned posting by posting.
+class SubtreeTfCursor {
+ public:
+  explicit SubtreeTfCursor(const std::vector<InvList>& inv_lists)
+      : inv_lists_(inv_lists), next_(inv_lists.size(), 0) {}
+
+  /// Appends to `term_tf` the subtree tf of `id` in every list, in list
+  /// order (each truncated to 32 bits, as NodeStats stores it). Ids must
+  /// come in strictly increasing Dewey order.
+  void Append(const xml::DeweyId& id, std::vector<uint32_t>* term_tf);
+
+ private:
+  const std::vector<InvList>& inv_lists_;
+  std::vector<size_t> next_;  // per list: first posting not below the last id
+};
+
 struct PreparedLists {
   std::vector<PathList> path_lists;
   std::vector<InvList> inv_lists;  // one per query keyword, in order
@@ -73,6 +94,13 @@ std::vector<std::vector<int>> MapDepthsToQptNodes(const qpt::Qpt& qpt,
 Result<PreparedLists> PrepareLists(const qpt::Qpt& qpt,
                                    const index::DocumentIndexView& indexes,
                                    const std::vector<std::string>& keywords);
+
+/// The inverted lists of `keywords` (lowercased) in one document, in
+/// keyword order, prefix sums built: PrepareLists' keyword probes alone,
+/// which is all a keyword-free PDT needs to gain its term frequencies.
+Result<std::vector<InvList>> PrepareInvLists(
+    const index::DocumentIndexView& indexes,
+    const std::vector<std::string>& keywords);
 
 /// Convenience overload over concrete in-memory indices.
 inline Result<PreparedLists> PrepareLists(

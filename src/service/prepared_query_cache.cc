@@ -31,18 +31,28 @@ PreparedQueryCache::Shard& PreparedQueryCache::ShardFor(
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::Get(
-    const std::string& key) {
+std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::Lookup(
+    const std::string& key, obs::Counter* hits, obs::Counter* misses) {
   Shard& shard = ShardFor(key);
   qv::MutexLock lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    misses_.Increment();
+    misses->Increment();
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.Increment();
+  hits->Increment();
   return it->second->prepared;
+}
+
+std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::Get(
+    const std::string& key) {
+  return Lookup(key, &hits_, &misses_);
+}
+
+std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::GetSkeleton(
+    const std::string& key) {
+  return Lookup(key, &skeleton_hits_, &skeleton_misses_);
 }
 
 void PreparedQueryCache::Put(
@@ -60,9 +70,9 @@ void PreparedQueryCache::Put(
   }
   total_bytes_.fetch_add(prepared->memory_bytes, std::memory_order_relaxed);
   total_entries_.fetch_add(1, std::memory_order_relaxed);
+  (prepared->skeleton ? skeleton_insertions_ : insertions_).Increment();
   shard.lru.push_front(Entry{key, std::move(prepared)});
   shard.index.emplace(key, shard.lru.begin());
-  insertions_.Increment();
   EvictLocked(&shard);
 }
 
@@ -96,7 +106,7 @@ bool PreparedQueryCache::Offer(
     std::shared_ptr<const engine::PreparedQuery> prepared) {
   if (capacity_ == 0 || prepared == nullptr) return false;
   if (!Sighted(sighting)) {
-    declined_.Increment();
+    if (!prepared->skeleton) declined_.Increment();
     return false;
   }
   Put(key, std::move(prepared));
@@ -138,8 +148,16 @@ void PreparedQueryCache::Clear() {
 }
 
 PreparedQueryCache::Stats PreparedQueryCache::stats() const {
-  return Stats{hits_.value(), misses_.value(), insertions_.value(),
-               evictions_.value(), declined_.value()};
+  Stats out;
+  out.hits = hits_.value();
+  out.misses = misses_.value();
+  out.insertions = insertions_.value();
+  out.evictions = evictions_.value();
+  out.declined = declined_.value();
+  out.skeleton_hits = skeleton_hits_.value();
+  out.skeleton_misses = skeleton_misses_.value();
+  out.skeleton_insertions = skeleton_insertions_.value();
+  return out;
 }
 
 Status PreparedQueryCache::RegisterMetrics(obs::MetricsRegistry* registry,
@@ -154,6 +172,12 @@ Status PreparedQueryCache::RegisterMetrics(obs::MetricsRegistry* registry,
                                                labels, &evictions_));
   QV_RETURN_IF_ERROR(registry->RegisterCounter("qv_pdtcache_declined_total",
                                                labels, &declined_));
+  QV_RETURN_IF_ERROR(registry->RegisterCounter(
+      "qv_pdtcache_skeleton_hits_total", labels, &skeleton_hits_));
+  QV_RETURN_IF_ERROR(registry->RegisterCounter(
+      "qv_pdtcache_skeleton_misses_total", labels, &skeleton_misses_));
+  QV_RETURN_IF_ERROR(registry->RegisterCounter(
+      "qv_pdtcache_skeleton_insertions_total", labels, &skeleton_insertions_));
   QV_RETURN_IF_ERROR(registry->RegisterCallback(
       "qv_pdtcache_entries", labels,
       obs::MetricsRegistry::InstrumentKind::kGauge, [this]() -> int64_t {

@@ -1,10 +1,15 @@
-// Sharded LRU cache of PreparedQuery bundles (QPTs + generated PDTs),
-// keyed by (view id, plan signature). PDT generation is the data-
-// dependent stage of the pipeline; reusing PDTs across queries is what
-// turns the engine from one-shot into a multi-query service (EMBANKS-
-// style intermediate-structure reuse). Entries are shared_ptr<const>, so
-// an entry evicted while queries still execute against it stays alive
-// until the last query drops its reference.
+// Sharded LRU cache of PreparedQuery entries of both kinds: annotated
+// bundles (QPTs + PDTs carrying one keyword set's term frequencies),
+// keyed by (view id, plan signature), and keyword-free PDT skeletons,
+// keyed by (view id, PDT signature), which every keyword set over the
+// same QPTs annotates a copy of. PDT generation is the data-dependent
+// stage of the pipeline; reusing PDTs across queries is what turns the
+// engine from one-shot into a multi-query service (EMBANKS-style
+// intermediate-structure reuse). Both kinds share the capacity, the byte
+// budget and the LRU; the hit, miss, insertion and declined counters
+// count bundles only, and skeletons have counters of their own. Entries
+// are shared_ptr<const>, so an entry evicted while queries still execute
+// against it stays alive until the last query drops its reference.
 //
 // Sharding: keys hash to one of N independently locked shards, so
 // concurrent lookups from the service thread pool contend only when they
@@ -62,6 +67,11 @@ class PreparedQueryCache {
     uint64_t evictions = 0;
     /// Offers refused because the plan had not been sighted before.
     uint64_t declined = 0;
+    /// Skeleton lookups and admissions (GetSkeleton; Put and Offer of a
+    /// skeleton), counted apart from the bundle counters above.
+    uint64_t skeleton_hits = 0;
+    uint64_t skeleton_misses = 0;
+    uint64_t skeleton_insertions = 0;
   };
 
   explicit PreparedQueryCache(const Options& options);
@@ -70,16 +80,22 @@ class PreparedQueryCache {
   /// nullptr (counting a miss).
   std::shared_ptr<const engine::PreparedQuery> Get(const std::string& key);
 
+  /// Get for a skeleton's key, counted by the skeleton counters.
+  std::shared_ptr<const engine::PreparedQuery> GetSkeleton(
+      const std::string& key);
+
   /// Inserts (or refreshes) `prepared` under `key`, evicting LRU entries
-  /// while the shard exceeds its budgets.
+  /// while the shard exceeds its budgets. An insertion counts as a
+  /// skeleton's when `prepared->skeleton` is set.
   void Put(const std::string& key,
            std::shared_ptr<const engine::PreparedQuery> prepared);
 
   /// Put on the second sighting: `sighting` hashes the plan's admission
   /// key, which may stay the same across several cache keys (the service
   /// leaves its version pair out). Records the sighting; Puts only when
-  /// it was recorded before, and otherwise counts a declined admission.
-  /// Returns whether `prepared` was put.
+  /// it was recorded before, and otherwise counts a declined admission
+  /// (of a bundle; a declined skeleton is not counted). Returns whether
+  /// `prepared` was put.
   bool Offer(const std::string& key, uint64_t sighting,
              std::shared_ptr<const engine::PreparedQuery> prepared);
 
@@ -120,6 +136,9 @@ class PreparedQueryCache {
   };
 
   Shard& ShardFor(const std::string& key);
+  std::shared_ptr<const engine::PreparedQuery> Lookup(const std::string& key,
+                                                      obs::Counter* hits,
+                                                      obs::Counter* misses);
   /// Records `sighting`; true iff it was recorded before.
   bool Sighted(uint64_t sighting);
   void EvictLocked(Shard* shard) QV_REQUIRES(shard->mu);
@@ -139,6 +158,9 @@ class PreparedQueryCache {
   mutable obs::Counter insertions_;
   mutable obs::Counter evictions_;
   mutable obs::Counter declined_;
+  mutable obs::Counter skeleton_hits_;
+  mutable obs::Counter skeleton_misses_;
+  mutable obs::Counter skeleton_insertions_;
 };
 
 }  // namespace quickview::service

@@ -160,12 +160,14 @@ Result<QueryService::ViewSnapshot> QueryService::SnapshotView(
 
 std::string QueryService::BaseCacheKey(const std::string& view_name,
                                        const ViewSnapshot* view,
-                                       const std::string& signature) {
+                                       const std::string& signature,
+                                       bool skeleton) {
   // Length-prefix the view name so no name can collide with another
   // name + version suffix; the plan signature is injective on its own.
   // The version pair (registration version '.' data epoch) makes both
   // view replacement and document mutations unreachable-key
   // invalidations: stale entries age out of the LRU, never serve again.
+  // The separator after it tells a skeleton's key from a bundle's.
   std::string key = std::to_string(view_name.size());
   key.push_back(':');
   key.append(view_name);
@@ -175,7 +177,7 @@ std::string QueryService::BaseCacheKey(const std::string& view_name,
     key.push_back('.');
     key.append(std::to_string(view->data_version));
   }
-  key.push_back('\x1f');
+  key.push_back(skeleton ? '\x1e' : '\x1f');
   key.append(signature);
   return key;
 }
@@ -230,16 +232,34 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   }
 
   // Per-shard cache keys: the shared prefix plus "/s<i>", so one plan
-  // warms one entry per shard. Hits ride into Open; misses stay null and
-  // the engine builds them — in parallel with each other.
+  // warms one entry per shard. A shard whose bundle misses looks up the
+  // view's keyword-free skeleton instead. Hits of either kind ride into
+  // Open, which annotates a skeleton with this query's keywords; shards
+  // that miss both stay null and the engine builds them — in parallel
+  // with each other.
   std::vector<std::string> keys;
+  std::vector<std::string> skeleton_keys;  // empty where the bundle hit
   std::vector<std::shared_ptr<const engine::PreparedQuery>> prepared;
   keys.reserve(selected.size());
+  skeleton_keys.reserve(selected.size());
   prepared.reserve(selected.size());
+  std::string skeleton_base;
   for (size_t shard : selected) {
-    std::string key = base + "/s" + std::to_string(shard);
-    prepared.push_back(cache_.Get(key));
+    const std::string suffix = "/s" + std::to_string(shard);
+    std::string key = base + suffix;
+    std::shared_ptr<const engine::PreparedQuery> entry = cache_.Get(key);
+    std::string skeleton_key;
+    if (entry == nullptr) {
+      if (skeleton_base.empty()) {
+        skeleton_base = BaseCacheKey(query.view, &view, plan.pdt_signature,
+                                     /*skeleton=*/true);
+      }
+      skeleton_key = skeleton_base + suffix;
+      entry = cache_.GetSkeleton(skeleton_key);
+    }
+    prepared.push_back(std::move(entry));
     keys.push_back(std::move(key));
+    skeleton_keys.push_back(std::move(skeleton_key));
   }
 
   // The cursor co-owns each PreparedQuery: eviction (or view
@@ -248,19 +268,33 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   // cursor's snapshot.
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
                              engine.Open(request, prepared));
-  // Offer the shards the engine had to build to the cache, which admits
-  // a plan on its second sighting. The admission key leaves the version
-  // pair out, so a plan seen before a re-registration or a write is
-  // admitted on its first miss after it.
+  // Offer what the engine had to build to the cache, which admits an
+  // entry on its second sighting: every annotated bundle that missed,
+  // and every skeleton built along with one. The admission keys leave
+  // the version pair out, so a plan (or a view's QPTs) seen before a
+  // re-registration or a write is admitted on its first miss after it.
+  // A failed or cancelled Open returned above: it publishes nothing.
   std::string admission;
+  std::string skeleton_admission;
   for (size_t slot = 0; slot < keys.size(); ++slot) {
-    if (prepared[slot] != nullptr) continue;
+    if (prepared[slot] != nullptr && !prepared[slot]->skeleton) continue;
     if (admission.empty()) {
       admission = BaseCacheKey(query.view, /*view=*/nullptr, plan.signature);
     }
-    const uint64_t sighting = std::hash<std::string>{}(
-        admission + "/s" + std::to_string(selected[slot]));
-    cache_.Offer(keys[slot], sighting, cursor->SharedPrepared(slot));
+    const std::string suffix = "/s" + std::to_string(selected[slot]);
+    std::shared_ptr<const engine::PreparedQuery> bundle =
+        cursor->SharedPrepared(slot);
+    cache_.Offer(keys[slot], std::hash<std::string>{}(admission + suffix),
+                 bundle);
+    if (bundle->built_skeleton == nullptr) continue;
+    if (skeleton_admission.empty()) {
+      skeleton_admission = BaseCacheKey(query.view, /*view=*/nullptr,
+                                        plan.pdt_signature,
+                                        /*skeleton=*/true);
+    }
+    cache_.Offer(skeleton_keys[slot],
+                 std::hash<std::string>{}(skeleton_admission + suffix),
+                 bundle->built_skeleton);
   }
   if (lease != nullptr) cursor->AddLease(std::move(lease));
   return cursor;

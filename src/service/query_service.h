@@ -1,9 +1,12 @@
 // QueryService: the multi-query front end over ViewSearchEngine. Views
 // are registered once by name; batches of keyword queries against those
 // views execute concurrently on a fixed thread pool, sharing one
-// PreparedQueryCache so identical plans (same view, same QPT signature,
-// same keywords) reuse already-generated PDTs instead of rebuilding them.
-// A plan's PDTs enter the cache on its second sighting
+// PreparedQueryCache at two levels: identical plans (same view, same QPT
+// signature, same keywords) reuse an annotated PDT bundle as it is, and
+// a new keyword set over a view's QPTs reuses the view's keyword-free
+// PDT skeleton, to which the engine adds only the keywords' term
+// frequencies — a view's PDTs are built once per shard, not once per
+// keyword set. Either kind enters the cache on its second sighting
 // (PreparedQueryCache::Offer), so a one-shot plan never takes cache
 // memory or evicts a plan that recurs.
 //
@@ -116,7 +119,8 @@ class QueryService {
   /// must outlive the service and is treated as immutable) on the
   /// service's thread pool; the merged response is byte-identical at any
   /// shard count. PDTs are cached PER SHARD — the cache key gains a
-  /// "/s<i>" suffix — so a corpus of N shards warms N entries per plan.
+  /// "/s<i>" suffix — so a corpus of N shards warms N bundles per plan
+  /// and N skeletons per view.
   explicit QueryService(const storage::ShardSet* shards,
                         const QueryServiceOptions& options = {});
 
@@ -220,10 +224,13 @@ class QueryService {
   /// version pair, plan signature (see PrepareCursor for why each part
   /// is there). Per-shard keys append "/s<i>". With `view` null the
   /// version pair is left out: that is the plan's admission key, the
-  /// same before and after a re-registration or a write.
+  /// same before and after a re-registration or a write. With
+  /// `skeleton`, `signature` is the plan's PDT signature and the key
+  /// names the view's keyword-free PDT skeleton.
   static std::string BaseCacheKey(const std::string& view_name,
                                   const ViewSnapshot* view,
-                                  const std::string& signature);
+                                  const std::string& signature,
+                                  bool skeleton = false);
 
   /// The tail of OpenSearch once the corpus surface is fixed: plan,
   /// per-shard cache lookups, one engine.Open(request, prepared) over

@@ -284,6 +284,78 @@ TEST_P(PdtDefinitionProperty, MergePassMatchesBruteForceDefinitions) {
   }
 }
 
+/// Node for node: tag, text, id, parent, children and every NodeStats
+/// field.
+void ExpectSamePdt(const Document& expected, const Document& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (NodeIndex i = 0; i < expected.size(); ++i) {
+    const xml::Node& want = expected.node(i);
+    const xml::Node& got = actual.node(i);
+    SCOPED_TRACE("node " + std::to_string(i) + " " + want.id.ToString());
+    EXPECT_EQ(want.tag, got.tag);
+    EXPECT_EQ(want.text, got.text);
+    EXPECT_EQ(want.id, got.id);
+    EXPECT_EQ(want.parent, got.parent);
+    EXPECT_EQ(want.children, got.children);
+    ASSERT_EQ(want.stats == nullptr, got.stats == nullptr);
+    if (want.stats == nullptr) continue;
+    EXPECT_EQ(want.stats->term_tf, got.stats->term_tf);
+    EXPECT_EQ(want.stats->byte_length, got.stats->byte_length);
+    EXPECT_EQ(want.stats->content_pruned, got.stats->content_pruned);
+    EXPECT_EQ(want.stats->source_doc, got.stats->source_doc);
+    EXPECT_EQ(want.stats->source_id, got.stats->source_id);
+  }
+}
+
+// A PDT's nodes never depend on the keywords, only its 'c' nodes' term
+// frequencies do: the keyword-free PDT, annotated with a keyword set, is
+// node for node the PDT built with that keyword set.
+TEST_P(PdtDefinitionProperty, AnnotatedSkeletonEqualsKeywordBuild) {
+  std::mt19937_64 rng(GetParam());
+  std::mt19937_64 keyword_rng(GetParam() + 2000);
+  for (int round = 0; round < 20; ++round) {
+    std::shared_ptr<Document> doc = RandomDocument(&rng);
+    qpt::Qpt qpt = RandomQpt(&rng);
+    // Up to three keywords; "x" never occurs (an empty list).
+    std::vector<std::string> keywords = RandomKeywords(&keyword_rng);
+    if (keyword_rng() % 3 == 0) keywords.push_back("x");
+    SCOPED_TRACE("QPT:\n" + qpt.ToString());
+    auto indexes = index::BuildDocumentIndexes(*doc);
+
+    PdtBuildStats skeleton_stats;
+    auto skeleton = GeneratePdt(qpt, *indexes, {}, &skeleton_stats);
+    ASSERT_TRUE(skeleton.ok()) << skeleton.status();
+    PdtBuildStats keyword_stats;
+    auto expected = GeneratePdt(qpt, *indexes, keywords, &keyword_stats);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    auto inv_lists = PrepareInvLists(indexes->View(), keywords);
+    ASSERT_TRUE(inv_lists.ok()) << inv_lists.status();
+
+    std::shared_ptr<Document> annotated = AnnotatePdt(*skeleton, *inv_lists);
+    ExpectSamePdt(**expected, *annotated);
+    // Both builds count term frequencies with the same cursor: check
+    // them against the base document too.
+    CheckFoldedFields(qpt, *doc, *annotated, BruteForcePe(qpt, *doc),
+                      keywords);
+    // The skeleton itself stays keyword-free: annotation copies it.
+    for (NodeIndex i = 0; i < (*skeleton)->size(); ++i) {
+      const xml::Node& node = (*skeleton)->node(i);
+      if (node.stats != nullptr) {
+        EXPECT_TRUE(node.stats->term_tf.empty());
+      }
+    }
+    // Same nodes, same build figures; pdt_bytes, summed while assembling,
+    // is the serialized size of the whole PDT.
+    EXPECT_EQ(skeleton_stats.ids_processed, keyword_stats.ids_processed);
+    EXPECT_EQ(skeleton_stats.nodes_emitted, keyword_stats.nodes_emitted);
+    EXPECT_EQ(skeleton_stats.pdt_bytes, keyword_stats.pdt_bytes);
+    EXPECT_EQ(keyword_stats.pdt_bytes,
+              (*expected)->has_root()
+                  ? xml::SubtreeByteLength(**expected, (*expected)->root())
+                  : 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PdtDefinitionProperty,
                          ::testing::Range(1, 61));
 

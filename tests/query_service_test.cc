@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/naive_engine.h"
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
 #include "common/thread_pool.h"
@@ -429,6 +430,113 @@ TEST_F(QueryServiceTest, PlanSeenBeforeAWriteIsAdmittedOnFirstMiss) {
   EXPECT_EQ(service.stats().cache.hits, 1u);
   ExpectSameResponse(*after, *hit);
 }
+
+// A view's PDTs are built once per shard, not once per keyword set: a
+// keyword set the cache has not seen annotates the view's cached
+// keyword-free skeleton. On a 1-shard and a 4-shard corpus.
+class SkeletonReuseTest : public QueryServiceTest,
+                          public ::testing::WithParamInterface<int> {
+ protected:
+  void SetUp() override {
+    QueryServiceTest::SetUp();
+    storage::ShardingSpec spec;
+    spec.shards = GetParam();
+    spec.colocate_tag = "isbn";  // the BookRev view joins on isbn
+    auto set = storage::ShardSet::Partition(*db_, spec);
+    ASSERT_TRUE(set.ok()) << set.status();
+    shards_ = std::make_unique<storage::ShardSet>(std::move(*set));
+    QueryServiceOptions options;
+    options.threads = 2;
+    service_ = std::make_unique<QueryService>(shards_.get(), options);
+    ASSERT_TRUE(
+        service_->RegisterView("bookrev", workload::BookRevView()).ok());
+    uncached_ = std::make_unique<engine::ViewSearchEngine>(
+        engine::ShardContexts(*shards_), &pool_);
+  }
+
+  /// One query through the service; its answer must equal an uncached
+  /// engine's over the same shards and the naive engine's.
+  void Check(const std::string& view_name, const std::string& view_text,
+             const std::vector<std::string>& keywords, bool conjunctive) {
+    SCOPED_TRACE(view_name + " keywords " + std::to_string(keywords.size()) +
+                 (conjunctive ? " and" : " or"));
+    BatchQuery query{view_name, keywords, engine::SearchOptions{}};
+    query.options.conjunctive = conjunctive;
+    auto actual = service_->SearchOne(query);
+    ASSERT_TRUE(actual.ok()) << actual.status();
+    auto expected = ExecView(*uncached_, view_text, keywords, query.options);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectSameResponse(*expected, *actual);
+    baseline::NaiveEngine naive(db_.get());
+    auto oracle = naive.SearchView(view_text, keywords, query.options);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    ASSERT_EQ(oracle->hits.size(), actual->hits.size());
+    for (size_t i = 0; i < oracle->hits.size(); ++i) {
+      EXPECT_EQ(oracle->hits[i].xml, actual->hits[i].xml) << "hit " << i;
+      EXPECT_EQ(oracle->hits[i].tf, actual->hits[i].tf) << "hit " << i;
+      EXPECT_DOUBLE_EQ(oracle->hits[i].score, actual->hits[i].score);
+    }
+  }
+
+  ThreadPool pool_{2};
+  std::unique_ptr<storage::ShardSet> shards_;
+  std::unique_ptr<QueryService> service_;
+  std::unique_ptr<engine::ViewSearchEngine> uncached_;
+};
+
+TEST_P(SkeletonReuseTest, NewKeywordSetsAnnotateOneSkeletonPerShard) {
+  const uint64_t shards = static_cast<uint64_t>(GetParam());
+  // Two sightings admit the skeleton; each builds it on every shard.
+  Check("bookrev", workload::BookRevView(), {"xml"}, true);
+  Check("bookrev", workload::BookRevView(), {"search"}, true);
+  const PreparedQueryCache::Stats admitted = service_->stats().cache;
+  EXPECT_EQ(admitted.skeleton_misses, 2 * shards);
+  EXPECT_EQ(admitted.skeleton_insertions, shards);
+  EXPECT_EQ(admitted.skeleton_hits, 0u);
+
+  const std::vector<std::vector<std::string>> sets = {
+      {"web"},           {"database", "xml"}, {"xml", "search"},
+      {"web", "database"}, {"systems"},       {"xml", "web", "search"}};
+  for (size_t i = 0; i < sets.size(); ++i) {
+    Check("bookrev", workload::BookRevView(), sets[i], i % 2 == 0);
+  }
+  const PreparedQueryCache::Stats after = service_->stats().cache;
+  // Every set was new to the bundle level, and none rebuilt the PDTs.
+  EXPECT_EQ(after.misses, admitted.misses + sets.size() * shards);
+  EXPECT_EQ(after.skeleton_hits, sets.size() * shards);
+  EXPECT_EQ(after.skeleton_misses, admitted.skeleton_misses);
+  EXPECT_EQ(after.skeleton_insertions, shards);
+}
+
+TEST_P(SkeletonReuseTest, AnotherViewNeverHitsTheFirstViewsSkeleton) {
+  const uint64_t shards = static_cast<uint64_t>(GetParam());
+  // A selection-only view: another QPT shape over the same documents.
+  const std::string books_view =
+      "for $b in fn:doc(books.xml)/books//book return $b";
+  ASSERT_TRUE(service_->RegisterView("books", books_view).ok());
+  Check("bookrev", workload::BookRevView(), {"xml"}, true);
+  Check("bookrev", workload::BookRevView(), {"search"}, true);
+  ASSERT_EQ(service_->stats().cache.skeleton_insertions, shards);
+
+  // The books view builds (and later admits) a skeleton of its own.
+  const std::vector<std::vector<std::string>> sets = {
+      {"web"}, {"database", "xml"}, {"systems"}, {"xml", "search"}};
+  for (size_t i = 0; i < sets.size(); ++i) {
+    Check("books", books_view, sets[i], i % 2 == 0);
+  }
+  PreparedQueryCache::Stats cache = service_->stats().cache;
+  EXPECT_EQ(cache.skeleton_misses, 4 * shards);
+  EXPECT_EQ(cache.skeleton_insertions, 2 * shards);
+  EXPECT_EQ(cache.skeleton_hits, 2 * shards);  // its own, sets 3 and 4
+
+  // And bookrev still answers from its own skeleton.
+  Check("bookrev", workload::BookRevView(), {"web", "database"}, false);
+  cache = service_->stats().cache;
+  EXPECT_EQ(cache.skeleton_hits, 3 * shards);
+  EXPECT_EQ(cache.skeleton_misses, 4 * shards);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, SkeletonReuseTest, ::testing::Values(1, 4));
 
 TEST(PreparedQueryCacheTest, DoorkeeperMemoryDoesNotGrowWithDistinctPlans) {
   PreparedQueryCache::Options options;

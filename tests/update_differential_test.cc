@@ -464,6 +464,78 @@ TEST(UpdateDifferentialTest, MutationInvalidatesOnlyReferencingViews) {
   EXPECT_EQ(service.stats().cache.misses, misses + 3);
 }
 
+// The view's keyword-free PDT skeleton is keyed by the same version
+// pair as its bundles: a write to a document the view reads makes the
+// next query rebuild it from the new state, and a write to any other
+// document leaves it in place.
+TEST(UpdateDifferentialTest, WriteInvalidatesOnlyTheReadViewsSkeleton) {
+  storage::LiveDatabase live;
+  service::QueryServiceOptions options;
+  options.threads = 1;
+  service::QueryService service(&live, options);
+  CorpusModel model;
+  model.books.push_back(Book{0, "xml search in practice", 2000});
+  model.books.push_back(Book{1, "web database systems", 2003});
+  model.reviews.push_back(Review{0, "about xml and search, easy to read"});
+  model.aux_docs["notes.xml"] = "<notes><note>xml web</note></notes>";
+  for (const auto& [name, text] : model.Documents()) {
+    ASSERT_TRUE(service.InsertDocument(name, text).ok());
+  }
+  ASSERT_TRUE(service.RegisterView("bookrev", workload::BookRevView()).ok());
+
+  // Each query uses a keyword set not seen before, so it misses the
+  // bundle level and goes to the skeleton; its answer must equal a fresh
+  // engine's over the model.
+  int query_number = 0;
+  auto query_and_check = [&](const std::string& context) {
+    const std::vector<std::string>& keywords =
+        QueryKeywordSets()[static_cast<size_t>(query_number) %
+                           QueryKeywordSets().size()];
+    service::BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+    query.options.conjunctive = (query_number / 4) % 2 == 0;
+    ++query_number;
+    RebuiltEngine rebuilt(model);
+    engine::SearchRequest request;
+    request.view = workload::BookRevView();
+    request.keywords = query.keywords;
+    request.options = query.options;
+    ExpectSameResponse(rebuilt.engine->Execute(request),
+                       service.SearchOne(query), context);
+  };
+  query_and_check("first sighting");
+  query_and_check("second sighting");  // admits the skeleton
+  query_and_check("skeleton hit");
+  service::PreparedQueryCache::Stats cache = service.stats().cache;
+  EXPECT_EQ(cache.skeleton_misses, 2u);
+  EXPECT_EQ(cache.skeleton_insertions, 1u);
+  EXPECT_EQ(cache.skeleton_hits, 1u);
+
+  // notes.xml is not read by the view: the skeleton stays.
+  ASSERT_TRUE(service
+                  .InsertDocument("notes.xml",
+                                  "<notes><note>search database</note></notes>")
+                  .ok());
+  model.aux_docs["notes.xml"] = "<notes><note>search database</note></notes>";
+  query_and_check("after an unrelated write");
+  cache = service.stats().cache;
+  EXPECT_EQ(cache.skeleton_misses, 2u);
+  EXPECT_EQ(cache.skeleton_hits, 2u);
+
+  // reviews.xml is: the next query misses the skeleton and answers from
+  // the new state (book 1 gains an "xml" review, so a stale skeleton
+  // would answer differently); the rebuilt skeleton, sighted before, is
+  // admitted.
+  model.reviews.push_back(Review{1, "about xml and web, easy to read"});
+  ASSERT_TRUE(
+      service.InsertDocument("reviews.xml", ReviewsXml(model.reviews)).ok());
+  query_and_check("after a write to reviews.xml");
+  cache = service.stats().cache;
+  EXPECT_EQ(cache.skeleton_misses, 3u);
+  EXPECT_EQ(cache.skeleton_insertions, 2u);
+  query_and_check("rebuilt skeleton hit");
+  EXPECT_EQ(service.stats().cache.skeleton_hits, 3u);
+}
+
 TEST(UpdateDifferentialTest, CursorOpenedBeforeUpdateDrainsItsSnapshot) {
   storage::LiveDatabase live;
   service::QueryService service(&live, service::QueryServiceOptions{});
