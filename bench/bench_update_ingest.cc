@@ -1,8 +1,8 @@
 // Live-ingest benchmarks for the update write path:
 //   BM_InsertThroughput         documents/sec through LiveDatabase's
 //                               CommitInsert without a WAL (parse +
-//                               per-document bulk index build + COW store
-//                               snapshot), at several document sizes,
+//                               per-document bulk index build + the next
+//                               corpus version), at several document sizes,
 //                               steady-state (a bounded window of
 //                               documents is kept live via removals);
 //   BM_ReplaceThroughput        same-name replacement — the same path,
@@ -126,9 +126,8 @@ void BM_QueryLatencyDuringIngest(benchmark::State& state) {
 
   std::string reviews_text;
   if (replacing) {
-    qv::ReaderLock lock(live.mu());
     reviews_text =
-        xml::Serialize(*live.database()->GetDocument("reviews.xml"));
+        xml::Serialize(*live.Pin()->database.GetDocument("reviews.xml"));
   }
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> ingested{0};

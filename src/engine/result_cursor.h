@@ -96,10 +96,10 @@ class ResultCursor {
 
   /// Pins `lease` for the cursor's lifetime — the same shared_ptr scheme
   /// that already pins the PreparedQueries and evaluator arenas, extended
-  /// to caller-owned state. The service layer attaches the DocumentStore
-  /// snapshots a live database published at Open time, so updates applied
-  /// after Open can never invalidate what this cursor materializes from
-  /// (the snapshot-isolation guarantee).
+  /// to caller-owned state. The service layer attaches the live corpus
+  /// version the query pinned, so updates applied after Open can never
+  /// invalidate what this cursor materializes from (the
+  /// snapshot-isolation guarantee).
   void AddLease(std::shared_ptr<const void> lease) {
     leases_.push_back(std::move(lease));
   }

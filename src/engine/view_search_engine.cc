@@ -12,6 +12,7 @@
 #include "engine/result_cursor.h"
 #include "qpt/generate_qpt.h"
 #include "scoring/scorer.h"
+#include "storage/live_database.h"
 #include "storage/shard_set.h"
 #include "xquery/evaluator.h"
 #include "xquery/parser.h"
@@ -139,6 +140,11 @@ std::vector<ShardContext> ShardContexts(const storage::ShardSet& shards) {
                                     shard.store.get()});
   }
   return contexts;
+}
+
+std::vector<ShardContext> ShardContexts(
+    const storage::CorpusVersion& version) {
+  return {ShardContext{&version.database, &version.indexes, &version.store}};
 }
 
 std::string PdtSignature(const std::vector<qpt::Qpt>& qpts) {

@@ -48,7 +48,8 @@ class ThreadPool;  // common/thread_pool.h
 }  // namespace quickview
 
 namespace quickview::storage {
-class ShardSet;  // storage/shard_set.h
+class ShardSet;        // storage/shard_set.h
+struct CorpusVersion;  // storage/live_database.h
 }  // namespace quickview::storage
 
 namespace quickview::engine {
@@ -140,6 +141,10 @@ struct ShardContext {
 /// One context per shard of `shards`, in corpus order; the set must
 /// outlive every engine built over the result.
 std::vector<ShardContext> ShardContexts(const storage::ShardSet& shards);
+
+/// The one context of a live corpus version; the caller's pin must
+/// outlive every engine built over the result.
+std::vector<ShardContext> ShardContexts(const storage::CorpusVersion& version);
 
 class ResultCursor;  // engine/result_cursor.h
 

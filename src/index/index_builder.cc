@@ -12,18 +12,9 @@ const DocumentIndexes* DatabaseIndexes::Get(const std::string& doc_name) const {
   return it == indexes_.end() ? nullptr : it->second.get();
 }
 
-std::unique_ptr<DocumentIndexes> DatabaseIndexes::Put(
-    const std::string& doc_name, std::unique_ptr<DocumentIndexes> idx) {
-  return std::exchange(indexes_[doc_name], std::move(idx));
-}
-
-std::unique_ptr<DocumentIndexes> DatabaseIndexes::Remove(
-    const std::string& doc_name) {
-  auto it = indexes_.find(doc_name);
-  if (it == indexes_.end()) return nullptr;
-  std::unique_ptr<DocumentIndexes> removed = std::move(it->second);
-  indexes_.erase(it);
-  return removed;
+void DatabaseIndexes::Put(const std::string& doc_name,
+                          std::shared_ptr<const DocumentIndexes> idx) {
+  indexes_[doc_name] = std::move(idx);
 }
 
 std::optional<DocumentIndexView> DatabaseIndexes::GetView(

@@ -34,29 +34,30 @@ struct DocumentIndexes {
 /// Indices for every document in a database, keyed by document name (the
 /// name used in fn:doc()). Implements IndexSource so the engine can run
 /// the identical pipeline over this in-memory backing or over a packed
-/// on-disk database.
+/// on-disk database. Per-document indices are immutable and shared: a
+/// copy shares every document's indices with the original, which is how
+/// a live corpus version keeps the indices of the documents a commit did
+/// not touch.
 class DatabaseIndexes : public IndexSource {
  public:
   const DocumentIndexes* Get(const std::string& doc_name) const;
-  /// Registers (or replaces) the document's indices. Returns the replaced
-  /// indices (null if none), so a caller under a lock can free them after
-  /// releasing it.
-  std::unique_ptr<DocumentIndexes> Put(const std::string& doc_name,
-                                       std::unique_ptr<DocumentIndexes> idx);
+  /// Registers (or replaces) the document's indices.
+  void Put(const std::string& doc_name,
+           std::shared_ptr<const DocumentIndexes> idx);
 
-  /// Unregisters the document's indices and returns them (null if there
-  /// were none).
-  std::unique_ptr<DocumentIndexes> Remove(const std::string& doc_name);
+  /// Unregisters the document's indices, if any.
+  void Remove(const std::string& doc_name) { indexes_.erase(doc_name); }
 
   std::optional<DocumentIndexView> GetView(
       const std::string& doc_name) const override;
 
-  const std::map<std::string, std::unique_ptr<DocumentIndexes>>& all() const {
+  const std::map<std::string, std::shared_ptr<const DocumentIndexes>>& all()
+      const {
     return indexes_;
   }
 
  private:
-  std::map<std::string, std::unique_ptr<DocumentIndexes>> indexes_;
+  std::map<std::string, std::shared_ptr<const DocumentIndexes>> indexes_;
 };
 
 /// Builds path + inverted indices for one document. The one way a

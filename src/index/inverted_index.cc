@@ -1,47 +1,86 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
+#include <cctype>
+#include <functional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
-#include "common/strings.h"
 #include "xml/tokenizer.h"
 
 namespace quickview::index {
 
+namespace {
+
+/// Hashes a std::string key and a std::string_view probe alike, so the
+/// term table is searched with a view of the lowercasing buffer.
+struct TermHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view term) const {
+    return std::hash<std::string_view>{}(term);
+  }
+};
+
+}  // namespace
+
 void InvertedIndex::AddDocument(const xml::Document& doc) {
-  // Per term, (id, tf) in node order: a term repeated within one node
-  // bumps that node's tf.
-  std::unordered_map<std::string,
-                     std::vector<std::pair<const xml::DeweyId*, uint32_t>>>
+  // The document's term table: per distinct term, (node, tf) in node
+  // order; a term repeated within one node bumps that node's tf. Each
+  // run is lowercased into one reused buffer and looked up as a view, so
+  // only a term's first occurrence makes a string.
+  using Occurrences = std::vector<std::pair<xml::NodeIndex, uint32_t>>;
+  std::unordered_map<std::string, Occurrences, TermHash, std::equal_to<>>
       by_term;
+  // std::tolower of every byte, looked up per character below.
+  char to_lower[256];
+  for (int c = 0; c < 256; ++c) {
+    to_lower[c] = static_cast<char>(std::tolower(c));
+  }
+  std::string lowered;
   for (xml::NodeIndex i = 0; i < doc.size(); ++i) {
-    const xml::DeweyId* id = &doc.node(i).id;
-    xml::ForEachDirectTerm(doc.node(i), [&by_term, id](std::string_view run) {
-      auto& postings = by_term[AsciiToLower(run)];
-      if (!postings.empty() && postings.back().first == id) {
-        ++postings.back().second;
+    xml::ForEachDirectTerm(doc.node(i), [&](std::string_view run) {
+      lowered.assign(run);
+      for (char& c : lowered) c = to_lower[static_cast<unsigned char>(c)];
+      auto it = by_term.find(std::string_view(lowered));
+      if (it == by_term.end()) it = by_term.try_emplace(lowered).first;
+      Occurrences& occurrences = it->second;
+      if (!occurrences.empty() && occurrences.back().first == i) {
+        ++occurrences.back().second;
       } else {
-        postings.emplace_back(id, 1);
+        occurrences.emplace_back(i, 1);
       }
     });
   }
-  // Node order need not be Dewey order (a document built by AddChild
-  // keeps creation order), so each list is sorted before it is stored.
-  auto by_id = [](const auto& a, const auto& b) { return *a.first < *b.first; };
-  lists_.reserve(by_term.size());
-  for (auto& [term, postings] : by_term) {
-    if (!std::is_sorted(postings.begin(), postings.end(), by_id)) {
-      std::sort(postings.begin(), postings.end(), by_id);
-    }
-    TermList list{term, {}};
-    list.postings.reserve(postings.size());
-    for (const auto& [id, tf] : postings) list.postings.push_back({*id, tf});
-    lists_.push_back(std::move(list));
+  // The distinct terms are sorted once. Node order need not be Dewey
+  // order (a document built by AddChild keeps creation order); when it
+  // is not, each list is sorted before it is stored.
+  bool dewey_order = true;
+  for (xml::NodeIndex i = 1; i < doc.size() && dewey_order; ++i) {
+    dewey_order = doc.node(i - 1).id < doc.node(i).id;
   }
-  std::sort(lists_.begin(), lists_.end(),
-            [](const TermList& a, const TermList& b) { return a.term < b.term; });
+  std::vector<std::pair<std::string_view, Occurrences*>> terms;
+  terms.reserve(by_term.size());
+  for (auto& [term, occurrences] : by_term) {
+    terms.emplace_back(term, &occurrences);
+  }
+  std::sort(terms.begin(), terms.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  lists_.reserve(terms.size());
+  for (const auto& [term, occurrences] : terms) {
+    if (!dewey_order) {
+      std::sort(occurrences->begin(), occurrences->end(),
+                [&doc](const auto& a, const auto& b) {
+                  return doc.node(a.first).id < doc.node(b.first).id;
+                });
+    }
+    TermList& list = lists_.emplace_back();
+    list.term = term;
+    list.postings.reserve(occurrences->size());
+    for (const auto& [node, tf] : *occurrences) {
+      list.postings.push_back({doc.node(node).id, tf});
+    }
+  }
 }
 
 Result<std::vector<Posting>> InvertedIndex::Lookup(

@@ -121,7 +121,8 @@ Result<Backend> OpenBackend(const BackendOptions& options) {
                           "\n";
       }
       backend.banner += "live corpus: " +
-                        std::to_string(db->documents().size()) +
+                        std::to_string(
+                            backend.live->Pin()->document_versions.size()) +
                         " documents (Insert/Remove enabled" +
                         (options.wal.empty() ? "" : ", durable") + ")\n";
     } else if (options.shards > 0) {

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "qpt/generate_qpt.h"
 #include "xquery/parser.h"
 
 namespace quickview::service {
@@ -37,24 +36,11 @@ QueryService::QueryService(storage::LiveDatabase* live,
 Status QueryService::RegisterView(const std::string& name,
                                   const std::string& view_text) {
   // Validate eagerly so a bad view fails registration, not every query.
-  QUICKVIEW_ASSIGN_OR_RETURN(xquery::Query parsed,
-                             xquery::ParseQuery(view_text));
-  // Record which fn:doc() names the view reads, so document mutations
-  // can invalidate exactly the views they affect. QPT generation mutates
-  // its input (doc -> occurrence names) — `parsed` is a throwaway copy.
-  std::vector<std::string> source_docs;
-  bool docs_known = false;
-  if (Result<std::vector<qpt::Qpt>> qpts = qpt::GenerateQpts(&parsed);
-      qpts.ok()) {
-    docs_known = true;
-    for (const qpt::Qpt& q : *qpts) source_docs.push_back(q.source_doc);
-  }
+  QUICKVIEW_RETURN_IF_ERROR(xquery::ParseQuery(view_text));
   qv::WriterLock lock(views_mu_);
   RegisteredView& view = views_[name];
   ++view.version;
   view.text = view_text;
-  view.source_docs = std::move(source_docs);
-  view.docs_known = docs_known;
   return Status::OK();
 }
 
@@ -66,29 +52,9 @@ Status QueryService::ApplyMutation(Mutation op, const std::string& name,
         "document mutations require a live-mode QueryService (constructed "
         "over a storage::LiveDatabase)");
   }
-  // Bump the data epoch of every view that reads `name` (or whose doc
-  // set is unknown): their cache keys change, so stale PDTs can never
-  // serve the new corpus state. Other views' entries stay warm. The
-  // bump runs as the mutation's post_apply hook — under the SAME
-  // exclusive live_->mu() hold as the corpus change (torn reads between
-  // corpus and epochs stay impossible), with views_mu_ nested inside it
-  // per the documented lock order. With a WAL attached the whole
-  // mutation rides its group commit: logged durably first, applied (and
-  // epoch-bumped) in sequence order by the commit-group leader.
-  auto bump_epochs = [this, &name]() {
-    qv::WriterLock views_lock(views_mu_);
-    for (auto& [view_name, view] : views_) {
-      if (!view.docs_known ||
-          std::find(view.source_docs.begin(), view.source_docs.end(), name) !=
-              view.source_docs.end()) {
-        ++view.data_version;
-      }
-    }
-  };
-  Status applied = op == Mutation::kInsert
-                       ? live_->CommitInsert(name, xml_text, bump_epochs)
-                       : live_->CommitRemove(name, bump_epochs);
-  QUICKVIEW_RETURN_IF_ERROR(applied);
+  QUICKVIEW_RETURN_IF_ERROR(op == Mutation::kInsert
+                                ? live_->CommitInsert(name, xml_text)
+                                : live_->CommitRemove(name));
   counter->Increment();
   return Status::OK();
 }
@@ -128,54 +94,58 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::OpenSearch(
                                      keyword);
     }
   }
-  // Live mode: hold the corpus lock shared across planning, PDT build
-  // and evaluation, so this query sees the corpus entirely before or
-  // after any concurrent mutation, never in between; the snapshot lease
-  // keeps lazy materialization valid after the lock drops. Static mode:
-  // the shard set is immutable construction state, no lock exists.
+  // Live mode: pin the current corpus version; the whole query reads it
+  // alone. Static mode: the shard set is immutable construction state.
   if (live_ != nullptr) {
-    qv::ReaderLock data_lock(live_->mu());
-    std::shared_ptr<const storage::DocumentStore> snapshot = live_->store();
-    std::vector<engine::ShardContext> contexts{engine::ShardContext{
-        live_->database(), live_->indexes(), snapshot.get()}};
-    return PrepareCursor(query, std::move(contexts), std::move(snapshot));
+    std::shared_ptr<const storage::CorpusVersion> corpus = live_->Pin();
+    // Read before the call: its arguments may be evaluated in any order,
+    // and one of them moves `corpus`.
+    std::vector<engine::ShardContext> contexts = engine::ShardContexts(*corpus);
+    return PrepareCursor(query, std::move(contexts), std::move(corpus));
   }
   return PrepareCursor(query, engine::ShardContexts(*shards_),
-                       /*lease=*/nullptr);
+                       /*corpus=*/nullptr);
 }
 
-Result<QueryService::ViewSnapshot> QueryService::SnapshotView(
+Result<QueryService::RegisteredView> QueryService::SnapshotView(
     const std::string& name) {
   qv::ReaderLock lock(views_mu_);
   auto it = views_.find(name);
   if (it == views_.end()) {
     return Status::NotFound("no view registered as '" + name + "'");
   }
-  ViewSnapshot snapshot;
-  snapshot.text = it->second.text;
-  snapshot.version = it->second.version;
-  snapshot.data_version = it->second.data_version;
-  return snapshot;
+  return it->second;
+}
+
+std::string QueryService::VersionKey(const RegisteredView& view,
+                                     const storage::CorpusVersion* corpus,
+                                     const std::vector<qpt::Qpt>& qpts) {
+  std::string key = std::to_string(view.version);
+  if (corpus == nullptr) return key;
+  for (const qpt::Qpt& qpt : qpts) {
+    key.push_back('.');
+    std::optional<uint64_t> version = corpus->DocumentVersion(qpt.source_doc);
+    key.append(version.has_value() ? std::to_string(*version) : "-");
+  }
+  return key;
 }
 
 std::string QueryService::BaseCacheKey(const std::string& view_name,
-                                       const ViewSnapshot* view,
+                                       const std::string& versions,
                                        const std::string& signature,
                                        bool skeleton) {
   // Length-prefix the view name so no name can collide with another
   // name + version suffix; the plan signature is injective on its own.
-  // The version pair (registration version '.' data epoch) makes both
-  // view replacement and document mutations unreachable-key
-  // invalidations: stale entries age out of the LRU, never serve again.
-  // The separator after it tells a skeleton's key from a bundle's.
+  // The versions make both view replacement and document mutations
+  // unreachable-key invalidations: stale entries age out of the LRU,
+  // never serve again. The separator after them tells a skeleton's key
+  // from a bundle's.
   std::string key = std::to_string(view_name.size());
   key.push_back(':');
   key.append(view_name);
-  if (view != nullptr) {
+  if (!versions.empty()) {
     key.push_back('#');
-    key.append(std::to_string(view->version));
-    key.push_back('.');
-    key.append(std::to_string(view->data_version));
+    key.append(versions);
   }
   key.push_back(skeleton ? '\x1e' : '\x1f');
   key.append(signature);
@@ -184,19 +154,10 @@ std::string QueryService::BaseCacheKey(const std::string& view_name,
 
 Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
     const BatchQuery& query, std::vector<engine::ShardContext> contexts,
-    std::shared_ptr<const storage::DocumentStore> lease) {
+    std::shared_ptr<const storage::CorpusVersion> corpus) {
   const size_t shard_count = contexts.size();
   engine::ViewSearchEngine engine(std::move(contexts), &pool_);
-
-  // The view (and crucially its data epoch) is read under the SAME
-  // corpus-lock hold that captured the surface in OpenSearch — mutations
-  // bump the epoch while holding that lock exclusively, so epoch d in
-  // the cache key always means "PDTs built from corpus state d". Reading
-  // it outside the hold could pair a cached pre-update PreparedQuery
-  // with a post-update store snapshot: a torn result no corpus version
-  // ever produced. Lock order is live_->mu() -> views_mu_, same as
-  // mutations.
-  QUICKVIEW_ASSIGN_OR_RETURN(ViewSnapshot view, SnapshotView(query.view));
+  QUICKVIEW_ASSIGN_OR_RETURN(RegisteredView view, SnapshotView(query.view));
 
   // Plan once on the calling thread for the cache key's signature (each
   // shard task re-plans from the same text inside Open on a miss, so
@@ -208,7 +169,8 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
       view.text, query.keywords, query.options.conjunctive);
   QUICKVIEW_ASSIGN_OR_RETURN(engine::QueryPlan plan,
                              engine.PlanQuery(full_query));
-  const std::string base = BaseCacheKey(query.view, &view, plan.signature);
+  const std::string versions = VersionKey(view, corpus.get(), plan.qpts);
+  const std::string base = BaseCacheKey(query.view, versions, plan.signature);
 
   // The request's deadline (and caller token) governs PDT build and
   // evaluation; the shard hint is the engine's to validate.
@@ -251,7 +213,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
     std::string skeleton_key;
     if (entry == nullptr) {
       if (skeleton_base.empty()) {
-        skeleton_base = BaseCacheKey(query.view, &view, plan.pdt_signature,
+        skeleton_base = BaseCacheKey(query.view, versions, plan.pdt_signature,
                                      /*skeleton=*/true);
       }
       skeleton_key = skeleton_base + suffix;
@@ -264,7 +226,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
 
   // The cursor co-owns each PreparedQuery: eviction (or view
   // replacement) only drops the cache's reference, never the open
-  // cursor's; in live mode the store-snapshot lease below completes the
+  // cursor's; in live mode the corpus-version lease below completes the
   // cursor's snapshot.
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
                              engine.Open(request, prepared));
@@ -279,7 +241,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   for (size_t slot = 0; slot < keys.size(); ++slot) {
     if (prepared[slot] != nullptr && !prepared[slot]->skeleton) continue;
     if (admission.empty()) {
-      admission = BaseCacheKey(query.view, /*view=*/nullptr, plan.signature);
+      admission = BaseCacheKey(query.view, /*versions=*/"", plan.signature);
     }
     const std::string suffix = "/s" + std::to_string(selected[slot]);
     std::shared_ptr<const engine::PreparedQuery> bundle =
@@ -288,7 +250,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
                  bundle);
     if (bundle->built_skeleton == nullptr) continue;
     if (skeleton_admission.empty()) {
-      skeleton_admission = BaseCacheKey(query.view, /*view=*/nullptr,
+      skeleton_admission = BaseCacheKey(query.view, /*versions=*/"",
                                         plan.pdt_signature,
                                         /*skeleton=*/true);
     }
@@ -296,7 +258,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
                  std::hash<std::string>{}(skeleton_admission + suffix),
                  bundle->built_skeleton);
   }
-  if (lease != nullptr) cursor->AddLease(std::move(lease));
+  if (corpus != nullptr) cursor->AddLease(std::move(corpus));
   return cursor;
 }
 

@@ -19,27 +19,27 @@
 //
 // Two backends, one cursor path. A static corpus is a storage::ShardSet
 // (in memory or packed, one shard or many — an unsharded corpus is the
-// one-shard case); a live corpus is a storage::LiveDatabase. Either way
-// OpenSearch hands PrepareCursor the corpus as engine::ShardContexts and
-// every query runs the same plan -> cache -> Open(request, prepared)
-// code.
+// one-shard case); a live corpus is a storage::LiveDatabase, of which a
+// query pins one immutable storage::CorpusVersion. Either way OpenSearch
+// hands PrepareCursor the corpus as engine::ShardContexts and every
+// query runs the same plan -> cache -> Open(request, prepared) code.
+//
+// Cache keys name the corpus state a PDT was built from: the view's
+// registration version and, over a live corpus, the version of each
+// QPT's source document in the pinned corpus version. A write changes
+// only the written document's version, so it invalidates exactly the
+// cached PDTs of views that read that document.
 //
 // Threading model:
 //  - in static mode the ShardSet is immutable after construction and
 //    shared by every worker;
-//  - in live mode (constructed over a storage::LiveDatabase) queries
-//    plan, build PDTs and evaluate under the shared side of the live
-//    database's own reader-writer lock (LiveDatabase::mu()), while
-//    InsertDocument/RemoveDocument publish under the exclusive side (the
-//    new version is parsed and indexed beforehand, with no lock held),
-//    so a query sees the corpus entirely before or entirely after any
-//    update — never in between. Each mutation bumps a
-//    data epoch on exactly the views that reference the mutated
-//    document; the epoch is part of the PreparedQueryCache key, so only
-//    those views' cached PDTs are invalidated. Cursors opened before an
-//    update pin their PreparedQuery, evaluator arena AND the
-//    DocumentStore snapshot they were opened against (ResultCursor
-//    leases), so in-flight readers are snapshot-isolated;
+//  - in live mode (constructed over a storage::LiveDatabase) a query
+//    pins the current corpus version once, in OpenSearch, and plans,
+//    builds PDTs, evaluates and materializes from that version alone,
+//    with no lock held, so it sees the corpus entirely before or
+//    entirely after any update — never in between — and a writer never
+//    waits for it. The cursor keeps the pin (a ResultCursor lease), so
+//    hits fetched after later updates still come from the pinned state;
 //  - per-query state (evaluator, scoring, materialization target) lives
 //    on the worker's stack;
 //  - cached PreparedQuery bundles are immutable and reference-counted,
@@ -65,7 +65,6 @@
 #include "engine/view_search_engine.h"
 #include "service/prepared_query_cache.h"
 #include "common/thread_pool.h"
-#include "storage/document_store.h"
 #include "storage/live_database.h"
 #include "storage/shard_set.h"
 
@@ -125,25 +124,22 @@ class QueryService {
                         const QueryServiceOptions& options = {});
 
   /// Live mode: queries and document mutations interleave against `live`
-  /// (which must outlive the service). Queries read under live->mu()
-  /// shared; the database synchronizes its own writes. Mutate it only
-  /// through InsertDocument/RemoveDocument while the service exists: a
-  /// direct CommitInsert/CommitRemove is safe for the database but skips
-  /// the view data-epoch bump, so cached PDTs could answer for the old
-  /// document.
+  /// (which must outlive the service). Each query pins one corpus
+  /// version; the database synchronizes its own writes. A direct
+  /// CommitInsert/CommitRemove is as safe as InsertDocument/
+  /// RemoveDocument — it only skips the service's mutation counters.
   explicit QueryService(storage::LiveDatabase* live,
                         const QueryServiceOptions& options = {});
 
-  /// Live mode only: inserts (or replaces) the named document and
-  /// invalidates cached PDTs of exactly the views that reference it.
-  /// In-flight cursors keep their snapshot. InvalidArgument on a
-  /// static-mode service.
-  Status InsertDocument(const std::string& name, const std::string& xml_text)
-      QV_EXCLUDES(views_mu_);
+  /// Live mode only: inserts (or replaces) the named document, which
+  /// changes the cache keys of exactly the views that read it. In-flight
+  /// cursors keep their pinned version. InvalidArgument on a static-mode
+  /// service.
+  Status InsertDocument(const std::string& name, const std::string& xml_text);
 
   /// Live mode only: removes the named document. Queries against views
   /// referencing it then fail per-slot with NotFound until it returns.
-  Status RemoveDocument(const std::string& name) QV_EXCLUDES(views_mu_);
+  Status RemoveDocument(const std::string& name);
 
   /// Registers (or replaces) a view under `name`. Replacing a view bumps
   /// its cache-key version, so stale PDTs can never serve the new text.
@@ -191,57 +187,47 @@ class QueryService {
   struct RegisteredView {
     std::string text;
     uint64_t version = 0;  // bumped by RegisterView; part of the cache key
-    /// Bumped by InsertDocument/RemoveDocument of a referenced document;
-    /// the other half of the cache key's version pair.
-    uint64_t data_version = 0;
-    /// fn:doc() names the view reads, extracted at registration. When
-    /// extraction fails (view outside the QPT subset) `docs_known` stays
-    /// false and every mutation conservatively bumps the view.
-    std::vector<std::string> source_docs;
-    bool docs_known = false;
   };
 
   enum class Mutation { kInsert, kRemove };
 
   /// Shared body of both mutation entry points: hands the insert or
-  /// remove to the live database, which publishes it under its exclusive
-  /// lock; on success the affected views' data epochs bump (under the
-  /// same exclusive hold, so epoch d in a cache key always means "built
-  /// from corpus state d") and `counter` advances.
+  /// remove to the live database; on success `counter` advances.
   Status ApplyMutation(Mutation op, const std::string& name,
                        const std::string& xml_text, obs::Counter* counter);
 
-  /// The registered view's text and version pair, read under views_mu_.
-  struct ViewSnapshot {
-    std::string text;
-    uint64_t version = 0;
-    uint64_t data_version = 0;
-  };
-  Result<ViewSnapshot> SnapshotView(const std::string& name)
+  /// A copy of the registered view, read under views_mu_.
+  Result<RegisteredView> SnapshotView(const std::string& name)
       QV_EXCLUDES(views_mu_);
 
+  /// The corpus-state part of a cache key: the view's registration
+  /// version and, when `corpus` is set, the version of each QPT's source
+  /// document in it ('-' for an absent document).
+  static std::string VersionKey(const RegisteredView& view,
+                                const storage::CorpusVersion* corpus,
+                                const std::vector<qpt::Qpt>& qpts);
+
   /// The shard-independent cache key prefix: length-prefixed view name,
-  /// version pair, plan signature (see PrepareCursor for why each part
-  /// is there). Per-shard keys append "/s<i>". With `view` null the
-  /// version pair is left out: that is the plan's admission key, the
+  /// VersionKey, plan signature (see PrepareCursor for why each part is
+  /// there). Per-shard keys append "/s<i>". With `versions` empty the
+  /// corpus state is left out: that is the plan's admission key, the
   /// same before and after a re-registration or a write. With
   /// `skeleton`, `signature` is the plan's PDT signature and the key
   /// names the view's keyword-free PDT skeleton.
   static std::string BaseCacheKey(const std::string& view_name,
-                                  const ViewSnapshot* view,
+                                  const std::string& versions,
                                   const std::string& signature,
                                   bool skeleton = false);
 
-  /// The tail of OpenSearch once the corpus surface is fixed: plan,
-  /// per-shard cache lookups, one engine.Open(request, prepared) over
-  /// `contexts` (fanned out on the pool), then cache fills for the shards
-  /// the engine had to build. In live mode the caller holds the live
-  /// database's shared lock across this call and passes its one context
-  /// in (`lease` pins the store snapshot beyond the lock); in static mode
-  /// the contexts are the immutable ShardSet and no lock is involved.
+  /// The tail of OpenSearch once the corpus is fixed: plan, per-shard
+  /// cache lookups, one engine.Open(request, prepared) over `contexts`
+  /// (fanned out on the pool), then cache fills for the shards the
+  /// engine had to build. In live mode `corpus` is the version the
+  /// contexts read, and the cursor keeps it pinned; in static mode it is
+  /// null and the contexts are the immutable ShardSet.
   Result<std::unique_ptr<engine::ResultCursor>> PrepareCursor(
       const BatchQuery& query, std::vector<engine::ShardContext> contexts,
-      std::shared_ptr<const storage::DocumentStore> lease)
+      std::shared_ptr<const storage::CorpusVersion> corpus)
       QV_EXCLUDES(views_mu_);
 
   /// Folds one drained cursor's search counters into the service-lifetime
@@ -249,16 +235,13 @@ class QueryService {
   void FoldSearchStats(const engine::SearchStats& stats)
       QV_EXCLUDES(stats_mu_);
 
-  /// Exactly one of the two is set. In live mode the one shard context
-  /// is re-read from live_ under its lock on every query.
+  /// Exactly one of the two is set. In live mode every query pins the
+  /// current version of live_.
   const storage::ShardSet* shards_ = nullptr;
   storage::LiveDatabase* live_ = nullptr;
   /// Cumulative search counters over drained queries (Stats::search).
   mutable qv::Mutex stats_mu_;
   engine::SearchStats search_stats_ QV_GUARDED_BY(stats_mu_);
-  /// Lock order: live_->mu() first, views_mu_ nested inside it (both
-  /// PrepareCursor and ApplyMutation) — never take live_->mu() while
-  /// holding views_mu_.
   mutable qv::SharedMutex views_mu_;
   std::map<std::string, RegisteredView> views_ QV_GUARDED_BY(views_mu_);
   PreparedQueryCache cache_;

@@ -16,10 +16,10 @@
 // concurrency) pass a local `Stats* accounting` that each fetch also
 // accumulates into. There is deliberately no mutex here — and so
 // nothing for common/sync.h's QV_GUARDED_BY vocabulary to annotate: the
-// only shared mutable state is those atomics. Publication of a NEW
-// store (live mode replaces the snapshot wholesale) is what needs a
-// lock, and that lock lives in LiveDatabase (see live_database.h),
-// where the snapshot pointer is annotated against it.
+// only shared mutable state is those atomics. A live corpus never
+// replaces a store in place either: each published CorpusVersion owns
+// its own store (see live_database.h), and a reader fetches from the
+// version it pinned.
 #ifndef QUICKVIEW_STORAGE_DOCUMENT_STORE_H_
 #define QUICKVIEW_STORAGE_DOCUMENT_STORE_H_
 

@@ -7,77 +7,105 @@
 
 namespace quickview::storage {
 
+CorpusVersion::CorpusVersion(uint64_t sequence, xml::Database database,
+                             index::DatabaseIndexes indexes,
+                             std::map<std::string, uint64_t> document_versions)
+    : sequence(sequence),
+      database(std::move(database)),
+      indexes(std::move(indexes)),
+      store(this->database),
+      document_versions(std::move(document_versions)) {}
+
+std::optional<uint64_t> CorpusVersion::DocumentVersion(
+    const std::string& name) const {
+  auto it = document_versions.find(name);
+  if (it == document_versions.end()) return std::nullopt;
+  return it->second;
+}
+
+std::vector<std::string> CorpusVersion::DocumentNames() const {
+  std::vector<std::string> out;
+  out.reserve(document_versions.size());
+  for (const auto& [name, version] : document_versions) out.push_back(name);
+  return out;
+}
+
+namespace {
+
+std::shared_ptr<const CorpusVersion> InitialVersion(
+    const xml::Database& database) {
+  std::map<std::string, uint64_t> versions;
+  for (const auto& [name, doc] : database.documents()) versions[name] = 0;
+  return std::make_shared<const CorpusVersion>(
+      0, database, std::move(*index::BuildDatabaseIndexes(database)),
+      std::move(versions));
+}
+
+}  // namespace
+
 LiveDatabase::LiveDatabase()
-    : db_(std::make_shared<xml::Database>()),
-      indexes_(std::make_unique<index::DatabaseIndexes>()),
-      store_(std::make_shared<const DocumentStore>(*db_)) {}
+    : LiveDatabase(std::make_shared<xml::Database>()) {}
 
 LiveDatabase::LiveDatabase(std::shared_ptr<xml::Database> initial)
-    : db_(std::move(initial)),
-      indexes_(index::BuildDatabaseIndexes(*db_)),
-      store_(std::make_shared<const DocumentStore>(*db_)) {
-  documents_.Set(static_cast<int64_t>(db_->documents().size()));
+    : current_(InitialVersion(*initial)) {
+  documents_.Set(static_cast<int64_t>(initial->documents().size()));
+}
+
+std::shared_ptr<const CorpusVersion> LiveDatabase::Pin() const {
+  qv::ReaderLock lock(mu_);
+  return current_;
+}
+
+void LiveDatabase::Publish(const CorpusVersion& base, const std::string& name,
+                           std::shared_ptr<xml::Document> doc) {
+  // Build the next version with no lock held: it copies the name maps,
+  // so every other document and its indexes are shared with `base`.
+  const uint64_t sequence = base.sequence + 1;
+  xml::Database database = base.database;
+  index::DatabaseIndexes indexes = base.indexes;
+  std::map<std::string, uint64_t> versions = base.document_versions;
+  database.RemoveDocument(name);
+  indexes.Remove(name);
+  versions.erase(name);
+  if (doc != nullptr) {
+    indexes.Put(name, index::BuildDocumentIndexes(*doc));
+    database.AddDocument(name, std::move(doc));
+    versions[name] = sequence;
+  }
+  documents_.Set(static_cast<int64_t>(versions.size()));
+  auto next = std::make_shared<const CorpusVersion>(
+      sequence, std::move(database), std::move(indexes), std::move(versions));
+  qv::WriterLock lock(mu_);
+  // `next` takes the replaced version, so it is released after the lock.
+  current_.swap(next);
 }
 
 Status LiveDatabase::ApplyInsert(const std::string& name,
-                                 const std::string& xml_text,
-                                 const std::function<void()>& post_apply) {
+                                 const std::string& xml_text) {
   qv::MutexLock apply_lock(apply_mu_);
+  const std::shared_ptr<const CorpusVersion> base = Pin();
   // Replacements keep their root Dewey component so the document's "path
-  // ordinal" stays stable across versions; new names get a fresh one.
-  // Holding apply_mu_ keeps this answer valid until the publish below.
-  uint32_t root_component = 0;
-  {
-    qv::ReaderLock lock(mu_);
-    const xml::Document* old_doc = db_->GetDocument(name);
-    root_component = old_doc != nullptr ? old_doc->root_component()
-                                        : db_->NextRootComponent();
-  }
-  // Parse and build with no corpus lock held: readers keep running
-  // against the previous version. A bad document fails here, before any
-  // state changes.
+  // ordinal" stays stable across versions; new names get a fresh one. A
+  // bad document fails here, before any state changes.
+  const xml::Document* old_doc = base->database.GetDocument(name);
+  const uint32_t root_component = old_doc != nullptr
+                                      ? old_doc->root_component()
+                                      : base->database.NextRootComponent();
   QUICKVIEW_ASSIGN_OR_RETURN(std::shared_ptr<xml::Document> doc,
                              xml::ParseXml(xml_text, root_component));
-  std::unique_ptr<index::DocumentIndexes> doc_indexes =
-      index::BuildDocumentIndexes(*doc);
-
-  // The replaced version (document, indexes, store snapshot) is moved
-  // into these locals, declared before the lock so that they are freed
-  // after it drops, off the readers' path.
-  std::shared_ptr<xml::Document> old_doc;
-  std::unique_ptr<index::DocumentIndexes> old_indexes;
-  std::shared_ptr<const DocumentStore> old_store;
-  qv::WriterLock lock(mu_);
-  old_doc = db_->GetDocumentShared(name);
-  db_->RemoveDocument(name);
-  db_->AddDocument(name, std::move(doc));
-  old_indexes = indexes_->Put(name, std::move(doc_indexes));
-  old_store =
-      std::exchange(store_, std::make_shared<const DocumentStore>(*db_));
+  Publish(*base, name, std::move(doc));
   inserts_.Increment();
-  documents_.Set(static_cast<int64_t>(db_->documents().size()));
-  if (post_apply) post_apply();
   return Status::OK();
 }
 
-Status LiveDatabase::ApplyRemove(const std::string& name,
-                                 const std::function<void()>& post_apply) {
+Status LiveDatabase::ApplyRemove(const std::string& name) {
   qv::MutexLock apply_lock(apply_mu_);
-  // Freed after the lock drops, as in ApplyInsert.
-  std::shared_ptr<xml::Document> old_doc;
-  std::unique_ptr<index::DocumentIndexes> old_indexes;
-  std::shared_ptr<const DocumentStore> old_store;
-  qv::WriterLock lock(mu_);
-  old_doc = db_->GetDocumentShared(name);
-  if (!db_->RemoveDocument(name)) {
+  const std::shared_ptr<const CorpusVersion> base = Pin();
+  if (!base->DocumentVersion(name).has_value()) {
     return Status::NotFound("no document named '" + name + "'");
   }
-  old_indexes = indexes_->Remove(name);
-  old_store =
-      std::exchange(store_, std::make_shared<const DocumentStore>(*db_));
+  Publish(*base, name, /*doc=*/nullptr);
   removes_.Increment();
-  documents_.Set(static_cast<int64_t>(db_->documents().size()));
-  if (post_apply) post_apply();
   return Status::OK();
 }
 
@@ -98,12 +126,12 @@ Status LiveDatabase::OpenWal(const std::string& path,
     QUICKVIEW_ASSIGN_OR_RETURN(pagestore::DeltaRecord record,
                                pagestore::DecodeDeltaPayload(payload));
     if (record.tombstone) {
-      Status removed = ApplyRemove(record.name, nullptr);
+      Status removed = ApplyRemove(record.name);
       if (!removed.ok() && removed.code() != StatusCode::kNotFound) {
         return removed;
       }
     } else {
-      QUICKVIEW_RETURN_IF_ERROR(ApplyInsert(record.name, record.xml, nullptr));
+      QUICKVIEW_RETURN_IF_ERROR(ApplyInsert(record.name, record.xml));
     }
   }
   wal_ = std::move(wal);
@@ -111,12 +139,11 @@ Status LiveDatabase::OpenWal(const std::string& path,
 }
 
 Status LiveDatabase::CommitInsert(const std::string& name,
-                                  const std::string& xml_text,
-                                  const std::function<void()>& post_apply) {
+                                  const std::string& xml_text) {
   if (name.empty()) {
     return Status::InvalidArgument("document name must not be empty");
   }
-  if (wal_ == nullptr) return ApplyInsert(name, xml_text, post_apply);
+  if (wal_ == nullptr) return ApplyInsert(name, xml_text);
   // Validate before logging (and before joining a commit group): a
   // record that cannot replay would poison recovery, and rejecting it
   // here keeps the failure out of the WAL entirely.
@@ -130,30 +157,25 @@ Status LiveDatabase::CommitInsert(const std::string& name,
   QUICKVIEW_ASSIGN_OR_RETURN(
       uint64_t seq,
       wal_->Append(pagestore::EncodeDeltaPayload(record),
-                   [&]() { return ApplyInsert(name, xml_text, post_apply); }));
+                   [&]() { return ApplyInsert(name, xml_text); }));
   (void)seq;
   return Status::OK();
 }
 
-Status LiveDatabase::CommitRemove(const std::string& name,
-                                  const std::function<void()>& post_apply) {
-  if (wal_ == nullptr) return ApplyRemove(name, post_apply);
-  {
-    // Pre-check so a remove of an absent name fails without logging a
-    // tombstone. Two racing removers may both pass and both log; the
-    // loser's apply returns NotFound (its tombstone replays as a no-op).
-    qv::ReaderLock lock(mu_);
-    if (db_->GetDocumentShared(name) == nullptr) {
-      return Status::NotFound("no document named '" + name + "'");
-    }
+Status LiveDatabase::CommitRemove(const std::string& name) {
+  if (wal_ == nullptr) return ApplyRemove(name);
+  // Pre-check so a remove of an absent name fails without logging a
+  // tombstone. Two racing removers may both pass and both log; the
+  // loser's apply returns NotFound (its tombstone replays as a no-op).
+  if (!Pin()->DocumentVersion(name).has_value()) {
+    return Status::NotFound("no document named '" + name + "'");
   }
   pagestore::DeltaRecord record;
   record.tombstone = true;
   record.name = name;
   QUICKVIEW_ASSIGN_OR_RETURN(
-      uint64_t seq,
-      wal_->Append(pagestore::EncodeDeltaPayload(record),
-                   [&]() { return ApplyRemove(name, post_apply); }));
+      uint64_t seq, wal_->Append(pagestore::EncodeDeltaPayload(record),
+                                 [&]() { return ApplyRemove(name); }));
   (void)seq;
   return Status::OK();
 }
@@ -170,13 +192,6 @@ Status LiveDatabase::RegisterMetrics(obs::MetricsRegistry* registry,
     return wal_->RegisterMetrics(registry, std::move(labels));
   }
   return Status::OK();
-}
-
-std::vector<std::string> LiveDatabase::document_names() const {
-  std::vector<std::string> out;
-  out.reserve(db_->documents().size());
-  for (const auto& [name, doc] : db_->documents()) out.push_back(name);
-  return out;
 }
 
 }  // namespace quickview::storage

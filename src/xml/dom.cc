@@ -103,12 +103,6 @@ const Document* Database::GetDocument(const std::string& name) const {
   return it == documents_.end() ? nullptr : it->second.get();
 }
 
-std::shared_ptr<Document> Database::GetDocumentShared(
-    const std::string& name) const {
-  auto it = documents_.find(name);
-  return it == documents_.end() ? nullptr : it->second;
-}
-
 const Document* Database::GetDocumentByRoot(uint32_t root_component) const {
   auto it = by_root_.find(root_component);
   if (it == by_root_.end()) return nullptr;

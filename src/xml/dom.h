@@ -113,13 +113,12 @@ class Database {
   void AddDocument(const std::string& name, std::shared_ptr<Document> doc);
 
   /// Unregisters the document stored under `name`; returns whether it
-  /// existed. Shared_ptr holders (store snapshots, open cursors) keep the
-  /// removed document alive.
+  /// existed. Shared_ptr holders (pinned corpus versions, open cursors)
+  /// keep the removed document alive.
   bool RemoveDocument(const std::string& name);
 
   /// nullptr if absent.
   const Document* GetDocument(const std::string& name) const;
-  std::shared_ptr<Document> GetDocumentShared(const std::string& name) const;
 
   /// Document whose root component is `root_component`; nullptr if absent.
   const Document* GetDocumentByRoot(uint32_t root_component) const;

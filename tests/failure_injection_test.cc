@@ -208,10 +208,8 @@ TEST(LiveWriteTest, EmptyDocumentNameIsRejectedWithAndWithoutWal) {
       Status rejected = live.CommitInsert("", "<a>x</a>");
       EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
           << rejected.ToString();
-      {
-        qv::ReaderLock lock(live.mu());
-        EXPECT_EQ(live.document_names(), std::vector<std::string>{"a.xml"});
-      }
+      EXPECT_EQ(live.Pin()->DocumentNames(),
+                std::vector<std::string>{"a.xml"});
       if (with_wal) {
         EXPECT_EQ(std::filesystem::file_size(wal_path), wal_bytes);
       }
@@ -221,8 +219,8 @@ TEST(LiveWriteTest, EmptyDocumentNameIsRejectedWithAndWithoutWal) {
       storage::LiveDatabase replayed;
       ASSERT_TRUE(replayed.OpenWal(wal_path).ok());
       EXPECT_EQ(replayed.wal()->replay().payloads.size(), 1u);
-      qv::ReaderLock lock(replayed.mu());
-      EXPECT_EQ(replayed.document_names(), std::vector<std::string>{"a.xml"});
+      EXPECT_EQ(replayed.Pin()->DocumentNames(),
+                std::vector<std::string>{"a.xml"});
     }
   }
   std::filesystem::remove(wal_path);

@@ -47,6 +47,24 @@ TEST(InvertedIndexTest, ListsAreDeweyOrderedWithDirectTf) {
   EXPECT_TRUE(index->Lookup("absent")->empty());
 }
 
+TEST(InvertedIndexTest, ListsAreDeweyOrderedWhenNodeOrderIsNot) {
+  // A document built with AddChild keeps creation order: the grandchild
+  // 1.1.1 is created after 1.2, yet its posting must come first.
+  xml::Document doc;
+  const xml::NodeIndex root = doc.CreateRoot("r");
+  const xml::NodeIndex a = doc.AddChild(root, "a");
+  doc.node(doc.AddChild(root, "b")).text = "xml search";
+  doc.node(doc.AddChild(a, "x")).text = "XML xml";
+  InvertedIndex index;
+  index.AddDocument(doc);
+  auto postings = *index.Lookup("xml");
+  ASSERT_EQ(postings.size(), 2u);
+  EXPECT_EQ(postings[0].id.ToString(), "1.1.1");
+  EXPECT_EQ(postings[0].tf, 2u);
+  EXPECT_EQ(postings[1].id.ToString(), "1.2");
+  EXPECT_EQ(postings[1].tf, 1u);
+}
+
 TEST(InvertedIndexTest, TagAndTextOccurrencesInOneElementAccumulate) {
   // The tag name and both (case-folded) text tokens are one element's.
   auto index = IndexOf("<r><xml>xml XML</xml></r>");

@@ -37,19 +37,36 @@
 namespace {
 std::atomic<uint64_t> g_allocations{0};
 
-void* CountedAlloc(std::size_t size) {
+void* CountedAllocNoThrow(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAlloc(std::size_t size) {
+  if (void* p = CountedAllocNoThrow(size)) return p;
   throw std::bad_alloc();
 }
 }  // namespace
 
+// Every form a library path can allocate or free through, nothrow
+// included: a nothrow new left to the runtime would be freed by the
+// delete below, which ASan reports as an alloc-dealloc mismatch.
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAllocNoThrow(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAllocNoThrow(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace quickview {
 namespace {

@@ -413,7 +413,7 @@ TEST_F(QueryServiceTest, PlanSeenBeforeAWriteIsAdmittedOnFirstMiss) {
   BatchQuery query{"bookrev", {"xml"}, engine::SearchOptions{}};
   ASSERT_TRUE(service.SearchOne(query).ok());
   EXPECT_EQ(service.stats().cache.declined, 1u);
-  // Rewriting a document the view reads bumps the view's data epoch.
+  // Rewriting a document the view reads changes its version in the key.
   ASSERT_TRUE(service
                   .InsertDocument("reviews.xml",
                                   xml::Serialize(

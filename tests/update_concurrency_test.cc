@@ -1,8 +1,8 @@
 // Live updates under concurrency: mutator threads insert/replace/remove
-// documents through QueryService while query threads search, so the
-// writer lock, the per-view data epochs, the COW store snapshots and the
-// cursor leases all get exercised cross-thread. Runs under the TSan CI
-// leg. The correctness claims:
+// documents through QueryService while query threads search, so version
+// publication, the per-document versions in cache keys, and the corpus
+// versions that queries and cursors pin all get exercised cross-thread.
+// Runs under the TSan CI leg. The correctness claims:
 //   - mutations of documents no registered view reads never perturb
 //     query responses (and never invalidate their cached PDTs);
 //   - every response under concurrent replacement equals the response of
@@ -10,6 +10,8 @@
 //     atomicity);
 //   - a cursor opened before the storm drains the corpus version it was
 //     opened against;
+//   - a pinned version never blocks a writer, even one on the pinning
+//     thread;
 //   - concurrent writers on a WAL-attached database leave a corpus that
 //     replaying the WAL reproduces exactly, root Dewey components
 //     included.
@@ -144,6 +146,63 @@ TEST(UpdateConcurrencyTest, UnrelatedMutationsNeverPerturbQueries) {
   // through 100+ unrelated mutations.
   EXPECT_EQ(service.stats().cache.misses, 2u);
   EXPECT_GE(service.stats().documents_inserted, 120u);
+}
+
+// A query pins the corpus version it reads and holds no lock, so a
+// writer on the query's own thread commits while the pin is held — the
+// ordering that deadlocks when a reader holds the corpus lock shared
+// across its query. The pinned version keeps answering from the old
+// document through its own store and indexes; a fresh pin sees the new
+// one. Run without and with a WAL (whose remove pre-check reads the
+// current version too).
+TEST(UpdateConcurrencyTest, PinnedVersionNeverBlocksAWriter) {
+  const std::string wal_path =
+      (std::filesystem::path(::testing::TempDir()) / "pinned_writer.wal")
+          .string();
+  engine::SearchRequest request;
+  request.view = kBooksView;
+  request.keywords = {"xml", "search"};
+  const engine::SearchResponse old_answer =
+      ExpectedFor(BooksXml(0, 4), request.keywords, request.options);
+  const engine::SearchResponse new_answer =
+      ExpectedFor(BooksXml(1, 6), request.keywords, request.options);
+  for (bool with_wal : {false, true}) {
+    SCOPED_TRACE(with_wal ? "with WAL" : "without WAL");
+    std::filesystem::remove(wal_path);
+    storage::LiveDatabase live;
+    if (with_wal) {
+      ASSERT_TRUE(live.OpenWal(wal_path).ok());
+    }
+    ASSERT_TRUE(live.CommitInsert("books.xml", BooksXml(0, 4)).ok());
+    std::shared_ptr<const storage::CorpusVersion> pinned = live.Pin();
+
+    ASSERT_TRUE(live.CommitInsert("books.xml", BooksXml(1, 6)).ok());
+    ASSERT_TRUE(
+        live.CommitInsert("notes.xml", "<notes><note>xml</note></notes>")
+            .ok());
+    ASSERT_TRUE(live.CommitRemove("notes.xml").ok());
+
+    engine::ViewSearchEngine pinned_engine(
+        &pinned->database, &pinned->indexes, &pinned->store);
+    auto from_pin = pinned_engine.Execute(request);
+    ASSERT_TRUE(from_pin.ok()) << from_pin.status().ToString();
+    EXPECT_TRUE(SameHits(old_answer, *from_pin));
+    EXPECT_EQ(pinned->DocumentNames(), std::vector<std::string>{"books.xml"});
+
+    std::shared_ptr<const storage::CorpusVersion> fresh = live.Pin();
+    engine::ViewSearchEngine fresh_engine(&fresh->database, &fresh->indexes,
+                                          &fresh->store);
+    auto from_fresh = fresh_engine.Execute(request);
+    ASSERT_TRUE(from_fresh.ok()) << from_fresh.status().ToString();
+    EXPECT_TRUE(SameHits(new_answer, *from_fresh));
+    EXPECT_EQ(fresh->DocumentNames(), std::vector<std::string>{"books.xml"});
+    // Commits count from 1: the pin holds commit 1's books.xml, commit 2
+    // replaced it, and commits 3 and 4 inserted and removed notes.xml.
+    EXPECT_EQ(pinned->DocumentVersion("books.xml"), 1u);
+    EXPECT_EQ(fresh->DocumentVersion("books.xml"), 2u);
+    EXPECT_EQ(fresh->sequence, 4u);
+  }
+  std::filesystem::remove(wal_path);
 }
 
 TEST(UpdateConcurrencyTest, ConcurrentReplacementsAreSnapshotAtomic) {
@@ -291,12 +350,12 @@ struct CorpusState {
 };
 
 CorpusState CaptureState(const storage::LiveDatabase& live) {
-  qv::ReaderLock lock(live.mu());
+  std::shared_ptr<const storage::CorpusVersion> version = live.Pin();
   CorpusState state;
-  for (const auto& [name, doc] : live.database()->documents()) {
+  for (const auto& [name, doc] : version->database.documents()) {
     state.roots[name] = doc->root_component();
   }
-  state.indexes = DumpWithRoots(*live.indexes());
+  state.indexes = DumpWithRoots(version->indexes);
   return state;
 }
 

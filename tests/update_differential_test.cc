@@ -1,9 +1,9 @@
 // Differential proof of the live update path: a corpus mutated through
 // InsertDocument/RemoveDocument — documents, path indexes, inverted
-// indexes and store snapshots published one mutation at a time — must be
-// indistinguishable from a corpus rebuilt from scratch. The harness
-// interleaves hundreds of seeded random insert/remove/query steps on a
-// bookrev-shaped corpus and, after EVERY mutation, checks
+// indexes and store, in corpus versions published one mutation at a
+// time — must be indistinguishable from a corpus rebuilt from scratch.
+// The harness interleaves hundreds of seeded random insert/remove/query
+// steps on a bookrev-shaped corpus and, after EVERY mutation, checks
 //   (a) structural index-state equality against a fresh rebuild (row for
 //       row, posting for posting; Dewey ids compared modulo the root
 //       component, which legitimately differs between incremental
@@ -377,12 +377,9 @@ TEST(UpdateDifferentialTest, RandomizedUpdatesMatchFreshRebuild) {
 
     // --- differential check against a from-scratch rebuild --------------
     RebuiltEngine fresh(model);
-    {
-      // Direct index access outside the service: hold the corpus lock
-      // shared, as any reader of LiveDatabase surfaces must.
-      qv::ReaderLock live_lock(live.mu());
-      ExpectSameIndexState(*live.indexes(), *fresh.indexes, context);
-    }
+    // Direct index access outside the service: read a pinned version,
+    // as any reader of a LiveDatabase does.
+    ExpectSameIndexState(live.Pin()->indexes, *fresh.indexes, context);
 
     std::vector<service::BatchQuery> batch = MakeQueryBatch("bookrev");
     std::vector<Result<engine::SearchResponse>> responses =
@@ -411,11 +408,8 @@ TEST(UpdateDifferentialTest, RandomizedUpdatesMatchFreshRebuild) {
   storage::LiveDatabase recovered;
   ASSERT_TRUE(recovered.OpenWal(wal_path).ok());
   RebuiltEngine final_oracle(model);
-  {
-    qv::ReaderLock recovered_lock(recovered.mu());
-    ExpectSameIndexState(*recovered.indexes(), *final_oracle.indexes,
-                         "cold WAL replay");
-  }
+  ExpectSameIndexState(recovered.Pin()->indexes, *final_oracle.indexes,
+                       "cold WAL replay");
 }
 
 TEST(UpdateDifferentialTest, MutationInvalidatesOnlyReferencingViews) {
@@ -464,8 +458,8 @@ TEST(UpdateDifferentialTest, MutationInvalidatesOnlyReferencingViews) {
   EXPECT_EQ(service.stats().cache.misses, misses + 3);
 }
 
-// The view's keyword-free PDT skeleton is keyed by the same version
-// pair as its bundles: a write to a document the view reads makes the
+// The view's keyword-free PDT skeleton is keyed by the same versions as
+// its bundles: a write to a document the view reads makes the
 // next query rebuild it from the new state, and a write to any other
 // document leaves it in place.
 TEST(UpdateDifferentialTest, WriteInvalidatesOnlyTheReadViewsSkeleton) {
@@ -554,7 +548,7 @@ TEST(UpdateDifferentialTest, CursorOpenedBeforeUpdateDrainsItsSnapshot) {
   query.options.top_k = 100;
   // Capture the pre-update truth, then open a second cursor and update
   // under it: the half-drained cursor must keep materializing the old
-  // corpus (its store-snapshot lease), even though the documents it
+  // corpus (its pinned corpus version), even though the documents it
   // reads were replaced and removed from the live database.
   auto expected = service.SearchOne(query);
   ASSERT_TRUE(expected.ok());

@@ -172,15 +172,15 @@ IndexDump DumpIndexes(const index::DatabaseIndexes& indexes) {
 void ExpectSameSearchResults(const storage::LiveDatabase& recovered,
                              const storage::LiveDatabase& oracle,
                              const std::string& context) {
-  qv::ReaderLock recovered_lock(recovered.mu());
-  qv::ReaderLock oracle_lock(oracle.mu());
-  std::shared_ptr<const storage::DocumentStore> recovered_store =
-      recovered.store();
-  std::shared_ptr<const storage::DocumentStore> oracle_store = oracle.store();
-  engine::ViewSearchEngine recovered_engine(
-      recovered.database(), recovered.indexes(), recovered_store.get());
-  engine::ViewSearchEngine oracle_engine(
-      oracle.database(), oracle.indexes(), oracle_store.get());
+  std::shared_ptr<const storage::CorpusVersion> recovered_version =
+      recovered.Pin();
+  std::shared_ptr<const storage::CorpusVersion> oracle_version = oracle.Pin();
+  engine::ViewSearchEngine recovered_engine(&recovered_version->database,
+                                            &recovered_version->indexes,
+                                            &recovered_version->store);
+  engine::ViewSearchEngine oracle_engine(&oracle_version->database,
+                                         &oracle_version->indexes,
+                                         &oracle_version->store);
   for (uint64_t d = 0; d < 8; ++d) {
     engine::SearchRequest request;
     request.view = "for $x in fn:doc(" + DocName(d) + ")//a return $x";
@@ -269,11 +269,14 @@ TEST(WalCrashTest, RecoveredStateIsAPrefixOfAckedHistory) {
       ASSERT_TRUE(applied.ok()) << applied.ToString();
     }
     {
-      qv::ReaderLock recovered_lock(recovered.mu());
-      qv::ReaderLock oracle_lock(oracle.mu());
-      ASSERT_EQ(recovered.document_names(), oracle.document_names());
-      ASSERT_EQ(DumpIndexes(*recovered.indexes()),
-                DumpIndexes(*oracle.indexes()))
+      std::shared_ptr<const storage::CorpusVersion> recovered_version =
+          recovered.Pin();
+      std::shared_ptr<const storage::CorpusVersion> oracle_version =
+          oracle.Pin();
+      ASSERT_EQ(recovered_version->DocumentNames(),
+                oracle_version->DocumentNames());
+      ASSERT_EQ(DumpIndexes(recovered_version->indexes),
+                DumpIndexes(oracle_version->indexes))
           << "index state diverged from the replayed prefix";
     }
     ExpectSameSearchResults(recovered, oracle,
