@@ -66,13 +66,13 @@ const Status& ToStatus(const Result<T>& result) {
 #define QV_CONCAT_(a, b) QV_CONCAT_INNER_(a, b)
 
 /// Evaluates a Status- or Result-returning expression; on error returns
-/// the Status (a Result's value, if any, is discarded).
-#define QUICKVIEW_RETURN_IF_ERROR(expr)                         \
-  do {                                                          \
-    auto&& _qv_propagate = (expr);                              \
-    if (!_qv_propagate.ok()) {                                  \
-      return ::quickview::internal::ToStatus(_qv_propagate);    \
-    }                                                           \
+/// the Status (a Result's value, if any, is discarded). The Status is
+/// copied within the full-expression: `expr` may return a reference
+/// into a temporary (`f().status()`), which dies at its end.
+#define QUICKVIEW_RETURN_IF_ERROR(expr)                                       \
+  do {                                                                        \
+    ::quickview::Status _qv_status = ::quickview::internal::ToStatus((expr)); \
+    if (!_qv_status.ok()) return _qv_status;                                  \
   } while (false)
 
 /// Evaluates a Result-returning expression; on error returns the Status,

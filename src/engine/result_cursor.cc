@@ -11,9 +11,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
+double MsBetween(Clock::time_point start, Clock::time_point end) {
+  return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
 }  // namespace
@@ -25,10 +24,30 @@ ResultCursor::~ResultCursor() {
   if (cancel_ != nullptr) cancel_->Cancel();
 }
 
+namespace {
+
+void AddIo(const storage::DocumentStore::Stats& fetches,
+           storage::DocumentStore::Stats* total) {
+  total->fetch_calls += fetches.fetch_calls;
+  total->bytes_fetched += fetches.bytes_fetched;
+  total->pages_read += fetches.pages_read;
+  total->buffer_hits += fetches.buffer_hits;
+}
+
+void AddIoCounters(const storage::DocumentStore::Stats& io,
+                   obs::TraceSpan* span) {
+  span->AddCounter("store_fetches", io.fetch_calls);
+  span->AddCounter("store_bytes", io.bytes_fetched);
+  span->AddCounter("pages_read", io.pages_read);
+  span->AddCounter("buffer_hits", io.buffer_hits);
+}
+
+}  // namespace
+
 Result<std::vector<SearchHit>> ResultCursor::FetchNext(size_t n) {
-  Clock::time_point start = Clock::now();
+  const Clock::time_point start = Clock::now();
   if (trace_ != nullptr && materialize_span_ == nullptr) {
-    materialize_span_ = trace_->StartSpan("materialize");
+    materialize_span_ = trace_->StartSpanAt("materialize", nullptr, -1, start);
   }
   std::vector<SearchHit> page;
   size_t want = std::min(n, pending());
@@ -58,28 +77,33 @@ Result<std::vector<SearchHit>> ResultCursor::FetchNext(size_t n) {
       shard.pages_read += fetches.pages_read;
       shard.buffer_hits += fetches.buffer_hits;
     }
-    // Attribute the fetch I/O back to the owning shard's span so the
-    // span counters stay equal to the per-shard EngineStats.
-    if (slice.span != nullptr) {
-      slice.span->AddCounter("store_fetches", fetches.fetch_calls);
-      slice.span->AddCounter("store_bytes", fetches.bytes_fetched);
-      slice.span->AddCounter("pages_read", fetches.pages_read);
-      slice.span->AddCounter("buffer_hits", fetches.buffer_hits);
-    }
     if (materialize_span_ != nullptr) {
-      materialize_span_->AddCounter("hits", 1);
-      materialize_span_->AddCounter("store_fetches", fetches.fetch_calls);
-      materialize_span_->AddCounter("store_bytes", fetches.bytes_fetched);
-      materialize_span_->AddCounter("pages_read", fetches.pages_read);
-      materialize_span_->AddCounter("buffer_hits", fetches.buffer_hits);
+      ++slice.fetch_hits;
+      AddIo(fetches, &slice.fetch_io);
     }
     page.push_back(std::move(hit));
     ++fetched_;
   }
-  stats_.timings.post_ms += MsSince(start);
+  // Attribute this fetch's I/O back to the owning shards' spans, so the
+  // span counters stay equal to the per-shard EngineStats, and in total
+  // to the materialize span: once per span, not once per hit.
+  if (materialize_span_ != nullptr && !page.empty()) {
+    storage::DocumentStore::Stats total;
+    for (Slice& slice : slices_) {
+      if (slice.fetch_hits == 0) continue;
+      if (slice.span != nullptr) AddIoCounters(slice.fetch_io, slice.span);
+      AddIo(slice.fetch_io, &total);
+      slice.fetch_hits = 0;
+      slice.fetch_io = {};
+    }
+    materialize_span_->AddCounter("hits", page.size());
+    AddIoCounters(total, materialize_span_);
+  }
+  const Clock::time_point end = Clock::now();
+  stats_.timings.post_ms += MsBetween(start, end);
   // Re-close after every fetch (last close wins): the span's duration
   // spans first-fetch start to last-fetch end once fetching stops.
-  if (materialize_span_ != nullptr) materialize_span_->Close();
+  if (materialize_span_ != nullptr) materialize_span_->CloseAt(end);
   // Budget satisfied: release the token so cooperating work (and any
   // caller watching it) stops — the cursor will never ask for more.
   if (fetched_ >= limit_ && cancel_ != nullptr) cancel_->Cancel();

@@ -11,12 +11,14 @@
 // the pages of the shards those 10 hits live on. This is what makes
 // "10 more" pagination incremental at any shard count.
 //
-// Lifetime: the cursor pins every shard's PreparedQuery (PDTs) and
-// evaluator result arena via shared_ptr, so it stays valid after the
-// PreparedQueryCache evicts entries or the engine's caller moves on. The
-// Databases, indexes and DocumentStores the engine was built over must
-// still outlive the cursor (they are immutable, service-lifetime
-// structures).
+// Lifetime: the cursor pins every shard's PreparedQuery via shared_ptr —
+// a bundle, and with it its skeleton's PDTs and the arena the view was
+// evaluated into once, which many cursors read at once; or caller-built
+// PDTs and the arena this request evaluated them into — so it stays
+// valid after the PreparedQueryCache evicts entries or the engine's
+// caller moves on. The Databases, indexes and DocumentStores the engine
+// was built over must still outlive the cursor (they are immutable,
+// service-lifetime structures).
 //
 // Cancellation: the cursor co-owns the query's CancellationToken. It
 // fires the token once the top_k budget is satisfied and again on
@@ -95,7 +97,7 @@ class ResultCursor {
   }
 
   /// Pins `lease` for the cursor's lifetime — the same shared_ptr scheme
-  /// that already pins the PreparedQueries and evaluator arenas, extended
+  /// that already pins the PreparedQueries and their arenas, extended
   /// to caller-owned state. The service layer attaches the live corpus
   /// version the query pinned, so updates applied after Open can never
   /// invalidate what this cursor materializes from (the
@@ -111,8 +113,9 @@ class ResultCursor {
   /// One shard's execution product. `candidates` is in shard view order;
   /// the merged stream's (shard, position) entries index into it.
   struct Slice {
-    std::shared_ptr<const PreparedQuery> prepared;       // pins the PDTs
-    std::shared_ptr<const xml::Document> arena;  // constructed nodes
+    std::shared_ptr<const PreparedQuery> prepared;  // pins PDTs, arena
+    // Caller-built PDTs only: the arena this request evaluated into.
+    std::shared_ptr<const xml::Document> arena;
     const storage::DocumentStore* store = nullptr;
     std::vector<scoring::ScoredResult> candidates;
     // This shard's trace span (null when tracing is off). Closed at Open;
@@ -120,6 +123,10 @@ class ResultCursor {
     // (post-close annotation is legal by the trace contract) so summing
     // a counter over the shard spans matches the cursor's EngineStats.
     obs::TraceSpan* span = nullptr;
+    // With tracing on: the hits and I/O of the fetch in progress from
+    // this shard, which the spans take when the fetch is done.
+    uint64_t fetch_hits = 0;
+    storage::DocumentStore::Stats fetch_io;
   };
 
   std::vector<Slice> slices_;  // corpus order (== stats_.shards order)

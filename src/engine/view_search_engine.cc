@@ -1,9 +1,11 @@
 #include "engine/view_search_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "common/strings.h"
@@ -14,6 +16,7 @@
 #include "scoring/scorer.h"
 #include "storage/live_database.h"
 #include "storage/shard_set.h"
+#include "xml/serializer.h"
 #include "xquery/evaluator.h"
 #include "xquery/parser.h"
 
@@ -23,9 +26,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double MsBetween(Clock::time_point start, Clock::time_point end) {
+  return std::chrono::duration<double, std::milli>(end - start).count();
+}
+
 double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
+  return MsBetween(start, Clock::now());
 }
 
 // Variable-length components are length-prefixed so the signature is
@@ -55,6 +61,122 @@ void AppendQptSignature(const qpt::Qpt& qpt, std::string* out) {
       out->push_back(']');
     }
   }
+}
+
+// Approximate heap footprint of an evaluated view, for cache budgets.
+uint64_t FootprintBytes(const EvaluatedView& view) {
+  uint64_t bytes = view.arena->size() * sizeof(xml::Node);
+  for (xml::NodeIndex i = 0; i < view.arena->size(); ++i) {
+    bytes += xml::OwnByteLength(view.arena->node(i));
+  }
+  const scoring::ViewStatistics& statistics = view.statistics;
+  bytes += statistics.candidates.size() *
+               sizeof(scoring::ViewStatistics::Candidate) +
+           statistics.content_refs.size() * sizeof(uint32_t);
+  for (const auto& [term, postings] : statistics.direct_terms) {
+    bytes += sizeof(*statistics.direct_terms.begin()) + term.size() +
+             postings.size() * sizeof(postings[0]);
+  }
+  return bytes;
+}
+
+// The stages one shard task ran (plan, build_pdts, evaluate), with their
+// instants and counters, for the trace. A shard task records; the
+// coordinator publishes the records as spans under the shard's span once
+// every task is done. No shard task writes to the trace or allocates for
+// it, and a warm search's task writes nothing at all (its evaluate span
+// comes from its ShardEval): every cache line a task writes for the
+// trace crosses cores, which costs a warm search more than the rest of
+// tracing.
+// A shard's evaluate stage, as its trace span shows it.
+struct EvaluateRecord {
+  Clock::time_point start;
+  Clock::time_point end;
+  uint64_t view_results = 0;
+  uint64_t candidates = 0;
+  uint64_t view_evaluations = 0;
+};
+
+class StageLog {
+ public:
+  /// Opens the next stage, ending the open one.
+  void Begin(std::string_view name, Clock::time_point start) {
+    assert(count_ < stages_.size());
+    End(start);
+    stages_[count_++] = Stage{name, start, start, false, {}, 0};
+  }
+  void Begin(std::string_view name) { Begin(name, Clock::now()); }
+
+  /// Adds a counter to the open stage.
+  void Count(std::string_view counter, uint64_t value) {
+    if (count_ == 0) return;
+    Stage& stage = stages_[count_ - 1];
+    assert(stage.counters_used < stage.counters.size());
+    stage.counters[stage.counters_used++] = {counter, value};
+  }
+
+  /// Ends the open stage, if any. A failed task's open stage ends where
+  /// it failed.
+  void End(Clock::time_point end) {
+    if (count_ == 0 || stages_[count_ - 1].ended) return;
+    stages_[count_ - 1].end = end;
+    stages_[count_ - 1].ended = true;
+  }
+
+  /// Creates the stages' spans under `shard_span`, then, for a shard
+  /// that succeeded, its evaluate span from `evaluate` (the log holds at
+  /// most the start of an evaluate stage, in case it failed), and closes
+  /// `shard_span` where its last stage ended.
+  void Publish(obs::Trace* trace, obs::TraceSpan* shard_span, int shard,
+               const EvaluateRecord* evaluate) {
+    std::optional<Clock::time_point> end;
+    for (size_t i = 0; i < count_; ++i) {
+      const Stage& stage = stages_[i];
+      if (evaluate != nullptr && stage.name == "evaluate") continue;
+      obs::TraceSpan* span = trace->StartSpanAt(std::string(stage.name),
+                                                shard_span, shard, stage.start);
+      for (size_t c = 0; c < stage.counters_used; ++c) {
+        span->AddCounter(stage.counters[c].first, stage.counters[c].second);
+      }
+      // A stage a warm evaluate stage did not log ends where it began.
+      end = stage.ended ? stage.end : evaluate->start;
+      span->CloseAt(*end);
+    }
+    if (evaluate != nullptr) {
+      obs::TraceSpan* span =
+          trace->StartSpanAt("evaluate", shard_span, shard, evaluate->start);
+      span->AddCounter("view_results", evaluate->view_results);
+      span->AddCounter("candidates", evaluate->candidates);
+      span->AddCounter("view_evaluations", evaluate->view_evaluations);
+      span->CloseAt(evaluate->end);
+      end = evaluate->end;
+    }
+    if (end.has_value()) {
+      shard_span->CloseAt(*end);
+    } else {
+      shard_span->Close();
+    }
+  }
+
+ private:
+  struct Stage {
+    std::string_view name;
+    Clock::time_point start;
+    Clock::time_point end;
+    bool ended = false;
+    std::array<std::pair<std::string_view, uint64_t>, 5> counters;
+    size_t counters_used = 0;
+  };
+
+  std::array<Stage, 3> stages_;
+  size_t count_ = 0;
+};
+
+void CountBuild(StageLog* log, const pdt::PdtBuildStats& stats) {
+  log->Count("ids_processed", stats.ids_processed);
+  log->Count("nodes_emitted", stats.nodes_emitted);
+  log->Count("index_probes", stats.index_probes);
+  log->Count("pdt_bytes", stats.pdt_bytes);
 }
 
 Result<index::DocumentIndexView> DocumentView(
@@ -118,11 +240,20 @@ class Gather {
 }  // namespace
 
 struct ViewSearchEngine::ShardEval {
+  /// A bundle, or caller-built PDTs; the cursor keeps it alive.
   std::shared_ptr<const PreparedQuery> prepared;
-  std::shared_ptr<const xml::Document> arena;  // evaluator-constructed nodes
-  scoring::CandidateSet set;
+  /// Caller-built PDTs only: this request's evaluator arena.
+  std::shared_ptr<const xml::Document> arena;
+  /// The candidates and their term frequencies: a bundle's (aliasing
+  /// `prepared`), or those collected over caller-built PDTs.
+  std::shared_ptr<const scoring::ViewStatistics> statistics;
+  std::shared_ptr<const std::vector<uint64_t>> tf;
   double eval_ms = 0;
   double collect_ms = 0;
+  // The evaluate stage, for its trace span.
+  Clock::time_point eval_start;
+  Clock::time_point eval_end;
+  bool view_evaluated = false;
 };
 
 ViewSearchEngine::ViewSearchEngine(std::vector<ShardContext> shards,
@@ -205,19 +336,30 @@ Result<QueryPlan> ViewSearchEngine::PlanQuery(const std::string& query) const {
 
 Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildPdts(
     QueryPlan plan, int shard) const {
-  return BuildPdtsImpl(std::move(plan), shard, /*skeleton=*/nullptr,
-                       /*cancel=*/nullptr);
+  if (shard < 0 || shard >= shard_count()) {
+    return Status::InvalidArgument(
+        "BuildPdts shard " + std::to_string(shard) +
+        " out of range: engine has " + std::to_string(shard_count()) +
+        " shard(s)");
+  }
+  const size_t s = static_cast<size_t>(shard);
+  QUICKVIEW_ASSIGN_OR_RETURN(std::shared_ptr<PreparedQuery> skeleton,
+                             BuildSkeletonPdts(std::move(plan), s, nullptr));
+  QV_RETURN_IF_ERROR(EvaluateSkeleton(s, skeleton.get(), nullptr));
+  QUICKVIEW_ASSIGN_OR_RETURN(std::shared_ptr<PreparedQuery> bundle,
+                             Annotate(skeleton, skeleton->plan, s, nullptr));
+  bundle->pdt_ms += skeleton->pdt_ms;
+  return std::shared_ptr<const PreparedQuery>(std::move(bundle));
 }
 
-Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildSkeleton(
-    const QueryPlan& plan, const index::IndexSource& indexes,
-    const CancellationToken* cancel) const {
+Result<std::shared_ptr<PreparedQuery>> ViewSearchEngine::BuildSkeletonPdts(
+    QueryPlan plan, size_t shard, const CancellationToken* cancel) const {
   Clock::time_point start = Clock::now();
+  const index::IndexSource& indexes = *shards_[shard].indexes;
   auto skeleton = std::make_shared<PreparedQuery>();
-  skeleton->skeleton = true;
-  skeleton->plan.pdt_signature = plan.pdt_signature;
-  skeleton->pdts.reserve(plan.qpts.size());
-  for (const qpt::Qpt& q : plan.qpts) {
+  skeleton->plan = std::move(plan);
+  skeleton->pdts.reserve(skeleton->plan.qpts.size());
+  for (const qpt::Qpt& q : skeleton->plan.qpts) {
     if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
     QUICKVIEW_ASSIGN_OR_RETURN(index::DocumentIndexView doc_indexes,
                                DocumentView(indexes, q.source_doc));
@@ -235,46 +377,73 @@ Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildSkeleton(
     skeleton->pdts.push_back(std::move(pdt));
   }
   skeleton->pdt_ms = MsSince(start);
-  return std::shared_ptr<const PreparedQuery>(std::move(skeleton));
+  return skeleton;
 }
 
-Result<std::shared_ptr<const PreparedQuery>> ViewSearchEngine::BuildPdtsImpl(
-    QueryPlan plan, int shard, std::shared_ptr<const PreparedQuery> skeleton,
+Status ViewSearchEngine::EvaluateSkeleton(
+    size_t shard, PreparedQuery* skeleton,
     const CancellationToken* cancel) const {
-  if (shard < 0 || shard >= shard_count()) {
-    return Status::InvalidArgument(
-        "BuildPdts shard " + std::to_string(shard) +
-        " out of range: engine has " + std::to_string(shard_count()) +
-        " shard(s)");
+  const QueryPlan& plan = skeleton->plan;
+  xquery::Evaluator evaluator(shards_[shard].database);
+  // Every 'c' node of every PDT, numbered in PDT order and node order:
+  // the order Annotate lists their term frequencies in.
+  std::unordered_map<const xml::NodeStats*, uint32_t> content_ordinals;
+  for (size_t i = 0; i < plan.qpts.size(); ++i) {
+    const xml::Document& pdt = *skeleton->pdts[i];
+    evaluator.OverrideDocument(plan.qpts[i].occurrence_name, &pdt);
+    for (xml::NodeIndex n = 0; n < pdt.size(); ++n) {
+      if (pdt.node(n).stats == nullptr) continue;
+      const uint32_t ordinal = static_cast<uint32_t>(content_ordinals.size());
+      content_ordinals.emplace(pdt.node(n).stats.get(), ordinal);
+    }
   }
-  const index::IndexSource& indexes =
-      *shards_[static_cast<size_t>(shard)].indexes;
-  Clock::time_point start = Clock::now();
-  auto prepared = std::make_shared<PreparedQuery>();
-  if (skeleton == nullptr) {
-    QUICKVIEW_ASSIGN_OR_RETURN(skeleton,
-                               BuildSkeleton(plan, indexes, cancel));
-    prepared->built_skeleton = skeleton;
-  } else if (skeleton->plan.pdt_signature != plan.pdt_signature) {
+  QUICKVIEW_ASSIGN_OR_RETURN(xquery::Sequence view_results,
+                             evaluator.Evaluate(plan.kq.view));
+  EvaluatedView view;
+  view.arena = evaluator.result_doc_shared();
+  QUICKVIEW_ASSIGN_OR_RETURN(
+      view.statistics,
+      scoring::CollectViewStatistics(view_results, content_ordinals, cancel));
+  skeleton->memory_bytes += FootprintBytes(view);
+  skeleton->view = std::move(view);
+  return Status::OK();
+}
+
+Result<std::shared_ptr<PreparedQuery>> ViewSearchEngine::Annotate(
+    std::shared_ptr<const PreparedQuery> skeleton, const QueryPlan& facts,
+    size_t shard, const CancellationToken* cancel) const {
+  if (skeleton->plan.pdt_signature != facts.pdt_signature) {
     return Status::InvalidArgument(
         "prepared skeleton was built for another plan's QPTs");
   }
-  prepared->plan = std::move(plan);
-  prepared->pdts.reserve(skeleton->pdts.size());
+  Clock::time_point start = Clock::now();
+  const index::IndexSource& indexes = *shards_[shard].indexes;
+  const std::vector<std::string>& keywords = facts.kq.keywords;
+  std::vector<uint32_t> content_tf;
   for (size_t i = 0; i < skeleton->pdts.size(); ++i) {
     if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
     QUICKVIEW_ASSIGN_OR_RETURN(
         index::DocumentIndexView doc_indexes,
-        DocumentView(indexes, prepared->plan.qpts[i].source_doc));
-    QUICKVIEW_ASSIGN_OR_RETURN(
-        std::vector<pdt::InvList> inv_lists,
-        pdt::PrepareInvLists(doc_indexes, prepared->plan.kq.keywords));
-    prepared->pdts.push_back(pdt::AnnotatePdt(skeleton->pdts[i], inv_lists));
+        DocumentView(indexes, skeleton->plan.qpts[i].source_doc));
+    QUICKVIEW_ASSIGN_OR_RETURN(std::vector<pdt::InvList> inv_lists,
+                               pdt::PrepareInvLists(doc_indexes, keywords));
+    std::vector<uint32_t> pdt_tf =
+        pdt::ContentTermFrequencies(*skeleton->pdts[i], inv_lists);
+    content_tf.insert(content_tf.end(), pdt_tf.begin(), pdt_tf.end());
   }
-  prepared->pdt_stats = skeleton->pdt_stats;
-  prepared->memory_bytes = skeleton->memory_bytes;
-  prepared->pdt_ms = MsSince(start);
-  return std::shared_ptr<const PreparedQuery>(std::move(prepared));
+  auto bundle = std::make_shared<PreparedQuery>();
+  bundle->plan.kq.keywords = keywords;
+  bundle->plan.kq.conjunctive = facts.kq.conjunctive;
+  bundle->plan.signature = facts.signature;
+  bundle->plan.pdt_signature = facts.pdt_signature;
+  bundle->plan.qpt_ms = facts.qpt_ms;
+  bundle->tf = scoring::TermFrequencies(skeleton->view->statistics, keywords,
+                                        content_tf);
+  bundle->pdt_stats = skeleton->pdt_stats;
+  bundle->memory_bytes = bundle->tf.size() * sizeof(uint64_t);
+  bundle->skeleton = std::move(skeleton);
+  bundle->pdt_ms = MsSince(start);
+  return bundle;
 }
 
 Result<ViewSearchEngine::ShardEval> ViewSearchEngine::EvaluateShard(
@@ -300,11 +469,25 @@ Result<ViewSearchEngine::ShardEval> ViewSearchEngine::EvaluateShard(
   eval.eval_ms = MsSince(start);
 
   // --- Collect raw keyword statistics (phase 1 of the phased scorer;
-  // idf needs the whole corpus, so scoring waits for every shard) ---
+  // idf needs the whole corpus, so scoring waits for every shard), laid
+  // out as a bundle's are ---
   start = Clock::now();
   QUICKVIEW_ASSIGN_OR_RETURN(
-      eval.set,
+      scoring::CandidateSet set,
       scoring::CollectCandidates(view_results, plan.kq.keywords, cancel));
+  auto statistics = std::make_shared<scoring::ViewStatistics>();
+  auto tf = std::make_shared<std::vector<uint64_t>>();
+  statistics->sequence_size = set.sequence_size;
+  statistics->view_bytes = set.view_bytes;
+  statistics->candidates.reserve(set.candidates.size());
+  tf->reserve(set.candidates.size() * plan.kq.keywords.size());
+  for (const scoring::ScoredResult& r : set.candidates) {
+    statistics->candidates.push_back(
+        {r.result, r.view_position, r.byte_length, /*content_end=*/0});
+    tf->insert(tf->end(), r.tf.begin(), r.tf.end());
+  }
+  eval.statistics = std::move(statistics);
+  eval.tf = std::move(tf);
   eval.collect_ms = MsSince(start);
   return eval;
 }
@@ -315,7 +498,7 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
     std::shared_ptr<obs::Trace> trace,
     std::vector<obs::TraceSpan*> shard_spans) const {
   Clock::time_point start = Clock::now();
-  obs::SpanScope merge_span(trace.get(), "merge");
+  obs::SpanScope merge_span(trace.get(), "merge", nullptr, -1, start);
   auto cursor = std::unique_ptr<ResultCursor>(new ResultCursor());
   cursor->cancel_ = std::move(token);
   cursor->limit_ = top_k;
@@ -332,8 +515,8 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
   std::vector<uint64_t> df(plan.kq.keywords.size(), 0);
   double collect_ms_max = 0;
   for (const ShardEval& eval : evals) {
-    total_candidates += eval.set.candidates.size();
-    scoring::AccumulateDf(eval.set, &df);
+    total_candidates += eval.statistics->candidates.size();
+    scoring::AccumulateDf(*eval.tf, &df);
     collect_ms_max = std::max(collect_ms_max, eval.collect_ms);
   }
   const std::vector<double> idf = scoring::ComputeIdf(total_candidates, df);
@@ -345,14 +528,15 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
       cursor->cancel_ == nullptr ? nullptr : cursor->cancel_.get();
   for (size_t p = 0; p < evals.size(); ++p) {
     ShardEval& eval = evals[p];
+    const scoring::ViewStatistics& view = *eval.statistics;
     QUICKVIEW_ASSIGN_OR_RETURN(
         std::vector<scoring::ScoredResult> kept,
-        scoring::FilterAndScore(std::move(eval.set.candidates), idf,
-                                plan.kq.conjunctive, cancel));
+        scoring::FilterAndScore(view, *eval.tf, idf, plan.kq.conjunctive,
+                                cancel));
 
     ShardStats shard_stats;
     shard_stats.shard = static_cast<int>(shard_ids[p]);
-    shard_stats.view_results = eval.set.sequence_size;
+    shard_stats.view_results = view.sequence_size;
     shard_stats.matching_results = kept.size();
     shard_stats.pdt_ms = eval.prepared->pdt_ms;
     shard_stats.eval_ms = eval.eval_ms;
@@ -362,16 +546,16 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
     // counter summed over the shard spans always equals the
     // corresponding stats().search total.
     if (shard_spans[p] != nullptr) {
-      shard_spans[p]->AddCounter("view_results", eval.set.sequence_size);
+      shard_spans[p]->AddCounter("view_results", view.sequence_size);
       shard_spans[p]->AddCounter("matching_results", kept.size());
       shard_spans[p]->AddCounter("pdt_bytes",
                                  eval.prepared->pdt_stats.pdt_bytes);
-      shard_spans[p]->AddCounter("view_bytes", eval.set.view_bytes);
+      shard_spans[p]->AddCounter("view_bytes", view.view_bytes);
     }
 
-    stats.search.view_results += eval.set.sequence_size;
+    stats.search.view_results += view.sequence_size;
     stats.search.matching_results += kept.size();
-    stats.search.view_bytes += eval.set.view_bytes;
+    stats.search.view_bytes += view.view_bytes;
     const pdt::PdtBuildStats& pdt_stats = eval.prepared->pdt_stats;
     stats.search.pdt.ids_processed += pdt_stats.ids_processed;
     stats.search.pdt.nodes_emitted += pdt_stats.nodes_emitted;
@@ -401,7 +585,9 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
     cursor->slices_.push_back(std::move(slice));
   }
   merge_span.AddCounter("matching_results", stats.search.matching_results);
-  stats.timings.post_ms += collect_ms_max + MsSince(start);
+  const Clock::time_point end = Clock::now();
+  stats.timings.post_ms += collect_ms_max + MsBetween(start, end);
+  merge_span.CloseAt(end);
   return cursor;
 }
 
@@ -412,7 +598,8 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
 
 Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     const SearchRequest& request,
-    std::vector<std::shared_ptr<const PreparedQuery>> prepared) const {
+    std::vector<std::shared_ptr<const PreparedQuery>> prepared,
+    const QueryPlan* plan) const {
   QV_RETURN_IF_ERROR(request.Validate());
   if (request.shard >= shard_count()) {
     return Status::InvalidArgument(
@@ -445,64 +632,105 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
           : ComposeKeywordQuery(request.view, request.keywords,
                                 request.options.conjunctive);
 
+  // A skeleton entry is annotated with the request's keyword set: read
+  // it from the caller's plan, or plan the request once, here.
+  std::optional<QueryPlan> request_plan;
+  obs::Trace* const trace = request.trace.get();
+  if (plan == nullptr &&
+      std::any_of(prepared.begin(), prepared.end(),
+                  [](const std::shared_ptr<const PreparedQuery>& entry) {
+                    return entry != nullptr && entry->is_skeleton();
+                  })) {
+    obs::SpanScope plan_span(trace, "plan");
+    QUICKVIEW_ASSIGN_OR_RETURN(request_plan, PlanQuery(query_text));
+    plan = &*request_plan;
+  }
+
   // --- Fan out: per-shard plan/PDT/eval/collect tasks ---
   const size_t n = selected.size();
   // Shard spans are pre-created here, in shard order, on the
   // coordinator: sibling order under the root is then deterministic no
   // matter how the shard tasks interleave, and a span's start time
   // includes its task's queue wait (fan-out skew is visible in the
-  // flame view). Child spans are created inside the owning task —
-  // StartSpan is the one thread-safe trace operation, by design.
-  obs::Trace* const trace = request.trace.get();
+  // flame view). Their children come from the tasks' stage logs, which
+  // the coordinator publishes after the barrier.
   std::vector<obs::TraceSpan*> shard_spans(n, nullptr);
+  std::vector<StageLog> stage_logs(trace != nullptr ? n : 0);
   if (trace != nullptr) {
+    const Clock::time_point fan_out = Clock::now();
     for (size_t slot = 0; slot < n; ++slot) {
-      shard_spans[slot] = trace->StartSpan(
-          "shard", nullptr, static_cast<int>(selected[slot]));
+      shard_spans[slot] = trace->StartSpanAt(
+          "shard", nullptr, static_cast<int>(selected[slot]), fan_out);
     }
   }
   Gather<Result<ShardEval>> gather(n);
   auto run_shard = [&](size_t slot) -> Result<ShardEval> {
     const size_t shard = selected[slot];
-    obs::TraceSpan* const shard_span = shard_spans[slot];
+    StageLog* const log = stage_logs.empty() ? nullptr : &stage_logs[slot];
     if (token->Fired()) return token->ToStatus();
     std::shared_ptr<const PreparedQuery> pq =
         slot < prepared.size() ? prepared[slot] : nullptr;
-    if (pq == nullptr || pq->skeleton) {
-      // Parsing is query-proportional and deterministic, so each shard
-      // re-plans from the same text instead of sharing one move-only
-      // plan: every PreparedQuery stays self-contained for the caches.
-      QueryPlan plan;
-      {
-        obs::SpanScope plan_span(trace, "plan", shard_span,
-                                 static_cast<int>(shard));
-        QUICKVIEW_ASSIGN_OR_RETURN(plan, PlanQuery(query_text));
-        plan_span.AddCounter("keywords", plan.kq.keywords.size());
-        plan_span.AddCounter("qpts", plan.qpts.size());
+    // A skeleton this task builds: its PDTs here, its view below.
+    std::shared_ptr<PreparedQuery> built;
+    if (pq == nullptr) {
+      // The skeleton owns its plan, so this shard plans its own.
+      if (log != nullptr) log->Begin("plan");
+      QUICKVIEW_ASSIGN_OR_RETURN(QueryPlan shard_plan, PlanQuery(query_text));
+      if (log != nullptr) {
+        log->Count("keywords", shard_plan.kq.keywords.size());
+        log->Count("qpts", shard_plan.qpts.size());
+        log->Begin("build_pdts");
+        log->Count("skeleton_hit", 0);
       }
-      obs::SpanScope build_span(trace, "build_pdts", shard_span,
-                                static_cast<int>(shard));
-      build_span.AddCounter("skeleton_hit", pq != nullptr ? 1 : 0);
       QUICKVIEW_ASSIGN_OR_RETURN(
-          pq, BuildPdtsImpl(std::move(plan), static_cast<int>(shard),
-                            std::move(pq), token.get()));
-      build_span.AddCounter("ids_processed", pq->pdt_stats.ids_processed);
-      build_span.AddCounter("nodes_emitted", pq->pdt_stats.nodes_emitted);
-      build_span.AddCounter("index_probes", pq->pdt_stats.index_probes);
-      build_span.AddCounter("pdt_bytes", pq->pdt_stats.pdt_bytes);
+          built, BuildSkeletonPdts(std::move(shard_plan), shard, token.get()));
+      if (log != nullptr) CountBuild(log, built->pdt_stats);
+    } else if (pq->is_skeleton()) {
+      if (log != nullptr) {
+        log->Begin("build_pdts");
+        log->Count("skeleton_hit", 1);
+      }
+      QUICKVIEW_ASSIGN_OR_RETURN(
+          pq, Annotate(std::move(pq), *plan, shard, token.get()));
+      if (log != nullptr) CountBuild(log, pq->pdt_stats);
     }
-    obs::SpanScope eval_span(trace, "evaluate", shard_span,
-                             static_cast<int>(shard));
-    Result<ShardEval> eval = EvaluateShard(shard, std::move(pq), token.get());
-    if (eval.ok()) {
-      eval_span.AddCounter("view_results", eval.value().set.sequence_size);
-      eval_span.AddCounter("candidates", eval.value().set.candidates.size());
+    // Only a skeleton built here or caller-built PDTs run the evaluator;
+    // a bundle's candidates are its skeleton's, scored with its tf, and
+    // cannot fail: only a stage that can fail is logged.
+    const bool evaluates = built != nullptr || !pq->is_bundle();
+    const Clock::time_point eval_start = Clock::now();
+    if (log != nullptr && evaluates) log->Begin("evaluate", eval_start);
+    if (built != nullptr) {
+      QV_RETURN_IF_ERROR(EvaluateSkeleton(shard, built.get(), token.get()));
+      QUICKVIEW_ASSIGN_OR_RETURN(
+          std::shared_ptr<PreparedQuery> bundle,
+          Annotate(built, built->plan, shard, token.get()));
+      bundle->pdt_ms += built->pdt_ms;
+      pq = std::move(bundle);
+    }
+    ShardEval eval;
+    if (pq->is_bundle()) {
+      eval.statistics = std::shared_ptr<const scoring::ViewStatistics>(
+          pq, &pq->skeleton->view->statistics);
+      eval.tf = std::shared_ptr<const std::vector<uint64_t>>(pq, &pq->tf);
+      eval.prepared = std::move(pq);
+    } else {
+      QUICKVIEW_ASSIGN_OR_RETURN(
+          eval, EvaluateShard(shard, std::move(pq), token.get()));
+    }
+    eval.eval_start = eval_start;
+    eval.eval_end = Clock::now();
+    eval.view_evaluated = evaluates;
+    if (eval.prepared->is_bundle()) {
+      eval.eval_ms = MsBetween(eval.eval_start, eval.eval_end);
     }
     return eval;
   };
   auto run_into_slot = [&](size_t slot) {
     Result<ShardEval> result = run_shard(slot);
-    if (shard_spans[slot] != nullptr) shard_spans[slot]->Close();
+    if (!result.ok() && !stage_logs.empty()) {
+      stage_logs[slot].End(Clock::now());  // the stage that failed
+    }
     if (!result.ok() && result.status().code() != StatusCode::kCancelled &&
         result.status().code() != StatusCode::kDeadlineExceeded) {
       token->Cancel();  // fail fast: stop the sibling shards
@@ -527,6 +755,19 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
   results.reserve(n);
   for (size_t slot = 0; slot < n; ++slot) {
     results.push_back(gather.Take(slot));
+  }
+  for (size_t slot = 0; slot < stage_logs.size(); ++slot) {
+    EvaluateRecord record;
+    if (results[slot].ok()) {
+      const ShardEval& eval = results[slot].value();
+      record = {eval.eval_start, eval.eval_end,
+                eval.statistics->sequence_size,
+                eval.statistics->candidates.size(),
+                eval.view_evaluated ? 1u : 0u};
+    }
+    stage_logs[slot].Publish(trace, shard_spans[slot],
+                             static_cast<int>(selected[slot]),
+                             results[slot].ok() ? &record : nullptr);
   }
   for (size_t slot = 0; slot < n; ++slot) {
     const Status& status = results[slot].status();

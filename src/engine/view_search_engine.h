@@ -6,8 +6,8 @@
 //
 // One engine serves one corpus, which may be a single (database, indexes,
 // store) triple or an ordered list of shards of one logical corpus. The
-// unified entry point is Open(SearchRequest): it validates once, plans
-// once, fans PDT generation + evaluation + statistics collection out per
+// unified entry point is Open(SearchRequest): it validates once, fans
+// planning + PDT generation + evaluation + statistics collection out per
 // shard (on the engine's ThreadPool when it has one), folds the integer
 // keyword statistics into ONE global idf, and returns a ResultCursor
 // whose MergedRankedStream pops hits in exactly the order the unsharded
@@ -17,20 +17,26 @@
 // The pipeline stays split into cacheable stages:
 //   PlanQuery       parse + QPT generation + canonical plan signature
 //                   (cost proportional to the query, never the data);
-//   BuildPdts       PrepareLists + GeneratePdt per QPT against ONE
-//                   shard's indexes, with no keywords (the PDT skeleton:
-//                   the data-dependent stage, the same for every keyword
-//                   set), then the keywords' term frequencies added to a
-//                   copy (the annotated bundle). Both are PreparedQuery
-//                   values, immutable and shareable;
-//   Open            evaluation + scoring + ranked merge, returning a
-//                   ResultCursor. Hits are materialized lazily, per
-//                   ResultCursor::FetchNext call, shard by shard.
+//   BuildPdts       the PDT skeleton of ONE shard: PrepareLists +
+//                   GeneratePdt per QPT with no keywords (the
+//                   data-dependent stage), then the unmodified view
+//                   evaluated over those PDTs once, with the summands of
+//                   each view result's term frequencies recorded — all of
+//                   it the same for every keyword set. Then the annotated
+//                   bundle: the skeleton plus one keyword set's term
+//                   frequencies per view result, from the keywords'
+//                   inverted lists alone. Both are PreparedQuery values,
+//                   immutable and shareable;
+//   Open            candidates from a bundle + global-idf scoring +
+//                   ranked merge, returning a ResultCursor: a bundle is
+//                   never evaluated again. Hits are materialized lazily,
+//                   per ResultCursor::FetchNext call, shard by shard.
 #ifndef QUICKVIEW_ENGINE_VIEW_SEARCH_ENGINE_H_
 #define QUICKVIEW_ENGINE_VIEW_SEARCH_ENGINE_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +45,7 @@
 #include "engine/search_request.h"
 #include "index/index_builder.h"
 #include "pdt/generate_pdt.h"
+#include "scoring/scorer.h"
 #include "storage/document_store.h"
 #include "xml/dom.h"
 #include "xquery/ast.h"
@@ -82,29 +89,54 @@ struct QueryPlan {
   double qpt_ms = 0;
 };
 
+/// A view evaluated once over a skeleton's keyword-free PDTs: the
+/// evaluator's arena and, per view result, what scoring needs from it
+/// regardless of the keywords.
+struct EvaluatedView {
+  /// Elements the evaluator constructed. Published immutable: the
+  /// candidates point into it (or into the skeleton's PDTs), and any
+  /// number of cursors read it at once.
+  std::shared_ptr<const xml::Document> arena;
+  scoring::ViewStatistics statistics;
+};
+
 /// A plan plus its generated PDTs — for ONE shard (an unsharded corpus
-/// is the one-shard case). Immutable after BuildPdts returns; any number
-/// of threads may open cursors against one instance. It comes in two
-/// kinds:
-///  - an annotated bundle (the default): PDTs whose 'c' nodes carry the
-///    plan's keywords' term frequencies, ready to evaluate;
-///  - a skeleton: the PDTs built with no keywords, whose 'c' nodes carry
-///    no term frequencies. Its plan holds only the PDT signature.
-///    Every keyword set over the same QPTs shares it; Open annotates a
-///    copy per query.
+/// is the one-shard case). Immutable once built; any number of threads
+/// may open cursors against one instance. It comes in three kinds:
+///  - a skeleton (is_skeleton()): the plan's PDTs built with no keywords
+///    and the plan's view evaluated over them (`view`). Its plan is the
+///    one that built it: the rewritten view and the QPTs. Every keyword
+///    set over the same QPTs shares it;
+///  - an annotated bundle (is_bundle()): a skeleton plus one keyword
+///    set's term frequencies for each of the skeleton's candidates
+///    (`tf`). Its plan holds only the keyword set's facts: the
+///    signatures, the keywords and the connective. Open builds the
+///    candidates from the two and evaluates nothing;
+///  - caller-built PDTs (neither): a full plan and PDTs whose 'c' nodes
+///    carry the plan's keywords' term frequencies (GeneratePdt with the
+///    keywords). Open evaluates the view over them on every request.
 struct PreparedQuery {
   QueryPlan plan;
+  /// A skeleton's or caller-built PDTs; empty on a bundle.
   std::vector<std::shared_ptr<xml::Document>> pdts;
-  /// Aggregated over all QPTs. An annotated bundle reports its
-  /// skeleton's figures: the PDTs are the same nodes.
+  /// Aggregated over all QPTs. A bundle reports its skeleton's figures.
   pdt::PdtBuildStats pdt_stats;
   double pdt_ms = 0;
-  /// Approximate resident footprint of the PDTs, for cache budgets.
+  /// Approximate resident footprint, for cache budgets: a skeleton
+  /// counts its PDTs, its arena and its view statistics; a bundle counts
+  /// only its term frequencies, since its skeleton is a cache entry of
+  /// its own.
   uint64_t memory_bytes = 0;
-  bool skeleton = false;
-  /// On an annotated bundle whose skeleton was built along with it (not
-  /// taken from the caller): that skeleton, so the service can cache it.
-  std::shared_ptr<const PreparedQuery> built_skeleton;
+  /// Skeleton only: the view evaluated over `pdts`.
+  std::optional<EvaluatedView> view;
+  /// Bundle only: the skeleton it scores, which it keeps alive.
+  std::shared_ptr<const PreparedQuery> skeleton;
+  /// Bundle only: plan.kq.keywords.size() term frequencies per candidate
+  /// of the skeleton's view, in candidate order.
+  std::vector<uint64_t> tf;
+
+  bool is_skeleton() const { return view.has_value(); }
+  bool is_bundle() const { return skeleton != nullptr; }
 };
 
 /// Canonical signature of the keyword-free PDT inputs: QPT shapes (tags,
@@ -185,16 +217,23 @@ class ViewSearchEngine {
   /// layer's cache hits). `prepared` must have exactly one entry per
   /// EXECUTED shard — all of them, or just the hinted one — each built
   /// against that shard. An entry is one of:
-  ///  - null: the shard's skeleton is built, then annotated;
-  ///  - a skeleton (PreparedQuery::skeleton) with the request's PDT
-  ///    signature: it is annotated with the request's keywords;
-  ///  - an annotated bundle with the request's plan signature: it is
-  ///    evaluated as it is.
-  /// The annotated bundle each shard ran is the cursor's
-  /// SharedPrepared(slot); it carries the skeleton it built, if any.
+  ///  - null: the shard plans, builds and evaluates its skeleton, then
+  ///    annotates it;
+  ///  - a skeleton with the request's PDT signature: it is annotated
+  ///    with the request's keywords;
+  ///  - an annotated bundle with the request's plan signature: its
+  ///    candidates are scored as they are;
+  ///  - caller-built PDTs: the view is evaluated over them.
+  /// A skeleton entry needs the request's keywords, connective and
+  /// signature: from `plan` when the caller has planned the request (it
+  /// is only read), otherwise Open plans it once. Only a shard that
+  /// builds a skeleton plans again, since the skeleton owns its plan.
+  /// The bundle each shard ran is the cursor's SharedPrepared(slot); a
+  /// skeleton a shard built is that bundle's `skeleton`.
   Result<std::unique_ptr<ResultCursor>> Open(
       const SearchRequest& request,
-      std::vector<std::shared_ptr<const PreparedQuery>> prepared) const;
+      std::vector<std::shared_ptr<const PreparedQuery>> prepared,
+      const QueryPlan* plan = nullptr) const;
 
   /// Open + drain, for batch callers.
   Result<SearchResponse> Execute(const SearchRequest& request) const;
@@ -202,9 +241,10 @@ class ViewSearchEngine {
   /// Stage 1: parse + QPT generation + signature. Shard-independent.
   Result<QueryPlan> PlanQuery(const std::string& query) const;
 
-  /// Stage 2: PDT generation for every QPT of the plan, against shard
-  /// `shard`'s indexes (0 = the only shard of an unsharded engine): the
-  /// skeleton, then its annotated copy, which is returned.
+  /// Stage 2: the skeleton of the plan's view against shard `shard`'s
+  /// indexes (0 = the only shard of an unsharded engine) — PDTs for
+  /// every QPT, the view evaluated over them — and the bundle annotating
+  /// it with the plan's keywords, which is returned.
   Result<std::shared_ptr<const PreparedQuery>> BuildPdts(QueryPlan plan,
                                                          int shard = 0) const;
 
@@ -213,14 +253,20 @@ class ViewSearchEngine {
  private:
   struct ShardEval;  // one shard's evaluation product (defined in .cc)
 
-  /// Annotates `skeleton` with the plan's keywords, building the
-  /// skeleton first when it is null.
-  Result<std::shared_ptr<const PreparedQuery>> BuildPdtsImpl(
-      QueryPlan plan, int shard, std::shared_ptr<const PreparedQuery> skeleton,
-      const CancellationToken* cancel) const;
-  Result<std::shared_ptr<const PreparedQuery>> BuildSkeleton(
-      const QueryPlan& plan, const index::IndexSource& indexes,
-      const CancellationToken* cancel) const;
+  /// A skeleton's PDTs, built from `plan` (which the skeleton keeps);
+  /// its view is still to be evaluated (EvaluateSkeleton).
+  Result<std::shared_ptr<PreparedQuery>> BuildSkeletonPdts(
+      QueryPlan plan, size_t shard, const CancellationToken* cancel) const;
+  /// Evaluates the skeleton's view over its PDTs and records the view
+  /// statistics, completing the skeleton.
+  Status EvaluateSkeleton(size_t shard, PreparedQuery* skeleton,
+                          const CancellationToken* cancel) const;
+  /// The bundle of `skeleton` for the keyword set of `facts` (a plan
+  /// whose PDT signature is the skeleton's).
+  Result<std::shared_ptr<PreparedQuery>> Annotate(
+      std::shared_ptr<const PreparedQuery> skeleton, const QueryPlan& facts,
+      size_t shard, const CancellationToken* cancel) const;
+  /// Caller-built PDTs: the view evaluated over them for this request.
   Result<ShardEval> EvaluateShard(
       size_t shard, std::shared_ptr<const PreparedQuery> prepared,
       const CancellationToken* cancel) const;

@@ -1,6 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 
 namespace quickview::obs {
 
@@ -12,8 +14,10 @@ TraceSpan::TraceSpan(Trace* trace, std::string name, TraceSpan* parent,
       shard_(shard),
       start_ns_(start_ns) {}
 
-void TraceSpan::Close() {
-  const uint64_t now = trace_->NowNs();
+void TraceSpan::Close() { CloseAt(Clock::now()); }
+
+void TraceSpan::CloseAt(Clock::time_point end) {
+  const uint64_t now = trace_->ToNs(end);
   duration_ns_ = now > start_ns_ ? now - start_ns_ : 0;
   closed_ = true;
 }
@@ -25,7 +29,8 @@ void TraceSpan::AddCounter(std::string_view name, uint64_t delta) {
       return;
     }
   }
-  counters_.emplace_back(std::string(name), delta);
+  if (counters_.empty()) counters_.reserve(kCountersReserved);
+  counters_.emplace_back(name, delta);
 }
 
 uint64_t TraceSpan::counter(std::string_view name) const {
@@ -36,22 +41,30 @@ uint64_t TraceSpan::counter(std::string_view name) const {
 }
 
 Trace::Trace(uint64_t id, std::string root_name)
-    : epoch_(std::chrono::steady_clock::now()), id_(id) {
-  root_ = StartSpan(std::move(root_name));
+    : epoch_(TraceSpan::Clock::now()), id_(id) {
+  root_ = StartSpanAt(std::move(root_name), nullptr, -1, epoch_);
 }
 
-uint64_t Trace::NowNs() const {
-  return static_cast<uint64_t>(std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now() - epoch_)
-                                   .count());
+uint64_t Trace::ToNs(TraceSpan::Clock::time_point instant) const {
+  return instant <= epoch_
+             ? 0
+             : static_cast<uint64_t>(
+                   std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       instant - epoch_)
+                       .count());
 }
 
 TraceSpan* Trace::StartSpan(std::string name, TraceSpan* parent, int shard) {
-  const uint64_t start = NowNs();
+  return StartSpanAt(std::move(name), parent, shard, TraceSpan::Clock::now());
+}
+
+TraceSpan* Trace::StartSpanAt(std::string name, TraceSpan* parent, int shard,
+                              TraceSpan::Clock::time_point start) {
+  const uint64_t start_ns = ToNs(start);
   qv::MutexLock lock(mu_);
   if (parent == nullptr) parent = root_;  // null until the root itself
-  spans_.emplace_back(TraceSpan(this, std::move(name), parent, shard, start));
+  spans_.emplace_back(
+      TraceSpan(this, std::move(name), parent, shard, start_ns));
   return &spans_.back();
 }
 
@@ -73,9 +86,38 @@ std::string Trace::Serialize() {
   order.reserve(spans_.size());
   for (const TraceSpan& span : spans_) order.push_back(&span);
 
-  std::string out = "trace " + std::to_string(id_) + "\n";
+  // The text is written straight into a buffer sized for the longest
+  // rendering: a number takes at most 20 digits, an indent at most two
+  // bytes per span. A request's trace fits the stack buffer.
+  constexpr size_t kNumber = 20;
+  size_t bound = sizeof("trace \n") + kNumber;
+  for (const TraceSpan* span : order) {
+    bound += 2 * order.size() + span->name().size() +
+             sizeof(" shard= start=us dur=us\n") + 3 * kNumber;
+    for (const auto& [key, value] : span->counters()) {
+      bound += key.size() + 2 + kNumber;
+    }
+  }
+  std::array<char, 4096> stack_buffer;
+  std::vector<char> heap_buffer;
+  char* buffer = stack_buffer.data();
+  if (bound > stack_buffer.size()) {
+    heap_buffer.resize(bound);
+    buffer = heap_buffer.data();
+  }
+  char* cursor = buffer;
+  auto put = [&cursor](std::string_view text) {
+    cursor = std::copy(text.begin(), text.end(), cursor);
+  };
+  auto put_number = [&cursor](uint64_t value) {
+    cursor = std::to_chars(cursor, cursor + kNumber, value).ptr;
+  };
+  put("trace ");
+  put_number(id_);
+  put("\n");
   // Depth-first render without recursion: walk each span's children.
   std::vector<std::pair<const TraceSpan*, int>> stack;  // (span, depth)
+  stack.reserve(order.size());
   auto push_children = [&](const TraceSpan* parent, int depth) {
     // Reverse creation order so the stack pops in creation order.
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -86,27 +128,27 @@ std::string Trace::Serialize() {
   while (!stack.empty()) {
     const auto [span, depth] = stack.back();
     stack.pop_back();
-    out.append(static_cast<size_t>(depth) * 2, ' ');
-    out.append(span->name());
+    cursor = std::fill_n(cursor, static_cast<size_t>(depth) * 2, ' ');
+    put(span->name());
     if (span->shard() >= 0) {
-      out.append(" shard=");
-      out.append(std::to_string(span->shard()));
+      put(" shard=");
+      put_number(static_cast<uint64_t>(span->shard()));
     }
-    out.append(" start=");
-    out.append(std::to_string(span->start_ns() / 1000));
-    out.append("us dur=");
-    out.append(std::to_string(span->duration_ns() / 1000));
-    out.append("us");
+    put(" start=");
+    put_number(span->start_ns() / 1000);
+    put("us dur=");
+    put_number(span->duration_ns() / 1000);
+    put("us");
     for (const auto& [key, value] : span->counters()) {
-      out.push_back(' ');
-      out.append(key);
-      out.push_back('=');
-      out.append(std::to_string(value));
+      put(" ");
+      put(key);
+      put("=");
+      put_number(value);
     }
-    out.push_back('\n');
+    put("\n");
     push_children(span, depth + 1);
   }
-  return out;
+  return std::string(buffer, cursor);
 }
 
 }  // namespace quickview::obs

@@ -10,7 +10,9 @@
 //   ├─ shard [shard=i]        one per shard task, created in shard order
 //   │   ├─ plan
 //   │   ├─ build_pdts         counters: ids_processed, nodes_emitted, ...
-//   │   └─ evaluate           counters: view_results, candidates
+//   │   └─ evaluate           counters: view_results, candidates,
+//   │                         view_evaluations (0 when a cached bundle
+//   │                         ran no evaluator)
 //   ├─ merge                  ranked-stream fan-in + idf finalization
 //   └─ materialize            FetchNext: hits, heap_pops, pages_read, ...
 //
@@ -28,7 +30,11 @@
 //
 // Tracing is opt-in per request: a null Trace* disables every hook
 // (SpanScope on a null trace is a no-op), which is the compiled-in
-// default path benchmarked by bench_trace_overhead.
+// default path benchmarked by bench_trace_overhead. A traced warm search
+// must stay within a few percent of it, so counter names are not
+// copied, a caller that has read the clock for its own timer passes
+// that instant (StartSpanAt, CloseAt), and Serialize formats into one
+// stack buffer.
 //
 // AddCounter is an upsert (adding to an existing key accumulates), and
 // it stays legal after Close: the cursor attributes materialization I/O
@@ -53,6 +59,8 @@ class Trace;
 
 class TraceSpan {
  public:
+  using Clock = std::chrono::steady_clock;
+
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   /// Move is for the owning deque's append only; spans are referred to
@@ -63,9 +71,14 @@ class TraceSpan {
   /// once (the cursor re-closes its materialize span after every
   /// FetchNext); the last call wins.
   void Close();
+  /// Close with an end instant the caller has read already: on a hot
+  /// path, the span shares a timer's clock read.
+  void CloseAt(Clock::time_point end);
 
   /// Adds `delta` to counter `name`, creating it at the end of the
   /// counter list on first use. Owner-thread only (see file comment).
+  /// The span keeps `name` itself, not a copy: it must outlive the trace
+  /// (every counter name is a string literal).
   void AddCounter(std::string_view name, uint64_t delta);
 
   const std::string& name() const { return name_; }
@@ -75,7 +88,7 @@ class TraceSpan {
   uint64_t duration_ns() const { return duration_ns_; }
   bool closed() const { return closed_; }
   const TraceSpan* parent() const { return parent_; }
-  const std::vector<std::pair<std::string, uint64_t>>& counters() const {
+  const std::vector<std::pair<std::string_view, uint64_t>>& counters() const {
     return counters_;
   }
   /// The counter's value, 0 if absent.
@@ -86,6 +99,9 @@ class TraceSpan {
   TraceSpan(Trace* trace, std::string name, TraceSpan* parent, int shard,
             uint64_t start_ns);
 
+  // Enough for every span the engine records, in one allocation.
+  static constexpr size_t kCountersReserved = 8;
+
   Trace* trace_;
   std::string name_;
   TraceSpan* parent_;
@@ -93,7 +109,7 @@ class TraceSpan {
   uint64_t start_ns_;
   uint64_t duration_ns_ = 0;
   bool closed_ = false;
-  std::vector<std::pair<std::string, uint64_t>> counters_;
+  std::vector<std::pair<std::string_view, uint64_t>> counters_;
 };
 
 class Trace {
@@ -111,6 +127,9 @@ class Trace {
   /// `parent` parents to the root.
   TraceSpan* StartSpan(std::string name, TraceSpan* parent = nullptr,
                        int shard = -1) QV_EXCLUDES(mu_);
+  /// StartSpan with a start instant the caller has read already.
+  TraceSpan* StartSpanAt(std::string name, TraceSpan* parent, int shard,
+                         TraceSpan::Clock::time_point start) QV_EXCLUDES(mu_);
 
   /// The flame-style breakdown: one line per span, two-space indent per
   /// depth, children in creation order under their parent —
@@ -127,13 +146,14 @@ class Trace {
   /// pointers are valid for the trace's lifetime.
   std::vector<const TraceSpan*> spans() const QV_EXCLUDES(mu_);
 
-  uint64_t NowNs() const;
+  /// `instant` as an offset from the trace epoch, nanoseconds.
+  uint64_t ToNs(TraceSpan::Clock::time_point instant) const;
 
  private:
   mutable qv::Mutex mu_;
   std::deque<TraceSpan> spans_ QV_GUARDED_BY(mu_);
   TraceSpan* root_ = nullptr;
-  std::chrono::steady_clock::time_point epoch_;
+  TraceSpan::Clock::time_point epoch_;
   uint64_t id_;
 };
 
@@ -147,19 +167,31 @@ class SpanScope {
       : span_(trace == nullptr
                   ? nullptr
                   : trace->StartSpan(std::move(name), parent, shard)) {}
+  /// Starts at an instant the caller has read already.
+  SpanScope(Trace* trace, std::string name, TraceSpan* parent, int shard,
+            TraceSpan::Clock::time_point start)
+      : span_(trace == nullptr ? nullptr
+                               : trace->StartSpanAt(std::move(name), parent,
+                                                    shard, start)) {}
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
   ~SpanScope() {
-    if (span_ != nullptr) span_->Close();
+    if (span_ != nullptr && !closed_) span_->Close();
   }
 
   TraceSpan* span() const { return span_; }
   void AddCounter(std::string_view name, uint64_t delta) {
     if (span_ != nullptr) span_->AddCounter(name, delta);
   }
+  /// Closes the span at `end` (read already) instead of at destruction.
+  void CloseAt(TraceSpan::Clock::time_point end) {
+    if (span_ != nullptr) span_->CloseAt(end);
+    closed_ = true;
+  }
 
  private:
   TraceSpan* span_;
+  bool closed_ = false;
 };
 
 }  // namespace quickview::obs

@@ -100,7 +100,7 @@ Status PackDocument(const std::string& name, const xml::Document& doc,
     walk(doc.root());
   }
   QUICKVIEW_RETURN_IF_ERROR(walk_status);
-  QUICKVIEW_RETURN_IF_ERROR(records.Finish().status());
+  QUICKVIEW_RETURN_IF_ERROR(records.Finish());
 
   DiskBTreeBuilder locator(writer);
   for (const auto& [key, value] : locator_rows) {

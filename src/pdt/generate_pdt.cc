@@ -94,31 +94,18 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
   return doc;
 }
 
-std::shared_ptr<xml::Document> AnnotatePdt(
-    std::shared_ptr<xml::Document> skeleton,
-    const std::vector<InvList>& inv_lists) {
-  size_t content_nodes = 0;
-  for (xml::NodeIndex i = 0; i < skeleton->size(); ++i) {
-    if (skeleton->node(i).stats != nullptr) ++content_nodes;
-  }
-  if (content_nodes == 0) return skeleton;
-  auto doc = std::make_shared<xml::Document>(skeleton->Clone());
-  // As in AssemblePdtDocument: one block, sized up front, holds every
-  // 'c' node's stats. The node array is in Dewey order (pre-order), as
-  // the cursor needs.
-  auto stats_block = std::make_shared<std::vector<xml::NodeStats>>();
-  stats_block->reserve(content_nodes);
+std::vector<uint32_t> ContentTermFrequencies(
+    const xml::Document& skeleton, const std::vector<InvList>& inv_lists) {
+  // The node array is in Dewey order (pre-order), as the cursor needs.
+  std::vector<uint32_t> term_tf;
   SubtreeTfCursor tf_cursor(inv_lists);
-  for (xml::NodeIndex i = 0; i < doc->size(); ++i) {
-    xml::Node& node = doc->node(i);
+  for (xml::NodeIndex i = 0; i < skeleton.size(); ++i) {
+    const xml::Node& node = skeleton.node(i);
     if (node.stats == nullptr) continue;
     assert(node.stats->term_tf.empty());  // built with no keywords
-    xml::NodeStats& stats = stats_block->emplace_back(*node.stats);
-    stats.term_tf.reserve(inv_lists.size());
-    tf_cursor.Append(node.id, &stats.term_tf);
-    node.stats = std::shared_ptr<const xml::NodeStats>(stats_block, &stats);
+    tf_cursor.Append(node.id, &term_tf);
   }
-  return doc;
+  return term_tf;
 }
 
 namespace {

@@ -51,13 +51,12 @@ std::shared_ptr<xml::Document> AssemblePdtDocument(
 
 /// A PDT's nodes, values and byte lengths never depend on the keywords:
 /// only the 'c' nodes' term frequencies do. Given `skeleton`, a PDT
-/// built with no keywords, returns the PDT the same QPT yields with the
-/// keywords of `inv_lists` (node for node what GeneratePdt builds with
-/// them): a copy whose 'c' nodes gain per-keyword subtree term
-/// frequencies, or `skeleton` itself when it has no 'c' node.
-std::shared_ptr<xml::Document> AnnotatePdt(
-    std::shared_ptr<xml::Document> skeleton,
-    const std::vector<InvList>& inv_lists);
+/// built with no keywords, returns the term frequencies the same QPT's
+/// PDT stores with the keywords of `inv_lists` (node for node what
+/// GeneratePdt builds with them): for each 'c' node (a node with
+/// NodeStats), in node order, one entry per list, in list order.
+std::vector<uint32_t> ContentTermFrequencies(
+    const xml::Document& skeleton, const std::vector<InvList>& inv_lists);
 
 struct PdtBuildStats {  // lint:allow(adhoc-stats) per-build result record returned to the caller
   uint64_t ids_processed = 0;    // ids consumed from path lists

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -120,6 +122,71 @@ std::vector<double> ComputeIdf(uint64_t total_candidates,
 Result<std::vector<ScoredResult>> FilterAndScore(
     std::vector<ScoredResult> candidates, const std::vector<double>& idf,
     bool conjunctive, const CancellationToken* cancel = nullptr);
+
+// ---------------------------------------------------------------------
+// Keyword-free phase 1: collected once per view evaluated over PDT
+// skeletons (PDTs built with no keywords).
+//
+// Everything CollectCandidates computes is independent of the keywords
+// except the term frequencies, and those are sums: a candidate's tf(k)
+// adds the stored subtree tf of every pruned node the walk reaches and
+// the occurrences of k among the direct terms of its other nodes.
+// ViewStatistics records those summands once, so any keyword set's term
+// frequencies follow from the pruned nodes' term frequencies alone
+// (TermFrequencies) — with no evaluation and no walk — and phase 3 runs
+// over them directly.
+
+struct ViewStatistics {
+  /// One node-valued view result.
+  struct Candidate {
+    xquery::NodeHandle result;
+    size_t view_position = 0;
+    uint64_t byte_length = 0;
+    /// End of this candidate's run in `content_refs`; the run begins
+    /// where the previous candidate's ends.
+    uint32_t content_end = 0;
+  };
+  std::vector<Candidate> candidates;
+  /// Per candidate run: the ordinals of the pruned nodes whose stored
+  /// term frequencies its statistics sum, repeats kept.
+  std::vector<uint32_t> content_refs;
+  /// Lowercased direct term of the candidates' unpruned nodes ->
+  /// (candidate, occurrences), candidates ascending.
+  std::unordered_map<std::string, std::vector<std::pair<uint32_t, uint32_t>>>
+      direct_terms;
+  /// CandidateSet's figures.
+  size_t sequence_size = 0;
+  uint64_t view_bytes = 0;
+};
+
+/// Keyword-free phase 1: walks every view result as CollectCandidates
+/// does. `content_ordinals` numbers the NodeStats of every pruned node a
+/// result can reach; one it does not number is an Internal error.
+Result<ViewStatistics> CollectViewStatistics(
+    const xquery::Sequence& view_results,
+    const std::unordered_map<const xml::NodeStats*, uint32_t>&
+        content_ordinals,
+    const CancellationToken* cancel = nullptr);
+
+/// The term frequencies of `view`'s candidates for `keywords`
+/// (lowercased), keywords.size() entries per candidate, in candidate
+/// order: what CollectCandidates collects over PDTs built with those
+/// keywords. `content_tf` holds keywords.size() entries per pruned-node
+/// ordinal.
+std::vector<uint64_t> TermFrequencies(const ViewStatistics& view,
+                                      const std::vector<std::string>& keywords,
+                                      const std::vector<uint32_t>& content_tf);
+
+/// Phase 2a over flat term frequencies, df.size() entries per candidate.
+void AccumulateDf(const std::vector<uint64_t>& tf, std::vector<uint64_t>* df);
+
+/// Phase 3 over `view`'s candidates and their flat term frequencies
+/// (idf.size() entries per candidate): the survivors FilterAndScore keeps
+/// of the same candidates, scored bit for bit the same.
+Result<std::vector<ScoredResult>> FilterAndScore(
+    const ViewStatistics& view, const std::vector<uint64_t>& tf,
+    const std::vector<double>& idf, bool conjunctive,
+    const CancellationToken* cancel = nullptr);
 
 /// Truncates a scored list to the top k (list is already sorted).
 void TakeTopK(std::vector<ScoredResult>* results, size_t k);

@@ -70,7 +70,7 @@ void PreparedQueryCache::Put(
   }
   total_bytes_.fetch_add(prepared->memory_bytes, std::memory_order_relaxed);
   total_entries_.fetch_add(1, std::memory_order_relaxed);
-  (prepared->skeleton ? skeleton_insertions_ : insertions_).Increment();
+  (prepared->is_skeleton() ? skeleton_insertions_ : insertions_).Increment();
   shard.lru.push_front(Entry{key, std::move(prepared)});
   shard.index.emplace(key, shard.lru.begin());
   EvictLocked(&shard);
@@ -106,7 +106,7 @@ bool PreparedQueryCache::Offer(
     std::shared_ptr<const engine::PreparedQuery> prepared) {
   if (capacity_ == 0 || prepared == nullptr) return false;
   if (!Sighted(sighting)) {
-    if (!prepared->skeleton) declined_.Increment();
+    if (!prepared->is_skeleton()) declined_.Increment();
     return false;
   }
   Put(key, std::move(prepared));

@@ -1,15 +1,24 @@
-// Sharded LRU cache of PreparedQuery entries of both kinds: annotated
-// bundles (QPTs + PDTs carrying one keyword set's term frequencies),
-// keyed by (view id, plan signature), and keyword-free PDT skeletons,
-// keyed by (view id, PDT signature), which every keyword set over the
-// same QPTs annotates a copy of. PDT generation is the data-dependent
-// stage of the pipeline; reusing PDTs across queries is what turns the
+// Sharded LRU cache of PreparedQuery entries of both kinds:
+//  - PDT skeletons, keyed by (view id, PDT signature): a view's plan, its
+//    PDTs built with no keywords and the view evaluated over them once
+//    (the evaluator's arena, the view results, their byte lengths and
+//    what their term frequencies sum). Every keyword set over the same
+//    QPTs shares one;
+//  - annotated bundles, keyed by (view id, plan signature): a skeleton
+//    plus one keyword set's term frequencies per view result — all a
+//    repeated query needs; serving one runs no evaluator.
+// PDT generation and view evaluation are the data-dependent stages of
+// the pipeline; reusing their products across queries is what turns the
 // engine from one-shot into a multi-query service (EMBANKS-style
 // intermediate-structure reuse). Both kinds share the capacity, the byte
-// budget and the LRU; the hit, miss, insertion and declined counters
-// count bundles only, and skeletons have counters of their own. Entries
-// are shared_ptr<const>, so an entry evicted while queries still execute
-// against it stays alive until the last query drops its reference.
+// budget and the LRU. A skeleton's memory_bytes counts its PDTs and its
+// arena; a bundle's counts only its term frequencies, since the skeleton
+// it keeps alive is an entry of its own (a bundle whose skeleton was
+// evicted holds that memory uncounted until it goes too). The hit, miss,
+// insertion and declined counters count bundles only, and skeletons
+// have counters of their own. Entries are shared_ptr<const>, so an entry
+// evicted while queries still execute against it stays alive until the
+// last query drops its reference.
 //
 // Sharding: keys hash to one of N independently locked shards, so
 // concurrent lookups from the service thread pool contend only when they
@@ -86,7 +95,7 @@ class PreparedQueryCache {
 
   /// Inserts (or refreshes) `prepared` under `key`, evicting LRU entries
   /// while the shard exceeds its budgets. An insertion counts as a
-  /// skeleton's when `prepared->skeleton` is set.
+  /// skeleton's when `prepared->is_skeleton()`.
   void Put(const std::string& key,
            std::shared_ptr<const engine::PreparedQuery> prepared);
 

@@ -159,12 +159,13 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   engine::ViewSearchEngine engine(std::move(contexts), &pool_);
   QUICKVIEW_ASSIGN_OR_RETURN(RegisteredView view, SnapshotView(query.view));
 
-  // Plan once on the calling thread for the cache key's signature (each
-  // shard task re-plans from the same text inside Open on a miss, so
-  // every cached PreparedQuery stays self-contained). The hit path
-  // deliberately re-plans too (cost proportional to the query text,
-  // never the data) so the cache stays keyed by the canonical plan
-  // signature rather than raw input text.
+  // Plan once on the calling thread: the cache keys need the plan's
+  // signatures, and a shard that finds the view's skeleton is annotated
+  // with this plan's keyword set. Only a shard that builds a skeleton
+  // plans again inside Open, since the skeleton owns its plan. The hit
+  // path plans too (cost proportional to the query text, never the
+  // data), so the cache stays keyed by the canonical plan signature
+  // rather than raw input text.
   std::string full_query = engine::ComposeKeywordQuery(
       view.text, query.keywords, query.options.conjunctive);
   QUICKVIEW_ASSIGN_OR_RETURN(engine::QueryPlan plan,
@@ -195,10 +196,10 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
 
   // Per-shard cache keys: the shared prefix plus "/s<i>", so one plan
   // warms one entry per shard. A shard whose bundle misses looks up the
-  // view's keyword-free skeleton instead. Hits of either kind ride into
-  // Open, which annotates a skeleton with this query's keywords; shards
-  // that miss both stay null and the engine builds them — in parallel
-  // with each other.
+  // view's skeleton instead. Hits of either kind ride into Open, which
+  // annotates a skeleton with this query's keywords; shards that miss
+  // both stay null and the engine builds and evaluates their skeletons —
+  // in parallel with each other.
   std::vector<std::string> keys;
   std::vector<std::string> skeleton_keys;  // empty where the bundle hit
   std::vector<std::shared_ptr<const engine::PreparedQuery>> prepared;
@@ -229,17 +230,17 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   // cursor's; in live mode the corpus-version lease below completes the
   // cursor's snapshot.
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
-                             engine.Open(request, prepared));
+                             engine.Open(request, prepared, &plan));
   // Offer what the engine had to build to the cache, which admits an
   // entry on its second sighting: every annotated bundle that missed,
-  // and every skeleton built along with one. The admission keys leave
-  // the version pair out, so a plan (or a view's QPTs) seen before a
-  // re-registration or a write is admitted on its first miss after it.
+  // and the skeleton of every shard that missed both. The admission keys
+  // leave the version pair out, so a plan (or a view's QPTs) seen before
+  // a re-registration or a write is admitted on its first miss after it.
   // A failed or cancelled Open returned above: it publishes nothing.
   std::string admission;
   std::string skeleton_admission;
   for (size_t slot = 0; slot < keys.size(); ++slot) {
-    if (prepared[slot] != nullptr && !prepared[slot]->skeleton) continue;
+    if (prepared[slot] != nullptr && prepared[slot]->is_bundle()) continue;
     if (admission.empty()) {
       admission = BaseCacheKey(query.view, /*versions=*/"", plan.signature);
     }
@@ -248,7 +249,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
         cursor->SharedPrepared(slot);
     cache_.Offer(keys[slot], std::hash<std::string>{}(admission + suffix),
                  bundle);
-    if (bundle->built_skeleton == nullptr) continue;
+    if (prepared[slot] != nullptr) continue;  // the skeleton was a hit
     if (skeleton_admission.empty()) {
       skeleton_admission = BaseCacheKey(query.view, /*versions=*/"",
                                         plan.pdt_signature,
@@ -256,7 +257,7 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
     }
     cache_.Offer(skeleton_keys[slot],
                  std::hash<std::string>{}(skeleton_admission + suffix),
-                 bundle->built_skeleton);
+                 bundle->skeleton);
   }
   if (corpus != nullptr) cursor->AddLease(std::move(corpus));
   return cursor;

@@ -2,13 +2,17 @@
 // are registered once by name; batches of keyword queries against those
 // views execute concurrently on a fixed thread pool, sharing one
 // PreparedQueryCache at two levels: identical plans (same view, same QPT
-// signature, same keywords) reuse an annotated PDT bundle as it is, and
-// a new keyword set over a view's QPTs reuses the view's keyword-free
-// PDT skeleton, to which the engine adds only the keywords' term
-// frequencies — a view's PDTs are built once per shard, not once per
-// keyword set. Either kind enters the cache on its second sighting
-// (PreparedQueryCache::Offer), so a one-shot plan never takes cache
-// memory or evicts a plan that recurs.
+// signature, same keywords) reuse an annotated bundle as it is — the
+// engine scores it without evaluating anything — and a new keyword set
+// over a view's QPTs reuses the view's skeleton (its keyword-free PDTs
+// and the view evaluated over them), to which the engine adds only the
+// keywords' term frequencies: a view's PDTs are built and its view
+// evaluated once per shard, not once per keyword set. Either kind enters
+// the cache on its second sighting (PreparedQueryCache::Offer), so a
+// one-shot plan never takes cache memory or evicts a plan that recurs.
+// The service plans each request once, for its cache keys; the engine
+// annotates a skeleton hit with that plan's keyword set, and only a
+// shard that builds a skeleton plans again (the skeleton owns its plan).
 //
 // The result surface is pull-based: OpenSearch returns a session-handle
 // ResultCursor whose FetchNext(n) materializes hits lazily (pagination

@@ -14,12 +14,6 @@ NodeIndex Document::CreateRoot(std::string tag) {
   return 0;
 }
 
-Document Document::Clone() const {
-  Document copy(root_component_);
-  copy.nodes_ = nodes_;
-  return copy;
-}
-
 NodeIndex Document::AddChild(NodeIndex parent, std::string tag) {
   assert(parent < nodes_.size());
   uint32_t ordinal = 1;

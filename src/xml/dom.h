@@ -67,10 +67,6 @@ class Document {
   Document(Document&&) = default;
   Document& operator=(Document&&) = default;
 
-  /// An explicit deep copy of every node. NodeStats are immutable, so
-  /// the copy's nodes share them with the original's.
-  Document Clone() const;
-
   /// Creates the root element; must be called exactly once, first.
   NodeIndex CreateRoot(std::string tag);
 

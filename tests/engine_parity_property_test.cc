@@ -1,7 +1,10 @@
 // Randomized end-to-end parity (Theorem 4.1 under fuzz): across random
 // book/review corpora and keyword subsets, the Efficient engine and the
 // materialize-first Baseline must agree on every hit's XML, statistics,
-// score and rank.
+// score and rank — and the Efficient engine, which scores its skeleton's
+// view with a keyword set's term frequencies, must answer byte for byte
+// as it does when it evaluates the view over PDTs built with the
+// keywords.
 #include <random>
 
 #include <gtest/gtest.h>
@@ -9,6 +12,7 @@
 #include "baseline/naive_engine.h"
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
+#include "keyword_pdts.h"
 #include "storage/document_store.h"
 #include "workload/bookrev_generator.h"
 
@@ -46,11 +50,19 @@ TEST_P(EngineParityProperty, EfficientEqualsBaseline) {
     request.options = options;
     auto eff = efficient.Execute(request);
     auto base = naive.SearchView(workload::BookRevView(), keywords, options);
+    // The view evaluated per request over PDTs built with the keywords:
+    // what the skeleton and its bundle must reproduce byte for byte.
+    auto evaluated = testing_pdts::ExecuteOverKeywordPdts(
+        efficient, {engine::ShardContext{db.get(), indexes.get(), &store}},
+        request);
     ASSERT_TRUE(eff.ok()) << eff.status();
     ASSERT_TRUE(base.ok()) << base.status();
+    ASSERT_TRUE(evaluated.ok()) << evaluated.status();
     ASSERT_EQ(eff->hits.size(), base->hits.size());
+    ASSERT_EQ(eff->hits.size(), evaluated->hits.size());
     ASSERT_EQ(eff->stats.matching_results, base->stats.matching_results);
     ASSERT_EQ(eff->stats.view_results, base->stats.view_results);
+    ASSERT_EQ(eff->stats.view_bytes, evaluated->stats.view_bytes);
     for (size_t i = 0; i < eff->hits.size(); ++i) {
       SCOPED_TRACE("round " + std::to_string(round) + " hit " +
                    std::to_string(i));
@@ -58,6 +70,10 @@ TEST_P(EngineParityProperty, EfficientEqualsBaseline) {
       EXPECT_EQ(eff->hits[i].byte_length, base->hits[i].byte_length);
       EXPECT_DOUBLE_EQ(eff->hits[i].score, base->hits[i].score);
       EXPECT_EQ(eff->hits[i].xml, base->hits[i].xml);
+      EXPECT_EQ(eff->hits[i].tf, evaluated->hits[i].tf);
+      EXPECT_EQ(eff->hits[i].byte_length, evaluated->hits[i].byte_length);
+      EXPECT_EQ(eff->hits[i].score, evaluated->hits[i].score);
+      EXPECT_EQ(eff->hits[i].xml, evaluated->hits[i].xml);
     }
   }
 }

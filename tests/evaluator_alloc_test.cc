@@ -20,6 +20,7 @@
 
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
+#include "pdt/generate_pdt.h"
 #include "scoring/scorer.h"
 #include "storage/document_store.h"
 #include "workload/bookrev_generator.h"
@@ -89,9 +90,14 @@ TEST(EvaluatorAllocTest, BookRevViewOverPdtsStaysWithinBudgetPerResult) {
   auto plan = engine.PlanQuery(engine::ComposeKeywordQuery(
       workload::BookRevView(), {"xml", "search"}, /*conjunctive=*/false));
   ASSERT_TRUE(plan.ok()) << plan.status();
-  auto prepared = engine.BuildPdts(std::move(*plan));
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-  const engine::QueryPlan& p = (*prepared)->plan;
+  const engine::QueryPlan& p = *plan;
+  // The PDTs built with the keywords, whose 'c' nodes carry their tf.
+  std::vector<std::shared_ptr<xml::Document>> pdts;
+  for (const qpt::Qpt& q : p.qpts) {
+    auto pdt = pdt::GeneratePdt(q, *indexes->Get(q.source_doc), p.kq.keywords);
+    ASSERT_TRUE(pdt.ok()) << pdt.status();
+    pdts.push_back(std::move(*pdt));
+  }
 
   size_t view_results = 0;
   size_t candidates = 0;
@@ -99,8 +105,7 @@ TEST(EvaluatorAllocTest, BookRevViewOverPdtsStaysWithinBudgetPerResult) {
   {
     xquery::Evaluator evaluator(db.get());
     for (size_t i = 0; i < p.qpts.size(); ++i) {
-      evaluator.OverrideDocument(p.qpts[i].occurrence_name,
-                                 (*prepared)->pdts[i].get());
+      evaluator.OverrideDocument(p.qpts[i].occurrence_name, pdts[i].get());
     }
     auto results = evaluator.Evaluate(p.kq.view);
     ASSERT_TRUE(results.ok()) << results.status();

@@ -4,9 +4,11 @@
 #include "service/query_service.h"
 
 #include <atomic>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,9 @@
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
 #include "common/thread_pool.h"
+#include "keyword_pdts.h"
+#include "obs/trace.h"
+#include "pagestore/shard_pack.h"
 #include "storage/document_store.h"
 #include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
@@ -431,20 +436,37 @@ TEST_F(QueryServiceTest, PlanSeenBeforeAWriteIsAdmittedOnFirstMiss) {
   ExpectSameResponse(*after, *hit);
 }
 
-// A view's PDTs are built once per shard, not once per keyword set: a
-// keyword set the cache has not seen annotates the view's cached
-// keyword-free skeleton. On a 1-shard and a 4-shard corpus.
+// A view's PDTs are built and its view evaluated once per shard, not
+// once per keyword set: a keyword set the cache has not seen annotates
+// the view's cached skeleton. On a 1-shard and a 4-shard corpus in
+// memory and on a packed 4-shard set.
+struct Layout {
+  int shards = 1;
+  bool packed = false;
+};
+
 class SkeletonReuseTest : public QueryServiceTest,
-                          public ::testing::WithParamInterface<int> {
+                          public ::testing::WithParamInterface<Layout> {
  protected:
   void SetUp() override {
     QueryServiceTest::SetUp();
     storage::ShardingSpec spec;
-    spec.shards = GetParam();
+    spec.shards = GetParam().shards;
     spec.colocate_tag = "isbn";  // the BookRev view joins on isbn
-    auto set = storage::ShardSet::Partition(*db_, spec);
-    ASSERT_TRUE(set.ok()) << set.status();
-    shards_ = std::make_unique<storage::ShardSet>(std::move(*set));
+    if (GetParam().packed) {
+      dir_ = ::testing::TempDir() + "/qv_skeleton_reuse_test";
+      std::filesystem::remove_all(dir_);
+      std::filesystem::create_directories(dir_);
+      const std::string qvset = dir_ + "/bookrev.qvset";
+      ASSERT_TRUE(pagestore::PackShardedDb(*db_, spec, qvset).ok());
+      auto set = storage::ShardSet::OpenPacked(qvset);
+      ASSERT_TRUE(set.ok()) << set.status();
+      shards_ = std::make_unique<storage::ShardSet>(std::move(*set));
+    } else {
+      auto set = storage::ShardSet::Partition(*db_, spec);
+      ASSERT_TRUE(set.ok()) << set.status();
+      shards_ = std::make_unique<storage::ShardSet>(std::move(*set));
+    }
     QueryServiceOptions options;
     options.threads = 2;
     service_ = std::make_unique<QueryService>(shards_.get(), options);
@@ -454,8 +476,16 @@ class SkeletonReuseTest : public QueryServiceTest,
         engine::ShardContexts(*shards_), &pool_);
   }
 
+  void TearDown() override {
+    service_.reset();
+    uncached_.reset();
+    shards_.reset();
+    if (!dir_.empty()) std::filesystem::remove_all(dir_);
+  }
+
   /// One query through the service; its answer must equal an uncached
-  /// engine's over the same shards and the naive engine's.
+  /// engine's over the same shards, the same engine's over caller-built
+  /// keyword PDTs (evaluated per request) and the naive engine's.
   void Check(const std::string& view_name, const std::string& view_text,
              const std::vector<std::string>& keywords, bool conjunctive) {
     SCOPED_TRACE(view_name + " keywords " + std::to_string(keywords.size()) +
@@ -467,6 +497,14 @@ class SkeletonReuseTest : public QueryServiceTest,
     auto expected = ExecView(*uncached_, view_text, keywords, query.options);
     ASSERT_TRUE(expected.ok()) << expected.status();
     ExpectSameResponse(*expected, *actual);
+    engine::SearchRequest request;
+    request.view = view_text;
+    request.keywords = keywords;
+    request.options = query.options;
+    auto evaluated = testing_pdts::ExecuteOverKeywordPdts(
+        *uncached_, engine::ShardContexts(*shards_), request);
+    ASSERT_TRUE(evaluated.ok()) << evaluated.status();
+    ExpectSameResponse(*evaluated, *actual);
     baseline::NaiveEngine naive(db_.get());
     auto oracle = naive.SearchView(view_text, keywords, query.options);
     ASSERT_TRUE(oracle.ok()) << oracle.status();
@@ -478,14 +516,40 @@ class SkeletonReuseTest : public QueryServiceTest,
     }
   }
 
+  /// The view_evaluations counters of a traced search's evaluate spans.
+  std::vector<uint64_t> ViewEvaluations(
+      const std::vector<std::string>& keywords, bool conjunctive) {
+    BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+    query.options.conjunctive = conjunctive;
+    query.trace = std::make_shared<obs::Trace>(1);
+    auto response = service_->SearchOne(query);
+    EXPECT_TRUE(response.ok()) << response.status();
+    query.trace->Serialize();  // closes the root
+    std::vector<uint64_t> evaluations;
+    for (const obs::TraceSpan* span : query.trace->spans()) {
+      if (span->name() == "evaluate") {
+        evaluations.push_back(span->counter("view_evaluations"));
+      }
+      // Whatever a shard ran, each span is closed inside its parent.
+      EXPECT_TRUE(span->closed()) << span->name();
+      if (span->parent() == nullptr) continue;
+      EXPECT_GE(span->start_ns(), span->parent()->start_ns()) << span->name();
+      EXPECT_LE(span->start_ns() + span->duration_ns(),
+                span->parent()->start_ns() + span->parent()->duration_ns())
+          << span->name() << " must end within " << span->parent()->name();
+    }
+    return evaluations;
+  }
+
   ThreadPool pool_{2};
+  std::string dir_;  // the packed layout's files
   std::unique_ptr<storage::ShardSet> shards_;
   std::unique_ptr<QueryService> service_;
   std::unique_ptr<engine::ViewSearchEngine> uncached_;
 };
 
 TEST_P(SkeletonReuseTest, NewKeywordSetsAnnotateOneSkeletonPerShard) {
-  const uint64_t shards = static_cast<uint64_t>(GetParam());
+  const uint64_t shards = static_cast<uint64_t>(GetParam().shards);
   // Two sightings admit the skeleton; each builds it on every shard.
   Check("bookrev", workload::BookRevView(), {"xml"}, true);
   Check("bookrev", workload::BookRevView(), {"search"}, true);
@@ -509,7 +573,7 @@ TEST_P(SkeletonReuseTest, NewKeywordSetsAnnotateOneSkeletonPerShard) {
 }
 
 TEST_P(SkeletonReuseTest, AnotherViewNeverHitsTheFirstViewsSkeleton) {
-  const uint64_t shards = static_cast<uint64_t>(GetParam());
+  const uint64_t shards = static_cast<uint64_t>(GetParam().shards);
   // A selection-only view: another QPT shape over the same documents.
   const std::string books_view =
       "for $b in fn:doc(books.xml)/books//book return $b";
@@ -536,7 +600,117 @@ TEST_P(SkeletonReuseTest, AnotherViewNeverHitsTheFirstViewsSkeleton) {
   EXPECT_EQ(cache.skeleton_misses, 4 * shards);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, SkeletonReuseTest, ::testing::Values(1, 4));
+// Keywords absent from the corpus, a repeated keyword, AND and OR: every
+// answer from a skeleton equals the answers evaluated per request.
+TEST_P(SkeletonReuseTest, AbsentAndRepeatedKeywordsMatchEvaluatedPdts) {
+  const std::vector<std::vector<std::string>> sets = {
+      {"xml"},          {"nosuchterm"},          {"xml", "xml"},
+      {"xml", "nosuchterm"}, {"search", "search", "web"},
+      {"nosuchterm", "othermissing"}};
+  for (int pass = 0; pass < 2; ++pass) {  // misses, then bundle hits
+    for (const std::vector<std::string>& keywords : sets) {
+      Check("bookrev", workload::BookRevView(), keywords, true);
+      Check("bookrev", workload::BookRevView(), keywords, false);
+    }
+  }
+  EXPECT_GT(service_->stats().cache.hits, 0u);
+  EXPECT_GT(service_->stats().cache.skeleton_hits, 0u);
+}
+
+// A search that finds its bundle evaluates nothing; one that builds its
+// skeleton evaluates the view once per shard, and a new keyword set over
+// a cached skeleton evaluates nothing either.
+TEST_P(SkeletonReuseTest, BundleHitRunsNoEvaluator) {
+  const size_t shards = static_cast<size_t>(GetParam().shards);
+  EXPECT_EQ(ViewEvaluations({"xml", "search"}, false),
+            std::vector<uint64_t>(shards, 1));
+  // The second sighting builds again (and admits the bundle and the
+  // skeleton); from then on nothing is evaluated.
+  EXPECT_EQ(ViewEvaluations({"xml", "search"}, false),
+            std::vector<uint64_t>(shards, 1));
+  EXPECT_EQ(ViewEvaluations({"xml", "search"}, false),
+            std::vector<uint64_t>(shards, 0));
+  EXPECT_EQ(ViewEvaluations({"database"}, true),
+            std::vector<uint64_t>(shards, 0));
+  const PreparedQueryCache::Stats cache = service_->stats().cache;
+  EXPECT_EQ(cache.hits, shards);
+  EXPECT_EQ(cache.skeleton_hits, shards);
+}
+
+// Several threads open and page cursors over the view's one cached
+// skeleton while another thread keeps replacing the view, which moves
+// every cache key and makes searches build new skeletons meanwhile. The
+// view text stays the same, so every answer must too.
+TEST_P(SkeletonReuseTest, CursorsShareASkeletonWhileTheViewIsReplaced) {
+  const std::vector<std::vector<std::string>> sets = {
+      {"xml"}, {"search"}, {"xml", "search"}, {"database", "web"}};
+  std::vector<engine::SearchResponse> expected;
+  for (const std::vector<std::string>& keywords : sets) {
+    engine::SearchOptions options;
+    options.conjunctive = false;
+    auto response =
+        ExecView(*uncached_, workload::BookRevView(), keywords, options);
+    ASSERT_TRUE(response.ok()) << response.status();
+    expected.push_back(std::move(*response));
+    // Two sightings admit the view's skeleton.
+    BatchQuery query{"bookrev", keywords, options};
+    ASSERT_TRUE(service_->SearchOne(query).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread replacer([&] {
+    while (!stop.load()) {
+      if (!service_->RegisterView("bookrev", workload::BookRevView()).ok()) {
+        ++failures;
+      }
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 12; ++round) {
+        const size_t i = static_cast<size_t>(t + round) % sets.size();
+        BatchQuery query{"bookrev", sets[i], engine::SearchOptions{}};
+        query.options.conjunctive = false;
+        auto cursor = service_->OpenSearch(query);
+        if (!cursor.ok()) {
+          ++failures;
+          continue;
+        }
+        std::vector<engine::SearchHit> hits;
+        while (!(*cursor)->Done()) {
+          auto page = (*cursor)->FetchNext(3);
+          if (!page.ok()) {
+            ++failures;
+            break;
+          }
+          for (engine::SearchHit& hit : *page) hits.push_back(std::move(hit));
+        }
+        const std::vector<engine::SearchHit>& want = expected[i].hits;
+        bool same = hits.size() == want.size();
+        for (size_t h = 0; same && h < hits.size(); ++h) {
+          same = hits[h].xml == want[h].xml && hits[h].tf == want[h].tf &&
+                 hits[h].score == want[h].score &&
+                 hits[h].byte_length == want[h].byte_length;
+        }
+        if (!same) ++failures;
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  stop.store(true);
+  replacer.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, SkeletonReuseTest,
+    ::testing::Values(Layout{1, false}, Layout{4, false}, Layout{4, true}),
+    [](const ::testing::TestParamInfo<Layout>& info) {
+      return std::to_string(info.param.shards) + "Shards" +
+             (info.param.packed ? "Packed" : "InMemory");
+    });
 
 TEST(PreparedQueryCacheTest, DoorkeeperMemoryDoesNotGrowWithDistinctPlans) {
   PreparedQueryCache::Options options;

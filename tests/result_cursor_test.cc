@@ -15,6 +15,7 @@
 
 #include "engine/view_search_engine.h"
 #include "index/index_builder.h"
+#include "pdt/generate_pdt.h"
 #include "scoring/materializer.h"
 #include "scoring/scorer.h"
 #include "storage/document_store.h"
@@ -111,14 +112,20 @@ TEST_F(ResultCursorTest, PagedFetchesEqualOneBigFetch) {
 // every kept hit. Execute must reproduce it byte for byte.
 TEST_F(ResultCursorTest, ExecuteByteIdenticalToBatchPipeline) {
   const std::vector<std::string> keywords{"xml", "search"};
-  auto prepared = Prepare(keywords, /*conjunctive=*/true);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto planned = engine_->PlanQuery(ComposeKeywordQuery(
+      workload::BookRevView(), keywords, /*conjunctive=*/true));
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  const QueryPlan& plan = *planned;
 
+  // The PDTs built with the keywords, whose 'c' nodes carry their tf.
   xquery::Evaluator evaluator(db_.get());
-  const QueryPlan& plan = (*prepared)->plan;
-  for (size_t i = 0; i < plan.qpts.size(); ++i) {
-    evaluator.OverrideDocument(plan.qpts[i].occurrence_name,
-                               (*prepared)->pdts[i].get());
+  std::vector<std::shared_ptr<xml::Document>> pdts;
+  for (const qpt::Qpt& q : plan.qpts) {
+    auto pdt =
+        pdt::GeneratePdt(q, *indexes_->Get(q.source_doc), plan.kq.keywords);
+    ASSERT_TRUE(pdt.ok()) << pdt.status();
+    pdts.push_back(std::move(*pdt));
+    evaluator.OverrideDocument(q.occurrence_name, pdts.back().get());
   }
   auto view_results = evaluator.Evaluate(plan.kq.view);
   ASSERT_TRUE(view_results.ok()) << view_results.status();

@@ -76,5 +76,22 @@ TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_EQ(outer().code(), StatusCode::kInternal);
 }
 
+// status() returns a reference into the temporary Result, which dies at
+// the end of the macro's declaration; the macro must copy the Status
+// within it. The message outgrows the short-string buffer, so a read
+// after the temporary died reads a dead object (ASan flags it).
+TEST(ResultTest, ReturnIfErrorCopiesATemporarysStatus) {
+  auto failing = []() -> Result<int> {
+    return Status::Internal("a message longer than fifteen bytes");
+  };
+  auto outer = [&]() -> Status {
+    QUICKVIEW_RETURN_IF_ERROR(failing().status());
+    return Status::OK();
+  };
+  const Status status = outer();
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+  EXPECT_EQ(status.message(), "a message longer than fifteen bytes");
+}
+
 }  // namespace
 }  // namespace quickview
