@@ -1,7 +1,6 @@
 #include "engine/view_search_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <chrono>
 #include <optional>
@@ -80,103 +79,11 @@ uint64_t FootprintBytes(const EvaluatedView& view) {
   return bytes;
 }
 
-// The stages one shard task ran (plan, build_pdts, evaluate), with their
-// instants and counters, for the trace. A shard task records; the
-// coordinator publishes the records as spans under the shard's span once
-// every task is done. No shard task writes to the trace or allocates for
-// it, and a warm search's task writes nothing at all (its evaluate span
-// comes from its ShardEval): every cache line a task writes for the
-// trace crosses cores, which costs a warm search more than the rest of
-// tracing.
-// A shard's evaluate stage, as its trace span shows it.
-struct EvaluateRecord {
-  Clock::time_point start;
-  Clock::time_point end;
-  uint64_t view_results = 0;
-  uint64_t candidates = 0;
-  uint64_t view_evaluations = 0;
-};
-
-class StageLog {
- public:
-  /// Opens the next stage, ending the open one.
-  void Begin(std::string_view name, Clock::time_point start) {
-    assert(count_ < stages_.size());
-    End(start);
-    stages_[count_++] = Stage{name, start, start, false, {}, 0};
-  }
-  void Begin(std::string_view name) { Begin(name, Clock::now()); }
-
-  /// Adds a counter to the open stage.
-  void Count(std::string_view counter, uint64_t value) {
-    if (count_ == 0) return;
-    Stage& stage = stages_[count_ - 1];
-    assert(stage.counters_used < stage.counters.size());
-    stage.counters[stage.counters_used++] = {counter, value};
-  }
-
-  /// Ends the open stage, if any. A failed task's open stage ends where
-  /// it failed.
-  void End(Clock::time_point end) {
-    if (count_ == 0 || stages_[count_ - 1].ended) return;
-    stages_[count_ - 1].end = end;
-    stages_[count_ - 1].ended = true;
-  }
-
-  /// Creates the stages' spans under `shard_span`, then, for a shard
-  /// that succeeded, its evaluate span from `evaluate` (the log holds at
-  /// most the start of an evaluate stage, in case it failed), and closes
-  /// `shard_span` where its last stage ended.
-  void Publish(obs::Trace* trace, obs::TraceSpan* shard_span, int shard,
-               const EvaluateRecord* evaluate) {
-    std::optional<Clock::time_point> end;
-    for (size_t i = 0; i < count_; ++i) {
-      const Stage& stage = stages_[i];
-      if (evaluate != nullptr && stage.name == "evaluate") continue;
-      obs::TraceSpan* span = trace->StartSpanAt(std::string(stage.name),
-                                                shard_span, shard, stage.start);
-      for (size_t c = 0; c < stage.counters_used; ++c) {
-        span->AddCounter(stage.counters[c].first, stage.counters[c].second);
-      }
-      // A stage a warm evaluate stage did not log ends where it began.
-      end = stage.ended ? stage.end : evaluate->start;
-      span->CloseAt(*end);
-    }
-    if (evaluate != nullptr) {
-      obs::TraceSpan* span =
-          trace->StartSpanAt("evaluate", shard_span, shard, evaluate->start);
-      span->AddCounter("view_results", evaluate->view_results);
-      span->AddCounter("candidates", evaluate->candidates);
-      span->AddCounter("view_evaluations", evaluate->view_evaluations);
-      span->CloseAt(evaluate->end);
-      end = evaluate->end;
-    }
-    if (end.has_value()) {
-      shard_span->CloseAt(*end);
-    } else {
-      shard_span->Close();
-    }
-  }
-
- private:
-  struct Stage {
-    std::string_view name;
-    Clock::time_point start;
-    Clock::time_point end;
-    bool ended = false;
-    std::array<std::pair<std::string_view, uint64_t>, 5> counters;
-    size_t counters_used = 0;
-  };
-
-  std::array<Stage, 3> stages_;
-  size_t count_ = 0;
-};
-
-void CountBuild(StageLog* log, const pdt::PdtBuildStats& stats) {
-  log->Count("ids_processed", stats.ids_processed);
-  log->Count("nodes_emitted", stats.nodes_emitted);
-  log->Count("index_probes", stats.index_probes);
-  log->Count("pdt_bytes", stats.pdt_bytes);
+void CountBuild(obs::SpanScope* span, const pdt::PdtBuildStats& stats) {
+  span->AddCounter("ids_processed", stats.ids_processed);
+  span->AddCounter("nodes_emitted", stats.nodes_emitted);
+  span->AddCounter("index_probes", stats.index_probes);
+  span->AddCounter("pdt_bytes", stats.pdt_bytes);
 }
 
 Result<index::DocumentIndexView> DocumentView(
@@ -250,10 +157,6 @@ struct ViewSearchEngine::ShardEval {
   std::shared_ptr<const std::vector<uint64_t>> tf;
   double eval_ms = 0;
   double collect_ms = 0;
-  // The evaluate stage, for its trace span.
-  Clock::time_point eval_start;
-  Clock::time_point eval_end;
-  bool view_evaluated = false;
 };
 
 ViewSearchEngine::ViewSearchEngine(std::vector<ShardContext> shards,
@@ -632,30 +535,16 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
           : ComposeKeywordQuery(request.view, request.keywords,
                                 request.options.conjunctive);
 
-  // A skeleton entry is annotated with the request's keyword set: read
-  // it from the caller's plan, or plan the request once, here.
-  std::optional<QueryPlan> request_plan;
-  obs::Trace* const trace = request.trace.get();
-  if (plan == nullptr &&
-      std::any_of(prepared.begin(), prepared.end(),
-                  [](const std::shared_ptr<const PreparedQuery>& entry) {
-                    return entry != nullptr && entry->is_skeleton();
-                  })) {
-    obs::SpanScope plan_span(trace, "plan");
-    QUICKVIEW_ASSIGN_OR_RETURN(request_plan, PlanQuery(query_text));
-    plan = &*request_plan;
-  }
-
   // --- Fan out: per-shard plan/PDT/eval/collect tasks ---
   const size_t n = selected.size();
   // Shard spans are pre-created here, in shard order, on the
   // coordinator: sibling order under the root is then deterministic no
   // matter how the shard tasks interleave, and a span's start time
   // includes its task's queue wait (fan-out skew is visible in the
-  // flame view). Their children come from the tasks' stage logs, which
-  // the coordinator publishes after the barrier.
+  // flame view). Child spans are created inside the owning task —
+  // StartSpan is the one thread-safe trace operation, by design.
+  obs::Trace* const trace = request.trace.get();
   std::vector<obs::TraceSpan*> shard_spans(n, nullptr);
-  std::vector<StageLog> stage_logs(trace != nullptr ? n : 0);
   if (trace != nullptr) {
     const Clock::time_point fan_out = Clock::now();
     for (size_t slot = 0; slot < n; ++slot) {
@@ -666,7 +555,8 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
   Gather<Result<ShardEval>> gather(n);
   auto run_shard = [&](size_t slot) -> Result<ShardEval> {
     const size_t shard = selected[slot];
-    StageLog* const log = stage_logs.empty() ? nullptr : &stage_logs[slot];
+    const int shard_id = static_cast<int>(shard);
+    obs::TraceSpan* const shard_span = shard_spans[slot];
     if (token->Fired()) return token->ToStatus();
     std::shared_ptr<const PreparedQuery> pq =
         slot < prepared.size() ? prepared[slot] : nullptr;
@@ -674,32 +564,35 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     std::shared_ptr<PreparedQuery> built;
     if (pq == nullptr) {
       // The skeleton owns its plan, so this shard plans its own.
-      if (log != nullptr) log->Begin("plan");
-      QUICKVIEW_ASSIGN_OR_RETURN(QueryPlan shard_plan, PlanQuery(query_text));
-      if (log != nullptr) {
-        log->Count("keywords", shard_plan.kq.keywords.size());
-        log->Count("qpts", shard_plan.qpts.size());
-        log->Begin("build_pdts");
-        log->Count("skeleton_hit", 0);
+      QueryPlan shard_plan;
+      {
+        obs::SpanScope plan_span(trace, "plan", shard_span, shard_id);
+        QUICKVIEW_ASSIGN_OR_RETURN(shard_plan, PlanQuery(query_text));
+        plan_span.AddCounter("keywords", shard_plan.kq.keywords.size());
+        plan_span.AddCounter("qpts", shard_plan.qpts.size());
       }
+      obs::SpanScope build_span(trace, "build_pdts", shard_span, shard_id);
+      build_span.AddCounter("skeleton_hit", 0);
       QUICKVIEW_ASSIGN_OR_RETURN(
           built, BuildSkeletonPdts(std::move(shard_plan), shard, token.get()));
-      if (log != nullptr) CountBuild(log, built->pdt_stats);
+      CountBuild(&build_span, built->pdt_stats);
     } else if (pq->is_skeleton()) {
-      if (log != nullptr) {
-        log->Begin("build_pdts");
-        log->Count("skeleton_hit", 1);
+      // Annotated with the request's keyword set, from the caller's plan.
+      if (plan == nullptr) {
+        return Status::InvalidArgument(
+            "a prepared skeleton needs the request's plan");
       }
+      obs::SpanScope build_span(trace, "build_pdts", shard_span, shard_id);
+      build_span.AddCounter("skeleton_hit", 1);
       QUICKVIEW_ASSIGN_OR_RETURN(
           pq, Annotate(std::move(pq), *plan, shard, token.get()));
-      if (log != nullptr) CountBuild(log, pq->pdt_stats);
+      CountBuild(&build_span, pq->pdt_stats);
     }
     // Only a skeleton built here or caller-built PDTs run the evaluator;
-    // a bundle's candidates are its skeleton's, scored with its tf, and
-    // cannot fail: only a stage that can fail is logged.
+    // a bundle's candidates are its skeleton's, scored with its tf.
     const bool evaluates = built != nullptr || !pq->is_bundle();
-    const Clock::time_point eval_start = Clock::now();
-    if (log != nullptr && evaluates) log->Begin("evaluate", eval_start);
+    const Clock::time_point start = Clock::now();
+    obs::SpanScope eval_span(trace, "evaluate", shard_span, shard_id, start);
     if (built != nullptr) {
       QV_RETURN_IF_ERROR(EvaluateSkeleton(shard, built.get(), token.get()));
       QUICKVIEW_ASSIGN_OR_RETURN(
@@ -718,22 +611,23 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
       QUICKVIEW_ASSIGN_OR_RETURN(
           eval, EvaluateShard(shard, std::move(pq), token.get()));
     }
-    eval.eval_start = eval_start;
-    eval.eval_end = Clock::now();
-    eval.view_evaluated = evaluates;
-    if (eval.prepared->is_bundle()) {
-      eval.eval_ms = MsBetween(eval.eval_start, eval.eval_end);
-    }
+    const Clock::time_point end = Clock::now();
+    if (eval.prepared->is_bundle()) eval.eval_ms = MsBetween(start, end);
+    eval_span.AddCounter("view_results", eval.statistics->sequence_size);
+    eval_span.AddCounter("candidates", eval.statistics->candidates.size());
+    eval_span.AddCounter("view_evaluations", evaluates ? 1 : 0);
+    eval_span.CloseAt(end);
+    if (shard_span != nullptr) shard_span->CloseAt(end);
     return eval;
   };
   auto run_into_slot = [&](size_t slot) {
     Result<ShardEval> result = run_shard(slot);
-    if (!result.ok() && !stage_logs.empty()) {
-      stage_logs[slot].End(Clock::now());  // the stage that failed
-    }
-    if (!result.ok() && result.status().code() != StatusCode::kCancelled &&
-        result.status().code() != StatusCode::kDeadlineExceeded) {
-      token->Cancel();  // fail fast: stop the sibling shards
+    if (!result.ok()) {
+      if (shard_spans[slot] != nullptr) shard_spans[slot]->Close();
+      if (result.status().code() != StatusCode::kCancelled &&
+          result.status().code() != StatusCode::kDeadlineExceeded) {
+        token->Cancel();  // fail fast: stop the sibling shards
+      }
     }
     gather.Set(slot, std::move(result));
   };
@@ -755,19 +649,6 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
   results.reserve(n);
   for (size_t slot = 0; slot < n; ++slot) {
     results.push_back(gather.Take(slot));
-  }
-  for (size_t slot = 0; slot < stage_logs.size(); ++slot) {
-    EvaluateRecord record;
-    if (results[slot].ok()) {
-      const ShardEval& eval = results[slot].value();
-      record = {eval.eval_start, eval.eval_end,
-                eval.statistics->sequence_size,
-                eval.statistics->candidates.size(),
-                eval.view_evaluated ? 1u : 0u};
-    }
-    stage_logs[slot].Publish(trace, shard_spans[slot],
-                             static_cast<int>(selected[slot]),
-                             results[slot].ok() ? &record : nullptr);
   }
   for (size_t slot = 0; slot < n; ++slot) {
     const Status& status = results[slot].status();

@@ -124,8 +124,8 @@ struct PreparedQuery {
   double pdt_ms = 0;
   /// Approximate resident footprint, for cache budgets: a skeleton
   /// counts its PDTs, its arena and its view statistics; a bundle counts
-  /// only its term frequencies, since its skeleton is a cache entry of
-  /// its own.
+  /// only its term frequencies (a cache charges the skeleton it keeps
+  /// alive once, however many of its bundles it holds).
   uint64_t memory_bytes = 0;
   /// Skeleton only: the view evaluated over `pdts`.
   std::optional<EvaluatedView> view;
@@ -225,9 +225,10 @@ class ViewSearchEngine {
   ///    candidates are scored as they are;
   ///  - caller-built PDTs: the view is evaluated over them.
   /// A skeleton entry needs the request's keywords, connective and
-  /// signature: from `plan` when the caller has planned the request (it
-  /// is only read), otherwise Open plans it once. Only a shard that
-  /// builds a skeleton plans again, since the skeleton owns its plan.
+  /// signature: it is annotated from `plan`, the caller's plan of the
+  /// request (only read), and without one Open returns InvalidArgument.
+  /// Only a shard that builds a skeleton plans again, since the skeleton
+  /// owns its plan.
   /// The bundle each shard ran is the cursor's SharedPrepared(slot); a
   /// skeleton a shard built is that bundle's `skeleton`.
   Result<std::unique_ptr<ResultCursor>> Open(

@@ -17,9 +17,10 @@
 //   └─ materialize            FetchNext: hits, heap_pops, pages_read, ...
 //
 // Concurrency model (lock-cheap by construction):
-//   - StartSpan takes the trace mutex once per span (spans live in a
-//     deque, so pointers stay stable); shard tasks racing to create
-//     spans is the supported case.
+//   - StartSpan reserves its span's slot with one atomic increment;
+//     shard tasks racing to create spans is the supported case. Only a
+//     span past the first block takes the trace mutex, to find (or add)
+//     its block; spans never move, so pointers stay stable.
 //   - Everything else on a span — Close, AddCounter — is plain stores
 //     by the one thread that owns the span at that moment. No atomics,
 //     no locks on the hot path.
@@ -31,10 +32,12 @@
 // Tracing is opt-in per request: a null Trace* disables every hook
 // (SpanScope on a null trace is a no-op), which is the compiled-in
 // default path benchmarked by bench_trace_overhead. A traced warm search
-// must stay within a few percent of it, so counter names are not
-// copied, a caller that has read the clock for its own timer passes
-// that instant (StartSpanAt, CloseAt), and Serialize formats into one
-// stack buffer.
+// must stay within a few percent of it, so a warm search's trace makes a
+// handful of small allocations (itself, one more block of spans, its
+// text): spans live in blocks, a span's counters inside the span, span
+// and counter names are string literals the trace points to, a caller
+// that has read the clock for its own timer passes that instant
+// (StartSpanAt, CloseAt), and Serialize formats on the stack.
 //
 // AddCounter is an upsert (adding to an existing key accumulates), and
 // it stays legal after Close: the cursor attributes materialization I/O
@@ -43,9 +46,10 @@
 #ifndef QUICKVIEW_OBS_TRACE_H_
 #define QUICKVIEW_OBS_TRACE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,9 +67,6 @@ class TraceSpan {
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
-  /// Move is for the owning deque's append only; spans are referred to
-  /// by stable pointer after creation.
-  TraceSpan(TraceSpan&&) = default;
 
   /// Sets the span's duration to "now - start". May be called more than
   /// once (the cursor re-closes its materialize span after every
@@ -77,46 +78,65 @@ class TraceSpan {
 
   /// Adds `delta` to counter `name`, creating it at the end of the
   /// counter list on first use. Owner-thread only (see file comment).
-  /// The span keeps `name` itself, not a copy: it must outlive the trace
-  /// (every counter name is a string literal).
+  /// `name` must be a string literal: the span keeps the pointer.
   void AddCounter(std::string_view name, uint64_t delta);
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_; }
   int shard() const { return shard_; }
   /// Offset from the trace epoch / wall time of the span, nanoseconds.
   uint64_t start_ns() const { return start_ns_; }
   uint64_t duration_ns() const { return duration_ns_; }
   bool closed() const { return closed_; }
   const TraceSpan* parent() const { return parent_; }
-  const std::vector<std::pair<std::string_view, uint64_t>>& counters() const {
-    return counters_;
+  /// The counters, in the order they were first added: how many, and
+  /// the name and value of counter `i`.
+  size_t counter_count() const {
+    return spilled_ != nullptr ? spilled_->size() : inline_count_;
+  }
+  std::string_view counter_name(size_t i) const {
+    return spilled_ != nullptr ? (*spilled_)[i].first
+                               : std::string_view(names_[i], name_sizes_[i]);
+  }
+  uint64_t counter_value(size_t i) const {
+    return spilled_ != nullptr ? (*spilled_)[i].second : values_[i];
   }
   /// The counter's value, 0 if absent.
   uint64_t counter(std::string_view name) const;
 
  private:
   friend class Trace;
-  TraceSpan(Trace* trace, std::string name, TraceSpan* parent, int shard,
-            uint64_t start_ns);
+  TraceSpan() = default;
 
-  // Enough for every span the engine records, in one allocation.
-  static constexpr size_t kCountersReserved = 8;
+  // Every span the engine records has at most this many counters, each
+  // with a name under 256 bytes; others spill to the heap.
+  static constexpr size_t kInlineCounters = 8;
 
-  Trace* trace_;
-  std::string name_;
-  TraceSpan* parent_;
-  int shard_;
-  uint64_t start_ns_;
+  Trace* trace_ = nullptr;
+  std::string_view name_;
+  const TraceSpan* parent_ = nullptr;
+  uint64_t start_ns_ = 0;
   uint64_t duration_ns_ = 0;
+  int32_t shard_ = -1;
+  // Bytes the span's line can take in Serialize.
+  uint32_t text_bound_ = 0;
+  uint16_t depth_ = 0;  // the root's is 0
+  uint8_t inline_count_ = 0;
   bool closed_ = false;
-  std::vector<std::pair<std::string_view, uint64_t>> counters_;
+  // The inline counters, kept apart so a span is small: four spans fit
+  // a block under the allocator's small-request size.
+  uint8_t name_sizes_[kInlineCounters];
+  const char* names_[kInlineCounters];
+  uint64_t values_[kInlineCounters];
+  // Every counter, once one did not fit inline.
+  std::unique_ptr<std::vector<std::pair<std::string_view, uint64_t>>>
+      spilled_;
 };
 
 class Trace {
  public:
   /// Creates the trace with an open root span named `root_name`; the
   /// epoch (span time zero) is the construction instant.
-  explicit Trace(uint64_t id, std::string root_name = "request");
+  explicit Trace(uint64_t id, std::string_view root_name = "request");
   Trace(const Trace&) = delete;
   Trace& operator=(const Trace&) = delete;
 
@@ -124,11 +144,12 @@ class Trace {
   TraceSpan* root() { return root_; }
 
   /// Opens a child span. Thread-safe (shard tasks race here). A null
-  /// `parent` parents to the root.
-  TraceSpan* StartSpan(std::string name, TraceSpan* parent = nullptr,
+  /// `parent` parents to the root. Like a counter's, `name` must be a
+  /// string literal.
+  TraceSpan* StartSpan(std::string_view name, TraceSpan* parent = nullptr,
                        int shard = -1) QV_EXCLUDES(mu_);
   /// StartSpan with a start instant the caller has read already.
-  TraceSpan* StartSpanAt(std::string name, TraceSpan* parent, int shard,
+  TraceSpan* StartSpanAt(std::string_view name, TraceSpan* parent, int shard,
                          TraceSpan::Clock::time_point start) QV_EXCLUDES(mu_);
 
   /// The flame-style breakdown: one line per span, two-space indent per
@@ -150,8 +171,24 @@ class Trace {
   uint64_t ToNs(TraceSpan::Clock::time_point instant) const;
 
  private:
+  // Spans live in blocks of this many: the first inside the Trace, the
+  // rest on the heap. A block stays under the allocator's small-request
+  // size, so neither the Trace nor a block takes malloc's slow path.
+  static constexpr size_t kBlockSpans = 4;
+
+  /// The span in `slot`, past the first block, adding the blocks up to
+  /// it.
+  TraceSpan* BlockSlot(size_t slot) QV_REQUIRES(mu_);
+  /// The span in a reserved `slot`.
+  const TraceSpan& At(size_t slot) const QV_REQUIRES(mu_);
+  /// Writes the span in `slot` and, depth first, its subtree to `out`;
+  /// returns the end of what it wrote.
+  char* Render(size_t slot, size_t count, char* out) const QV_REQUIRES(mu_);
+
   mutable qv::Mutex mu_;
-  std::deque<TraceSpan> spans_ QV_GUARDED_BY(mu_);
+  std::atomic<size_t> size_{0};  // slots reserved
+  TraceSpan first_block_[kBlockSpans];
+  std::vector<std::unique_ptr<TraceSpan[]>> blocks_ QV_GUARDED_BY(mu_);
   TraceSpan* root_ = nullptr;
   TraceSpan::Clock::time_point epoch_;
   uint64_t id_;
@@ -162,17 +199,16 @@ class Trace {
 /// carry no branches beyond one null check.
 class SpanScope {
  public:
-  SpanScope(Trace* trace, std::string name, TraceSpan* parent = nullptr,
+  SpanScope(Trace* trace, std::string_view name, TraceSpan* parent = nullptr,
             int shard = -1)
+      : span_(trace == nullptr ? nullptr
+                               : trace->StartSpan(name, parent, shard)) {}
+  /// Starts at an instant the caller has read already.
+  SpanScope(Trace* trace, std::string_view name, TraceSpan* parent, int shard,
+            TraceSpan::Clock::time_point start)
       : span_(trace == nullptr
                   ? nullptr
-                  : trace->StartSpan(std::move(name), parent, shard)) {}
-  /// Starts at an instant the caller has read already.
-  SpanScope(Trace* trace, std::string name, TraceSpan* parent, int shard,
-            TraceSpan::Clock::time_point start)
-      : span_(trace == nullptr ? nullptr
-                               : trace->StartSpanAt(std::move(name), parent,
-                                                    shard, start)) {}
+                  : trace->StartSpanAt(name, parent, shard, start)) {}
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
   ~SpanScope() {

@@ -68,7 +68,7 @@ void PreparedQueryCache::Put(
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  total_bytes_.fetch_add(prepared->memory_bytes, std::memory_order_relaxed);
+  Charge(*prepared);
   total_entries_.fetch_add(1, std::memory_order_relaxed);
   (prepared->is_skeleton() ? skeleton_insertions_ : insertions_).Increment();
   shard.lru.push_front(Entry{key, std::move(prepared)});
@@ -116,32 +116,66 @@ bool PreparedQueryCache::Offer(
 void PreparedQueryCache::EvictLocked(Shard* shard) {
   // Budgets are global; the inserting shard pays while the cache as a
   // whole is over one of them — but never with the entry just inserted
-  // (the shard's sole survivor): evicting the newest key because OTHER
-  // shards hold the overflow would make a hot key whose shard receives
-  // no other insertions miss forever. The resulting overshoot is
-  // bounded by one entry per shard.
-  while (shard->lru.size() > 1 &&
-         (total_entries_.load(std::memory_order_relaxed) > capacity_ ||
-          (max_bytes_ != 0 &&
-           total_bytes_.load(std::memory_order_relaxed) > max_bytes_))) {
-    const Entry& victim = shard->lru.back();
-    total_bytes_.fetch_sub(victim.prepared->memory_bytes,
-                           std::memory_order_relaxed);
+  // (the front): evicting the newest key because OTHER shards hold the
+  // overflow would make a hot key whose shard receives no other
+  // insertions miss forever. Victims go LRU first, passing over a
+  // skeleton that other cached entries hold. The resulting overshoot is
+  // bounded by one entry per shard plus the skeletons passed over.
+  auto next = shard->lru.end();  // the oldest entry not yet looked at
+  while (total_entries_.load(std::memory_order_relaxed) > capacity_ ||
+         (max_bytes_ != 0 &&
+          total_bytes_.load(std::memory_order_relaxed) > max_bytes_)) {
+    std::list<Entry>::iterator victim;
+    do {
+      if (next == shard->lru.begin()) return;
+      victim = --next;
+    } while (victim == shard->lru.begin() ||
+             HeldByOthers(*victim->prepared));
+    Release(*victim->prepared);
     total_entries_.fetch_sub(1, std::memory_order_relaxed);
-    shard->index.erase(victim.key);
-    shard->lru.pop_back();
+    shard->index.erase(victim->key);
+    next = shard->lru.erase(victim);
     evictions_.Increment();
   }
+}
+
+void PreparedQueryCache::Charge(const engine::PreparedQuery& prepared) {
+  uint64_t bytes = prepared.is_skeleton() ? 0 : prepared.memory_bytes;
+  const engine::PreparedQuery* skeleton =
+      prepared.is_skeleton() ? &prepared : prepared.skeleton.get();
+  if (skeleton != nullptr) {
+    qv::MutexLock lock(held_mu_);
+    if (held_[skeleton]++ == 0) bytes += skeleton->memory_bytes;
+  }
+  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+void PreparedQueryCache::Release(const engine::PreparedQuery& prepared) {
+  uint64_t bytes = prepared.is_skeleton() ? 0 : prepared.memory_bytes;
+  const engine::PreparedQuery* skeleton =
+      prepared.is_skeleton() ? &prepared : prepared.skeleton.get();
+  if (skeleton != nullptr) {
+    qv::MutexLock lock(held_mu_);
+    auto it = held_.find(skeleton);
+    if (--it->second == 0) {
+      bytes += skeleton->memory_bytes;
+      held_.erase(it);
+    }
+  }
+  total_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+}
+
+bool PreparedQueryCache::HeldByOthers(const engine::PreparedQuery& prepared) {
+  if (!prepared.is_skeleton()) return false;
+  qv::MutexLock lock(held_mu_);
+  return held_.at(&prepared) > 1;
 }
 
 void PreparedQueryCache::Clear() {
   for (auto& shard : shards_) {
     qv::MutexLock lock(shard->mu);
     total_entries_.fetch_sub(shard->lru.size(), std::memory_order_relaxed);
-    for (const Entry& entry : shard->lru) {
-      total_bytes_.fetch_sub(entry.prepared->memory_bytes,
-                             std::memory_order_relaxed);
-    }
+    for (const Entry& entry : shard->lru) Release(*entry.prepared);
     shard->lru.clear();
     shard->index.clear();
   }
@@ -186,10 +220,8 @@ Status PreparedQueryCache::RegisterMetrics(obs::MetricsRegistry* registry,
       }));
   return registry->RegisterCallback(
       "qv_pdtcache_bytes", labels,
-      obs::MetricsRegistry::InstrumentKind::kGauge, [this]() -> int64_t {
-        return static_cast<int64_t>(
-            total_bytes_.load(std::memory_order_relaxed));
-      });
+      obs::MetricsRegistry::InstrumentKind::kGauge,
+      [this]() -> int64_t { return static_cast<int64_t>(bytes()); });
 }
 
 size_t PreparedQueryCache::size() const {

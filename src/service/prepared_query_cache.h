@@ -12,9 +12,12 @@
 // engine from one-shot into a multi-query service (EMBANKS-style
 // intermediate-structure reuse). Both kinds share the capacity, the byte
 // budget and the LRU. A skeleton's memory_bytes counts its PDTs and its
-// arena; a bundle's counts only its term frequencies, since the skeleton
-// it keeps alive is an entry of its own (a bundle whose skeleton was
-// evicted holds that memory uncounted until it goes too). The hit, miss,
+// arena, a bundle's only its term frequencies: the cache charges a
+// skeleton's bytes once while any cached entry holds it (the skeleton's
+// own entry or any of its bundles), so the byte total is what the cached
+// entries keep alive. Eviction passes over a skeleton that cached
+// bundles still hold — evicting it would free nothing, and the next new
+// keyword set over it would build a second copy. The hit, miss,
 // insertion and declined counters count bundles only, and skeletons
 // have counters of their own. Entries are shared_ptr<const>, so an entry
 // evicted while queries still execute against it stays alive until the
@@ -94,7 +97,7 @@ class PreparedQueryCache {
       const std::string& key);
 
   /// Inserts (or refreshes) `prepared` under `key`, evicting LRU entries
-  /// while the shard exceeds its budgets. An insertion counts as a
+  /// while the cache exceeds its budgets. An insertion counts as a
   /// skeleton's when `prepared->is_skeleton()`.
   void Put(const std::string& key,
            std::shared_ptr<const engine::PreparedQuery> prepared);
@@ -116,6 +119,11 @@ class PreparedQueryCache {
   /// Thin view over the cache's registry instruments.
   Stats stats() const;
   size_t size() const;
+  /// What qv_pdtcache_bytes reports: the bytes the cached entries keep
+  /// alive, each skeleton counted once.
+  uint64_t bytes() const {
+    return total_bytes_.load(std::memory_order_relaxed);
+  }
   /// The doorkeeper's fixed fingerprint count (0 when caching is
   /// disabled).
   size_t doorkeeper_slots() const {
@@ -151,12 +159,25 @@ class PreparedQueryCache {
   /// Records `sighting`; true iff it was recorded before.
   bool Sighted(uint64_t sighting);
   void EvictLocked(Shard* shard) QV_REQUIRES(shard->mu);
+  /// Adds `prepared` to the byte total as a cached entry, or takes it
+  /// away: its own bytes, plus its skeleton's when it is the first (or
+  /// the last) cached entry to hold that skeleton.
+  void Charge(const engine::PreparedQuery& prepared) QV_EXCLUDES(held_mu_);
+  void Release(const engine::PreparedQuery& prepared) QV_EXCLUDES(held_mu_);
+  /// Whether `prepared` is a skeleton that other cached entries hold.
+  bool HeldByOthers(const engine::PreparedQuery& prepared)
+      QV_EXCLUDES(held_mu_);
 
   size_t capacity_;     // global entry budget (0 = caching disabled)
   uint64_t max_bytes_;  // global PDT-byte budget (0 = entries-only)
   std::atomic<size_t> total_entries_{0};
   std::atomic<uint64_t> total_bytes_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Per skeleton, how many cached entries hold it (itself included).
+  /// Locked after a shard's mutex, never before.
+  qv::Mutex held_mu_;
+  std::unordered_map<const engine::PreparedQuery*, size_t> held_
+      QV_GUARDED_BY(held_mu_);
   /// Indexed by the sighting's own hash, not by cache shard: one plan's
   /// keys at different versions land in different shards but share a
   /// bucket. A power of two in size.

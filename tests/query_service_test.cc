@@ -637,10 +637,12 @@ TEST_P(SkeletonReuseTest, BundleHitRunsNoEvaluator) {
   EXPECT_EQ(cache.skeleton_hits, shards);
 }
 
-// Several threads open and page cursors over the view's one cached
-// skeleton while another thread keeps replacing the view, which moves
-// every cache key and makes searches build new skeletons meanwhile. The
-// view text stays the same, so every answer must too.
+// Several threads open and page cursors over the view's cached skeleton
+// and bundles while another thread replaces the view three times, spaced
+// out between reader rounds: each replacement moves every cache key, so
+// searches build new skeletons meanwhile, and between replacements the
+// readers share what is cached. The view text stays the same, so every
+// answer must too.
 TEST_P(SkeletonReuseTest, CursorsShareASkeletonWhileTheViewIsReplaced) {
   const std::vector<std::vector<std::string>> sets = {
       {"xml"}, {"search"}, {"xml", "search"}, {"database", "web"}};
@@ -656,20 +658,27 @@ TEST_P(SkeletonReuseTest, CursorsShareASkeletonWhileTheViewIsReplaced) {
     BatchQuery query{"bookrev", keywords, options};
     ASSERT_TRUE(service_->SearchOne(query).ok());
   }
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 12;
+  const PreparedQueryCache::Stats before = service_->stats().cache;
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
+  std::atomic<int> rounds_done{0};
   std::thread replacer([&] {
-    while (!stop.load()) {
+    for (int replacement = 1; replacement <= 3; ++replacement) {
+      while (!stop.load() &&
+             rounds_done.load() < replacement * kReaders * kRounds / 4) {
+        std::this_thread::yield();
+      }
       if (!service_->RegisterView("bookrev", workload::BookRevView()).ok()) {
         ++failures;
       }
-      std::this_thread::yield();
     }
   });
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      for (int round = 0; round < 12; ++round) {
+      for (int round = 0; round < kRounds; ++round, ++rounds_done) {
         const size_t i = static_cast<size_t>(t + round) % sets.size();
         BatchQuery query{"bookrev", sets[i], engine::SearchOptions{}};
         query.options.conjunctive = false;
@@ -702,6 +711,10 @@ TEST_P(SkeletonReuseTest, CursorsShareASkeletonWhileTheViewIsReplaced) {
   stop.store(true);
   replacer.join();
   EXPECT_EQ(failures.load(), 0);
+  // The readers did share cached bundles and skeletons.
+  const PreparedQueryCache::Stats after = service_->stats().cache;
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_GT(after.skeleton_hits, before.skeleton_hits);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -711,6 +724,60 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param.shards) + "Shards" +
              (info.param.packed ? "Packed" : "InMemory");
     });
+
+// A skeleton's bytes are charged once however many cached entries hold
+// it, eviction passes over a skeleton its cached bundles still hold, and
+// a bundle cached without its skeleton still counts the skeleton.
+TEST(PreparedQueryCacheTest, ChargesEachSkeletonOnceAndKeepsItWhileHeld) {
+  auto skeleton = std::make_shared<engine::PreparedQuery>();
+  skeleton->view.emplace();
+  skeleton->memory_bytes = 1000;
+  auto bundle = [&skeleton](uint64_t tf_bytes) {
+    auto entry = std::make_shared<engine::PreparedQuery>();
+    entry->skeleton = skeleton;
+    entry->memory_bytes = tf_bytes;
+    return entry;
+  };
+  auto standalone = [](uint64_t bytes) {
+    auto entry = std::make_shared<engine::PreparedQuery>();
+    entry->memory_bytes = bytes;
+    return entry;
+  };
+  PreparedQueryCache::Options options;
+  options.capacity = 16;
+  options.shards = 1;
+  options.max_bytes = 1100;
+  PreparedQueryCache cache(options);
+  cache.Put("skeleton", skeleton);
+  cache.Put("a", bundle(40));
+  cache.Put("b", bundle(40));
+  EXPECT_EQ(cache.bytes(), 1080u);
+  EXPECT_EQ(cache.size(), 3u);
+
+  // Over budget: the skeleton is least recently used, but its bundles
+  // hold it, so they go first, oldest first, until the cache fits.
+  cache.Put("other", standalone(100));
+  EXPECT_EQ(cache.bytes(), 1100u);  // the skeleton and "other"
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+
+  // Held by nothing else, the skeleton is evicted like any entry, and
+  // its bytes leave the total.
+  cache.Put("other2", standalone(100));
+  EXPECT_EQ(cache.GetSkeleton("skeleton"), nullptr);
+  EXPECT_EQ(cache.bytes(), 200u);
+
+  // A bundle cached without its skeleton keeps the skeleton alive, and
+  // the total counts it.
+  cache.Put("c", bundle(40));
+  EXPECT_EQ(cache.bytes(), 1040u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().evictions, 5u);
+
+  cache.Clear();
+  EXPECT_EQ(cache.bytes(), 0u);
+}
 
 TEST(PreparedQueryCacheTest, DoorkeeperMemoryDoesNotGrowWithDistinctPlans) {
   PreparedQueryCache::Options options;

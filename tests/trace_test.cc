@@ -97,7 +97,7 @@ TEST(TraceTest, FourShardSearchYieldsOneSpanPerShardTask) {
                span->parent()->name() == "shard") {
       EXPECT_EQ(span->shard(), span->parent()->shard())
           << "child span must carry its shard task's id";
-      children[span->shard()].push_back(span->name());
+      children[span->shard()].emplace_back(span->name());
     } else if (span->name() == "merge") {
       ++merge_spans;
       EXPECT_EQ(span->parent(), root);
