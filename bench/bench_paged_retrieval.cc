@@ -47,8 +47,8 @@ std::unique_ptr<service::QueryService> MakeService() {
   return query_service;
 }
 
-service::BatchQuery MakeQuery() {
-  service::BatchQuery query;
+engine::SearchRequest MakeQuery() {
+  engine::SearchRequest query;
   query.view = "bookrev";
   query.keywords = {"xml", "search", "web", "database"};
   query.options.conjunctive = false;
@@ -69,7 +69,7 @@ void ReportStats(benchmark::State& state,
 /// Cold: every iteration pays plan + PDT build + open + one page.
 void BM_PagedFirst10Cold(benchmark::State& state) {
   auto query_service = MakeService();
-  service::BatchQuery query = MakeQuery();
+  engine::SearchRequest query = MakeQuery();
   engine::SearchStats last;
   for (auto _ : state) {
     query_service->ClearCache();
@@ -86,7 +86,7 @@ BENCHMARK(BM_PagedFirst10Cold)->Unit(benchmark::kMillisecond);
 /// one materialized page of 10.
 void BM_PagedFirst10Warm(benchmark::State& state) {
   auto query_service = MakeService();
-  service::BatchQuery query = MakeQuery();
+  engine::SearchRequest query = MakeQuery();
   // Two sightings: the cache admits a plan on its second.
   DieOnError(query_service->SearchOne(query), "warmup");
   DieOnError(query_service->SearchOne(query), "warmup");
@@ -105,7 +105,7 @@ BENCHMARK(BM_PagedFirst10Warm)->Unit(benchmark::kMillisecond);
 /// the upper bound the paged path avoids.
 void BM_PagedDrainAllWarm(benchmark::State& state) {
   auto query_service = MakeService();
-  service::BatchQuery query = MakeQuery();
+  engine::SearchRequest query = MakeQuery();
   // Two sightings: the cache admits a plan on its second.
   DieOnError(query_service->SearchOne(query), "warmup");
   DieOnError(query_service->SearchOne(query), "warmup");

@@ -37,7 +37,7 @@ const storage::ShardSet& GetBookrevCorpus() {
 /// distinct signature), so a cleared cache misses on EVERY query of the
 /// batch and a warmed cache hits on every one — the two endpoints the
 /// cold/warm comparison wants.
-std::vector<service::BatchQuery> MakeBatch(size_t batch_size) {
+std::vector<engine::SearchRequest> MakeBatch(size_t batch_size) {
   static const std::vector<std::vector<std::string>>* kSets = [] {
     const std::vector<std::string> terms{"xml", "search", "web", "database"};
     auto* sets = new std::vector<std::vector<std::string>>();
@@ -60,10 +60,10 @@ std::vector<service::BatchQuery> MakeBatch(size_t batch_size) {
     }
     return sets;
   }();
-  std::vector<service::BatchQuery> batch;
+  std::vector<engine::SearchRequest> batch;
   batch.reserve(batch_size);
   for (size_t i = 0; i < batch_size; ++i) {
-    service::BatchQuery query;
+    engine::SearchRequest query;
     query.view = "bookrev";
     query.keywords = (*kSets)[i % kSets->size()];
     // Disjunctive semantics so even rare term combinations return
@@ -100,7 +100,7 @@ constexpr size_t kBatchSize = 64;
 
 void BM_ThroughputCold(benchmark::State& state) {
   auto query_service = MakeService(static_cast<int>(state.range(0)));
-  std::vector<service::BatchQuery> batch = MakeBatch(kBatchSize);
+  std::vector<engine::SearchRequest> batch = MakeBatch(kBatchSize);
   for (auto _ : state) {
     query_service->ClearCache();
     CheckBatch(query_service->SearchBatch(batch));
@@ -122,7 +122,7 @@ BENCHMARK(BM_ThroughputCold)
 
 void BM_ThroughputWarm(benchmark::State& state) {
   auto query_service = MakeService(static_cast<int>(state.range(0)));
-  std::vector<service::BatchQuery> batch = MakeBatch(kBatchSize);
+  std::vector<engine::SearchRequest> batch = MakeBatch(kBatchSize);
   // Warm every signature: the cache admits a plan on its second sighting.
   CheckBatch(query_service->SearchBatch(batch));
   CheckBatch(query_service->SearchBatch(batch));

@@ -9,7 +9,9 @@
 // The benchmark pair reports both sides for bench/baseline.json; with
 // QV_BENCH_ASSERT_OVERHEAD=1 the binary then measures the two variants
 // interleaved (to cancel frequency/cache drift) and fails if the traced
-// p50 exceeds the untraced p50 by more than 3%.
+// p50 exceeds the untraced p50 by more than 3%. Samples are timed in
+// nanoseconds: a warm search takes tens of microseconds, so whole
+// microseconds would make one rounding step a third of the budget.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -137,7 +139,7 @@ void BM_SearchTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchTraced)->Unit(benchmark::kMillisecond);
 
-uint64_t PercentileUs(std::vector<uint64_t>& samples, double q) {
+uint64_t PercentileNs(std::vector<uint64_t>& samples, double q) {
   std::sort(samples.begin(), samples.end());
   const size_t rank = std::min(
       samples.size() - 1, static_cast<size_t>(q * samples.size()));
@@ -158,31 +160,31 @@ int AssertOverhead() {
     RunOnce(engine, prepared, /*traced=*/(i % 2) != 0, i + 1);
   }
 
-  std::vector<uint64_t> untraced_us, traced_us;
-  untraced_us.reserve(kSamples);
-  traced_us.reserve(kSamples);
+  std::vector<uint64_t> untraced_ns, traced_ns;
+  untraced_ns.reserve(kSamples);
+  traced_ns.reserve(kSamples);
   for (int i = 0; i < 2 * kSamples; ++i) {
     const bool traced = (i % 2) != 0;
     const auto start = std::chrono::steady_clock::now();
     RunOnce(engine, prepared, traced, i + 1);
-    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - start);
-    (traced ? traced_us : untraced_us)
+    (traced ? traced_ns : untraced_ns)
         .push_back(static_cast<uint64_t>(elapsed.count()));
   }
 
-  const uint64_t untraced_p50 = PercentileUs(untraced_us, 0.50);
-  const uint64_t traced_p50 = PercentileUs(traced_us, 0.50);
+  const uint64_t untraced_p50 = PercentileNs(untraced_ns, 0.50);
+  const uint64_t traced_p50 = PercentileNs(traced_ns, 0.50);
   const double delta =
       untraced_p50 == 0
           ? 0.0
           : (static_cast<double>(traced_p50) - static_cast<double>(untraced_p50)) /
                 static_cast<double>(untraced_p50);
   std::printf(
-      "trace overhead: untraced p50 %lluus, traced p50 %lluus, delta %+.2f%% "
-      "(budget +3%%)\n",
-      static_cast<unsigned long long>(untraced_p50),
-      static_cast<unsigned long long>(traced_p50), delta * 100.0);
+      "trace overhead: untraced p50 %.3fus, traced p50 %.3fus, delta "
+      "%+.2f%% (budget +3%%)\n",
+      static_cast<double>(untraced_p50) / 1e3,
+      static_cast<double>(traced_p50) / 1e3, delta * 100.0);
   if (delta > 0.03) {
     std::fprintf(stderr,
                  "FAIL: tracing moved warm-search p50 by more than 3%%\n");

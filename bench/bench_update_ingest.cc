@@ -121,8 +121,9 @@ void BM_QueryLatencyDuringIngest(benchmark::State& state) {
   Status registered =
       service.RegisterView("bookrev", workload::BookRevView());
   if (!registered.ok()) abort();
-  service::BatchQuery query{"bookrev", {"xml", "search"},
-                            engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml", "search"};
 
   std::string reviews_text;
   if (replacing) {

@@ -81,17 +81,10 @@ class ResultCursor {
   /// growing with every fetch.
   const EngineStats& stats() const { return stats_; }
 
-  /// The prepared query of shard 0 — on an unsharded engine, THE
-  /// prepared query this cursor executes. The cursor keeps every shard's
-  /// prepared query alive.
-  const PreparedQuery& prepared() const { return *slices_[0].prepared; }
-
-  /// Number of executed shards behind this cursor (slot order ==
-  /// executed-shard order: all shards, or just the hinted one).
-  size_t shard_slices() const { return slices_.size(); }
-
-  /// Shared ownership of slot `slot`'s prepared query — how the service
-  /// layer caches PDTs the engine built on the fly during Open.
+  /// Shared ownership of slot `slot`'s prepared query (slot order ==
+  /// executed-shard order: all shards, or just the hinted one) — how the
+  /// service layer caches PDTs the engine built on the fly during Open.
+  /// The cursor keeps every slot's prepared query alive.
   std::shared_ptr<const PreparedQuery> SharedPrepared(size_t slot) const {
     return slices_[slot].prepared;
   }

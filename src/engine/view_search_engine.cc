@@ -79,6 +79,24 @@ uint64_t FootprintBytes(const EvaluatedView& view) {
   return bytes;
 }
 
+// A bundle of `skeleton` for the keyword set of `facts` (a plan or a
+// bundle's plan facts), holding its term frequencies `tf`.
+std::shared_ptr<PreparedQuery> NewBundle(
+    const QueryPlan& facts, std::shared_ptr<const PreparedQuery> skeleton,
+    std::vector<uint64_t> tf) {
+  auto bundle = std::make_shared<PreparedQuery>();
+  bundle->plan.kq.keywords = facts.kq.keywords;
+  bundle->plan.kq.conjunctive = facts.kq.conjunctive;
+  bundle->plan.signature = facts.signature;
+  bundle->plan.pdt_signature = facts.pdt_signature;
+  bundle->plan.qpt_ms = facts.qpt_ms;
+  bundle->tf = std::move(tf);
+  bundle->pdt_stats = skeleton->pdt_stats;
+  bundle->memory_bytes = bundle->tf.size() * sizeof(uint64_t);
+  bundle->skeleton = std::move(skeleton);
+  return bundle;
+}
+
 void CountBuild(obs::SpanScope* span, const pdt::PdtBuildStats& stats) {
   span->AddCounter("ids_processed", stats.ids_processed);
   span->AddCounter("nodes_emitted", stats.nodes_emitted);
@@ -334,19 +352,21 @@ Result<std::shared_ptr<PreparedQuery>> ViewSearchEngine::Annotate(
         pdt::ContentTermFrequencies(*skeleton->pdts[i], inv_lists);
     content_tf.insert(content_tf.end(), pdt_tf.begin(), pdt_tf.end());
   }
-  auto bundle = std::make_shared<PreparedQuery>();
-  bundle->plan.kq.keywords = keywords;
-  bundle->plan.kq.conjunctive = facts.kq.conjunctive;
-  bundle->plan.signature = facts.signature;
-  bundle->plan.pdt_signature = facts.pdt_signature;
-  bundle->plan.qpt_ms = facts.qpt_ms;
-  bundle->tf = scoring::TermFrequencies(skeleton->view->statistics, keywords,
-                                        content_tf);
-  bundle->pdt_stats = skeleton->pdt_stats;
-  bundle->memory_bytes = bundle->tf.size() * sizeof(uint64_t);
-  bundle->skeleton = std::move(skeleton);
+  std::vector<uint64_t> tf = scoring::TermFrequencies(
+      skeleton->view->statistics, keywords, content_tf);
+  std::shared_ptr<PreparedQuery> bundle =
+      NewBundle(facts, std::move(skeleton), std::move(tf));
   bundle->pdt_ms = MsSince(start);
   return bundle;
+}
+
+std::shared_ptr<const PreparedQuery> RebindBundle(
+    const PreparedQuery& bundle,
+    std::shared_ptr<const PreparedQuery> skeleton) {
+  std::shared_ptr<PreparedQuery> rebound =
+      NewBundle(bundle.plan, std::move(skeleton), bundle.tf);
+  rebound->pdt_ms = bundle.pdt_ms;
+  return rebound;
 }
 
 Result<ViewSearchEngine::ShardEval> ViewSearchEngine::EvaluateShard(
@@ -375,20 +395,10 @@ Result<ViewSearchEngine::ShardEval> ViewSearchEngine::EvaluateShard(
   // idf needs the whole corpus, so scoring waits for every shard), laid
   // out as a bundle's are ---
   start = Clock::now();
-  QUICKVIEW_ASSIGN_OR_RETURN(
-      scoring::CandidateSet set,
-      scoring::CollectCandidates(view_results, plan.kq.keywords, cancel));
   auto statistics = std::make_shared<scoring::ViewStatistics>();
   auto tf = std::make_shared<std::vector<uint64_t>>();
-  statistics->sequence_size = set.sequence_size;
-  statistics->view_bytes = set.view_bytes;
-  statistics->candidates.reserve(set.candidates.size());
-  tf->reserve(set.candidates.size() * plan.kq.keywords.size());
-  for (const scoring::ScoredResult& r : set.candidates) {
-    statistics->candidates.push_back(
-        {r.result, r.view_position, r.byte_length, /*content_end=*/0});
-    tf->insert(tf->end(), r.tf.begin(), r.tf.end());
-  }
+  QV_RETURN_IF_ERROR(scoring::CollectCandidates(
+      view_results, plan.kq.keywords, statistics.get(), tf.get(), cancel));
   eval.statistics = std::move(statistics);
   eval.tf = std::move(tf);
   eval.collect_ms = MsSince(start);

@@ -122,10 +122,10 @@ struct PreparedQuery {
   /// Aggregated over all QPTs. A bundle reports its skeleton's figures.
   pdt::PdtBuildStats pdt_stats;
   double pdt_ms = 0;
-  /// Approximate resident footprint, for cache budgets: a skeleton
+  /// Approximate resident footprint, for cache accounting: a skeleton
   /// counts its PDTs, its arena and its view statistics; a bundle counts
-  /// only its term frequencies (a cache charges the skeleton it keeps
-  /// alive once, however many of its bundles it holds).
+  /// only its term frequencies (the cache keeps a cached bundle's
+  /// skeleton cached too, so it counts that skeleton once).
   uint64_t memory_bytes = 0;
   /// Skeleton only: the view evaluated over `pdts`.
   std::optional<EvaluatedView> view;
@@ -138,6 +138,13 @@ struct PreparedQuery {
   bool is_skeleton() const { return view.has_value(); }
   bool is_bundle() const { return skeleton != nullptr; }
 };
+
+/// `bundle`'s keyword set and term frequencies over `skeleton`, another
+/// build of the bundle's own skeleton from the same inputs (and so
+/// identical to it): how a cache that keeps one skeleton per key keeps
+/// the bundles of a duplicate that a concurrent request built.
+std::shared_ptr<const PreparedQuery> RebindBundle(
+    const PreparedQuery& bundle, std::shared_ptr<const PreparedQuery> skeleton);
 
 /// Canonical signature of the keyword-free PDT inputs: QPT shapes (tags,
 /// axes, annotations, predicates). Two plans with equal PDT signatures

@@ -11,8 +11,9 @@ namespace quickview::scoring {
 
 namespace {
 
+// Adds the result's term frequencies to tf[0..keywords.size()).
 void Walk(const xml::Document& doc, xml::NodeIndex index,
-          const std::vector<std::string>& keywords, std::vector<uint64_t>* tf,
+          const std::vector<std::string>& keywords, uint64_t* tf,
           uint64_t* byte_length) {
   const xml::Node& node = doc.node(index);
   if (node.stats != nullptr && node.stats->content_pruned) {
@@ -20,14 +21,14 @@ void Walk(const xml::Document& doc, xml::NodeIndex index,
     // generation; the node's children (if any) duplicate summarized
     // content and must not be counted again.
     for (size_t k = 0; k < keywords.size(); ++k) {
-      (*tf)[k] += k < node.stats->term_tf.size() ? node.stats->term_tf[k] : 0;
+      tf[k] += k < node.stats->term_tf.size() ? node.stats->term_tf[k] : 0;
     }
     *byte_length += node.stats->byte_length;
     return;
   }
   xml::ForEachDirectTerm(node, [&keywords, tf](std::string_view run) {
     for (size_t k = 0; k < keywords.size(); ++k) {
-      if (xml::TokenEquals(run, keywords[k])) ++(*tf)[k];
+      if (xml::TokenEquals(run, keywords[k])) ++tf[k];
     }
   });
   *byte_length += xml::OwnByteLength(node);
@@ -75,7 +76,7 @@ Status RecordWalk(const xml::Document& doc, xml::NodeIndex index,
 }
 
 // Phase 3 for one candidate's `width` term frequencies: keyword semantics,
-// then the TF-IDF score. Both FilterAndScore forms run exactly this.
+// then the TF-IDF score.
 bool Matches(const uint64_t* tf, size_t width, bool conjunctive) {
   bool matches = conjunctive;
   for (size_t k = 0; k < width; ++k) {
@@ -105,40 +106,33 @@ void ComputeResultStatistics(const xquery::NodeHandle& result,
                              uint64_t* byte_length) {
   tf->assign(keywords.size(), 0);
   *byte_length = 0;
-  Walk(*result.doc, result.effective_index(), keywords, tf, byte_length);
+  Walk(*result.doc, result.effective_index(), keywords, tf->data(),
+       byte_length);
 }
 
-Result<CandidateSet> CollectCandidates(
-    const xquery::Sequence& view_results,
-    const std::vector<std::string>& keywords,
-    const CancellationToken* cancel) {
-  CandidateSet set;
-  set.sequence_size = view_results.size();
-  set.candidates.reserve(view_results.size());
+Status CollectCandidates(const xquery::Sequence& view_results,
+                         const std::vector<std::string>& keywords,
+                         ViewStatistics* view, std::vector<uint64_t>* tf,
+                         const CancellationToken* cancel) {
+  const size_t width = keywords.size();
+  view->sequence_size = view_results.size();
+  view->candidates.reserve(view_results.size());
+  tf->reserve(tf->size() + view_results.size() * width);
   for (size_t i = 0; i < view_results.size(); ++i) {
     if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
     const xquery::NodeHandle* handle =
         std::get_if<xquery::NodeHandle>(&view_results[i]);
     if (handle == nullptr) continue;  // atomic items are never results
-    ScoredResult r;
-    r.result = *handle;
-    r.view_position = i;
-    ComputeResultStatistics(*handle, keywords, &r.tf, &r.byte_length);
-    set.view_bytes += r.byte_length;
-    set.candidates.push_back(std::move(r));
+    ViewStatistics::Candidate candidate;
+    candidate.result = *handle;
+    candidate.view_position = i;
+    tf->resize(tf->size() + width, 0);
+    Walk(*handle->doc, handle->effective_index(), keywords,
+         tf->data() + tf->size() - width, &candidate.byte_length);
+    view->view_bytes += candidate.byte_length;
+    view->candidates.push_back(candidate);
   }
-  return set;
-}
-
-void AccumulateDf(const CandidateSet& set, std::vector<uint64_t>* df) {
-  if (!set.candidates.empty() && df->size() < set.candidates[0].tf.size()) {
-    df->resize(set.candidates[0].tf.size(), 0);
-  }
-  for (const ScoredResult& r : set.candidates) {
-    for (size_t k = 0; k < r.tf.size(); ++k) {
-      if (r.tf[k] > 0) ++(*df)[k];
-    }
-  }
+  return Status::OK();
 }
 
 std::vector<double> ComputeIdf(uint64_t total_candidates,
@@ -149,19 +143,6 @@ std::vector<double> ComputeIdf(uint64_t total_candidates,
     idf[k] = df[k] == 0 ? 0.0 : total / static_cast<double>(df[k]);
   }
   return idf;
-}
-
-Result<std::vector<ScoredResult>> FilterAndScore(
-    std::vector<ScoredResult> candidates, const std::vector<double>& idf,
-    bool conjunctive, const CancellationToken* cancel) {
-  std::vector<ScoredResult> kept;
-  for (ScoredResult& r : candidates) {
-    if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
-    if (!Matches(r.tf.data(), r.tf.size(), conjunctive)) continue;
-    r.score = Score(r.tf.data(), r.tf.size(), idf, r.byte_length);
-    kept.push_back(std::move(r));
-  }
-  return kept;
 }
 
 Result<ViewStatistics> CollectViewStatistics(
@@ -252,21 +233,20 @@ ScoringOutcome ScoreCandidates(const xquery::Sequence& view_results,
                                bool conjunctive) {
   // Recomposed from the phased API so the one-shard path and the sharded
   // path run literally the same arithmetic. No cancellation token: the
-  // synchronous path cannot fail, so the Results below are always values.
-  Result<CandidateSet> collected =
-      CollectCandidates(view_results, keywords, /*cancel=*/nullptr);
-  CandidateSet set;
-  if (collected.ok()) set = std::move(collected).value();
-
-  std::vector<uint64_t> df(keywords.size(), 0);
-  AccumulateDf(set, &df);
-  const std::vector<double> idf =
-      ComputeIdf(static_cast<uint64_t>(set.candidates.size()), df);
-
+  // synchronous path cannot fail, so the Statuses below are always OK.
   ScoringOutcome outcome;
-  outcome.view_bytes = set.view_bytes;
-  Result<std::vector<ScoredResult>> kept = FilterAndScore(
-      std::move(set.candidates), idf, conjunctive, /*cancel=*/nullptr);
+  ViewStatistics view;
+  std::vector<uint64_t> tf;
+  if (!CollectCandidates(view_results, keywords, &view, &tf).ok()) {
+    return outcome;
+  }
+  std::vector<uint64_t> df(keywords.size(), 0);
+  AccumulateDf(tf, &df);
+  const std::vector<double> idf =
+      ComputeIdf(static_cast<uint64_t>(view.candidates.size()), df);
+  outcome.view_bytes = view.view_bytes;
+  Result<std::vector<ScoredResult>> kept =
+      FilterAndScore(view, tf, idf, conjunctive);
   if (kept.ok()) outcome.ranked = std::move(kept).value();
   return outcome;
 }

@@ -84,58 +84,12 @@ ScoringOutcome ScoreCandidates(const xquery::Sequence& view_results,
 // are bit-identical to the single-sequence path, which is itself
 // recomposed from the same three phases.
 
-/// Phase-1 output: raw per-candidate statistics, no keyword semantics or
-/// scores applied yet. `candidates` is in view order with view_position
-/// local to the walked sequence (a sharded coordinator re-bases it by
-/// the shard's cumulative offset).
-struct CandidateSet {
-  std::vector<ScoredResult> candidates;
-  /// Length of the walked sequence INCLUDING atomic items that never
-  /// become candidates — the |V(D)| the stats surface reports.
-  size_t sequence_size = 0;
-  /// Total byte length over the walked view results (ScoringOutcome
-  /// semantics, per shard).
-  uint64_t view_bytes = 0;
-};
-
-/// Phase 1: walks every view result collecting tf vectors and byte
-/// lengths. Polls `cancel` (if non-null) between results and returns
-/// its typed status when it fires.
-Result<CandidateSet> CollectCandidates(
-    const xquery::Sequence& view_results,
-    const std::vector<std::string>& keywords,
-    const CancellationToken* cancel = nullptr);
-
-/// Phase 2a: folds one candidate set's per-keyword document frequencies
-/// into `df` (resized to the tf width on first use).
-void AccumulateDf(const CandidateSet& set, std::vector<uint64_t>* df);
-
-/// Phase 2b: idf(k) = total_candidates / df(k), 0 when df(k) == 0 —
-/// the exact arithmetic of ScoreCandidates, fed with globally summed
-/// integer counts.
-std::vector<double> ComputeIdf(uint64_t total_candidates,
-                               const std::vector<uint64_t>& df);
-
-/// Phase 3: applies conjunctive/disjunctive keyword semantics and the
-/// TF-IDF score against a (possibly global) idf vector. Survivors keep
-/// their input order. Polls `cancel` between candidates like phase 1.
-Result<std::vector<ScoredResult>> FilterAndScore(
-    std::vector<ScoredResult> candidates, const std::vector<double>& idf,
-    bool conjunctive, const CancellationToken* cancel = nullptr);
-
-// ---------------------------------------------------------------------
-// Keyword-free phase 1: collected once per view evaluated over PDT
-// skeletons (PDTs built with no keywords).
-//
-// Everything CollectCandidates computes is independent of the keywords
-// except the term frequencies, and those are sums: a candidate's tf(k)
-// adds the stored subtree tf of every pruned node the walk reaches and
-// the occurrences of k among the direct terms of its other nodes.
-// ViewStatistics records those summands once, so any keyword set's term
-// frequencies follow from the pruned nodes' term frequencies alone
-// (TermFrequencies) — with no evaluation and no walk — and phase 3 runs
-// over them directly.
-
+/// Phase-1 output: the node-valued view results in view order, with
+/// view_position local to the walked sequence (a sharded coordinator
+/// re-bases it by the shard's cumulative offset), their byte lengths
+/// and, when collected without keywords, what their term frequencies
+/// sum. The term frequencies themselves live beside it, flat, one row of
+/// keywords.size() entries per candidate.
 struct ViewStatistics {
   /// One node-valued view result.
   struct Candidate {
@@ -147,17 +101,64 @@ struct ViewStatistics {
     uint32_t content_end = 0;
   };
   std::vector<Candidate> candidates;
-  /// Per candidate run: the ordinals of the pruned nodes whose stored
-  /// term frequencies its statistics sum, repeats kept.
+  /// Keyword-free collection only (CollectViewStatistics): per candidate
+  /// run, the ordinals of the pruned nodes whose stored term frequencies
+  /// its statistics sum, repeats kept.
   std::vector<uint32_t> content_refs;
-  /// Lowercased direct term of the candidates' unpruned nodes ->
-  /// (candidate, occurrences), candidates ascending.
+  /// Keyword-free collection only: lowercased direct term of the
+  /// candidates' unpruned nodes -> (candidate, occurrences), candidates
+  /// ascending.
   std::unordered_map<std::string, std::vector<std::pair<uint32_t, uint32_t>>>
       direct_terms;
-  /// CandidateSet's figures.
+  /// Length of the walked sequence INCLUDING atomic items that never
+  /// become candidates — the |V(D)| the stats surface reports.
   size_t sequence_size = 0;
+  /// Total byte length over the walked view results (ScoringOutcome
+  /// semantics, per shard).
   uint64_t view_bytes = 0;
 };
+
+/// Phase 1: walks every view result, filling `view`'s candidates,
+/// sequence_size and view_bytes and appending keywords.size() term
+/// frequencies per candidate to `tf`. Polls `cancel` (if non-null)
+/// between results and returns its typed status when it fires.
+Status CollectCandidates(const xquery::Sequence& view_results,
+                         const std::vector<std::string>& keywords,
+                         ViewStatistics* view, std::vector<uint64_t>* tf,
+                         const CancellationToken* cancel = nullptr);
+
+/// Phase 2a: folds the per-keyword document frequencies of flat term
+/// frequencies, df.size() entries per candidate, into `df`.
+void AccumulateDf(const std::vector<uint64_t>& tf, std::vector<uint64_t>* df);
+
+/// Phase 2b: idf(k) = total_candidates / df(k), 0 when df(k) == 0 —
+/// the exact arithmetic of ScoreCandidates, fed with globally summed
+/// integer counts.
+std::vector<double> ComputeIdf(uint64_t total_candidates,
+                               const std::vector<uint64_t>& df);
+
+/// Phase 3: applies conjunctive/disjunctive keyword semantics and the
+/// TF-IDF score to `view`'s candidates and their flat term frequencies
+/// (idf.size() entries per candidate) against a (possibly global) idf
+/// vector. Survivors keep their view order. Polls `cancel` between
+/// candidates like phase 1.
+Result<std::vector<ScoredResult>> FilterAndScore(
+    const ViewStatistics& view, const std::vector<uint64_t>& tf,
+    const std::vector<double>& idf, bool conjunctive,
+    const CancellationToken* cancel = nullptr);
+
+// ---------------------------------------------------------------------
+// Keyword-free phase 1: collected once per view evaluated over PDT
+// skeletons (PDTs built with no keywords).
+//
+// Everything CollectCandidates computes is independent of the keywords
+// except the term frequencies, and those are sums: a candidate's tf(k)
+// adds the stored subtree tf of every pruned node the walk reaches and
+// the occurrences of k among the direct terms of its other nodes.
+// CollectViewStatistics records those summands once, so any keyword
+// set's term frequencies follow from the pruned nodes' term frequencies
+// alone (TermFrequencies) — with no evaluation and no walk — and phases
+// 2 and 3 run over them as over CollectCandidates' own.
 
 /// Keyword-free phase 1: walks every view result as CollectCandidates
 /// does. `content_ordinals` numbers the NodeStats of every pruned node a
@@ -176,17 +177,6 @@ Result<ViewStatistics> CollectViewStatistics(
 std::vector<uint64_t> TermFrequencies(const ViewStatistics& view,
                                       const std::vector<std::string>& keywords,
                                       const std::vector<uint32_t>& content_tf);
-
-/// Phase 2a over flat term frequencies, df.size() entries per candidate.
-void AccumulateDf(const std::vector<uint64_t>& tf, std::vector<uint64_t>* df);
-
-/// Phase 3 over `view`'s candidates and their flat term frequencies
-/// (idf.size() entries per candidate): the survivors FilterAndScore keeps
-/// of the same candidates, scored bit for bit the same.
-Result<std::vector<ScoredResult>> FilterAndScore(
-    const ViewStatistics& view, const std::vector<uint64_t>& tf,
-    const std::vector<double>& idf, bool conjunctive,
-    const CancellationToken* cancel = nullptr);
 
 /// Truncates a scored list to the top k (list is already sorted).
 void TakeTopK(std::vector<ScoredResult>* results, size_t k);

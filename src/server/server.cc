@@ -415,25 +415,35 @@ Result<std::string> Server::RunOpcode(const std::shared_ptr<Connection>& conn,
   // one request correlate by construction.
   const bool traced =
       (frame.flags & kFlagTrace) != 0 || options_.trace_all;
-  // Turns a Search/OpenCursor request into a BatchQuery whose deadline
-  // is the REMAINING budget: absolute from frame arrival, so queueing
-  // time counts against it. Returns false when already expired.
-  auto to_batch_query = [&](const SearchRpcRequest& req,
-                            service::BatchQuery* query) -> bool {
-    query->view = req.view;
-    query->keywords = req.keywords;
-    query->options.top_k = req.top_k;
-    query->options.conjunctive = req.conjunctive;
-    query->shard = req.shard;
+  // Decodes a Search/OpenCursor payload into the service's request,
+  // whose deadline is the REMAINING budget: absolute from frame arrival,
+  // so queueing time counts against it. An already expired one is
+  // DeadlineExceeded. A traced request carries its trace.
+  auto decode_request = [&](const char* op) -> Result<engine::SearchRequest> {
+    QUICKVIEW_ASSIGN_OR_RETURN(SearchRpcRequest req,
+                               DecodeSearchRpcRequest(frame.payload));
+    obs->description = DescribeSearch(op, req);
+    engine::SearchRequest request;
+    request.view = req.view;
+    request.keywords = req.keywords;
+    request.options.top_k = req.top_k;
+    request.options.conjunctive = req.conjunctive;
+    request.shard = req.shard;
     if (req.deadline_ms != 0) {
       const Clock::time_point deadline =
           arrival + std::chrono::milliseconds(req.deadline_ms);
       const Clock::time_point now = Clock::now();
-      if (now >= deadline) return false;
-      query->deadline = std::chrono::duration_cast<std::chrono::milliseconds>(
+      if (now >= deadline) {
+        deadline_rejected_.fetch_add(1, std::memory_order_relaxed);
+        op_deadline_rejected_[static_cast<size_t>(frame.opcode)].fetch_add(
+            1, std::memory_order_relaxed);
+        return Status::DeadlineExceeded("deadline expired before execution");
+      }
+      request.deadline = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - now);
     }
-    return true;
+    if (traced) request.trace = std::make_shared<obs::Trace>(frame.request_id);
+    return request;
   };
 
   switch (frame.opcode) {
@@ -445,50 +455,24 @@ Result<std::string> Server::RunOpcode(const std::shared_ptr<Connection>& conn,
       return std::string();
     }
     case Opcode::kSearch: {
-      QUICKVIEW_ASSIGN_OR_RETURN(SearchRpcRequest req,
-                                 DecodeSearchRpcRequest(frame.payload));
-      obs->description = DescribeSearch("search", req);
-      service::BatchQuery query;
-      if (!to_batch_query(req, &query)) {
-        deadline_rejected_.fetch_add(1, std::memory_order_relaxed);
-        op_deadline_rejected_[static_cast<size_t>(frame.opcode)].fetch_add(
-            1, std::memory_order_relaxed);
-        return Status::DeadlineExceeded("deadline expired before execution");
-      }
-      std::shared_ptr<obs::Trace> trace;
-      if (traced) {
-        trace = std::make_shared<obs::Trace>(frame.request_id);
-        query.trace = trace;
-      }
-      Result<engine::SearchResponse> resp = service_->SearchOne(query);
+      QUICKVIEW_ASSIGN_OR_RETURN(engine::SearchRequest request,
+                                 decode_request("search"));
+      Result<engine::SearchResponse> resp = service_->SearchOne(request);
       // SearchOne drained the cursor, so the trace is quiescent — its
       // tree is complete through materialization. Serialized even on
       // error: the slow-query log wants to explain failures too.
-      if (trace != nullptr) obs->trace = trace->Serialize();
+      if (request.trace != nullptr) obs->trace = request.trace->Serialize();
       if (!resp.ok()) return resp.status();
       std::string payload;
       Encode(*resp, &payload);
       return payload;
     }
     case Opcode::kOpenCursor: {
-      QUICKVIEW_ASSIGN_OR_RETURN(SearchRpcRequest req,
-                                 DecodeSearchRpcRequest(frame.payload));
-      obs->description = DescribeSearch("open_cursor", req);
-      service::BatchQuery query;
-      if (!to_batch_query(req, &query)) {
-        deadline_rejected_.fetch_add(1, std::memory_order_relaxed);
-        op_deadline_rejected_[static_cast<size_t>(frame.opcode)].fetch_add(
-            1, std::memory_order_relaxed);
-        return Status::DeadlineExceeded("deadline expired before execution");
-      }
-      std::shared_ptr<obs::Trace> trace;
-      if (traced) {
-        trace = std::make_shared<obs::Trace>(frame.request_id);
-        query.trace = trace;
-      }
+      QUICKVIEW_ASSIGN_OR_RETURN(engine::SearchRequest request,
+                                 decode_request("open_cursor"));
       Result<std::unique_ptr<engine::ResultCursor>> opened =
-          service_->OpenSearch(query);
-      if (trace != nullptr) obs->trace = trace->Serialize();
+          service_->OpenSearch(request);
+      if (request.trace != nullptr) obs->trace = request.trace->Serialize();
       if (!opened.ok()) return opened.status();
       std::unique_ptr<engine::ResultCursor> cursor = std::move(opened).value();
       OpenCursorResponse resp;
@@ -505,7 +489,8 @@ Result<std::string> Server::RunOpcode(const std::shared_ptr<Connection>& conn,
         // The trace stays with the cursor: FetchNext keeps growing the
         // materialize span, and each traced fetch re-serializes the
         // (bigger) tree.
-        conn->cursors[resp.cursor_id] = CursorEntry{std::move(cursor), trace};
+        conn->cursors[resp.cursor_id] =
+            CursorEntry{std::move(cursor), request.trace};
       }
       open_cursors_.fetch_add(1, std::memory_order_relaxed);
       std::string payload;

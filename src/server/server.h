@@ -14,7 +14,7 @@
 // Deadlines: a request's deadline_ms is absolute from frame arrival.
 // Expired before a worker picks it up -> kDeadlineExceeded without
 // executing; otherwise the remaining budget flows into
-// BatchQuery::deadline, so in-flight shard work unwinds through the
+// SearchRequest::deadline, so in-flight shard work unwinds through the
 // engine's CancellationToken and the typed error crosses the wire.
 //
 // Handles: cursors opened by kOpenCursor are session-scoped ids living

@@ -1,48 +1,33 @@
 #include "service/prepared_query_cache.h"
 
-#include <algorithm>
 #include <bit>
-#include <functional>
 #include <utility>
 
 namespace quickview::service {
 
 PreparedQueryCache::PreparedQueryCache(const Options& options)
     : capacity_(options.capacity),
-      max_bytes_(options.max_bytes),
       doorkeeper_(options.capacity == 0 ? 0
-                                        : std::bit_ceil(options.capacity)) {
-  size_t shard_count = std::max<size_t>(1, options.shards);
-  if (options.capacity == 0) {
-    // Disabled: one empty shard.
-    shard_count = 1;
-    max_bytes_ = 0;
-  } else {
-    shard_count = std::min(shard_count, options.capacity);
-  }
-  shards_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+                                        : std::bit_ceil(options.capacity)) {}
 
-PreparedQueryCache::Shard& PreparedQueryCache::ShardFor(
-    const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
+void PreparedQueryCache::Touch(const Position& position) {
+  lru_.splice(lru_.begin(), lru_, position.entry);
+  if (position.entry->prepared->is_bundle()) {
+    lru_.splice(lru_.begin(), lru_, position.skeleton);
+  }
 }
 
 std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::Lookup(
     const std::string& key, obs::Counter* hits, obs::Counter* misses) {
-  Shard& shard = ShardFor(key);
-  qv::MutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  qv::MutexLock lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
     misses->Increment();
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  Touch(it->second);
   hits->Increment();
-  return it->second->prepared;
+  return it->second.entry->prepared;
 }
 
 std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::Get(
@@ -55,25 +40,49 @@ std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::GetSkeleton(
   return Lookup(key, &skeleton_hits_, &skeleton_misses_);
 }
 
+std::shared_ptr<const engine::PreparedQuery> PreparedQueryCache::Peek(
+    const std::string& key) const {
+  qv::MutexLock lock(mu_);
+  auto it = index_.find(key);
+  return it == index_.end() ? nullptr : it->second.entry->prepared;
+}
+
+PreparedQueryCache::Lru::iterator PreparedQueryCache::Insert(
+    const std::string& key,
+    std::shared_ptr<const engine::PreparedQuery> prepared,
+    Lru::iterator skeleton) {
+  auto [it, inserted] = index_.try_emplace(key);
+  if (inserted) {
+    bytes_ += prepared->memory_bytes;
+    (prepared->is_skeleton() ? skeleton_insertions_ : insertions_)
+        .Increment();
+    lru_.push_front(Entry{key, std::move(prepared)});
+    it->second = Position{lru_.begin(), skeleton};
+  }
+  // Concurrent builders racing on one key keep the incumbent (identical
+  // by construction) and refresh its recency.
+  Touch(it->second);
+  return it->second.entry;
+}
+
+void PreparedQueryCache::Evict() {
+  while (lru_.size() > capacity_) {
+    // The back is never a skeleton a cached bundle holds: each bundle's
+    // skeleton is ahead of it.
+    bytes_ -= lru_.back().prepared->memory_bytes;
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    evictions_.Increment();
+  }
+}
+
 void PreparedQueryCache::Put(
     const std::string& key,
     std::shared_ptr<const engine::PreparedQuery> prepared) {
-  if (capacity_ == 0 || prepared == nullptr) return;
-  Shard& shard = ShardFor(key);
-  qv::MutexLock lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    // Concurrent builders racing on the same key: keep the incumbent
-    // (identical by construction), just refresh recency.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  Charge(*prepared);
-  total_entries_.fetch_add(1, std::memory_order_relaxed);
-  (prepared->is_skeleton() ? skeleton_insertions_ : insertions_).Increment();
-  shard.lru.push_front(Entry{key, std::move(prepared)});
-  shard.index.emplace(key, shard.lru.begin());
-  EvictLocked(&shard);
+  if (capacity_ == 0 || prepared == nullptr || prepared->is_bundle()) return;
+  qv::MutexLock lock(mu_);
+  Insert(key, std::move(prepared), lru_.end());
+  Evict();
 }
 
 bool PreparedQueryCache::Sighted(uint64_t sighting) {
@@ -103,82 +112,46 @@ bool PreparedQueryCache::Sighted(uint64_t sighting) {
 
 bool PreparedQueryCache::Offer(
     const std::string& key, uint64_t sighting,
-    std::shared_ptr<const engine::PreparedQuery> prepared) {
+    std::shared_ptr<const engine::PreparedQuery> prepared,
+    const std::string& skeleton_key) {
   if (capacity_ == 0 || prepared == nullptr) return false;
   if (!Sighted(sighting)) {
     if (!prepared->is_skeleton()) declined_.Increment();
     return false;
   }
-  Put(key, std::move(prepared));
+  if (prepared->is_bundle() && skeleton_key.empty()) return false;
+  qv::MutexLock lock(mu_);
+  Lru::iterator skeleton = lru_.end();
+  if (prepared->is_bundle()) {
+    auto it = index_.find(skeleton_key);
+    if (it == index_.end()) {
+      skeleton = Insert(skeleton_key, prepared->skeleton, lru_.end());
+    } else if (it->second.entry->prepared == prepared->skeleton) {
+      skeleton = it->second.entry;
+    } else {
+      return false;
+    }
+  }
+  Insert(key, std::move(prepared), skeleton);
+  Evict();
   return true;
 }
 
-void PreparedQueryCache::EvictLocked(Shard* shard) {
-  // Budgets are global; the inserting shard pays while the cache as a
-  // whole is over one of them — but never with the entry just inserted
-  // (the front): evicting the newest key because OTHER shards hold the
-  // overflow would make a hot key whose shard receives no other
-  // insertions miss forever. Victims go LRU first, passing over a
-  // skeleton that other cached entries hold. The resulting overshoot is
-  // bounded by one entry per shard plus the skeletons passed over.
-  auto next = shard->lru.end();  // the oldest entry not yet looked at
-  while (total_entries_.load(std::memory_order_relaxed) > capacity_ ||
-         (max_bytes_ != 0 &&
-          total_bytes_.load(std::memory_order_relaxed) > max_bytes_)) {
-    std::list<Entry>::iterator victim;
-    do {
-      if (next == shard->lru.begin()) return;
-      victim = --next;
-    } while (victim == shard->lru.begin() ||
-             HeldByOthers(*victim->prepared));
-    Release(*victim->prepared);
-    total_entries_.fetch_sub(1, std::memory_order_relaxed);
-    shard->index.erase(victim->key);
-    next = shard->lru.erase(victim);
-    evictions_.Increment();
-  }
-}
-
-void PreparedQueryCache::Charge(const engine::PreparedQuery& prepared) {
-  uint64_t bytes = prepared.is_skeleton() ? 0 : prepared.memory_bytes;
-  const engine::PreparedQuery* skeleton =
-      prepared.is_skeleton() ? &prepared : prepared.skeleton.get();
-  if (skeleton != nullptr) {
-    qv::MutexLock lock(held_mu_);
-    if (held_[skeleton]++ == 0) bytes += skeleton->memory_bytes;
-  }
-  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-void PreparedQueryCache::Release(const engine::PreparedQuery& prepared) {
-  uint64_t bytes = prepared.is_skeleton() ? 0 : prepared.memory_bytes;
-  const engine::PreparedQuery* skeleton =
-      prepared.is_skeleton() ? &prepared : prepared.skeleton.get();
-  if (skeleton != nullptr) {
-    qv::MutexLock lock(held_mu_);
-    auto it = held_.find(skeleton);
-    if (--it->second == 0) {
-      bytes += skeleton->memory_bytes;
-      held_.erase(it);
-    }
-  }
-  total_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
-bool PreparedQueryCache::HeldByOthers(const engine::PreparedQuery& prepared) {
-  if (!prepared.is_skeleton()) return false;
-  qv::MutexLock lock(held_mu_);
-  return held_.at(&prepared) > 1;
-}
-
 void PreparedQueryCache::Clear() {
-  for (auto& shard : shards_) {
-    qv::MutexLock lock(shard->mu);
-    total_entries_.fetch_sub(shard->lru.size(), std::memory_order_relaxed);
-    for (const Entry& entry : shard->lru) Release(*entry.prepared);
-    shard->lru.clear();
-    shard->index.clear();
-  }
+  qv::MutexLock lock(mu_);
+  lru_.clear();
+  index_.clear();
+  bytes_ = 0;
+}
+
+size_t PreparedQueryCache::size() const {
+  qv::MutexLock lock(mu_);
+  return lru_.size();
+}
+
+uint64_t PreparedQueryCache::bytes() const {
+  qv::MutexLock lock(mu_);
+  return bytes_;
 }
 
 PreparedQueryCache::Stats PreparedQueryCache::stats() const {
@@ -214,23 +187,12 @@ Status PreparedQueryCache::RegisterMetrics(obs::MetricsRegistry* registry,
       "qv_pdtcache_skeleton_insertions_total", labels, &skeleton_insertions_));
   QV_RETURN_IF_ERROR(registry->RegisterCallback(
       "qv_pdtcache_entries", labels,
-      obs::MetricsRegistry::InstrumentKind::kGauge, [this]() -> int64_t {
-        return static_cast<int64_t>(
-            total_entries_.load(std::memory_order_relaxed));
-      }));
+      obs::MetricsRegistry::InstrumentKind::kGauge,
+      [this]() -> int64_t { return static_cast<int64_t>(size()); }));
   return registry->RegisterCallback(
       "qv_pdtcache_bytes", labels,
       obs::MetricsRegistry::InstrumentKind::kGauge,
       [this]() -> int64_t { return static_cast<int64_t>(bytes()); });
-}
-
-size_t PreparedQueryCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    qv::MutexLock lock(shard->mu);
-    total += shard->lru.size();
-  }
-  return total;
 }
 
 }  // namespace quickview::service

@@ -1,4 +1,4 @@
-// Sharded LRU cache of PreparedQuery entries of both kinds:
+// LRU cache of PreparedQuery entries of both kinds:
 //  - PDT skeletons, keyed by (view id, PDT signature): a view's plan, its
 //    PDTs built with no keywords and the view evaluated over them once
 //    (the evaluator's arena, the view results, their byte lengths and
@@ -10,29 +10,26 @@
 // PDT generation and view evaluation are the data-dependent stages of
 // the pipeline; reusing their products across queries is what turns the
 // engine from one-shot into a multi-query service (EMBANKS-style
-// intermediate-structure reuse). Both kinds share the capacity, the byte
-// budget and the LRU. A skeleton's memory_bytes counts its PDTs and its
-// arena, a bundle's only its term frequencies: the cache charges a
-// skeleton's bytes once while any cached entry holds it (the skeleton's
-// own entry or any of its bundles), so the byte total is what the cached
-// entries keep alive. Eviction passes over a skeleton that cached
-// bundles still hold — evicting it would free nothing, and the next new
-// keyword set over it would build a second copy. The hit, miss,
-// insertion and declined counters count bundles only, and skeletons
-// have counters of their own. Entries are shared_ptr<const>, so an entry
+// intermediate-structure reuse).
+//
+// One list, one index, one mutex: both kinds share the capacity and the
+// LRU order, and an insertion over capacity evicts the exact
+// least-recently-used entry. A skeleton's memory_bytes counts its PDTs
+// and its arena, a bundle's only its term frequencies; a cached bundle's
+// skeleton is always cached too, and never older than the bundle. A
+// bundle enters only through Offer, with its skeleton's key: it caches
+// its skeleton under that key when the key is empty (the bundle keeps
+// the skeleton in memory anyway), and is not cached when the key holds
+// another skeleton object (two requests built the view at once; a caller
+// that Peeks the key can rebind the bundle to it first).
+// Inserting or hitting a bundle moves its skeleton to the front right
+// after it, so LRU evicts a skeleton's bundles before the skeleton, and
+// bytes() — the sum of the cached entries' own memory_bytes — is what
+// the cache keeps alive. The hit, miss, insertion and declined counters
+// count bundles (and standalone entries) only, and skeletons have
+// counters of their own. Entries are shared_ptr<const>, so an entry
 // evicted while queries still execute against it stays alive until the
 // last query drops its reference.
-//
-// Sharding: keys hash to one of N independently locked shards, so
-// concurrent lookups from the service thread pool contend only when they
-// collide on a shard, not on one global mutex. Budgets are GLOBAL:
-// entry and byte totals are shared atomics, and an insertion evicts from
-// its own shard only while the whole cache is over budget — a skewed key
-// distribution can therefore fill one shard disproportionately, but can
-// never force evictions while the cache as a whole has room. (A fixed
-// per-shard quota thrashed exactly that way: any change to the key
-// format reshuffles every hash, and a shard that drew more than
-// capacity/shards hot keys evicted them on every round robin.)
 //
 // Admission: Put stores unconditionally; Offer stores only a plan sighted
 // before (TinyLFU's doorkeeper, Einziger, Friedman & Manes). A one-shot
@@ -62,14 +59,9 @@ namespace quickview::service {
 class PreparedQueryCache {
  public:
   struct Options {
-    /// Maximum total entries across all shards. 0 disables caching
+    /// Maximum entries, skeletons and bundles alike. 0 disables caching
     /// entirely.
     size_t capacity = 128;
-    size_t shards = 8;
-    /// Optional PDT-memory budget across all shards (0 = entries-only
-    /// eviction). While the cache is over either global limit, an
-    /// insertion evicts LRU-first from its own shard.
-    uint64_t max_bytes = 0;
   };
 
   struct Stats {  // lint:allow(adhoc-stats) snapshot view; cache registers obs:: instruments
@@ -80,7 +72,8 @@ class PreparedQueryCache {
     /// Offers refused because the plan had not been sighted before.
     uint64_t declined = 0;
     /// Skeleton lookups and admissions (GetSkeleton; Put and Offer of a
-    /// skeleton), counted apart from the bundle counters above.
+    /// skeleton, and a skeleton a bundle brings), counted apart from the
+    /// bundle counters above.
     uint64_t skeleton_hits = 0;
     uint64_t skeleton_misses = 0;
     uint64_t skeleton_insertions = 0;
@@ -88,28 +81,36 @@ class PreparedQueryCache {
 
   explicit PreparedQueryCache(const Options& options);
 
-  /// Returns the cached entry and promotes it to most-recently-used, or
-  /// nullptr (counting a miss).
+  /// Returns the cached entry and promotes it (and a bundle's skeleton)
+  /// to most-recently-used, or nullptr (counting a miss).
   std::shared_ptr<const engine::PreparedQuery> Get(const std::string& key);
 
   /// Get for a skeleton's key, counted by the skeleton counters.
   std::shared_ptr<const engine::PreparedQuery> GetSkeleton(
       const std::string& key);
 
-  /// Inserts (or refreshes) `prepared` under `key`, evicting LRU entries
-  /// while the cache exceeds its budgets. An insertion counts as a
-  /// skeleton's when `prepared->is_skeleton()`.
+  /// The entry under `key`, or nullptr, neither promoted nor counted.
+  std::shared_ptr<const engine::PreparedQuery> Peek(
+      const std::string& key) const;
+
+  /// Inserts (or refreshes) a skeleton or a standalone entry under `key`,
+  /// evicting the least recently used entries while the cache is over
+  /// capacity. A bundle is not put: it enters through Offer.
   void Put(const std::string& key,
            std::shared_ptr<const engine::PreparedQuery> prepared);
 
   /// Put on the second sighting: `sighting` hashes the plan's admission
   /// key, which may stay the same across several cache keys (the service
-  /// leaves its version pair out). Records the sighting; Puts only when
+  /// leaves its version pair out). Records the sighting; stores only when
   /// it was recorded before, and otherwise counts a declined admission
-  /// (of a bundle; a declined skeleton is not counted). Returns whether
-  /// `prepared` was put.
+  /// (of a bundle; a declined skeleton is not counted). A bundle names
+  /// its skeleton's key (one offered without it is not cached): it
+  /// caches its skeleton there when the key is empty, and is not cached
+  /// when the key holds another object. Returns whether `prepared` was
+  /// stored.
   bool Offer(const std::string& key, uint64_t sighting,
-             std::shared_ptr<const engine::PreparedQuery> prepared);
+             std::shared_ptr<const engine::PreparedQuery> prepared,
+             const std::string& skeleton_key = "");
 
   /// Drops every entry (in-flight queries keep their references alive).
   /// The doorkeeper keeps its sightings, so a plan seen before is
@@ -119,11 +120,9 @@ class PreparedQueryCache {
   /// Thin view over the cache's registry instruments.
   Stats stats() const;
   size_t size() const;
-  /// What qv_pdtcache_bytes reports: the bytes the cached entries keep
-  /// alive, each skeleton counted once.
-  uint64_t bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
+  /// What qv_pdtcache_bytes reports: the sum of the cached entries' own
+  /// memory_bytes, which counts each kept skeleton once.
+  uint64_t bytes() const;
   /// The doorkeeper's fixed fingerprint count (0 when caching is
   /// disabled).
   size_t doorkeeper_slots() const {
@@ -140,47 +139,41 @@ class PreparedQueryCache {
     std::string key;
     std::shared_ptr<const engine::PreparedQuery> prepared;
   };
+  using Lru = std::list<Entry>;  // front = most recently used
+  struct Position {
+    Lru::iterator entry;
+    /// A bundle's: its skeleton's entry, always ahead of it in lru_.
+    Lru::iterator skeleton;
+  };
   /// One cache line of sighting fingerprints (0 = empty).
   struct alignas(64) DoorkeeperBucket {
     static constexpr size_t kWays = 8;
     std::atomic<uint64_t> ways[kWays];
   };
-  struct Shard {
-    qv::Mutex mu;
-    std::list<Entry> lru QV_GUARDED_BY(mu);  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index
-        QV_GUARDED_BY(mu);
-  };
 
-  Shard& ShardFor(const std::string& key);
   std::shared_ptr<const engine::PreparedQuery> Lookup(const std::string& key,
                                                       obs::Counter* hits,
-                                                      obs::Counter* misses);
+                                                      obs::Counter* misses)
+      QV_EXCLUDES(mu_);
   /// Records `sighting`; true iff it was recorded before.
   bool Sighted(uint64_t sighting);
-  void EvictLocked(Shard* shard) QV_REQUIRES(shard->mu);
-  /// Adds `prepared` to the byte total as a cached entry, or takes it
-  /// away: its own bytes, plus its skeleton's when it is the first (or
-  /// the last) cached entry to hold that skeleton.
-  void Charge(const engine::PreparedQuery& prepared) QV_EXCLUDES(held_mu_);
-  void Release(const engine::PreparedQuery& prepared) QV_EXCLUDES(held_mu_);
-  /// Whether `prepared` is a skeleton that other cached entries hold.
-  bool HeldByOthers(const engine::PreparedQuery& prepared)
-      QV_EXCLUDES(held_mu_);
+  /// Moves the entry to the front, and a bundle's skeleton ahead of it.
+  void Touch(const Position& position) QV_REQUIRES(mu_);
+  /// Stores `prepared` under `key` (a bundle after its skeleton's entry
+  /// `skeleton`), or touches the incumbent; returns the key's entry.
+  Lru::iterator Insert(const std::string& key,
+                       std::shared_ptr<const engine::PreparedQuery> prepared,
+                       Lru::iterator skeleton) QV_REQUIRES(mu_);
+  /// Evicts from the back while the cache is over capacity.
+  void Evict() QV_REQUIRES(mu_);
 
-  size_t capacity_;     // global entry budget (0 = caching disabled)
-  uint64_t max_bytes_;  // global PDT-byte budget (0 = entries-only)
-  std::atomic<size_t> total_entries_{0};
-  std::atomic<uint64_t> total_bytes_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Per skeleton, how many cached entries hold it (itself included).
-  /// Locked after a shard's mutex, never before.
-  qv::Mutex held_mu_;
-  std::unordered_map<const engine::PreparedQuery*, size_t> held_
-      QV_GUARDED_BY(held_mu_);
-  /// Indexed by the sighting's own hash, not by cache shard: one plan's
-  /// keys at different versions land in different shards but share a
-  /// bucket. A power of two in size.
+  const size_t capacity_;  // 0 = caching disabled
+  mutable qv::Mutex mu_;
+  Lru lru_ QV_GUARDED_BY(mu_);
+  std::unordered_map<std::string, Position> index_ QV_GUARDED_BY(mu_);
+  uint64_t bytes_ QV_GUARDED_BY(mu_) = 0;
+  /// Indexed by the sighting's own hash: one plan's keys at different
+  /// versions share a bucket. A power of two in size.
   std::vector<DoorkeeperBucket> doorkeeper_;
   // Registry-native counters (relaxed atomics, lock-free reads).
   mutable obs::Counter hits_;

@@ -69,26 +69,25 @@ Status QueryService::RemoveDocument(const std::string& name) {
 }
 
 Result<std::unique_ptr<engine::ResultCursor>> QueryService::OpenSearch(
-    const BatchQuery& query) {
+    const engine::SearchRequest& request) {
   queries_.Increment();
-  // Boundary validation, hoisted into the ONE implementation every entry
-  // point shares (SearchRequest::Validate): empty keyword list, zero
-  // top_k and a nonsense shard hint are caller bugs, rejected with a
-  // typed InvalidArgument before any planning. At this boundary the
-  // request's `view` carries the registered view NAME (the engine
-  // boundary re-validates with the view text later, identically).
-  engine::SearchRequest boundary;
-  boundary.view = query.view;
-  boundary.keywords = query.keywords;
-  boundary.options = query.options;
-  boundary.shard = query.shard;
-  boundary.deadline = query.deadline;
-  QUICKVIEW_RETURN_IF_ERROR(boundary.Validate());
+  // Boundary validation, in the ONE implementation every entry point
+  // shares (SearchRequest::Validate): empty keyword list, zero top_k and
+  // a nonsense shard hint are caller bugs, rejected with a typed
+  // InvalidArgument before any planning. The service searches registered
+  // views, so `view` carries a view NAME here (the engine re-validates
+  // with the view text later, identically) and a full query is refused.
+  if (!request.query.empty()) {
+    return Status::InvalidArgument(
+        "QueryService searches a registered view: set the request's view "
+        "name and keywords, not a full query");
+  }
+  QUICKVIEW_RETURN_IF_ERROR(request.Validate());
   // Keywords are spliced into single-quoted XQuery string literals; a
   // quote would break out of the literal and rewrite the query shape
   // (the serve CLI feeds keywords straight from stdin). The grammar has
   // no escape for quotes inside literals, so reject rather than mangle.
-  for (const std::string& keyword : query.keywords) {
+  for (const std::string& keyword : request.keywords) {
     if (keyword.find('\'') != std::string::npos) {
       return Status::InvalidArgument("keyword must not contain \"'\": " +
                                      keyword);
@@ -101,9 +100,9 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::OpenSearch(
     // Read before the call: its arguments may be evaluated in any order,
     // and one of them moves `corpus`.
     std::vector<engine::ShardContext> contexts = engine::ShardContexts(*corpus);
-    return PrepareCursor(query, std::move(contexts), std::move(corpus));
+    return PrepareCursor(request, std::move(contexts), std::move(corpus));
   }
-  return PrepareCursor(query, engine::ShardContexts(*shards_),
+  return PrepareCursor(request, engine::ShardContexts(*shards_),
                        /*corpus=*/nullptr);
 }
 
@@ -153,7 +152,8 @@ std::string QueryService::BaseCacheKey(const std::string& view_name,
 }
 
 Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
-    const BatchQuery& query, std::vector<engine::ShardContext> contexts,
+    const engine::SearchRequest& query,
+    std::vector<engine::ShardContext> contexts,
     std::shared_ptr<const storage::CorpusVersion> corpus) {
   const size_t shard_count = contexts.size();
   engine::ViewSearchEngine engine(std::move(contexts), &pool_);
@@ -173,16 +173,11 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   const std::string versions = VersionKey(view, corpus.get(), plan.qpts);
   const std::string base = BaseCacheKey(query.view, versions, plan.signature);
 
-  // The request's deadline (and caller token) governs PDT build and
-  // evaluation; the shard hint is the engine's to validate.
-  engine::SearchRequest request;
-  request.view = view.text;
-  request.keywords = query.keywords;
-  request.options = query.options;
-  request.shard = query.shard;
-  request.deadline = query.deadline;
-  request.cancel = query.cancel;
-  request.trace = query.trace;
+  // The engine gets the request with the view text in place of the name;
+  // its deadline (and caller token) governs PDT build and evaluation,
+  // and the shard hint is the engine's to validate.
+  engine::SearchRequest request = query;
+  request.view = std::move(view.text);
 
   // Executed shards: all of them, or just the hinted one. An
   // out-of-range hint leaves `selected` empty and lets Open return its
@@ -232,41 +227,53 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
                              engine.Open(request, prepared, &plan));
   // Offer what the engine had to build to the cache, which admits an
-  // entry on its second sighting: every annotated bundle that missed,
-  // and the skeleton of every shard that missed both. The admission keys
-  // leave the version pair out, so a plan (or a view's QPTs) seen before
-  // a re-registration or a write is admitted on its first miss after it.
-  // A failed or cancelled Open returned above: it publishes nothing.
+  // entry on its second sighting: the skeleton of every shard that missed
+  // both, then every annotated bundle that missed, with its skeleton's
+  // key (the cache keeps a cached bundle's skeleton cached with it). The
+  // admission keys leave the version pair out, so a plan (or a view's
+  // QPTs) seen before a re-registration or a write is admitted on its
+  // first miss after it. A failed or cancelled Open returned above: it
+  // publishes nothing.
   std::string admission;
   std::string skeleton_admission;
   for (size_t slot = 0; slot < keys.size(); ++slot) {
     if (prepared[slot] != nullptr && prepared[slot]->is_bundle()) continue;
-    if (admission.empty()) {
-      admission = BaseCacheKey(query.view, /*versions=*/"", plan.signature);
-    }
     const std::string suffix = "/s" + std::to_string(selected[slot]);
     std::shared_ptr<const engine::PreparedQuery> bundle =
         cursor->SharedPrepared(slot);
-    cache_.Offer(keys[slot], std::hash<std::string>{}(admission + suffix),
-                 bundle);
-    if (prepared[slot] != nullptr) continue;  // the skeleton was a hit
-    if (skeleton_admission.empty()) {
-      skeleton_admission = BaseCacheKey(query.view, /*versions=*/"",
-                                        plan.pdt_signature,
-                                        /*skeleton=*/true);
+    if (prepared[slot] == nullptr) {  // the shard built its skeleton
+      if (skeleton_admission.empty()) {
+        skeleton_admission = BaseCacheKey(query.view, /*versions=*/"",
+                                          plan.pdt_signature,
+                                          /*skeleton=*/true);
+      }
+      cache_.Offer(skeleton_keys[slot],
+                   std::hash<std::string>{}(skeleton_admission + suffix),
+                   bundle->skeleton);
     }
-    cache_.Offer(skeleton_keys[slot],
-                 std::hash<std::string>{}(skeleton_admission + suffix),
-                 bundle->skeleton);
+    // Requests that missed the skeleton at once each built one, and the
+    // cache keeps only one of them under the key (a bundle of another is
+    // refused). They are identical by construction, so a bundle of
+    // another is rebound to the cached one: its term frequencies hold.
+    std::shared_ptr<const engine::PreparedQuery> cached =
+        cache_.Peek(skeleton_keys[slot]);
+    if (cached != nullptr && cached != bundle->skeleton) {
+      bundle = engine::RebindBundle(*bundle, std::move(cached));
+    }
+    if (admission.empty()) {
+      admission = BaseCacheKey(query.view, /*versions=*/"", plan.signature);
+    }
+    cache_.Offer(keys[slot], std::hash<std::string>{}(admission + suffix),
+                 std::move(bundle), skeleton_keys[slot]);
   }
   if (corpus != nullptr) cursor->AddLease(std::move(corpus));
   return cursor;
 }
 
 Result<engine::SearchResponse> QueryService::SearchOne(
-    const BatchQuery& query) {
+    const engine::SearchRequest& request) {
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
-                             OpenSearch(query));
+                             OpenSearch(request));
   Result<engine::SearchResponse> response =
       engine::DrainToResponse(cursor.get());
   // Drained queries feed the service-lifetime stats().search aggregate.
@@ -275,10 +282,10 @@ Result<engine::SearchResponse> QueryService::SearchOne(
 }
 
 std::vector<Result<engine::SearchResponse>> QueryService::SearchBatch(
-    const std::vector<BatchQuery>& queries) {
+    const std::vector<engine::SearchRequest>& requests) {
   std::vector<Result<engine::SearchResponse>> responses(
-      queries.size(), Status::Internal("query not executed"));
-  if (queries.empty()) return responses;
+      requests.size(), Status::Internal("query not executed"));
+  if (requests.empty()) return responses;
 
   // Per-batch completion barrier, so concurrent batches from different
   // client threads don't wait on each other's tasks. (`done` is guarded
@@ -288,13 +295,13 @@ std::vector<Result<engine::SearchResponse>> QueryService::SearchBatch(
   qv::Mutex done_mu;
   qv::CondVar done_cv;
   size_t done = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    pool_.Submit([this, &queries, &responses, &done_mu, &done_cv, &done, i] {
+  for (size_t i = 0; i < requests.size(); ++i) {
+    pool_.Submit([this, &requests, &responses, &done_mu, &done_cv, &done, i] {
       // Exceptions (e.g. bad_alloc from a huge PDT build) become this
       // slot's error; the completion count must advance regardless, or
       // the batch barrier below would wait forever.
       try {
-        responses[i] = SearchOne(queries[i]);
+        responses[i] = SearchOne(requests[i]);
       } catch (const std::exception& e) {
         responses[i] = Status::Internal(std::string("query threw: ") +
                                         e.what());
@@ -302,11 +309,11 @@ std::vector<Result<engine::SearchResponse>> QueryService::SearchBatch(
         responses[i] = Status::Internal("query threw a non-std exception");
       }
       qv::MutexLock lock(done_mu);
-      if (++done == queries.size()) done_cv.NotifyAll();
+      if (++done == requests.size()) done_cv.NotifyAll();
     });
   }
   qv::MutexLock lock(done_mu);
-  while (done != queries.size()) {
+  while (done != requests.size()) {
     done_cv.Wait(lock);
   }
   return responses;

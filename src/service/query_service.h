@@ -9,10 +9,19 @@
 // keywords' term frequencies: a view's PDTs are built and its view
 // evaluated once per shard, not once per keyword set. Either kind enters
 // the cache on its second sighting (PreparedQueryCache::Offer), so a
-// one-shot plan never takes cache memory or evicts a plan that recurs.
-// The service plans each request once, for its cache keys; the engine
-// annotates a skeleton hit with that plan's keyword set, and only a
-// shard that builds a skeleton plans again (the skeleton owns its plan).
+// one-shot plan never takes cache memory or evicts a plan that recurs; a
+// search offers the skeleton it built first, then the bundle with that
+// skeleton's key, and the cache keeps a cached bundle's skeleton cached
+// with it. A bundle built over a skeleton that lost a race to an
+// identical build of another request is rebound to the cached one first
+// (engine::RebindBundle). The service plans each request once, for its
+// cache keys; the engine annotates a skeleton hit with that plan's
+// keyword set, and only a shard that builds a skeleton plans again (the
+// skeleton owns its plan).
+//
+// Requests are the engine's own engine::SearchRequest in view form,
+// whose `view` names a registered view; the service swaps in the view
+// text before handing the request to the engine.
 //
 // The result surface is pull-based: OpenSearch returns a session-handle
 // ResultCursor whose FetchNext(n) materializes hits lazily (pagination
@@ -54,15 +63,12 @@
 #ifndef QUICKVIEW_SERVICE_QUERY_SERVICE_H_
 #define QUICKVIEW_SERVICE_QUERY_SERVICE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/result.h"
 #include "common/sync.h"
 #include "engine/result_cursor.h"
@@ -78,29 +84,6 @@ struct QueryServiceOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   int threads = 0;
   PreparedQueryCache::Options cache;
-};
-
-/// One keyword query of a batch, against a registered view.
-struct BatchQuery {
-  std::string view;  // registered view name
-  std::vector<std::string> keywords;
-  engine::SearchOptions options;
-  /// Shard routing hint: -1 searches every shard, i >= 0 restricts to
-  /// shard i (see SearchRequest::shard for the ranking caveat). A hint
-  /// outside the corpus's shard range is InvalidArgument on every
-  /// backend; a live corpus has exactly one shard.
-  int shard = -1;
-  /// Wall-clock budget measured from OpenSearch, forwarded into
-  /// SearchRequest::deadline: expiry unwinds in-flight shard work and the
-  /// query fails DeadlineExceeded.
-  std::optional<std::chrono::milliseconds> deadline = std::nullopt;
-  /// Caller-owned cancellation token, forwarded into
-  /// SearchRequest::cancel (the server's per-request handle; see there
-  /// for semantics). Left null, the engine makes a private one.
-  std::shared_ptr<CancellationToken> cancel = nullptr;
-  /// Optional per-request trace, forwarded into SearchRequest::trace
-  /// (see there for the span tree the engine records). Null = off.
-  std::shared_ptr<obs::Trace> trace = nullptr;
 };
 
 class QueryService {
@@ -151,26 +134,31 @@ class QueryService {
   Status RegisterView(const std::string& name, const std::string& view_text)
       QV_EXCLUDES(views_mu_);
 
-  /// Opens a cursor over the query's ranked result stream on the calling
-  /// thread: plan -> cached (or fresh) PDTs -> evaluate + score. No hit
-  /// is materialized until the caller's first FetchNext. The cursor is a
+  /// Opens a cursor over the request's ranked result stream on the
+  /// calling thread: plan -> cached (or fresh) PDTs -> evaluate + score.
+  /// The request is in view form, its `view` the registered view NAME; a
+  /// request in query form is InvalidArgument, and so is a shard hint
+  /// outside the corpus's shard range (a live corpus has exactly one
+  /// shard). The deadline is measured from this call. No hit is
+  /// materialized until the caller's first FetchNext. The cursor is a
   /// self-contained session handle — it keeps the underlying
   /// PreparedQuery alive, so it stays valid across cache eviction, view
   /// re-registration, and other queries; the service itself (and its
   /// database/index/store) must merely outlive it. The cursor yields at
-  /// most query.options.top_k hits.
+  /// most request.options.top_k hits.
   Result<std::unique_ptr<engine::ResultCursor>> OpenSearch(
-      const BatchQuery& query) QV_EXCLUDES(views_mu_);
+      const engine::SearchRequest& request) QV_EXCLUDES(views_mu_);
 
-  /// Executes the whole batch on the pool; response i answers query i.
+  /// Executes the whole batch on the pool; response i answers request i.
   /// Individual failures are per-slot errors, not batch failures.
-  /// Implemented as one drained cursor per query.
+  /// Implemented as one drained cursor per request.
   std::vector<Result<engine::SearchResponse>> SearchBatch(
-      const std::vector<BatchQuery>& queries);
+      const std::vector<engine::SearchRequest>& requests);
 
-  /// Executes one query on the calling thread (used by the batch workers;
-  /// public so callers can bypass the pool): OpenSearch + drain.
-  Result<engine::SearchResponse> SearchOne(const BatchQuery& query);
+  /// Executes one request on the calling thread (used by the batch
+  /// workers; public so callers can bypass the pool): OpenSearch + drain.
+  Result<engine::SearchResponse> SearchOne(
+      const engine::SearchRequest& request);
 
   /// Drops all cached PDTs (cold-cache measurements, corpus swaps); plans
   /// sighted before are admitted again on their next miss.
@@ -230,7 +218,8 @@ class QueryService {
   /// contexts read, and the cursor keeps it pinned; in static mode it is
   /// null and the contexts are the immutable ShardSet.
   Result<std::unique_ptr<engine::ResultCursor>> PrepareCursor(
-      const BatchQuery& query, std::vector<engine::ShardContext> contexts,
+      const engine::SearchRequest& query,
+      std::vector<engine::ShardContext> contexts,
       std::shared_ptr<const storage::CorpusVersion> corpus)
       QV_EXCLUDES(views_mu_);
 

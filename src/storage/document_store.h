@@ -93,9 +93,6 @@ class DocumentStore {
     buffer_hits_.store(0, std::memory_order_relaxed);
   }
 
-  /// True when fetches read .qvpack pages instead of in-memory nodes.
-  bool paged() const { return packed_ != nullptr; }
-
  private:
   const xml::Document* Resolve(uint32_t root_component) const;
 

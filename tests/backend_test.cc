@@ -66,7 +66,7 @@ class BackendTest : public ::testing::Test {
     for (const std::vector<std::string>& keywords :
          std::vector<std::vector<std::string>>{
              {"xml", "search"}, {"database"}, {"web", "xml"}}) {
-      BatchQuery query;
+      engine::SearchRequest query;
       query.view = "default";
       query.keywords = keywords;
       query.options.conjunctive = false;
@@ -128,7 +128,7 @@ TEST_F(BackendTest, EveryCorpusKindAnswersIdenticallyThroughOneService) {
 
     // One cursor path: a hint past the last shard is the engine's typed
     // range error on every backend.
-    BatchQuery hinted;
+    engine::SearchRequest hinted;
     hinted.view = "default";
     hinted.keywords = {"xml"};
     hinted.shard = static_cast<int>(c.shards);

@@ -109,10 +109,13 @@ TEST(EvaluatorAllocTest, BookRevViewOverPdtsStaysWithinBudgetPerResult) {
     }
     auto results = evaluator.Evaluate(p.kq.view);
     ASSERT_TRUE(results.ok()) << results.status();
-    auto set = scoring::CollectCandidates(*results, p.kq.keywords);
-    ASSERT_TRUE(set.ok()) << set.status();
+    scoring::ViewStatistics view;
+    std::vector<uint64_t> tf;
+    Status collected =
+        scoring::CollectCandidates(*results, p.kq.keywords, &view, &tf);
+    ASSERT_TRUE(collected.ok()) << collected;
     view_results = results->size();
-    candidates = set->candidates.size();
+    candidates = view.candidates.size();
   }
   const uint64_t allocations = Allocations() - before;
 

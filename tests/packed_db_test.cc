@@ -101,9 +101,9 @@ class PackedDbTest : public ::testing::Test {
     return runtime;
   }
 
-  static service::BatchQuery MakeQuery(std::vector<std::string> keywords,
-                                       bool conjunctive, size_t top_k) {
-    service::BatchQuery query;
+  static engine::SearchRequest MakeQuery(std::vector<std::string> keywords,
+                                         bool conjunctive, size_t top_k) {
+    engine::SearchRequest query;
     query.view = "bookrev";
     query.keywords = std::move(keywords);
     query.options.conjunctive = conjunctive;
@@ -279,7 +279,7 @@ TEST_F(PackedDbTest, SearchBatchByteIdenticalToInMemory) {
   std::unique_ptr<service::QueryService> mem_service = MakeMemService();
   PackedRuntime packed = OpenPacked(128);
 
-  std::vector<service::BatchQuery> batch = {
+  std::vector<engine::SearchRequest> batch = {
       MakeQuery({"xml", "search"}, true, 10),
       MakeQuery({"database"}, true, 5),
       MakeQuery({"xml", "web", "database"}, false, 25),
@@ -320,7 +320,7 @@ TEST_F(PackedDbTest, ConcurrentPackedBatchesAreIdentical) {
   std::unique_ptr<service::QueryService> mem_service = MakeMemService();
   PackedRuntime packed = OpenPacked(32, /*threads=*/4);
 
-  std::vector<service::BatchQuery> batch;
+  std::vector<engine::SearchRequest> batch;
   for (int r = 0; r < 4; ++r) {
     batch.push_back(MakeQuery({"xml", "search"}, true, 10));
     batch.push_back(MakeQuery({"web"}, false, 20));
@@ -342,7 +342,7 @@ TEST_F(PackedDbTest, CursorPagingAcrossEvictionMatchesInMemoryDrain) {
   // so paging correctness cannot lean on residency.
   PackedRuntime packed = OpenPacked(4);
   std::unique_ptr<service::QueryService> mem_service = MakeMemService();
-  service::BatchQuery query =
+  engine::SearchRequest query =
       MakeQuery({"xml", "search", "web"}, false, 200);
 
   auto mem_response = mem_service->SearchOne(query);
@@ -368,7 +368,7 @@ TEST_F(PackedDbTest, CursorPagingAcrossEvictionMatchesInMemoryDrain) {
 }
 
 TEST_F(PackedDbTest, LazyPageIoFirstPageReadsStrictlyFewerPagesThanDrain) {
-  service::BatchQuery query =
+  engine::SearchRequest query =
       MakeQuery({"xml", "search", "web", "database"}, false, 1u << 20);
 
   // Cursor A: open + one page of 10.

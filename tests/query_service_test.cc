@@ -41,12 +41,10 @@ class QueryServiceTest : public ::testing::Test {
   }
 
   std::unique_ptr<QueryService> MakeService(int threads,
-                                            size_t cache_capacity = 128,
-                                            size_t cache_shards = 8) {
+                                            size_t cache_capacity = 128) {
     QueryServiceOptions options;
     options.threads = threads;
     options.cache.capacity = cache_capacity;
-    options.cache.shards = cache_shards;
     auto service = std::make_unique<QueryService>(corpus_.get(), options);
     EXPECT_TRUE(
         service->RegisterView("bookrev", workload::BookRevView()).ok());
@@ -100,7 +98,9 @@ const std::vector<std::vector<std::string>>& KeywordSets() {
 
 TEST_F(QueryServiceTest, ConcurrentIdenticalBatchMatchesSerial) {
   auto service = MakeService(/*threads=*/4);
-  BatchQuery query{"bookrev", {"xml", "search"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml", "search"};
   auto expected = ExecView(*engine_, workload::BookRevView(),
                            query.keywords, query.options);
   ASSERT_TRUE(expected.ok());
@@ -114,7 +114,7 @@ TEST_F(QueryServiceTest, ConcurrentIdenticalBatchMatchesSerial) {
   EXPECT_EQ(service->stats().cache.misses, 2u);
 
   constexpr size_t kBatch = 32;
-  std::vector<BatchQuery> batch(kBatch, query);
+  std::vector<engine::SearchRequest> batch(kBatch, query);
   auto responses = service->SearchBatch(batch);
   ASSERT_EQ(responses.size(), kBatch);
   for (const auto& response : responses) {
@@ -128,11 +128,13 @@ TEST_F(QueryServiceTest, ConcurrentIdenticalBatchMatchesSerial) {
 
 TEST_F(QueryServiceTest, ConcurrentDistinctBatchMatchesSerial) {
   auto service = MakeService(/*threads=*/8);
-  std::vector<BatchQuery> batch;
+  std::vector<engine::SearchRequest> batch;
   std::vector<engine::SearchResponse> expected;
   for (int repeat = 0; repeat < 3; ++repeat) {
     for (const auto& keywords : KeywordSets()) {
-      BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+      engine::SearchRequest query;
+      query.view = "bookrev";
+      query.keywords = keywords;
       query.options.conjunctive = keywords.size() % 2 == 1;
       auto serial = ExecView(*engine_, workload::BookRevView(), keywords,
                              query.options);
@@ -159,15 +161,18 @@ TEST_F(QueryServiceTest, ConcurrentDistinctBatchMatchesSerial) {
 }
 
 TEST_F(QueryServiceTest, CacheEvictsLruAtCapacity) {
-  auto service = MakeService(/*threads=*/2, /*cache_capacity=*/2,
-                             /*cache_shards=*/1);
+  auto service = MakeService(/*threads=*/2, /*cache_capacity=*/2);
   // Warm-up sightings: the cache admits a plan on its second sighting.
   for (const auto& keywords : KeywordSets()) {
-    BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+    engine::SearchRequest query;
+    query.view = "bookrev";
+    query.keywords = keywords;
     ASSERT_TRUE(service->SearchOne(query).ok());
   }
   for (const auto& keywords : KeywordSets()) {
-    BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+    engine::SearchRequest query;
+    query.view = "bookrev";
+    query.keywords = keywords;
     ASSERT_TRUE(service->SearchOne(query).ok());
   }
   EXPECT_GE(service->stats().cache.evictions,
@@ -177,7 +182,9 @@ TEST_F(QueryServiceTest, CacheEvictsLruAtCapacity) {
 
 TEST_F(QueryServiceTest, ReplacingViewInvalidatesCachedPdts) {
   auto service = MakeService(/*threads=*/2);
-  BatchQuery query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml"};
   auto before = service->SearchOne(query);
   ASSERT_TRUE(before.ok());
 
@@ -204,8 +211,12 @@ TEST_F(QueryServiceTest, SameSignatureViewsNeverCrossHit) {
   auto service = MakeService(/*threads=*/1);
   ASSERT_TRUE(service->RegisterView("alpha", workload::BookRevView()).ok());
   ASSERT_TRUE(service->RegisterView("beta", workload::BookRevView()).ok());
-  BatchQuery alpha{"alpha", {"xml"}, engine::SearchOptions{}};
-  BatchQuery beta{"beta", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest alpha;
+  alpha.view = "alpha";
+  alpha.keywords = {"xml"};
+  engine::SearchRequest beta;
+  beta.view = "beta";
+  beta.keywords = {"xml"};
 
   // Warm-up sightings: the cache admits a plan on its second sighting.
   ASSERT_TRUE(service->SearchOne(alpha).ok());
@@ -239,9 +250,10 @@ TEST_F(QueryServiceTest, SameSignatureViewsNeverCrossHit) {
 
 TEST_F(QueryServiceTest, UnknownViewIsPerSlotError) {
   auto service = MakeService(/*threads=*/2);
-  std::vector<BatchQuery> batch{
-      BatchQuery{"bookrev", {"xml"}, engine::SearchOptions{}},
-      BatchQuery{"nope", {"xml"}, engine::SearchOptions{}}};
+  std::vector<engine::SearchRequest> batch(2);
+  batch[0].view = "bookrev";
+  batch[1].view = "nope";
+  for (engine::SearchRequest& query : batch) query.keywords = {"xml"};
   auto responses = service->SearchBatch(batch);
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_TRUE(responses[0].ok());
@@ -259,9 +271,10 @@ TEST_F(QueryServiceTest, OpenCursorSurvivesCacheEviction) {
   // half-drained are guaranteed to evict its PreparedQuery entry. The
   // cursor co-owns the bundle, so its remaining pages must still match a
   // serial engine run.
-  auto service = MakeService(/*threads=*/2, /*cache_capacity=*/2,
-                             /*cache_shards=*/1);
-  BatchQuery query{"bookrev", {"xml", "search"}, engine::SearchOptions{}};
+  auto service = MakeService(/*threads=*/2, /*cache_capacity=*/2);
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml", "search"};
   query.options.conjunctive = false;
   auto expected = ExecView(*engine_, workload::BookRevView(),
                            query.keywords, query.options);
@@ -271,10 +284,10 @@ TEST_F(QueryServiceTest, OpenCursorSurvivesCacheEviction) {
   // Warm-up sightings: the cache admits a plan on its second sighting.
   ASSERT_TRUE(service->SearchOne(query).ok());
   for (const auto& keywords : KeywordSets()) {
-    ASSERT_TRUE(
-        service->SearchOne(BatchQuery{"bookrev", keywords,
-                                      engine::SearchOptions{}})
-            .ok());
+    engine::SearchRequest warm;
+    warm.view = "bookrev";
+    warm.keywords = keywords;
+    ASSERT_TRUE(service->SearchOne(warm).ok());
   }
 
   auto cursor = service->OpenSearch(query);
@@ -284,10 +297,10 @@ TEST_F(QueryServiceTest, OpenCursorSurvivesCacheEviction) {
 
   uint64_t evictions_before = service->stats().cache.evictions;
   for (const auto& keywords : KeywordSets()) {
-    ASSERT_TRUE(
-        service->SearchOne(BatchQuery{"bookrev", keywords,
-                                      engine::SearchOptions{}})
-            .ok());
+    engine::SearchRequest warm;
+    warm.view = "bookrev";
+    warm.keywords = keywords;
+    ASSERT_TRUE(service->SearchOne(warm).ok());
   }
   EXPECT_GT(service->stats().cache.evictions, evictions_before);
 
@@ -304,7 +317,9 @@ TEST_F(QueryServiceTest, OpenCursorSurvivesCacheEviction) {
 
 TEST_F(QueryServiceTest, OpenCursorSurvivesViewReplacement) {
   auto service = MakeService(/*threads=*/2);
-  BatchQuery query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml"};
   auto expected = ExecView(*engine_, workload::BookRevView(),
                            query.keywords, query.options);
   ASSERT_TRUE(expected.ok());
@@ -329,25 +344,37 @@ TEST_F(QueryServiceTest, OpenCursorSurvivesViewReplacement) {
 
 TEST_F(QueryServiceTest, OpenSearchValidatesAtTheBoundary) {
   auto service = MakeService(/*threads=*/1);
-  BatchQuery no_keywords{"bookrev", {}, engine::SearchOptions{}};
+  engine::SearchRequest no_keywords;
+  no_keywords.view = "bookrev";
   auto cursor = service->OpenSearch(no_keywords);
   ASSERT_FALSE(cursor.ok());
   EXPECT_EQ(cursor.status().code(), StatusCode::kInvalidArgument);
 
-  BatchQuery zero_k{"bookrev", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest zero_k;
+  zero_k.view = "bookrev";
+  zero_k.keywords = {"xml"};
   zero_k.options.top_k = 0;
   auto response = service->SearchOne(zero_k);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+
+  // The service searches registered views: a full keyword query, valid
+  // at the engine boundary, is refused here.
+  engine::SearchRequest full_query;
+  full_query.query = engine::ComposeKeywordQuery(workload::BookRevView(),
+                                                 {"xml"}, true);
+  auto refused = service->OpenSearch(full_query);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(QueryServiceTest, RejectsQuoteBearingKeyword) {
   // A quote would escape the single-quoted ftcontains literal and
   // rewrite the composed query; the service must refuse it up front.
   auto service = MakeService(/*threads=*/1);
-  BatchQuery query{"bookrev",
-                   {"x') return $qv"},
-                   engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"x') return $qv"};
   auto response = service->SearchOne(query);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
@@ -359,8 +386,9 @@ TEST_F(QueryServiceTest, OneShotPlansNeverEnterTheCache) {
   auto service = MakeService(/*threads=*/2);
   constexpr size_t kPlans = 40;
   for (size_t i = 0; i < kPlans; ++i) {
-    BatchQuery query{"bookrev", {"xml", "w" + std::to_string(i)},
-                     engine::SearchOptions{}};
+    engine::SearchRequest query;
+    query.view = "bookrev";
+    query.keywords = {"xml", "w" + std::to_string(i)};
     query.options.conjunctive = false;
     ASSERT_TRUE(service->SearchOne(query).ok());
   }
@@ -373,7 +401,9 @@ TEST_F(QueryServiceTest, OneShotPlansNeverEnterTheCache) {
 
 TEST_F(QueryServiceTest, SecondSightingAdmits) {
   auto service = MakeService(/*threads=*/2);
-  BatchQuery query{"bookrev", {"xml", "search"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml", "search"};
   auto expected = ExecView(*engine_, workload::BookRevView(), query.keywords,
                            query.options);
   ASSERT_TRUE(expected.ok());
@@ -391,7 +421,9 @@ TEST_F(QueryServiceTest, SecondSightingAdmits) {
 
 TEST_F(QueryServiceTest, PlanSeenBeforeReRegistrationIsAdmittedOnFirstMiss) {
   auto service = MakeService(/*threads=*/1);
-  BatchQuery query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml"};
   ASSERT_TRUE(service->SearchOne(query).ok());
   EXPECT_EQ(service->stats().cache.declined, 1u);
   // Same text again: the version bump changes every cache key of the
@@ -415,7 +447,9 @@ TEST_F(QueryServiceTest, PlanSeenBeforeAWriteIsAdmittedOnFirstMiss) {
     ASSERT_TRUE(service.InsertDocument(name, xml::Serialize(*doc)).ok());
   }
   ASSERT_TRUE(service.RegisterView("bookrev", workload::BookRevView()).ok());
-  BatchQuery query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml"};
   ASSERT_TRUE(service.SearchOne(query).ok());
   EXPECT_EQ(service.stats().cache.declined, 1u);
   // Rewriting a document the view reads changes its version in the key.
@@ -490,7 +524,9 @@ class SkeletonReuseTest : public QueryServiceTest,
              const std::vector<std::string>& keywords, bool conjunctive) {
     SCOPED_TRACE(view_name + " keywords " + std::to_string(keywords.size()) +
                  (conjunctive ? " and" : " or"));
-    BatchQuery query{view_name, keywords, engine::SearchOptions{}};
+    engine::SearchRequest query;
+    query.view = view_name;
+    query.keywords = keywords;
     query.options.conjunctive = conjunctive;
     auto actual = service_->SearchOne(query);
     ASSERT_TRUE(actual.ok()) << actual.status();
@@ -519,7 +555,9 @@ class SkeletonReuseTest : public QueryServiceTest,
   /// The view_evaluations counters of a traced search's evaluate spans.
   std::vector<uint64_t> ViewEvaluations(
       const std::vector<std::string>& keywords, bool conjunctive) {
-    BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+    engine::SearchRequest query;
+    query.view = "bookrev";
+    query.keywords = keywords;
     query.options.conjunctive = conjunctive;
     query.trace = std::make_shared<obs::Trace>(1);
     auto response = service_->SearchOne(query);
@@ -655,7 +693,10 @@ TEST_P(SkeletonReuseTest, CursorsShareASkeletonWhileTheViewIsReplaced) {
     ASSERT_TRUE(response.ok()) << response.status();
     expected.push_back(std::move(*response));
     // Two sightings admit the view's skeleton.
-    BatchQuery query{"bookrev", keywords, options};
+    engine::SearchRequest query;
+    query.view = "bookrev";
+    query.keywords = keywords;
+    query.options = options;
     ASSERT_TRUE(service_->SearchOne(query).ok());
   }
   constexpr int kReaders = 3;
@@ -680,7 +721,9 @@ TEST_P(SkeletonReuseTest, CursorsShareASkeletonWhileTheViewIsReplaced) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round, ++rounds_done) {
         const size_t i = static_cast<size_t>(t + round) % sets.size();
-        BatchQuery query{"bookrev", sets[i], engine::SearchOptions{}};
+        engine::SearchRequest query;
+        query.view = "bookrev";
+        query.keywords = sets[i];
         query.options.conjunctive = false;
         auto cursor = service_->OpenSearch(query);
         if (!cursor.ok()) {
@@ -725,64 +768,294 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.packed ? "Packed" : "InMemory");
     });
 
-// A skeleton's bytes are charged once however many cached entries hold
-// it, eviction passes over a skeleton its cached bundles still hold, and
-// a bundle cached without its skeleton still counts the skeleton.
-TEST(PreparedQueryCacheTest, ChargesEachSkeletonOnceAndKeepsItWhileHeld) {
+std::shared_ptr<engine::PreparedQuery> Skeleton(uint64_t bytes) {
   auto skeleton = std::make_shared<engine::PreparedQuery>();
   skeleton->view.emplace();
-  skeleton->memory_bytes = 1000;
-  auto bundle = [&skeleton](uint64_t tf_bytes) {
-    auto entry = std::make_shared<engine::PreparedQuery>();
-    entry->skeleton = skeleton;
-    entry->memory_bytes = tf_bytes;
-    return entry;
-  };
-  auto standalone = [](uint64_t bytes) {
-    auto entry = std::make_shared<engine::PreparedQuery>();
-    entry->memory_bytes = bytes;
-    return entry;
-  };
-  PreparedQueryCache::Options options;
-  options.capacity = 16;
-  options.shards = 1;
-  options.max_bytes = 1100;
-  PreparedQueryCache cache(options);
-  cache.Put("skeleton", skeleton);
-  cache.Put("a", bundle(40));
-  cache.Put("b", bundle(40));
+  skeleton->memory_bytes = bytes;
+  return skeleton;
+}
+
+std::shared_ptr<engine::PreparedQuery> Bundle(
+    std::shared_ptr<const engine::PreparedQuery> skeleton,
+    uint64_t tf_bytes) {
+  auto bundle = std::make_shared<engine::PreparedQuery>();
+  bundle->skeleton = std::move(skeleton);
+  bundle->memory_bytes = tf_bytes;
+  return bundle;
+}
+
+std::shared_ptr<engine::PreparedQuery> Standalone(uint64_t bytes) {
+  auto entry = std::make_shared<engine::PreparedQuery>();
+  entry->memory_bytes = bytes;
+  return entry;
+}
+
+/// Offers `prepared` on its second sighting, the one the doorkeeper
+/// admits.
+bool Admit(PreparedQueryCache* cache, const std::string& key,
+           std::shared_ptr<const engine::PreparedQuery> prepared,
+           const std::string& skeleton_key = "") {
+  const uint64_t sighting = std::hash<std::string>{}(key);
+  cache->Offer(key, sighting, prepared, skeleton_key);
+  return cache->Offer(key, sighting, std::move(prepared), skeleton_key);
+}
+
+/// The entry under `key`, looked up by the counters of its kind (keys
+/// of skeletons start with 's').
+std::shared_ptr<const engine::PreparedQuery> Lookup(PreparedQueryCache* cache,
+                                                    const std::string& key) {
+  return key[0] == 's' ? cache->GetSkeleton(key) : cache->Get(key);
+}
+
+/// The sum of memory_bytes over the entries of `keys` that are cached.
+uint64_t CachedBytes(PreparedQueryCache* cache,
+                     const std::vector<std::string>& keys) {
+  uint64_t bytes = 0;
+  for (const std::string& key : keys) {
+    std::shared_ptr<const engine::PreparedQuery> entry = Lookup(cache, key);
+    if (entry != nullptr) bytes += entry->memory_bytes;
+  }
+  return bytes;
+}
+
+// A skeleton's bytes are charged once however many cached bundles hold
+// it, LRU evicts its bundles before it, and a bundle that brings its
+// skeleton into the cache brings the skeleton's bytes too.
+TEST(PreparedQueryCacheTest, ChargesEachSkeletonOnceAndKeepsItWhileHeld) {
+  auto skeleton = Skeleton(1000);
+  PreparedQueryCache cache(PreparedQueryCache::Options{4});
+  cache.Put("s", skeleton);
+  ASSERT_TRUE(Admit(&cache, "a", Bundle(skeleton, 40), "s"));
+  ASSERT_TRUE(Admit(&cache, "b", Bundle(skeleton, 40), "s"));
   EXPECT_EQ(cache.bytes(), 1080u);
   EXPECT_EQ(cache.size(), 3u);
 
-  // Over budget: the skeleton is least recently used, but its bundles
-  // hold it, so they go first, oldest first, until the cache fits.
-  cache.Put("other", standalone(100));
-  EXPECT_EQ(cache.bytes(), 1100u);  // the skeleton and "other"
-  EXPECT_EQ(cache.size(), 2u);
+  // The skeleton was put first, but each bundle insertion moved it ahead
+  // of the bundle: over capacity, the bundles go first, oldest first.
+  cache.Put("x", Standalone(100));
+  cache.Put("y", Standalone(100));
+  EXPECT_EQ(cache.bytes(), 1240u);
   EXPECT_EQ(cache.Get("a"), nullptr);
+  cache.Put("z", Standalone(100));
+  EXPECT_EQ(cache.bytes(), 1300u);  // the skeleton and three standalones
   EXPECT_EQ(cache.Get("b"), nullptr);
 
-  // Held by nothing else, the skeleton is evicted like any entry, and
-  // its bytes leave the total.
-  cache.Put("other2", standalone(100));
-  EXPECT_EQ(cache.GetSkeleton("skeleton"), nullptr);
-  EXPECT_EQ(cache.bytes(), 200u);
+  // Held by no bundle, the skeleton is evicted like any entry, and its
+  // bytes leave the total.
+  cache.Put("w", Standalone(100));
+  EXPECT_EQ(cache.GetSkeleton("s"), nullptr);
+  EXPECT_EQ(cache.bytes(), 400u);
 
-  // A bundle cached without its skeleton keeps the skeleton alive, and
-  // the total counts it.
-  cache.Put("c", bundle(40));
-  EXPECT_EQ(cache.bytes(), 1040u);
-  EXPECT_EQ(cache.size(), 1u);
+  // A bundle whose skeleton key is empty caches its skeleton with it,
+  // and the total counts both.
+  ASSERT_TRUE(Admit(&cache, "c", Bundle(skeleton, 40), "s"));
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.bytes(), 1240u);  // skeleton, "c", "w" and "z"
+  EXPECT_EQ(cache.GetSkeleton("s"), skeleton);
   EXPECT_EQ(cache.stats().evictions, 5u);
 
   cache.Clear();
   EXPECT_EQ(cache.bytes(), 0u);
 }
 
+// Two skeletons and their bundles at a small capacity: each skeleton
+// outlives its bundles, and a bundle hit keeps its skeleton cached.
+TEST(PreparedQueryCacheTest, BundlesLeaveBeforeTheirSkeleton) {
+  auto first = Skeleton(1000);
+  auto second = Skeleton(2000);
+  PreparedQueryCache cache(PreparedQueryCache::Options{4});
+  ASSERT_TRUE(Admit(&cache, "a1", Bundle(first, 10), "s1"));
+  ASSERT_TRUE(Admit(&cache, "a2", Bundle(second, 20), "s2"));
+  ASSERT_TRUE(Admit(&cache, "b1", Bundle(first, 30), "s1"));
+  // "a1" was the least recently used bundle; its skeleton stays.
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.bytes(), 3050u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().skeleton_insertions, 2u);
+
+  // A hit on "a2" moves it and the second skeleton ahead of the first
+  // skeleton and "b1", which then leave first: "b1", then its skeleton.
+  ASSERT_NE(cache.Get("a2"), nullptr);
+  cache.Put("x", Standalone(100));
+  EXPECT_EQ(cache.bytes(), 3120u);  // "b1" left
+  cache.Put("y", Standalone(100));
+  EXPECT_EQ(cache.bytes(), 2220u);  // then the first skeleton
+  EXPECT_EQ(cache.GetSkeleton("s1"), nullptr);
+  EXPECT_EQ(cache.GetSkeleton("s2"), second);
+  EXPECT_EQ(cache.Get("a1"), nullptr);
+  EXPECT_EQ(cache.Get("b1"), nullptr);
+  EXPECT_NE(cache.Get("a2"), nullptr);
+}
+
+// bytes() is the sum of memory_bytes over what the cache still returns,
+// after every step of a mixed sequence of puts, offers and hits.
+TEST(PreparedQueryCacheTest, BytesAreTheSumOverCachedEntries) {
+  std::vector<std::shared_ptr<engine::PreparedQuery>> skeletons = {
+      Skeleton(1000), Skeleton(2000), Skeleton(3000)};
+  std::vector<std::string> keys = {"s0", "s1", "s2"};
+  for (int bundle = 0; bundle < 6; ++bundle) {
+    keys.push_back("b" + std::to_string(bundle));
+  }
+  keys.push_back("x0");
+  keys.push_back("x1");
+  PreparedQueryCache cache(PreparedQueryCache::Options{5});
+  uint64_t state = 7;
+  for (int step = 0; step < 400; ++step) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const size_t pick = static_cast<size_t>(state >> 33);
+    const std::string& key = keys[pick % keys.size()];
+    const size_t owner = pick / keys.size() % skeletons.size();
+    switch (pick / 7 % 3) {
+      case 0:
+        Lookup(&cache, key);
+        break;
+      case 1:
+        if (key[0] == 's') {
+          cache.Put(key, skeletons[key[1] - '0']);
+        } else if (key[0] == 'x') {
+          cache.Put(key, Standalone(50));
+        } else {
+          Admit(&cache, key, Bundle(skeletons[owner], 10 + owner),
+                "s" + std::to_string(owner));
+        }
+        break;
+      default:
+        if (key[0] == 'b') {
+          Admit(&cache, key, Bundle(skeletons[owner], 10 + owner),
+                "s" + std::to_string(owner));
+        }
+        break;
+    }
+    ASSERT_EQ(cache.bytes(), CachedBytes(&cache, keys)) << "step " << step;
+    ASSERT_LE(cache.size(), 5u);
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+// A bundle caches its skeleton under an empty key, and is not cached
+// beside another skeleton object (two requests built the view at once).
+TEST(PreparedQueryCacheTest, BundleCachesItsSkeletonOrNothing) {
+  auto skeleton = Skeleton(1000);
+  PreparedQueryCache cache(PreparedQueryCache::Options{8});
+  ASSERT_TRUE(Admit(&cache, "b", Bundle(skeleton, 40), "s"));
+  EXPECT_EQ(cache.GetSkeleton("s"), skeleton);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), 1040u);
+  EXPECT_EQ(cache.stats().skeleton_insertions, 1u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+
+  auto rebuilt = Skeleton(1000);
+  EXPECT_FALSE(Admit(&cache, "c", Bundle(rebuilt, 40), "s"));
+  EXPECT_EQ(cache.Get("c"), nullptr);
+  EXPECT_EQ(cache.GetSkeleton("s"), skeleton);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.bytes(), 1040u);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  // Nor without a skeleton key, and Put never stores a bundle.
+  EXPECT_FALSE(Admit(&cache, "d", Bundle(skeleton, 40)));
+  cache.Put("e", Bundle(skeleton, 40));
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+// Threads racing lookups and offers, building skeletons of their own on a
+// miss: no cached bundle is ever left beside an empty skeleton key or one
+// that holds another skeleton object.
+TEST(PreparedQueryCacheTest, ConcurrentOffersKeepEachBundlesSkeleton) {
+  constexpr int kThreads = 8;
+  constexpr int kViews = 3;
+  constexpr int kSets = 4;
+  PreparedQueryCache cache(PreparedQueryCache::Options{8});
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      uint64_t state = 1000 + static_cast<uint64_t>(t);
+      for (int i = 0; i < 2000; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const int view = static_cast<int>(state >> 33) % kViews;
+        const int set = static_cast<int>(state >> 40) % kSets;
+        const std::string skeleton_key = "s" + std::to_string(view);
+        const std::string key =
+            "b" + std::to_string(view) + "." + std::to_string(set);
+        if (cache.Get(key) != nullptr) continue;
+        std::shared_ptr<const engine::PreparedQuery> skeleton =
+            cache.GetSkeleton(skeleton_key);
+        if (skeleton == nullptr) {
+          skeleton = Skeleton(1000);
+          cache.Offer(skeleton_key, std::hash<std::string>{}(skeleton_key),
+                      skeleton);
+        }
+        cache.Offer(key, std::hash<std::string>{}(key),
+                    Bundle(skeleton, 10), skeleton_key);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  std::vector<std::string> keys;
+  for (int view = 0; view < kViews; ++view) {
+    const std::string skeleton_key = "s" + std::to_string(view);
+    keys.push_back(skeleton_key);
+    for (int set = 0; set < kSets; ++set) {
+      const std::string key =
+          "b" + std::to_string(view) + "." + std::to_string(set);
+      keys.push_back(key);
+      std::shared_ptr<const engine::PreparedQuery> bundle = cache.Get(key);
+      if (bundle == nullptr) continue;
+      EXPECT_EQ(cache.GetSkeleton(skeleton_key), bundle->skeleton) << key;
+    }
+  }
+  EXPECT_EQ(cache.bytes(), CachedBytes(&cache, keys));
+  EXPECT_LE(cache.size(), 8u);
+  EXPECT_GT(cache.stats().insertions, 0u);
+}
+
+// Two builds of one view's skeleton are identical: a bundle of one is
+// refused beside the other, and once rebound to it is cached there and
+// answers as before.
+TEST_F(QueryServiceTest, BundleReboundToAnIdenticalSkeletonIsCached) {
+  std::vector<std::shared_ptr<const engine::PreparedQuery>> bundles;
+  for (int build = 0; build < 2; ++build) {
+    auto plan = engine_->PlanQuery(engine::ComposeKeywordQuery(
+        workload::BookRevView(), {"xml", "search"}, /*conjunctive=*/false));
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    auto bundle = engine_->BuildPdts(std::move(*plan));
+    ASSERT_TRUE(bundle.ok()) << bundle.status();
+    bundles.push_back(std::move(*bundle));
+  }
+  const std::shared_ptr<const engine::PreparedQuery>& cached =
+      bundles[0]->skeleton;
+  ASSERT_NE(bundles[1]->skeleton, cached);
+  std::shared_ptr<const engine::PreparedQuery> rebound =
+      engine::RebindBundle(*bundles[1], cached);
+  EXPECT_EQ(rebound->skeleton, cached);
+  EXPECT_EQ(rebound->tf, bundles[1]->tf);
+
+  PreparedQueryCache cache(PreparedQueryCache::Options{8});
+  cache.Put("s", cached);
+  EXPECT_FALSE(Admit(&cache, "b", bundles[1], "s"));
+  EXPECT_TRUE(Admit(&cache, "b", rebound, "s"));
+  EXPECT_EQ(cache.Get("b"), rebound);
+
+  engine::SearchRequest request;
+  request.view = workload::BookRevView();
+  request.keywords = {"xml", "search"};
+  request.options.conjunctive = false;
+  auto drain = [&](std::shared_ptr<const engine::PreparedQuery> prepared)
+      -> Result<engine::SearchResponse> {
+    QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
+                               engine_->Open(request, {std::move(prepared)}));
+    return engine::DrainToResponse(cursor.get());
+  };
+  auto expected = drain(bundles[1]);
+  auto actual = drain(rebound);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  ExpectSameResponse(*expected, *actual);
+}
+
 TEST(PreparedQueryCacheTest, DoorkeeperMemoryDoesNotGrowWithDistinctPlans) {
   PreparedQueryCache::Options options;
   options.capacity = 4;
-  options.shards = 1;
   PreparedQueryCache cache(options);
   const size_t slots = cache.doorkeeper_slots();
   EXPECT_GT(slots, 0u);
@@ -801,7 +1074,7 @@ TEST(PreparedQueryCacheTest, DoorkeeperMemoryDoesNotGrowWithDistinctPlans) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().insertions, 1u);
 
-  PreparedQueryCache disabled(PreparedQueryCache::Options{0, 1, 0});
+  PreparedQueryCache disabled(PreparedQueryCache::Options{0});
   EXPECT_EQ(disabled.doorkeeper_slots(), 0u);
   EXPECT_FALSE(disabled.Offer("k", 1, prepared));
   EXPECT_FALSE(disabled.Offer("k", 1, prepared));

@@ -104,8 +104,8 @@ class ServerTest : public ::testing::Test {
     return client;
   }
 
-  static service::BatchQuery ToQuery(const SearchRpcRequest& req) {
-    service::BatchQuery query;
+  static engine::SearchRequest ToQuery(const SearchRpcRequest& req) {
+    engine::SearchRequest query;
     query.view = req.view;
     query.keywords = req.keywords;
     query.options.top_k = req.top_k;
@@ -233,7 +233,7 @@ TEST_F(ServerTest, OutOfRangeShardHintIsInvalidArgumentOnEveryBackend) {
   service::QueryService live_service(&live);
   ASSERT_TRUE(
       live_service.RegisterView("default", workload::BookRevView()).ok());
-  service::BatchQuery query = ToQuery(request);
+  engine::SearchRequest query = ToQuery(request);
   query.shard = 5;
   auto live_result = live_service.SearchOne(query);
   ASSERT_FALSE(live_result.ok());

@@ -93,8 +93,9 @@ TEST(UpdateConcurrencyTest, UnrelatedMutationsNeverPerturbQueries) {
   ASSERT_TRUE(service.InsertDocument("books.xml", BooksXml(0, 6)).ok());
   ASSERT_TRUE(service.RegisterView("books", kBooksView).ok());
 
-  service::BatchQuery query{"books", {"xml", "search"},
-                            engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "books";
+  query.keywords = {"xml", "search"};
   engine::SearchResponse expected =
       ExpectedFor(BooksXml(0, 6), query.keywords, query.options);
   // Warm the single plan serially so the miss counter below is exact
@@ -214,7 +215,9 @@ TEST(UpdateConcurrencyTest, ConcurrentReplacementsAreSnapshotAtomic) {
   ASSERT_TRUE(service.InsertDocument("books.xml", BooksXml(0, 4)).ok());
   ASSERT_TRUE(service.RegisterView("books", kBooksView).ok());
 
-  service::BatchQuery query{"books", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "books";
+  query.keywords = {"xml"};
   query.options.top_k = 16;
   // Each corpus version has a distinct book count AND generation marker,
   // so any torn read (indexes of one version, store of another) could
@@ -273,7 +276,9 @@ TEST(UpdateConcurrencyTest, CursorDrainsItsSnapshotThroughTheStorm) {
   ASSERT_TRUE(service.InsertDocument("books.xml", BooksXml(0, 8)).ok());
   ASSERT_TRUE(service.RegisterView("books", kBooksView).ok());
 
-  service::BatchQuery query{"books", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "books";
+  query.keywords = {"xml"};
   query.options.top_k = 8;
   engine::SearchResponse expected =
       ExpectedFor(BooksXml(0, 8), query.keywords, query.options);
@@ -367,7 +372,9 @@ TEST(UpdateConcurrencyTest, ConcurrentWritersReplayToTheIdenticalCorpus) {
           .string();
   std::filesystem::remove(wal_path);
 
-  service::BatchQuery query{"books", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "books";
+  query.keywords = {"xml"};
   query.options.top_k = 16;
   // books.xml is the one name every writer replaces: writer w writes
   // version w, and the corpus starts at version 0.

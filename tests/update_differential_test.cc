@@ -239,10 +239,10 @@ const std::vector<std::vector<std::string>>& QueryKeywordSets() {
   return *kSets;
 }
 
-std::vector<service::BatchQuery> MakeQueryBatch(const std::string& view) {
-  std::vector<service::BatchQuery> batch;
+std::vector<engine::SearchRequest> MakeQueryBatch(const std::string& view) {
+  std::vector<engine::SearchRequest> batch;
   for (size_t i = 0; i < QueryKeywordSets().size(); ++i) {
-    service::BatchQuery query;
+    engine::SearchRequest query;
     query.view = view;
     query.keywords = QueryKeywordSets()[i];
     query.options.top_k = 5;
@@ -381,7 +381,7 @@ TEST(UpdateDifferentialTest, RandomizedUpdatesMatchFreshRebuild) {
     // as any reader of a LiveDatabase does.
     ExpectSameIndexState(live.Pin()->indexes, *fresh.indexes, context);
 
-    std::vector<service::BatchQuery> batch = MakeQueryBatch("bookrev");
+    std::vector<engine::SearchRequest> batch = MakeQueryBatch("bookrev");
     std::vector<Result<engine::SearchResponse>> responses =
         service.SearchBatch(batch);
     ASSERT_EQ(responses.size(), batch.size());
@@ -429,9 +429,12 @@ TEST(UpdateDifferentialTest, MutationInvalidatesOnlyReferencingViews) {
                                 "for $b in fn:doc(books.xml)/books//book "
                                 "return $b")
                   .ok());
-  service::BatchQuery books_query{"allbooks", {"xml"},
-                                  engine::SearchOptions{}};
-  service::BatchQuery rev_query{"bookrev", {"xml"}, engine::SearchOptions{}};
+  engine::SearchRequest books_query;
+  books_query.view = "allbooks";
+  books_query.keywords = {"xml"};
+  engine::SearchRequest rev_query;
+  rev_query.view = "bookrev";
+  rev_query.keywords = {"xml"};
   // Two sightings each: the cache admits a plan on its second.
   ASSERT_TRUE(service.SearchOne(books_query).ok());
   ASSERT_TRUE(service.SearchOne(rev_query).ok());
@@ -485,7 +488,9 @@ TEST(UpdateDifferentialTest, WriteInvalidatesOnlyTheReadViewsSkeleton) {
     const std::vector<std::string>& keywords =
         QueryKeywordSets()[static_cast<size_t>(query_number) %
                            QueryKeywordSets().size()];
-    service::BatchQuery query{"bookrev", keywords, engine::SearchOptions{}};
+    engine::SearchRequest query;
+    query.view = "bookrev";
+    query.keywords = keywords;
     query.options.conjunctive = (query_number / 4) % 2 == 0;
     ++query_number;
     RebuiltEngine rebuilt(model);
@@ -543,8 +548,9 @@ TEST(UpdateDifferentialTest, CursorOpenedBeforeUpdateDrainsItsSnapshot) {
   }
   ASSERT_TRUE(service.RegisterView("bookrev", workload::BookRevView()).ok());
 
-  service::BatchQuery query{"bookrev", {"xml", "search"},
-                            engine::SearchOptions{}};
+  engine::SearchRequest query;
+  query.view = "bookrev";
+  query.keywords = {"xml", "search"};
   query.options.top_k = 100;
   // Capture the pre-update truth, then open a second cursor and update
   // under it: the half-drained cursor must keep materializing the old
@@ -667,7 +673,7 @@ TEST(UpdateDeltaLogTest, OverlayAndCompactMatchDirectPack) {
       packed_service.RegisterView("bookrev", workload::BookRevView()).ok());
 
   RebuiltEngine fresh(model);
-  std::vector<service::BatchQuery> batch = MakeQueryBatch("bookrev");
+  std::vector<engine::SearchRequest> batch = MakeQueryBatch("bookrev");
   std::vector<Result<engine::SearchResponse>> responses =
       packed_service.SearchBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {

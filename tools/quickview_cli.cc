@@ -525,10 +525,10 @@ int CmdServe(const Flags& flags) {
   service::QueryService* query_service = backend->service.get();
 
   // One query per stdin line: comma-separated keywords.
-  std::vector<service::BatchQuery> batch;
+  std::vector<engine::SearchRequest> batch;
   std::string line;
   while (std::getline(std::cin, line)) {
-    service::BatchQuery query;
+    engine::SearchRequest query;
     query.view = "default";
     for (std::string_view piece : SplitString(line, ',')) {
       if (!piece.empty()) query.keywords.push_back(AsciiToLower(piece));
@@ -558,7 +558,7 @@ int CmdServe(const Flags& flags) {
     }
     int failures = 0;
     uint64_t trace_id = 0;
-    for (service::BatchQuery& query : batch) {
+    for (engine::SearchRequest& query : batch) {
       const std::string joined = JoinStrings(query.keywords, ",");
       if (flags.trace) {
         query.trace = std::make_shared<obs::Trace>(++trace_id);
@@ -672,7 +672,7 @@ int CmdPage(const Flags& flags) {
   if (!backend.ok()) return Fail(backend.status());
   std::printf("%s", backend->banner.c_str());
 
-  service::BatchQuery query;
+  engine::SearchRequest query;
   query.view = "default";
   query.keywords = flags.keywords;
   if (query.keywords.empty()) query.keywords = {"xml", "search"};
