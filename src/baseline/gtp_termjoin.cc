@@ -222,8 +222,9 @@ Result<engine::SearchResponse> GtpTermJoinEngine::Search(
     hit.score = r.score;
     hit.tf = r.tf;
     hit.byte_length = r.byte_length;
-    QV_ASSIGN_OR_RETURN(
-        hit.xml, scoring::MaterializeToXml(r.result, store_, &fetches));
+    hit.xml.reserve(hit.byte_length);
+    QV_RETURN_IF_ERROR(
+        scoring::MaterializeInto(r.result, store_, &hit.xml, &fetches));
     response.hits.push_back(std::move(hit));
   }
   response.stats.store_fetches = fetches.fetch_calls;

@@ -61,11 +61,12 @@ Result<std::vector<SearchHit>> ResultCursor::FetchNext(size_t n) {
     hit.tf = candidate.tf;
     hit.byte_length = candidate.byte_length;
     // The fetch: the pipeline's only base-data access, accounted per hit
-    // against BOTH the global counters and the owning shard's.
+    // against BOTH the global counters and the owning shard's. The hit's
+    // XML is written once, into a string reserved to its byte length.
     storage::DocumentStore::Stats fetches;
-    QUICKVIEW_ASSIGN_OR_RETURN(
-        hit.xml,
-        scoring::MaterializeToXml(candidate.result, slice.store, &fetches));
+    hit.xml.reserve(hit.byte_length);
+    QUICKVIEW_RETURN_IF_ERROR(scoring::MaterializeInto(
+        candidate.result, slice.store, &hit.xml, &fetches));
     stats_.search.store_fetches += fetches.fetch_calls;
     stats_.search.store_bytes += fetches.bytes_fetched;
     stats_.search.pages_read += fetches.pages_read;

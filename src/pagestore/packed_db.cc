@@ -16,27 +16,39 @@ namespace {
 // (PackDocument writes them).
 constexpr char kPathKeySep = '\x01';
 
-struct NodeRecord {
+/// The fixed-width head of a preorder node record, as PackDocument writes
+/// it: u32 subtree_count | u64 subtree_bytes | u16 depth | u16 tag_len;
+/// the tag, a u32 text length and the text follow.
+struct RecordHead {
   uint32_t subtree_count = 0;
   uint64_t subtree_bytes = 0;
   uint16_t depth = 0;
+  uint16_t tag_len = 0;
+};
+
+Status ReadRecordHead(ChainReader* reader, RecordHead* out) {
+  QUICKVIEW_RETURN_IF_ERROR(reader->ReadU32(&out->subtree_count));
+  QUICKVIEW_RETURN_IF_ERROR(reader->ReadU64(&out->subtree_bytes));
+  QUICKVIEW_RETURN_IF_ERROR(reader->ReadU16(&out->depth));
+  return reader->ReadU16(&out->tag_len);
+}
+
+/// A whole record copied out of the pages: what compaction's DOM copy and
+/// GetValue need.
+struct NodeRecord {
+  RecordHead head;
   std::string tag;
   std::string text;
 };
 
 Status ReadNodeRecord(ChainReader* reader, NodeRecord* out) {
-  QUICKVIEW_RETURN_IF_ERROR(reader->ReadU32(&out->subtree_count));
-  QUICKVIEW_RETURN_IF_ERROR(reader->ReadU64(&out->subtree_bytes));
-  QUICKVIEW_RETURN_IF_ERROR(reader->ReadU16(&out->depth));
-  uint16_t tag_len = 0;
-  QUICKVIEW_RETURN_IF_ERROR(reader->ReadU16(&tag_len));
+  QUICKVIEW_RETURN_IF_ERROR(ReadRecordHead(reader, &out->head));
   out->tag.clear();
-  QUICKVIEW_RETURN_IF_ERROR(reader->Read(tag_len, &out->tag));
+  QUICKVIEW_RETURN_IF_ERROR(reader->Read(out->head.tag_len, &out->tag));
   uint32_t text_len = 0;
   QUICKVIEW_RETURN_IF_ERROR(reader->ReadU32(&text_len));
   out->text.clear();
-  QUICKVIEW_RETURN_IF_ERROR(reader->Read(text_len, &out->text));
-  return Status::OK();
+  return reader->Read(text_len, &out->text);
 }
 
 /// Splits a disk path-index row payload (value_len | value | entry
@@ -81,6 +93,66 @@ Status DecodePostingRun(const std::string& encoded,
 }
 
 }  // namespace
+
+Status AppendNodeRecordsXml(ChainReader* reader, std::string* out) {
+  const size_t start = out->size();
+  struct OpenElement {
+    uint16_t depth = 0;
+    uint16_t tag_len = 0;
+    size_t tag_pos = 0;  // where the start tag's name sits in `out`
+  };
+  std::vector<OpenElement> open;
+  open.reserve(16);
+  auto append_piece = [out](std::string_view piece) { out->append(piece); };
+  auto append_escaped = [out](std::string_view piece) {
+    xml::AppendEscapedText(piece, out);
+  };
+  // Writes the start tag and text of the record whose head was just read.
+  auto append_record = [&](const RecordHead& head) -> Status {
+    out->push_back('<');
+    open.push_back(OpenElement{head.depth, head.tag_len, out->size()});
+    QUICKVIEW_RETURN_IF_ERROR(reader->ReadPieces(head.tag_len, append_piece));
+    out->push_back('>');
+    uint32_t text_len = 0;
+    QUICKVIEW_RETURN_IF_ERROR(reader->ReadU32(&text_len));
+    return reader->ReadPieces(text_len, append_escaped);
+  };
+  // An end tag repeats its start tag's name, which is already in `out`:
+  // copy it by offset, since `out` may reallocate in between.
+  auto close_innermost = [&] {
+    out->append("</");
+    out->append(*out, open.back().tag_pos, open.back().tag_len);
+    out->push_back('>');
+    open.pop_back();
+  };
+
+  RecordHead root;
+  QUICKVIEW_RETURN_IF_ERROR(ReadRecordHead(reader, &root));
+  QUICKVIEW_RETURN_IF_ERROR(append_record(root));
+  for (uint32_t i = 1; i < root.subtree_count; ++i) {
+    RecordHead head;
+    QUICKVIEW_RETURN_IF_ERROR(ReadRecordHead(reader, &head));
+    while (!open.empty() && open.back().depth >= head.depth) {
+      close_innermost();
+    }
+    if (open.empty() || open.back().depth + 1 != head.depth) {
+      return Status::Internal("corrupt node-record chain: record " +
+                              std::to_string(i) + " at depth " +
+                              std::to_string(head.depth) +
+                              " does not sit one level below an open one");
+    }
+    QUICKVIEW_RETURN_IF_ERROR(append_record(head));
+  }
+  while (!open.empty()) close_innermost();
+  const uint64_t appended = out->size() - start;
+  if (appended != root.subtree_bytes) {
+    return Status::Internal("corrupt node-record chain: it serializes to " +
+                            std::to_string(appended) +
+                            " bytes, its first record says " +
+                            std::to_string(root.subtree_bytes));
+  }
+  return Status::OK();
+}
 
 // --------------------------------------------------------------------------
 // PagedPathIndex / PagedTermIndex
@@ -311,7 +383,7 @@ Status PackedDb::CopySubtree(uint32_t root_component, const xml::DeweyId& id,
                              LocateRecord(root_component, id, acct));
   NodeRecord record;
   QUICKVIEW_RETURN_IF_ERROR(ReadNodeRecord(&reader, &record));
-  *fetched_bytes = record.subtree_bytes;
+  *fetched_bytes = record.head.subtree_bytes;
 
   // Reattach the preorder record run under target_parent, exactly as the
   // in-memory CopyRecursive does (fresh contiguous Dewey ordinals in the
@@ -322,23 +394,39 @@ Status PackedDb::CopySubtree(uint32_t root_component, const xml::DeweyId& id,
                                                      record.tag);
   target->node(root_index).text = std::move(record.text);
   std::vector<std::pair<uint16_t, xml::NodeIndex>> stack;
-  stack.emplace_back(record.depth, root_index);
-  for (uint32_t i = 1; i < record.subtree_count; ++i) {
+  stack.emplace_back(record.head.depth, root_index);
+  for (uint32_t i = 1; i < record.head.subtree_count; ++i) {
     NodeRecord child;
     QUICKVIEW_RETURN_IF_ERROR(ReadNodeRecord(&reader, &child));
-    while (!stack.empty() && stack.back().first >= child.depth) {
+    while (!stack.empty() && stack.back().first >= child.head.depth) {
       stack.pop_back();
     }
-    if (stack.empty() || stack.back().first + 1 != child.depth) {
+    if (stack.empty() || stack.back().first + 1 != child.head.depth) {
       return Status::Internal("corrupt node-record chain under " +
                               id.ToString());
     }
     xml::NodeIndex child_index =
         target->AddChild(stack.back().second, child.tag);
     target->node(child_index).text = std::move(child.text);
-    stack.emplace_back(child.depth, child_index);
+    stack.emplace_back(child.head.depth, child_index);
   }
   return Status::OK();
+}
+
+Status PackedDb::AppendSubtreeXml(uint32_t root_component,
+                                  const xml::DeweyId& id, std::string* out,
+                                  PageAccounting* acct) const {
+  if (const OverlayDocument* overlay = OverlayByRoot(root_component)) {
+    xml::NodeIndex source = overlay->doc->FindByDewey(id);
+    if (source == xml::kInvalidNode) {
+      return Status::NotFound("no element " + id.ToString());
+    }
+    xml::SerializeTo(*overlay->doc, source, out);
+    return Status::OK();
+  }
+  QUICKVIEW_ASSIGN_OR_RETURN(ChainReader reader,
+                             LocateRecord(root_component, id, acct));
+  return AppendNodeRecordsXml(&reader, out);
 }
 
 Status PackedDb::GetValue(uint32_t root_component, const xml::DeweyId& id,
@@ -372,9 +460,9 @@ Status PackedDb::GetSubtreeLength(uint32_t root_component,
   }
   QUICKVIEW_ASSIGN_OR_RETURN(ChainReader reader,
                              LocateRecord(root_component, id, acct));
-  NodeRecord record;
-  QUICKVIEW_RETURN_IF_ERROR(ReadNodeRecord(&reader, &record));
-  *out = record.subtree_bytes;
+  RecordHead head;
+  QUICKVIEW_RETURN_IF_ERROR(ReadRecordHead(&reader, &head));
+  *out = head.subtree_bytes;
   return Status::OK();
 }
 

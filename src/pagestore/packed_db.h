@@ -3,8 +3,9 @@
 //  - index::IndexSource: per-document PathIndexView / TermIndexView
 //    implementations that answer the PDT probe set from B-tree-node and
 //    posting-run pages, and
-//  - document fetches (CopySubtree / GetValue / GetSubtreeLength) that
-//    read node-record pages — the packed backing of DocumentStore.
+//  - document fetches (AppendSubtreeXml / GetValue / GetSubtreeLength)
+//    that read node-record pages — the packed backing of DocumentStore —
+//    and CopySubtree, the DOM copy compaction rebuilds documents with.
 // Everything is demand-paged: opening the database reads the header and
 // directory only; a query touches exactly the pages its B-tree descents,
 // posting runs and materialized hits require.
@@ -72,6 +73,14 @@ class PagedTermIndex final : public index::TermIndexView {
   DiskBTree tree_;
 };
 
+/// Appends the XML of the node-record run `reader` stands at: the
+/// subtree of its first record, in preorder, each tag and text handed
+/// over as views of the pinned pages (no Document, no string per record).
+/// Internal when a record's depth skips a level or leaves the subtree, or
+/// when the bytes appended differ from the first record's subtree_bytes.
+/// On error `out` may hold a partial append.
+Status AppendNodeRecordsXml(ChainReader* reader, std::string* out);
+
 class PackedDb final : public index::IndexSource {
  public:
   /// Reads header + directory; index and node-record pages stay on disk
@@ -82,8 +91,14 @@ class PackedDb final : public index::IndexSource {
   std::optional<index::DocumentIndexView> GetView(
       const std::string& doc_name) const override;
 
-  /// Per-call page accounting for the three document fetches lands in
-  /// `acct` (locator descent + node-record pages).
+  /// Per-call page accounting for the document fetches lands in `acct`
+  /// (locator descent + node-record pages).
+  ///
+  /// Appends the subtree's XML to `out`: AppendNodeRecordsXml over its
+  /// records, or the serializer's walk for an overlay document.
+  Status AppendSubtreeXml(uint32_t root_component, const xml::DeweyId& id,
+                          std::string* out, PageAccounting* acct) const;
+  /// Copies the subtree into `target` under `target_parent` (compaction).
   Status CopySubtree(uint32_t root_component, const xml::DeweyId& id,
                      xml::Document* target, xml::NodeIndex target_parent,
                      uint64_t* fetched_bytes, PageAccounting* acct) const;

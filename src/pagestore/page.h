@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/checksum.h"
 #include "common/result.h"
 
 namespace quickview::pagestore {
@@ -66,23 +67,11 @@ class PageSource {
   virtual Result<PagePin> Fetch(PageId id, PageAccounting* acct) const = 0;
 };
 
-/// FNV-1a over the page header (minus the checksum field) and payload.
-inline uint32_t PageChecksum(PageType type, PageId next_page,
-                             std::string_view payload) {
-  uint32_t h = 2166136261u;
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 16777619u;
-  };
-  mix(static_cast<uint8_t>(type));
-  for (int shift = 0; shift < 32; shift += 8) {
-    mix(static_cast<uint8_t>((next_page >> shift) & 0xff));
-  }
-  for (int shift = 0; shift < 32; shift += 8) {
-    mix(static_cast<uint8_t>((payload.size() >> shift) & 0xff));
-  }
-  for (char c : payload) mix(static_cast<uint8_t>(c));
-  return h;
+/// The checksum a page frame carries in its first 4 bytes: WordChecksum
+/// over the rest of the header (reserved bytes included) and the payload.
+/// `frame` holds at least kPageHeaderSize + `payload_len` bytes.
+inline uint32_t PageChecksum(std::string_view frame, uint32_t payload_len) {
+  return WordChecksum(frame.substr(4, kPageHeaderSize - 4 + payload_len));
 }
 
 // Big-endian integer codec shared by every pagestore serializer (matches

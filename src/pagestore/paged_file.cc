@@ -13,7 +13,8 @@ namespace quickview::pagestore {
 namespace {
 
 constexpr char kMagic[8] = {'Q', 'V', 'P', 'A', 'C', 'K', '1', '\n'};
-constexpr uint32_t kFormatVersion = 1;
+// 2: pages carry WordChecksum (version 1 carried byte-wise FNV-1a).
+constexpr uint32_t kFormatVersion = 2;
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   // strerror is not reentrant, but every caller is on an error path that
@@ -33,17 +34,23 @@ Status EncodePage(PageType type, std::string_view payload, PageId next_page,
   }
   frame->clear();
   frame->reserve(kPageSize);
-  AppendU32(frame, PageChecksum(type, next_page, payload));
+  AppendU32(frame, 0);  // the checksum, filled in below
   AppendU32(frame, static_cast<uint32_t>(payload.size()));
   AppendU32(frame, next_page);
   frame->push_back(static_cast<char>(type));
   frame->append(3, '\0');
   frame->append(payload);
+  std::string checksum;
+  AppendU32(&checksum,
+            PageChecksum(*frame, static_cast<uint32_t>(payload.size())));
+  frame->replace(0, checksum.size(), checksum);
   frame->resize(kPageSize, '\0');
   return Status::OK();
 }
 
-Status DecodePage(const std::string& frame, PageId id, CachedPage* out) {
+/// Verifies a raw kPageSize frame and copies its payload out: the one
+/// copy a page read makes.
+Status DecodePage(std::string_view frame, PageId id, CachedPage* out) {
   size_t pos = 0;
   uint32_t checksum = 0;
   uint32_t payload_len = 0;
@@ -58,13 +65,13 @@ Status DecodePage(const std::string& frame, PageId id, CachedPage* out) {
     return Status::Internal("corrupt page header in page " +
                             std::to_string(id));
   }
-  out->type = static_cast<PageType>(type);
-  out->next_page = next_page;
-  out->payload.assign(frame, kPageHeaderSize, payload_len);
-  if (PageChecksum(out->type, out->next_page, out->payload) != checksum) {
+  if (PageChecksum(frame, payload_len) != checksum) {
     return Status::Internal("page checksum mismatch in page " +
                             std::to_string(id));
   }
+  out->type = static_cast<PageType>(type);
+  out->next_page = next_page;
+  out->payload.assign(frame.substr(kPageHeaderSize, payload_len));
   return Status::OK();
 }
 
@@ -136,27 +143,39 @@ Result<std::unique_ptr<PagedFile>> PagedFile::Open(const std::string& path) {
   }
   file->page_count_ = static_cast<uint32_t>(st.st_size / kPageSize);
 
-  QUICKVIEW_ASSIGN_OR_RETURN(CachedPage header, file->ReadPage(0));
-  size_t pos = 0;
-  if (header.type != PageType::kHeader ||
-      header.payload.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) !=
-          0) {
+  // Magic and version come from the raw frame, before its checksum is
+  // verified: a pack written under another format version checksums its
+  // pages differently, and must read as Unsupported, not as corrupt.
+  char frame[kPageSize];
+  QUICKVIEW_RETURN_IF_ERROR(file->ReadFrame(0, frame));
+  const std::string_view raw(frame, kPageSize);
+  const std::string_view magic(kMagic, sizeof(kMagic));
+  size_t pos = kPageHeaderSize + sizeof(kMagic);
+  uint32_t version = 0;
+  if (raw.substr(kPageHeaderSize, sizeof(kMagic)) != magic ||
+      !ReadU32(raw, &pos, &version)) {
     return Status::InvalidArgument(path + " is not a .qvpack file");
   }
-  pos = sizeof(kMagic);
-  uint32_t version = 0;
+  if (version != kFormatVersion) {
+    return Status::Unsupported(
+        path + ": unsupported .qvpack version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kFormatVersion) +
+        "; rebuild it with `quickview_cli pack` from its database "
+        "directory)");
+  }
+  CachedPage header;
+  QUICKVIEW_RETURN_IF_ERROR(DecodePage(raw, 0, &header));
+  if (header.type != PageType::kHeader) {
+    return Status::InvalidArgument(path + " is not a .qvpack file");
+  }
+  pos = sizeof(kMagic) + sizeof(version);
   uint32_t page_size = 0;
   uint32_t page_count = 0;
   uint32_t directory_page = 0;
-  if (!ReadU32(header.payload, &pos, &version) ||
-      !ReadU32(header.payload, &pos, &page_size) ||
+  if (!ReadU32(header.payload, &pos, &page_size) ||
       !ReadU32(header.payload, &pos, &page_count) ||
       !ReadU32(header.payload, &pos, &directory_page)) {
     return Status::InvalidArgument(path + ": truncated .qvpack header");
-  }
-  if (version != kFormatVersion) {
-    return Status::Unsupported(path + ": unsupported .qvpack version " +
-                               std::to_string(version));
   }
   if (page_size != kPageSize || page_count != file->page_count_ ||
       directory_page >= page_count) {
@@ -170,20 +189,26 @@ PagedFile::~PagedFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<CachedPage> PagedFile::ReadPage(PageId id) const {
+Status PagedFile::ReadFrame(PageId id, char* frame) const {
   if (id == kInvalidPage || (page_count_ != 0 && id >= page_count_)) {
     return Status::Internal("page id " + std::to_string(id) +
                             " out of range in " + path_);
   }
-  std::string frame(kPageSize, '\0');
-  ssize_t n = ::pread(fd_, frame.data(), frame.size(),
+  ssize_t n = ::pread(fd_, frame, kPageSize,
                       static_cast<off_t>(id) * kPageSize);
-  if (n != static_cast<ssize_t>(frame.size())) {
+  if (n != static_cast<ssize_t>(kPageSize)) {
     return Status::Internal("short read of page " + std::to_string(id) +
                             " from " + path_);
   }
+  return Status::OK();
+}
+
+Result<CachedPage> PagedFile::ReadPage(PageId id) const {
+  char frame[kPageSize];
+  QUICKVIEW_RETURN_IF_ERROR(ReadFrame(id, frame));
   CachedPage page;
-  QUICKVIEW_RETURN_IF_ERROR(DecodePage(frame, id, &page));
+  QUICKVIEW_RETURN_IF_ERROR(
+      DecodePage(std::string_view(frame, kPageSize), id, &page));
   return page;
 }
 
@@ -239,15 +264,7 @@ Status ChainReader::Pull() {
 }
 
 Status ChainReader::Read(size_t n, std::string* out) {
-  while (n > 0) {
-    QUICKVIEW_RETURN_IF_ERROR(Pull());
-    size_t avail = current_->payload.size() - offset_;
-    size_t take = std::min(avail, n);
-    out->append(current_->payload, offset_, take);
-    offset_ += static_cast<uint32_t>(take);
-    n -= take;
-  }
-  return Status::OK();
+  return ReadPieces(n, [out](std::string_view piece) { out->append(piece); });
 }
 
 Status ChainReader::ReadScalar(size_t n, uint64_t* v) {

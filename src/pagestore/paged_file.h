@@ -9,6 +9,7 @@
 #ifndef QUICKVIEW_PAGESTORE_PAGED_FILE_H_
 #define QUICKVIEW_PAGESTORE_PAGED_FILE_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -63,7 +64,8 @@ class PagedFile {
   PagedFile(const PagedFile&) = delete;
   PagedFile& operator=(const PagedFile&) = delete;
 
-  /// Reads and checksum-verifies one page.
+  /// Reads and checksum-verifies one page: one pread into a stack frame,
+  /// one copy of the payload out of it.
   Result<CachedPage> ReadPage(PageId id) const;
 
   uint32_t page_count() const { return page_count_; }
@@ -72,6 +74,9 @@ class PagedFile {
 
  private:
   PagedFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+
+  /// preads page `id` into `frame` (kPageSize bytes), unverified.
+  Status ReadFrame(PageId id, char* frame) const;
 
   int fd_;
   std::string path_;
@@ -120,6 +125,23 @@ class ChainReader {
   /// Appends exactly `n` bytes to `out`; Internal error if the chain ends
   /// first.
   Status Read(size_t n, std::string* out);
+
+  /// Hands the next `n` bytes to `sink` without copying them: one
+  /// std::string_view per page they span, each pointing into the pinned
+  /// page and valid only during its call. Internal error if the chain
+  /// ends first.
+  template <typename Sink>
+  Status ReadPieces(size_t n, Sink&& sink) {
+    while (n > 0) {
+      QUICKVIEW_RETURN_IF_ERROR(Pull());
+      const std::string_view payload = current_->payload;
+      const size_t take = std::min(payload.size() - offset_, n);
+      sink(payload.substr(offset_, take));
+      offset_ += static_cast<uint32_t>(take);
+      n -= take;
+    }
+    return Status::OK();
+  }
 
   Status ReadU16(uint16_t* v);
   Status ReadU32(uint32_t* v);

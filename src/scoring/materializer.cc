@@ -4,35 +4,40 @@
 
 namespace quickview::scoring {
 
-Status MaterializeResult(const xquery::NodeHandle& result,
-                         const storage::DocumentStore* store,
-                         xml::Document* target, xml::NodeIndex target_parent,
-                         storage::DocumentStore::Stats* fetch_stats) {
-  const xml::Node& node = result.node();
+namespace {
+
+Status AppendNode(const xml::Document& doc, xml::NodeIndex index,
+                  const storage::DocumentStore* store, std::string* out,
+                  storage::DocumentStore::Stats* fetch_stats) {
+  const xml::Node& node = doc.node(index);
   if (node.stats != nullptr && node.stats->content_pruned) {
-    // Fetch the full subtree from base storage; the pruned node's children
-    // are structural duplicates of fetched content and are dropped.
-    return store->CopySubtree(node.stats->source_doc, node.stats->source_id,
-                              target, target_parent, fetch_stats);
+    return store->AppendSubtreeXml(node.stats->source_doc,
+                                   node.stats->source_id, out, fetch_stats);
   }
-  xml::NodeIndex copied = target_parent == xml::kInvalidNode
-                              ? target->CreateRoot(node.tag)
-                              : target->AddChild(target_parent, node.tag);
-  target->node(copied).text = node.text;
+  xml::AppendStartTag(node.tag, out);
+  xml::AppendEscapedText(node.text, out);
   for (xml::NodeIndex child : node.children) {
-    QV_RETURN_IF_ERROR(MaterializeResult(xquery::NodeHandle{result.doc, child},
-                                         store, target, copied, fetch_stats));
+    QV_RETURN_IF_ERROR(AppendNode(doc, child, store, out, fetch_stats));
   }
+  xml::AppendEndTag(node.tag, out);
   return Status::OK();
+}
+
+}  // namespace
+
+Status MaterializeInto(const xquery::NodeHandle& result,
+                       const storage::DocumentStore* store, std::string* out,
+                       storage::DocumentStore::Stats* fetch_stats) {
+  return AppendNode(*result.doc, result.effective_index(), store, out,
+                    fetch_stats);
 }
 
 Result<std::string> MaterializeToXml(
     const xquery::NodeHandle& result, const storage::DocumentStore* store,
     storage::DocumentStore::Stats* fetch_stats) {
-  xml::Document doc(1);
-  QV_RETURN_IF_ERROR(
-      MaterializeResult(result, store, &doc, xml::kInvalidNode, fetch_stats));
-  return xml::Serialize(doc);
+  std::string xml;
+  QV_RETURN_IF_ERROR(MaterializeInto(result, store, &xml, fetch_stats));
+  return xml;
 }
 
 }  // namespace quickview::scoring

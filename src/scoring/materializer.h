@@ -1,17 +1,17 @@
 // Scoring & Materialization module, materialization half (paper §4.2.2.2):
 // "Only after the final top-k results are identified are the contents of
-// these results retrieved from the document storage system." Pruned nodes
-// in a result tree are replaced by their full subtrees fetched from the
-// DocumentStore; everything else is copied as-is.
+// these results retrieved from the document storage system." A result
+// tree is written out as XML in one walk: a constructed node writes its
+// tags, escaped text and children, and a pruned node has the
+// DocumentStore serialize its full stored subtree in place.
 //
 // Thread safety: materialization only reads the store (which is immutable
-// after construction) and writes to the caller-owned target document, so
-// concurrent queries may materialize against the same store. Per-query
-// fetch accounting goes through the optional `fetch_stats` accumulator.
+// after construction) and appends to a caller-owned string, so concurrent
+// queries may materialize against the same store. Per-query fetch
+// accounting goes through the optional `fetch_stats` accumulator.
 #ifndef QUICKVIEW_SCORING_MATERIALIZER_H_
 #define QUICKVIEW_SCORING_MATERIALIZER_H_
 
-#include <memory>
 #include <string>
 
 #include "common/result.h"
@@ -20,17 +20,19 @@
 
 namespace quickview::scoring {
 
-/// Expands one (possibly pruned) result tree into `target` under
-/// `target_parent` (kInvalidNode = as the root), fetching pruned subtrees
-/// from `store`. For already-full results this is a plain copy and
-/// touches no storage. When `fetch_stats` is non-null, every store fetch
-/// is also accumulated into it (per-query accounting).
-Status MaterializeResult(const xquery::NodeHandle& result,
-                         const storage::DocumentStore* store,
-                         xml::Document* target, xml::NodeIndex target_parent,
-                         storage::DocumentStore::Stats* fetch_stats = nullptr);
+/// Appends the XML of one (possibly pruned) result tree to `out`,
+/// fetching pruned subtrees from `store`; a pruned node's own children are
+/// structural duplicates of the fetched content and are dropped. A full
+/// result touches no storage. The bytes appended are the result's
+/// byte_length, so a caller that reserves that much appends without
+/// reallocating. When `fetch_stats` is non-null, every store fetch is
+/// also accumulated into it (per-query accounting). On error `out` may
+/// hold a partial append.
+Status MaterializeInto(const xquery::NodeHandle& result,
+                       const storage::DocumentStore* store, std::string* out,
+                       storage::DocumentStore::Stats* fetch_stats = nullptr);
 
-/// Convenience: materializes into a fresh document and serializes it.
+/// Convenience: the result's XML as a fresh string.
 Result<std::string> MaterializeToXml(
     const xquery::NodeHandle& result, const storage::DocumentStore* store,
     storage::DocumentStore::Stats* fetch_stats = nullptr);

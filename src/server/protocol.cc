@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstddef>
 
+#include "common/checksum.h"
 #include "pagestore/page.h"
 
 namespace quickview::server {
@@ -15,28 +16,12 @@ using pagestore::ReadU16;
 using pagestore::ReadU32;
 using pagestore::ReadU64;
 
-/// FNV-1a over the frame header after the magic, plus the payload — same
-/// constants as pagestore::PageChecksum, so a corrupt frame surfaces as
-/// an error, never as a wrong answer.
-uint32_t FrameChecksum(uint8_t opcode, uint8_t flags, uint64_t request_id,
-                       std::string_view payload) {
-  uint32_t h = 2166136261u;
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 16777619u;
-  };
-  mix(static_cast<uint8_t>((kProtocolVersion >> 8) & 0xff));
-  mix(static_cast<uint8_t>(kProtocolVersion & 0xff));
-  mix(opcode);
-  mix(flags);
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    mix(static_cast<uint8_t>((request_id >> shift) & 0xff));
-  }
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    mix(static_cast<uint8_t>((payload.size() >> shift) & 0xff));
-  }
-  for (char c : payload) mix(static_cast<uint8_t>(c));
-  return h;
+/// WordChecksum (common/checksum.h, the checksum .qvpack pages carry
+/// too) over a frame's header after the magic and its payload; `frame` is
+/// the frame up to its trailer. A corrupt frame surfaces as an error,
+/// never as a wrong answer.
+uint32_t FrameChecksum(std::string_view frame) {
+  return WordChecksum(frame.substr(sizeof(kFrameMagic)));
 }
 
 void AppendString(std::string* out, std::string_view s) {
@@ -161,6 +146,7 @@ const char* OpcodeName(Opcode op) {
 }
 
 void EncodeFrame(const Frame& frame, std::string* out) {
+  const size_t start = out->size();
   AppendU32(out, kFrameMagic);
   AppendU16(out, kProtocolVersion);
   out->push_back(static_cast<char>(frame.opcode));
@@ -168,8 +154,7 @@ void EncodeFrame(const Frame& frame, std::string* out) {
   AppendU64(out, frame.request_id);
   AppendU32(out, static_cast<uint32_t>(frame.payload.size()));
   out->append(frame.payload);
-  AppendU32(out, FrameChecksum(static_cast<uint8_t>(frame.opcode),
-                               frame.flags, frame.request_id, frame.payload));
+  AppendU32(out, FrameChecksum(std::string_view(*out).substr(start)));
 }
 
 Result<FrameDecode> DecodeFrame(std::string_view in, Frame* frame,
@@ -207,7 +192,7 @@ Result<FrameDecode> DecodeFrame(std::string_view in, Frame* frame,
   pos = kFrameHeaderSize + payload_len;
   uint32_t checksum = 0;
   ReadU32(in, &pos, &checksum);
-  if (checksum != FrameChecksum(opcode, flags, request_id, payload)) {
+  if (checksum != FrameChecksum(in.substr(0, kFrameHeaderSize + payload_len))) {
     return Status::ParseError("frame checksum mismatch");
   }
   frame->opcode = static_cast<Opcode>(opcode);

@@ -8,7 +8,7 @@
 //   +--------+---------+--------+-------+------------+-------------+
 //   | payload (payload len bytes)                                  |
 //   +--------------------------------------------------------------+
-//   | checksum u32  (FNV-1a over header-after-magic + payload)     |
+//   | checksum u32 (WordChecksum over header-after-magic + payload)|
 //   +--------------------------------------------------------------+
 //
 // 20-byte header, 4-byte trailer. A response frame echoes the request's
@@ -38,7 +38,9 @@
 namespace quickview::server {
 
 inline constexpr uint32_t kFrameMagic = 0x51565250;  // "QVRP"
-inline constexpr uint16_t kProtocolVersion = 2;
+/// 3: frames carry WordChecksum (common/checksum.h); 2 carried byte-wise
+/// FNV-1a.
+inline constexpr uint16_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderSize = 20;
 inline constexpr size_t kFrameTrailerSize = 4;
 /// Hard cap on a single frame's payload; anything larger is corrupt (or

@@ -27,17 +27,17 @@ const Document* DocumentStore::Resolve(uint32_t root_component) const {
   return it == docs_.end() ? nullptr : it->second.get();
 }
 
-Status DocumentStore::CopySubtree(uint32_t root_component,
-                                  const xml::DeweyId& id,
-                                  xml::Document* target,
-                                  xml::NodeIndex target_parent,
-                                  Stats* accounting) const {
+Status DocumentStore::AppendSubtreeXml(uint32_t root_component,
+                                       const xml::DeweyId& id,
+                                       std::string* out,
+                                       Stats* accounting) const {
+  const size_t start = out->size();
   if (packed_ != nullptr) {
     pagestore::PageAccounting pages;
-    uint64_t bytes = 0;
-    QV_RETURN_IF_ERROR(packed_->CopySubtree(root_component, id, target,
-                                            target_parent, &bytes, &pages));
-    CountFetch(bytes, pages.pages_read, pages.buffer_hits, accounting);
+    QV_RETURN_IF_ERROR(
+        packed_->AppendSubtreeXml(root_component, id, out, &pages));
+    CountFetch(out->size() - start, pages.pages_read, pages.buffer_hits,
+               accounting);
     return Status::OK();
   }
   const Document* doc = Resolve(root_component);
@@ -49,8 +49,8 @@ Status DocumentStore::CopySubtree(uint32_t root_component,
   if (source == xml::kInvalidNode) {
     return Status::NotFound("no element " + id.ToString());
   }
-  CountFetch(xml::CopySubtreeInto(*doc, source, target, target_parent), 0, 0,
-             accounting);
+  xml::SerializeTo(*doc, source, out);
+  CountFetch(out->size() - start, 0, 0, accounting);
   return Status::OK();
 }
 

@@ -64,12 +64,15 @@ class DocumentStore {
   DocumentStore(const DocumentStore&) = delete;
   DocumentStore& operator=(const DocumentStore&) = delete;
 
-  /// Copies the stored subtree identified by (`root_component`, `id`) into
-  /// `target` as a child of `target_parent` (or as the root when `target`
-  /// is empty and `target_parent` is kInvalidNode). Counts fetch stats.
-  Status CopySubtree(uint32_t root_component, const xml::DeweyId& id,
-                     xml::Document* target, xml::NodeIndex target_parent,
-                     Stats* accounting = nullptr) const;
+  /// Appends the XML of the stored subtree identified by
+  /// (`root_component`, `id`) to `out`, serialized in place: by the
+  /// serializer's own walk for an in-memory document, straight from the
+  /// pinned node-record pages for a packed one. A fetch's bytes_fetched
+  /// is the bytes it appended, SubtreeByteLength by the serializer's
+  /// definition. On error `out` may hold a partial append.
+  Status AppendSubtreeXml(uint32_t root_component, const xml::DeweyId& id,
+                          std::string* out,
+                          Stats* accounting = nullptr) const;
 
   /// Returns the atomic text value of the element, or NotFound.
   Status GetValue(uint32_t root_component, const xml::DeweyId& id,

@@ -25,9 +25,10 @@ std::string_view EntityFor(char c) {
   }
 }
 
-/// Appends `text` escaped to `out`, copying each run of plain bytes in
-/// one append.
+}  // namespace
+
 void AppendEscapedText(std::string_view text, std::string* out) {
+  // Each run of plain bytes is copied in one append.
   size_t plain = 0;  // start of the run not yet appended
   for (size_t i = 0; i < text.size(); ++i) {
     std::string_view entity = EntityFor(text[i]);
@@ -39,19 +40,25 @@ void AppendEscapedText(std::string_view text, std::string* out) {
   out->append(text.substr(plain));
 }
 
-void SerializeTo(const Document& doc, NodeIndex index, std::string* out) {
-  const Node& node = doc.node(index);
+void AppendStartTag(std::string_view tag, std::string* out) {
   out->push_back('<');
-  out->append(node.tag);
-  out->push_back('>');
-  AppendEscapedText(node.text, out);
-  for (NodeIndex child : node.children) SerializeTo(doc, child, out);
-  out->append("</");
-  out->append(node.tag);
+  out->append(tag);
   out->push_back('>');
 }
 
-}  // namespace
+void AppendEndTag(std::string_view tag, std::string* out) {
+  out->append("</");
+  out->append(tag);
+  out->push_back('>');
+}
+
+void SerializeTo(const Document& doc, NodeIndex index, std::string* out) {
+  const Node& node = doc.node(index);
+  AppendStartTag(node.tag, out);
+  AppendEscapedText(node.text, out);
+  for (NodeIndex child : node.children) SerializeTo(doc, child, out);
+  AppendEndTag(node.tag, out);
+}
 
 std::string EscapeText(const std::string& text) {
   std::string out;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "xml/dom.h"
@@ -18,6 +19,17 @@ std::string Serialize(const Document& doc, NodeIndex node);
 
 /// Serializes the whole document.
 std::string Serialize(const Document& doc);
+
+/// Appends Serialize(doc, node) to `out`.
+void SerializeTo(const Document& doc, NodeIndex node, std::string* out);
+
+/// Append the markup Serialize writes around an element's content.
+void AppendStartTag(std::string_view tag, std::string* out);
+void AppendEndTag(std::string_view tag, std::string* out);
+
+/// Appends `text` escaped as element content (what EscapeText returns).
+/// Escaping is per byte, so a text may be appended in pieces.
+void AppendEscapedText(std::string_view text, std::string* out);
 
 /// Bytes the node's own tags and escaped text take in Serialize output,
 /// children excluded.

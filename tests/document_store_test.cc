@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace quickview::storage {
 namespace {
@@ -22,24 +21,25 @@ class DocumentStoreTest : public ::testing::Test {
   std::unique_ptr<DocumentStore> store_;
 };
 
-TEST_F(DocumentStoreTest, CopySubtree) {
-  xml::Document target(1);
-  Status s = store_->CopySubtree(1, xml::DeweyId::Parse("1.1"), &target,
-                                 xml::kInvalidNode);
+TEST_F(DocumentStoreTest, AppendSubtreeXml) {
+  std::string xml;
+  Status s = store_->AppendSubtreeXml(1, xml::DeweyId::Parse("1.1"), &xml);
   ASSERT_TRUE(s.ok()) << s;
-  EXPECT_EQ(xml::Serialize(target),
-            "<book><isbn>111</isbn><title>X</title></book>");
+  EXPECT_EQ(xml, "<book><isbn>111</isbn><title>X</title></book>");
   EXPECT_EQ(store_->stats().fetch_calls, 1u);
-  EXPECT_GT(store_->stats().bytes_fetched, 0u);
+  EXPECT_EQ(store_->stats().bytes_fetched, xml.size());
 }
 
-TEST_F(DocumentStoreTest, CopySubtreeUnderParent) {
-  xml::Document target(1);
-  xml::NodeIndex root = target.CreateRoot("results");
-  ASSERT_TRUE(store_->CopySubtree(1, xml::DeweyId::Parse("1.1.2"), &target,
-                                  root)
+TEST_F(DocumentStoreTest, AppendSubtreeXmlKeepsWhatIsThere) {
+  std::string xml = "<results>";
+  DocumentStore::Stats accounting;
+  ASSERT_TRUE(store_
+                  ->AppendSubtreeXml(1, xml::DeweyId::Parse("1.1.2"), &xml,
+                                     &accounting)
                   .ok());
-  EXPECT_EQ(xml::Serialize(target), "<results><title>X</title></results>");
+  EXPECT_EQ(xml, "<results><title>X</title>");
+  EXPECT_EQ(accounting.fetch_calls, 1u);
+  EXPECT_EQ(accounting.bytes_fetched, std::string("<title>X</title>").size());
 }
 
 TEST_F(DocumentStoreTest, GetValue) {
@@ -58,15 +58,15 @@ TEST_F(DocumentStoreTest, GetSubtreeLength) {
 }
 
 TEST_F(DocumentStoreTest, ErrorsForMissing) {
-  xml::Document target(1);
-  EXPECT_EQ(store_->CopySubtree(9, xml::DeweyId::Parse("9.1"), &target,
-                                xml::kInvalidNode)
+  std::string xml;
+  EXPECT_EQ(store_->AppendSubtreeXml(9, xml::DeweyId::Parse("9.1"), &xml)
                 .code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(store_->CopySubtree(1, xml::DeweyId::Parse("1.7"), &target,
-                                xml::kInvalidNode)
+  EXPECT_EQ(store_->AppendSubtreeXml(1, xml::DeweyId::Parse("1.7"), &xml)
                 .code(),
             StatusCode::kNotFound);
+  EXPECT_TRUE(xml.empty());
+  EXPECT_EQ(store_->stats().fetch_calls, 0u);
 }
 
 TEST_F(DocumentStoreTest, ResetStats) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace quickview::scoring {
 namespace {
@@ -93,16 +92,28 @@ TEST_F(MaterializerTest, DanglingSourceIsReported) {
   EXPECT_EQ(xml_text.status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(MaterializerTest, MaterializeUnderExistingParent) {
+TEST_F(MaterializerTest, MaterializeIntoAppendsAfterExistingBytes) {
+  // <hit>a&b<title/></hit>, title pruned: one walk appends the constructed
+  // markup and the fetched subtree after whatever `out` already holds.
   xml::Document result(100);
-  xml::NodeIndex root = result.CreateRoot("src");
-  result.node(root).text = "x";
-  xml::Document target(1);
-  xml::NodeIndex wrap = target.CreateRoot("wrap");
-  ASSERT_TRUE(MaterializeResult(xquery::NodeHandle{&result, root},
-                                store_.get(), &target, wrap)
+  xml::NodeIndex root = result.CreateRoot("hit");
+  result.node(root).text = "a&b";
+  xml::NodeIndex stub = result.AddChild(root, "title");
+  xml::NodeStats stats;
+  stats.content_pruned = true;
+  stats.source_doc = 1;
+  stats.source_id = xml::DeweyId::Parse("1.1.2");
+  result.node(stub).stats = std::make_shared<xml::NodeStats>(stats);
+
+  std::string out = "prefix";
+  storage::DocumentStore::Stats fetches;
+  ASSERT_TRUE(MaterializeInto(xquery::NodeHandle{&result, root},
+                              store_.get(), &out, &fetches)
                   .ok());
-  EXPECT_EQ(xml::Serialize(target), "<wrap><src>x</src></wrap>");
+  const std::string fetched = "<title>XML Services<b>Web</b></title>";
+  EXPECT_EQ(out, "prefix<hit>a&amp;b" + fetched + "</hit>");
+  EXPECT_EQ(fetches.fetch_calls, 1u);
+  EXPECT_EQ(fetches.bytes_fetched, fetched.size());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +117,11 @@ class PackedDbTest : public ::testing::Test {
                               const std::string& label) {
     ASSERT_EQ(mem.hits.size(), paged.hits.size()) << label;
     for (size_t i = 0; i < mem.hits.size(); ++i) {
+      // The materializer reserves byte_length and writes the XML once.
+      EXPECT_EQ(mem.hits[i].xml.size(), mem.hits[i].byte_length)
+          << label << " #" << i;
+      EXPECT_EQ(paged.hits[i].xml.size(), paged.hits[i].byte_length)
+          << label << " #" << i;
       EXPECT_EQ(mem.hits[i].score, paged.hits[i].score) << label << " #" << i;
       EXPECT_EQ(mem.hits[i].tf, paged.hits[i].tf) << label << " #" << i;
       EXPECT_EQ(mem.hits[i].byte_length, paged.hits[i].byte_length)
@@ -236,15 +242,17 @@ TEST_F(PackedDbTest, DocumentFetchesMatchInMemory) {
         const xml::DeweyId& id = entries[i].id;
 
         storage::DocumentStore::Stats mem_stats, paged_stats;
-        xml::Document mem_copy(root), paged_copy(root);
-        Status mem_status = corpus_->store->CopySubtree(
-            root, id, &mem_copy, xml::kInvalidNode, &mem_stats);
-        Status paged_status = packed.store->CopySubtree(
-            root, id, &paged_copy, xml::kInvalidNode, &paged_stats);
+        std::string mem_xml, paged_xml;
+        Status mem_status =
+            corpus_->store->AppendSubtreeXml(root, id, &mem_xml, &mem_stats);
+        Status paged_status =
+            packed.store->AppendSubtreeXml(root, id, &paged_xml, &paged_stats);
         ASSERT_TRUE(mem_status.ok()) << mem_status;
         ASSERT_TRUE(paged_status.ok()) << paged_status;
-        EXPECT_EQ(xml::Serialize(mem_copy), xml::Serialize(paged_copy));
+        EXPECT_EQ(mem_xml, paged_xml);
+        EXPECT_EQ(mem_xml, xml::Serialize(*doc, doc->FindByDewey(id)));
         EXPECT_EQ(mem_stats.bytes_fetched, paged_stats.bytes_fetched);
+        EXPECT_EQ(paged_stats.bytes_fetched, paged_xml.size());
         EXPECT_EQ(mem_stats.fetch_calls, paged_stats.fetch_calls);
         EXPECT_GT(paged_stats.pages_read + paged_stats.buffer_hits, 0u);
         EXPECT_EQ(mem_stats.pages_read, 0u);
@@ -264,9 +272,9 @@ TEST_F(PackedDbTest, DocumentFetchesMatchInMemory) {
     }
 
     // Misses keep the in-memory error contract.
-    xml::Document sink(root);
-    Status missing = packed.store->CopySubtree(
-        root, xml::DeweyId({root, 999999u}), &sink, xml::kInvalidNode);
+    std::string sink;
+    Status missing = packed.store->AppendSubtreeXml(
+        root, xml::DeweyId({root, 999999u}), &sink);
     EXPECT_EQ(missing.code(), StatusCode::kNotFound);
     uint64_t len_sink = 0;
     Status bad_root = packed.store->GetSubtreeLength(
@@ -449,7 +457,123 @@ TEST(PackedDbLongValues, MultiPageTextNodesRoundTrip) {
       paged_store.GetValue(1, (*rows)[0].entries[0].id, &value).ok());
   EXPECT_EQ(value, huge);
 
+  // The one-walk fetch writes the text straight off the four pages it
+  // spans.
+  std::string xml;
+  ASSERT_TRUE(paged_store.AppendSubtreeXml(1, xml::DeweyId({1}), &xml).ok());
+  EXPECT_EQ(xml, xml::Serialize(*doc));
+
   std::filesystem::remove(pack_path);
+}
+
+/// Serves a byte stream as a chain of node-record pages of at most
+/// `page_payload` bytes each, page i linking to page i + 1: crafted
+/// records reach AppendNodeRecordsXml without a pack file.
+class FakeRecordPages final : public pagestore::PageSource {
+ public:
+  FakeRecordPages(std::string_view stream, size_t page_payload) {
+    for (size_t pos = 0; pos < stream.size(); pos += page_payload) {
+      auto page = std::make_shared<pagestore::CachedPage>();
+      page->type = pagestore::PageType::kNodeRecords;
+      page->payload = std::string(stream.substr(pos, page_payload));
+      page->next_page = pos + page_payload < stream.size()
+                            ? static_cast<pagestore::PageId>(pages_.size() + 1)
+                            : pagestore::kInvalidPage;
+      pages_.push_back(std::move(page));
+    }
+  }
+
+  Result<pagestore::PagePin> Fetch(
+      pagestore::PageId id, pagestore::PageAccounting* acct) const override {
+    if (id >= pages_.size()) return Status::Internal("no such page");
+    if (acct != nullptr) ++acct->buffer_hits;
+    return pagestore::PagePin(pages_[id]);
+  }
+
+ private:
+  std::vector<std::shared_ptr<const pagestore::CachedPage>> pages_;
+};
+
+/// One node record in PackDocument's layout.
+void AppendRecord(std::string* out, uint32_t subtree_count,
+                  uint64_t subtree_bytes, uint16_t depth, std::string_view tag,
+                  std::string_view text) {
+  pagestore::AppendU32(out, subtree_count);
+  pagestore::AppendU64(out, subtree_bytes);
+  pagestore::AppendU16(out, depth);
+  pagestore::AppendU16(out, static_cast<uint16_t>(tag.size()));
+  out->append(tag);
+  pagestore::AppendU32(out, static_cast<uint32_t>(text.size()));
+  out->append(text);
+}
+
+Status AppendFromPages(const std::string& stream, size_t page_payload,
+                       std::string* out) {
+  FakeRecordPages pages(stream, page_payload);
+  pagestore::ChainReader reader(&pages, 0, 0, nullptr);
+  return pagestore::AppendNodeRecordsXml(&reader, out);
+}
+
+// <review>x<y<content>t&u<b></b></content><rate></rate></review>, with the
+// root at depth 2 as under a document element.
+const std::string kRecordXml =
+    "<review>x&lt;y<content>t&amp;u<b></b></content><rate></rate></review>";
+
+TEST(NodeRecordsXmlTest, WalksRecordsAcrossPageBoundaries) {
+  std::string stream;
+  AppendRecord(&stream, 4, kRecordXml.size(), 2, "review", "x<y");
+  AppendRecord(&stream, 2, 33, 3, "content", "t&u");
+  AppendRecord(&stream, 1, 7, 4, "b", "");
+  AppendRecord(&stream, 1, 13, 3, "rate", "");
+  // Every page size from 1 byte up splits tags, texts and record heads
+  // at every offset.
+  for (size_t page_payload : {1, 2, 3, 5, 7, 11, 64, 4080}) {
+    SCOPED_TRACE("page payload " + std::to_string(page_payload));
+    std::string out = "kept";
+    Status s = AppendFromPages(stream, page_payload, &out);
+    ASSERT_TRUE(s.ok()) << s;
+    EXPECT_EQ(out, "kept" + kRecordXml);
+  }
+}
+
+TEST(NodeRecordsXmlTest, DepthThatSkipsALevelIsInternal) {
+  std::string stream;
+  AppendRecord(&stream, 2, 100, 2, "review", "");
+  AppendRecord(&stream, 1, 7, 4, "b", "");  // depth 3 is missing
+  std::string out;
+  Status s = AppendFromPages(stream, 7, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s;
+  EXPECT_NE(s.message().find("depth"), std::string::npos) << s;
+}
+
+TEST(NodeRecordsXmlTest, RecordOutsideTheSubtreeIsInternal) {
+  std::string stream;
+  AppendRecord(&stream, 2, 100, 3, "review", "");
+  AppendRecord(&stream, 1, 7, 3, "b", "");  // a sibling, not a child
+  std::string out;
+  EXPECT_EQ(AppendFromPages(stream, 7, &out).code(), StatusCode::kInternal);
+}
+
+TEST(NodeRecordsXmlTest, ByteCountThatDisagreesIsInternal) {
+  std::string stream;
+  AppendRecord(&stream, 4, kRecordXml.size() + 1, 2, "review", "x<y");
+  AppendRecord(&stream, 2, 33, 3, "content", "t&u");
+  AppendRecord(&stream, 1, 7, 4, "b", "");
+  AppendRecord(&stream, 1, 13, 3, "rate", "");
+  std::string out;
+  Status s = AppendFromPages(stream, 7, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s;
+  EXPECT_NE(s.message().find(std::to_string(kRecordXml.size())),
+            std::string::npos)
+      << s;
+}
+
+TEST(NodeRecordsXmlTest, ChainThatEndsEarlyIsInternal) {
+  std::string stream;
+  AppendRecord(&stream, 3, 100, 2, "review", "");
+  AppendRecord(&stream, 1, 7, 3, "b", "");  // the third record is missing
+  std::string out;
+  EXPECT_EQ(AppendFromPages(stream, 7, &out).code(), StatusCode::kInternal);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Wire protocol: every RPC payload round-trips bit-exactly; frames
 // survive arbitrary split points as kNeedMore; corruption — flipped
-// bytes, bad magic, bad version, oversized length — is a typed
+// bits, bad magic, bad version, oversized length — is a typed
 // ParseError, never a wrong decode. Runs under the Sanitize CI leg.
 #include "server/protocol.h"
 
@@ -9,6 +9,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "pagestore/page.h"
 
 namespace quickview::server {
 namespace {
@@ -95,24 +97,54 @@ TEST(ProtocolFrameTest, BackToBackFramesDecodeInOrder) {
 }
 
 TEST(ProtocolFrameTest, EveryCorruptedByteIsRejected) {
-  // Flipping ANY byte of the frame must fail decoding — either a header
-  // validation error or the checksum — and never mis-decode. (Bytes in
+  // Flipping ANY bit of the frame must fail decoding — either a header
+  // validation error or the checksum — and never mis-decode. (Bits in
   // the payload-length field can also legitimately report kNeedMore:
-  // a larger length makes the buffer an incomplete frame.)
-  const std::string wire = Encoded(MakeFrame(Opcode::kInsert, 3, "xyz"));
+  // a larger length makes the buffer an incomplete frame.) The payload
+  // spans a whole checksum word and a tail.
+  const std::string wire =
+      Encoded(MakeFrame(Opcode::kInsert, 3, "xyz-0123456789"));
   for (size_t i = 0; i < wire.size(); ++i) {
-    std::string corrupt = wire;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0x40);
-    Frame decoded;
-    size_t consumed = 0;
-    auto result = DecodeFrame(corrupt, &decoded, &consumed);
-    if (result.ok()) {
-      EXPECT_EQ(*result, FrameDecode::kNeedMore) << "byte " << i;
-    } else {
-      EXPECT_EQ(result.status().code(), StatusCode::kParseError)
-          << "byte " << i;
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string corrupt = wire;
+      corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
+      Frame decoded;
+      size_t consumed = 0;
+      auto result = DecodeFrame(corrupt, &decoded, &consumed);
+      if (result.ok()) {
+        EXPECT_EQ(*result, FrameDecode::kNeedMore)
+            << "byte " << i << " bit " << bit;
+      } else {
+        EXPECT_EQ(result.status().code(), StatusCode::kParseError)
+            << "byte " << i << " bit " << bit;
+      }
     }
   }
+}
+
+TEST(ProtocolFrameTest, ChecksumIsPinned) {
+  // Computed on a little-endian host; the checksum loads its words
+  // little-endian on any host, so the trailer must not change elsewhere.
+  const std::string wire = Encoded(MakeFrame(Opcode::kSearch, 42, "pinned"));
+  size_t pos = wire.size() - kFrameTrailerSize;
+  uint32_t trailer = 0;
+  ASSERT_TRUE(pagestore::ReadU32(wire, &pos, &trailer));
+  EXPECT_EQ(trailer, 0x22bdbdd7u);
+}
+
+TEST(ProtocolFrameTest, VersionTwoFrameIsRejectedByVersion) {
+  // A version-2 peer checksums frames with FNV-1a; its frames must fail
+  // on the version, which is checked before the checksum.
+  std::string wire = Encoded(MakeFrame(Opcode::kSearch, 1, "p"));
+  wire[4] = 0;
+  wire[5] = 2;
+  Frame decoded;
+  size_t consumed = 0;
+  auto result = DecodeFrame(wire, &decoded, &consumed);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("version 2"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(ProtocolFrameTest, BadMagicVersionOpcodeFlags) {

@@ -63,6 +63,10 @@ class ResultCursorTest : public ::testing::Test {
                              const std::vector<SearchHit>& actual) {
     ASSERT_EQ(expected.size(), actual.size());
     for (size_t i = 0; i < expected.size(); ++i) {
+      // The materializer reserves byte_length and writes the XML once.
+      EXPECT_EQ(expected[i].xml.size(), expected[i].byte_length)
+          << "hit " << i;
+      EXPECT_EQ(actual[i].xml.size(), actual[i].byte_length) << "hit " << i;
       EXPECT_EQ(expected[i].xml, actual[i].xml) << "hit " << i;
       EXPECT_EQ(expected[i].score, actual[i].score) << "hit " << i;
       EXPECT_EQ(expected[i].tf, actual[i].tf) << "hit " << i;

@@ -67,6 +67,9 @@ void ExpectIdentical(const SearchResponse& expected,
   ASSERT_EQ(expected.hits.size(), actual.hits.size()) << label;
   for (size_t i = 0; i < expected.hits.size(); ++i) {
     SCOPED_TRACE(label + " hit " + std::to_string(i));
+    // The materializer reserves byte_length and writes the XML once.
+    EXPECT_EQ(expected.hits[i].xml.size(), expected.hits[i].byte_length);
+    EXPECT_EQ(actual.hits[i].xml.size(), actual.hits[i].byte_length);
     EXPECT_EQ(expected.hits[i].xml, actual.hits[i].xml);
     EXPECT_EQ(expected.hits[i].tf, actual.hits[i].tf);
     EXPECT_EQ(expected.hits[i].byte_length, actual.hits[i].byte_length);
@@ -191,6 +194,11 @@ TEST(ShardedParityTest, PackedShardFirstTenReadsFewerPagesPerShard) {
     auto hits = (*cursor)->FetchNext(
         fetch == 0 ? (*cursor)->pending() : fetch);
     EXPECT_TRUE(hits.ok()) << hits.status();
+    if (hits.ok()) {
+      for (const SearchHit& hit : *hits) {
+        EXPECT_EQ(hit.xml.size(), hit.byte_length);
+      }
+    }
     return (*cursor)->stats().shards;
   };
 
