@@ -3,7 +3,7 @@
 // the coordinator pays cold (per-shard PDT build + evaluation on the
 // critical path) and warm (cached per-shard PreparedQueries; open is
 // evaluation + scoring + merge only), for a first page of 10 and for a
-// full drain. First-10 counters must show the merge frontier's laziness
+// full drain. First-10 counters must show the cursor's laziness
 // surviving sharding: store fetches proportional to the page at every
 // shard count, never to the match count.
 #include <memory>

@@ -1,11 +1,8 @@
-// The unified stats surface of the engine. Earlier revisions grew three
-// parallel vocabularies — ModuleTimings (Fig 14 wall-clock), SearchStats
-// (pipeline counters), and buffer-pool counters surfaced ad hoc by the
-// service layer. EngineStats nests all of them plus the per-shard
-// breakdown sharded execution adds, and is what ResultCursor::stats()
-// returns (QueryService::stats() sums only its SearchStats). The legacy
-// structs survive as the nested members (and inside SearchResponse), so
-// batch-response shapes are unchanged.
+// The unified stats surface of the engine: EngineStats nests the Fig-14
+// wall clock (ModuleTimings), the pipeline counters (SearchStats) and the
+// per-shard breakdown (ShardStats), and is what ResultCursor::stats()
+// returns. SearchResponse carries the first two; QueryService::stats()
+// sums only the SearchStats.
 #ifndef QUICKVIEW_ENGINE_ENGINE_STATS_H_
 #define QUICKVIEW_ENGINE_ENGINE_STATS_H_
 
@@ -54,7 +51,6 @@ struct SearchStats {  // lint:allow(adhoc-stats) per-request value type returned
 /// observable PER SHARD: fetching the global top 10 touches only the
 /// pages of the shards those 10 hits live on.
 struct ShardStats {  // lint:allow(adhoc-stats) per-request value type returned with results
-  int shard = 0;
   size_t view_results = 0;
   size_t matching_results = 0;
   uint64_t store_fetches = 0;
@@ -65,8 +61,8 @@ struct ShardStats {  // lint:allow(adhoc-stats) per-request value type returned 
   double eval_ms = 0;
 };
 
-/// The one nested stats answer. `shards` has one entry per executed
-/// shard (a single entry on an unsharded engine). Buffer-pool counters
+/// The one nested stats answer. `shards[i]` is shard i (a single entry
+/// on an unsharded engine). Buffer-pool counters
 /// live in the metrics registry (qv_bufferpool_*), not here.
 struct EngineStats {  // lint:allow(adhoc-stats) per-request value type returned with results
   SearchStats search;

@@ -1,5 +1,6 @@
 #include "engine/result_cursor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -44,6 +45,13 @@ void AddIoCounters(const storage::DocumentStore::Stats& io,
 
 }  // namespace
 
+size_t ResultCursor::ShardOf(size_t position) const {
+  auto it = std::partition_point(
+      slices_.begin(), slices_.end(),
+      [position](const Slice& slice) { return slice.end <= position; });
+  return static_cast<size_t>(it - slices_.begin());
+}
+
 Result<std::vector<SearchHit>> ResultCursor::FetchNext(size_t n) {
   const Clock::time_point start = Clock::now();
   if (trace_ != nullptr && materialize_span_ == nullptr) {
@@ -53,9 +61,10 @@ Result<std::vector<SearchHit>> ResultCursor::FetchNext(size_t n) {
   size_t want = std::min(n, pending());
   page.reserve(want);
   while (page.size() < want) {
-    MergedRankedStream::Entry best = stream_.Pop();
-    Slice& slice = slices_[best.shard];
-    const scoring::ScoredResult& candidate = slice.candidates[best.position];
+    const size_t position = stream_.Pop().position;
+    const size_t shard = ShardOf(position);
+    Slice& slice = slices_[shard];
+    const scoring::ScoredResult& candidate = candidates_[position];
     SearchHit hit;
     hit.score = candidate.score;
     hit.tf = candidate.tf;
@@ -71,13 +80,11 @@ Result<std::vector<SearchHit>> ResultCursor::FetchNext(size_t n) {
     stats_.search.store_bytes += fetches.bytes_fetched;
     stats_.search.pages_read += fetches.pages_read;
     stats_.search.buffer_hits += fetches.buffer_hits;
-    if (best.shard < stats_.shards.size()) {
-      ShardStats& shard = stats_.shards[best.shard];
-      shard.store_fetches += fetches.fetch_calls;
-      shard.store_bytes += fetches.bytes_fetched;
-      shard.pages_read += fetches.pages_read;
-      shard.buffer_hits += fetches.buffer_hits;
-    }
+    ShardStats& shard_stats = stats_.shards[shard];
+    shard_stats.store_fetches += fetches.fetch_calls;
+    shard_stats.store_bytes += fetches.bytes_fetched;
+    shard_stats.pages_read += fetches.pages_read;
+    shard_stats.buffer_hits += fetches.buffer_hits;
     if (materialize_span_ != nullptr) {
       ++slice.fetch_hits;
       AddIo(fetches, &slice.fetch_io);

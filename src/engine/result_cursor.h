@@ -1,15 +1,16 @@
 // ResultCursor: the pull-based result surface of the engine (paper
 // §4.2.2.2 taken to its API conclusion). ViewSearchEngine::Open runs the
-// cheap whole-stream stages once — evaluation over the PDTs, scoring,
-// per-shard ranked heaps merged under one tournament frontier — and
-// hands back a cursor; each FetchNext(n) pops the next n entries in
-// global score order and materializes exactly those from the owning
-// shard's document store. Materialization is the ONLY base-data access
-// of the pipeline, so a hit that is never fetched costs zero store
-// fetches — observable in stats().search.store_fetches globally and in
-// stats().shards[i] per shard: fetching the global top 10 touches only
-// the pages of the shards those 10 hits live on. This is what makes
-// "10 more" pagination incremental at any shard count.
+// cheap whole-stream stages once — evaluation over the PDTs, scoring —
+// and hands back a cursor over every shard's scored candidates, numbered
+// shard by shard in one vector under one lazily-heapified RankedStream;
+// each FetchNext(n) pops the next n entries in global score order and
+// materializes exactly those from the owning shard's document store.
+// Materialization is the ONLY base-data access of the pipeline, so a
+// hit that is never fetched costs zero store fetches — observable in
+// stats().search.store_fetches globally and in stats().shards[i] per
+// shard: fetching the global top 10 touches only the pages of the shards
+// those 10 hits live on. This is what makes "10 more" pagination
+// incremental at any shard count.
 //
 // Lifetime: the cursor pins every shard's PreparedQuery via shared_ptr —
 // a bundle, and with it its skeleton's PDTs and the arena the view was
@@ -39,7 +40,7 @@
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "engine/engine_stats.h"
-#include "engine/merged_ranked_stream.h"
+#include "engine/ranked_stream.h"
 #include "engine/view_search_engine.h"
 #include "obs/trace.h"
 #include "scoring/scorer.h"
@@ -81,12 +82,11 @@ class ResultCursor {
   /// growing with every fetch.
   const EngineStats& stats() const { return stats_; }
 
-  /// Shared ownership of slot `slot`'s prepared query (slot order ==
-  /// executed-shard order: all shards, or just the hinted one) — how the
+  /// Shared ownership of shard `shard`'s prepared query — how the
   /// service layer caches PDTs the engine built on the fly during Open.
-  /// The cursor keeps every slot's prepared query alive.
-  std::shared_ptr<const PreparedQuery> SharedPrepared(size_t slot) const {
-    return slices_[slot].prepared;
+  /// The cursor keeps every shard's prepared query alive.
+  std::shared_ptr<const PreparedQuery> SharedPrepared(size_t shard) const {
+    return slices_[shard].prepared;
   }
 
   /// Pins `lease` for the cursor's lifetime — the same shared_ptr scheme
@@ -103,14 +103,14 @@ class ResultCursor {
   friend class ViewSearchEngine;
   ResultCursor() = default;
 
-  /// One shard's execution product. `candidates` is in shard view order;
-  /// the merged stream's (shard, position) entries index into it.
+  /// One shard's execution product. Its candidates are the run of
+  /// `candidates_` that ends at `end`, in shard view order.
   struct Slice {
     std::shared_ptr<const PreparedQuery> prepared;  // pins PDTs, arena
     // Caller-built PDTs only: the arena this request evaluated into.
     std::shared_ptr<const xml::Document> arena;
     const storage::DocumentStore* store = nullptr;
-    std::vector<scoring::ScoredResult> candidates;
+    size_t end = 0;
     // This shard's trace span (null when tracing is off). Closed at Open;
     // FetchNext still accumulates materialization I/O into its counters
     // (post-close annotation is legal by the trace contract) so summing
@@ -122,9 +122,16 @@ class ResultCursor {
     storage::DocumentStore::Stats fetch_io;
   };
 
-  std::vector<Slice> slices_;  // corpus order (== stats_.shards order)
+  /// The shard whose run of `candidates_` holds `position`.
+  size_t ShardOf(size_t position) const;
+
+  std::vector<Slice> slices_;  // one per shard (== stats_.shards order)
+  // Every shard's candidates, shard after shard. The stream's positions
+  // index it, so equal scores pop by shard, then by view position: the
+  // unsharded engine's order under the contiguous corpus partition.
+  std::vector<scoring::ScoredResult> candidates_;
   std::vector<std::shared_ptr<const void>> leases_;  // caller-pinned state
-  MergedRankedStream stream_;
+  RankedStream stream_;
   std::shared_ptr<CancellationToken> cancel_;  // fired at budget / dtor
   size_t limit_ = 0;  // total hit budget (SearchOptions::top_k)
   size_t fetched_ = 0;

@@ -11,29 +11,20 @@ Status ValidateSearchOptions(const SearchOptions& options) {
 }
 
 Status SearchRequest::Validate() const {
-  if (query.empty() && view.empty()) {
-    return Status::InvalidArgument(
-        "SearchRequest needs a query or a view: set exactly one");
+  if (view.empty()) {
+    return Status::InvalidArgument("SearchRequest needs a view");
   }
-  if (!query.empty() && !view.empty()) {
+  if (keywords.empty()) {
     return Status::InvalidArgument(
-        "SearchRequest has both a query and a view: set exactly one");
+        "SearchRequest requires a non-empty keyword list");
   }
-  if (!query.empty() && !keywords.empty()) {
-    return Status::InvalidArgument(
-        "keywords accompany the view form; a full query embeds its own "
-        "ftcontains list");
+  for (const std::string& keyword : keywords) {
+    if (keyword.find('\'') != std::string::npos) {
+      return Status::InvalidArgument("keyword must not contain \"'\": " +
+                                     keyword);
+    }
   }
-  if (!view.empty() && keywords.empty()) {
-    return Status::InvalidArgument(
-        "view-form SearchRequest requires a non-empty keyword list");
-  }
-  QV_RETURN_IF_ERROR(ValidateSearchOptions(options));
-  if (shard < -1) {
-    return Status::InvalidArgument(
-        "shard hint must be -1 (all shards) or a shard number");
-  }
-  return Status::OK();
+  return ValidateSearchOptions(options);
 }
 
 }  // namespace quickview::engine

@@ -1,8 +1,8 @@
 // SearchRequest: the one request object behind the unified search entry
 // point ViewSearchEngine::Open(request) (and QueryService::OpenSearch).
-// A request carries either a full Fig-2 keyword query or a view plus
-// keyword list, the ranking options, an optional shard routing hint, an
-// optional deadline, and an optional caller-owned cancellation token.
+// A request is a view plus a keyword list (paper Fig 2), the ranking
+// options, an optional deadline, and an optional caller-owned
+// cancellation token; it always searches every shard of the corpus.
 // Validation lives in ONE place — Validate(), called once at Open — so
 // per-entry-point drift (top_k checked in one place, empty keywords in
 // another) cannot recur.
@@ -33,25 +33,14 @@ struct SearchOptions {
 Status ValidateSearchOptions(const SearchOptions& options);
 
 struct SearchRequest {
-  /// Exactly one of `query` / `view` must be set. `query` is a full
-  /// Fig-2 keyword query ("let $view := ... ftcontains(...)"); `view` is
-  /// the view half alone — the view TEXT at the engine boundary, a
-  /// registered view NAME at the service boundary — combined with
-  /// `keywords` (lowercased internally; must be non-empty in this form;
-  /// the connective comes from options.conjunctive).
-  std::string query;
+  /// The view: its TEXT at the engine boundary, a registered view NAME at
+  /// the service boundary. ComposeKeywordQuery combines it with
+  /// `keywords` (lowercased internally) and the connective from
+  /// options.conjunctive into the Fig-2 keyword query.
   std::string view;
   std::vector<std::string> keywords;
 
   SearchOptions options;
-
-  /// Shard routing hint: -1 (default) searches every shard; i >= 0
-  /// restricts execution to shard i — for callers that co-located a
-  /// tenant onto one shard and want to skip the others. A restricted
-  /// search ranks against that shard's view alone (idf over the shard,
-  /// not the corpus), so it is a different query, not a cheaper spelling
-  /// of the global one.
-  int shard = -1;
 
   /// Wall-clock budget measured from Open. When it expires, in-flight
   /// shard work unwinds and the query fails DeadlineExceeded.
@@ -75,10 +64,11 @@ struct SearchRequest {
   /// the request (and any fetching) is quiescent.
   std::shared_ptr<obs::Trace> trace;
 
-  /// The single validation boundary: exactly-one-of query/view, top_k
-  /// >= 1, non-empty keywords in view form. Typed InvalidArgument on
-  /// each violation. Shard-hint range is checked at Open, where the
-  /// shard count is known.
+  /// The single validation boundary, a typed InvalidArgument on each
+  /// violation: the view is set, the keyword list is non-empty, no
+  /// keyword contains a single quote (each is pasted into a
+  /// single-quoted literal of the composed query, and the grammar has
+  /// no escape for it), and top_k >= 1.
   Status Validate() const;
 };
 

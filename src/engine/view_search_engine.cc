@@ -406,8 +406,8 @@ Result<ViewSearchEngine::ShardEval> ViewSearchEngine::EvaluateShard(
 }
 
 Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
-    std::vector<ShardEval> evals, const std::vector<size_t>& shard_ids,
-    size_t top_k, std::shared_ptr<CancellationToken> token,
+    std::vector<ShardEval> evals, size_t top_k,
+    std::shared_ptr<CancellationToken> token,
     std::shared_ptr<obs::Trace> trace,
     std::vector<obs::TraceSpan*> shard_spans) const {
   Clock::time_point start = Clock::now();
@@ -416,7 +416,6 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
   cursor->cancel_ = std::move(token);
   cursor->limit_ = top_k;
   cursor->trace_ = std::move(trace);
-  shard_spans.resize(evals.size(), nullptr);
 
   // The plan is identical across shards (same text, deterministic
   // planner); read query-level facts from the first one.
@@ -437,20 +436,21 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
   merge_span.AddCounter("streams", evals.size());
 
   EngineStats& stats = cursor->stats_;
-  const CancellationToken* cancel =
-      cursor->cancel_ == nullptr ? nullptr : cursor->cancel_.get();
-  for (size_t p = 0; p < evals.size(); ++p) {
-    ShardEval& eval = evals[p];
+  std::vector<scoring::ScoredResult>& candidates = cursor->candidates_;
+  for (size_t shard = 0; shard < evals.size(); ++shard) {
+    ShardEval& eval = evals[shard];
     const scoring::ViewStatistics& view = *eval.statistics;
-    QUICKVIEW_ASSIGN_OR_RETURN(
-        std::vector<scoring::ScoredResult> kept,
-        scoring::FilterAndScore(view, *eval.tf, idf, plan.kq.conjunctive,
-                                cancel));
+    // Each shard's survivors follow the previous shard's in `candidates`.
+    const size_t begin = candidates.size();
+    QV_RETURN_IF_ERROR(scoring::FilterAndScore(view, *eval.tf, idf,
+                                               plan.kq.conjunctive,
+                                               &candidates,
+                                               cursor->cancel_.get()));
+    const size_t matching = candidates.size() - begin;
 
     ShardStats shard_stats;
-    shard_stats.shard = static_cast<int>(shard_ids[p]);
     shard_stats.view_results = view.sequence_size;
-    shard_stats.matching_results = kept.size();
+    shard_stats.matching_results = matching;
     shard_stats.pdt_ms = eval.prepared->pdt_ms;
     shard_stats.eval_ms = eval.eval_ms;
     stats.shards.push_back(shard_stats);
@@ -458,16 +458,16 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
     // FetchNext attributes materialization I/O back to it too, so a
     // counter summed over the shard spans always equals the
     // corresponding stats().search total.
-    if (shard_spans[p] != nullptr) {
-      shard_spans[p]->AddCounter("view_results", view.sequence_size);
-      shard_spans[p]->AddCounter("matching_results", kept.size());
-      shard_spans[p]->AddCounter("pdt_bytes",
-                                 eval.prepared->pdt_stats.pdt_bytes);
-      shard_spans[p]->AddCounter("view_bytes", view.view_bytes);
+    if (shard_spans[shard] != nullptr) {
+      shard_spans[shard]->AddCounter("view_results", view.sequence_size);
+      shard_spans[shard]->AddCounter("matching_results", matching);
+      shard_spans[shard]->AddCounter("pdt_bytes",
+                                     eval.prepared->pdt_stats.pdt_bytes);
+      shard_spans[shard]->AddCounter("view_bytes", view.view_bytes);
     }
 
     stats.search.view_results += view.sequence_size;
-    stats.search.matching_results += kept.size();
+    stats.search.matching_results += matching;
     stats.search.view_bytes += view.view_bytes;
     const pdt::PdtBuildStats& pdt_stats = eval.prepared->pdt_stats;
     stats.search.pdt.ids_processed += pdt_stats.ids_processed;
@@ -482,20 +482,20 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::FinalizeCursor(
         std::max(stats.timings.pdt_ms, eval.prepared->pdt_ms);
     stats.timings.eval_ms = std::max(stats.timings.eval_ms, eval.eval_ms);
 
-    // Per-shard lazily-heapified stream; the merged frontier pops across
-    // them in global (score desc, shard asc, position asc) order.
-    RankedStream stream;
-    stream.Reserve(kept.size());
-    for (size_t i = 0; i < kept.size(); ++i) stream.Push(kept[i].score, i);
-    cursor->stream_.AddShard(std::move(stream));
-
     ResultCursor::Slice slice;
     slice.prepared = std::move(eval.prepared);
     slice.arena = std::move(eval.arena);
-    slice.store = shards_[shard_ids[p]].store;
-    slice.candidates = std::move(kept);
-    slice.span = shard_spans[p];
+    slice.store = shards_[shard].store;
+    slice.end = candidates.size();
+    slice.span = shard_spans[shard];
     cursor->slices_.push_back(std::move(slice));
+  }
+  // One stream over positions numbered shard by shard: equal scores pop
+  // by shard, then by view position — global view order under the
+  // ordered contiguous partition.
+  cursor->stream_.Reserve(candidates.size());
+  for (size_t position = 0; position < candidates.size(); ++position) {
+    cursor->stream_.Push(candidates[position].score, position);
   }
   merge_span.AddCounter("matching_results", stats.search.matching_results);
   const Clock::time_point end = Clock::now();
@@ -514,23 +514,11 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     std::vector<std::shared_ptr<const PreparedQuery>> prepared,
     const QueryPlan* plan) const {
   QV_RETURN_IF_ERROR(request.Validate());
-  if (request.shard >= shard_count()) {
+  const size_t n = shards_.size();
+  if (!prepared.empty() && prepared.size() != n) {
     return Status::InvalidArgument(
-        "shard hint " + std::to_string(request.shard) +
-        " out of range: engine has " + std::to_string(shard_count()) +
-        " shard(s)");
-  }
-  std::vector<size_t> selected;
-  if (request.shard >= 0) {
-    selected.push_back(static_cast<size_t>(request.shard));
-  } else {
-    for (size_t i = 0; i < shards_.size(); ++i) selected.push_back(i);
-  }
-  if (!prepared.empty() && prepared.size() != selected.size()) {
-    return Status::InvalidArgument(
-        "prepared-query vector must have one entry per executed shard (" +
-        std::to_string(selected.size()) + "), got " +
-        std::to_string(prepared.size()));
+        "prepared-query vector must have one entry per shard (" +
+        std::to_string(n) + "), got " + std::to_string(prepared.size()));
   }
 
   std::shared_ptr<CancellationToken> token = request.cancel;
@@ -539,14 +527,10 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     token->SetDeadline(Clock::now() + *request.deadline);
   }
 
-  const std::string query_text =
-      !request.query.empty()
-          ? request.query
-          : ComposeKeywordQuery(request.view, request.keywords,
-                                request.options.conjunctive);
+  const std::string query_text = ComposeKeywordQuery(
+      request.view, request.keywords, request.options.conjunctive);
 
   // --- Fan out: per-shard plan/PDT/eval/collect tasks ---
-  const size_t n = selected.size();
   // Shard spans are pre-created here, in shard order, on the
   // coordinator: sibling order under the root is then deterministic no
   // matter how the shard tasks interleave, and a span's start time
@@ -557,19 +541,18 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
   std::vector<obs::TraceSpan*> shard_spans(n, nullptr);
   if (trace != nullptr) {
     const Clock::time_point fan_out = Clock::now();
-    for (size_t slot = 0; slot < n; ++slot) {
-      shard_spans[slot] = trace->StartSpanAt(
-          "shard", nullptr, static_cast<int>(selected[slot]), fan_out);
+    for (size_t shard = 0; shard < n; ++shard) {
+      shard_spans[shard] = trace->StartSpanAt(
+          "shard", nullptr, static_cast<int>(shard), fan_out);
     }
   }
   Gather<Result<ShardEval>> gather(n);
-  auto run_shard = [&](size_t slot) -> Result<ShardEval> {
-    const size_t shard = selected[slot];
+  auto run_shard = [&](size_t shard) -> Result<ShardEval> {
     const int shard_id = static_cast<int>(shard);
-    obs::TraceSpan* const shard_span = shard_spans[slot];
+    obs::TraceSpan* const shard_span = shard_spans[shard];
     if (token->Fired()) return token->ToStatus();
     std::shared_ptr<const PreparedQuery> pq =
-        slot < prepared.size() ? prepared[slot] : nullptr;
+        prepared.empty() ? nullptr : prepared[shard];
     // A skeleton this task builds: its PDTs here, its view below.
     std::shared_ptr<PreparedQuery> built;
     if (pq == nullptr) {
@@ -630,23 +613,23 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
     if (shard_span != nullptr) shard_span->CloseAt(end);
     return eval;
   };
-  auto run_into_slot = [&](size_t slot) {
-    Result<ShardEval> result = run_shard(slot);
+  auto run_into_slot = [&](size_t shard) {
+    Result<ShardEval> result = run_shard(shard);
     if (!result.ok()) {
-      if (shard_spans[slot] != nullptr) shard_spans[slot]->Close();
+      if (shard_spans[shard] != nullptr) shard_spans[shard]->Close();
       if (result.status().code() != StatusCode::kCancelled &&
           result.status().code() != StatusCode::kDeadlineExceeded) {
         token->Cancel();  // fail fast: stop the sibling shards
       }
     }
-    gather.Set(slot, std::move(result));
+    gather.Set(shard, std::move(result));
   };
   const bool parallel = pool_ != nullptr && n > 1;
-  for (size_t slot = 0; slot < n; ++slot) {
+  for (size_t shard = 0; shard < n; ++shard) {
     if (parallel) {
-      pool_->Submit([&run_into_slot, slot] { run_into_slot(slot); });
+      pool_->Submit([&run_into_slot, shard] { run_into_slot(shard); });
     } else {
-      run_into_slot(slot);
+      run_into_slot(shard);
     }
   }
   // The barrier. After this no shard task is queued or running.
@@ -657,32 +640,31 @@ Result<std::unique_ptr<ResultCursor>> ViewSearchEngine::Open(
   // DeadlineExceeded only surface when nothing harder caused them ---
   std::vector<Result<ShardEval>> results;
   results.reserve(n);
-  for (size_t slot = 0; slot < n; ++slot) {
-    results.push_back(gather.Take(slot));
+  for (size_t shard = 0; shard < n; ++shard) {
+    results.push_back(gather.Take(shard));
   }
-  for (size_t slot = 0; slot < n; ++slot) {
-    const Status& status = results[slot].status();
+  for (size_t shard = 0; shard < n; ++shard) {
+    const Status& status = results[shard].status();
     if (status.ok() || status.code() == StatusCode::kCancelled ||
         status.code() == StatusCode::kDeadlineExceeded) {
       continue;
     }
-    if (shards_.size() > 1) {
-      return Status(status.code(),
-                    "shard " + std::to_string(selected[slot]) + ": " +
-                        status.message());
+    if (n > 1) {
+      return Status(status.code(), "shard " + std::to_string(shard) + ": " +
+                                       status.message());
     }
     return status;
   }
-  for (size_t slot = 0; slot < n; ++slot) {
-    if (!results[slot].ok()) return results[slot].status();
+  for (size_t shard = 0; shard < n; ++shard) {
+    if (!results[shard].ok()) return results[shard].status();
   }
 
   std::vector<ShardEval> evals;
   evals.reserve(n);
-  for (size_t slot = 0; slot < n; ++slot) {
-    evals.push_back(std::move(results[slot]).value());
+  for (size_t shard = 0; shard < n; ++shard) {
+    evals.push_back(std::move(results[shard]).value());
   }
-  return FinalizeCursor(std::move(evals), selected, request.options.top_k,
+  return FinalizeCursor(std::move(evals), request.options.top_k,
                         std::move(token), request.trace,
                         std::move(shard_spans));
 }

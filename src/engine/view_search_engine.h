@@ -10,9 +10,10 @@
 // planning + PDT generation + evaluation + statistics collection out per
 // shard (on the engine's ThreadPool when it has one), folds the integer
 // keyword statistics into ONE global idf, and returns a ResultCursor
-// whose MergedRankedStream pops hits in exactly the order the unsharded
+// whose one ranked stream pops hits in exactly the order the unsharded
 // engine would produce — sharding is an execution strategy, never a
-// semantic: responses are byte-identical at any shard count.
+// semantic: every request searches every shard, and responses are
+// byte-identical at any shard count.
 //
 // The pipeline stays split into cacheable stages:
 //   PlanQuery       parse + QPT generation + canonical plan signature
@@ -210,20 +211,19 @@ class ViewSearchEngine {
   /// THE search entry point. Validates the request once, plans, builds
   /// (or reuses) per-shard PDTs, evaluates and scores every shard —
   /// concurrently when the engine has a pool — and returns a cursor over
-  /// the merged ranked stream. No hit is materialized (no base data is
-  /// touched) until FetchNext asks for it. Open is a barrier: when it
-  /// returns, stats()/pending() are final (modulo lazily-growing fetch
-  /// counters) and no shard work is running. On cancellation, deadline
-  /// expiry, or a shard failure, every sibling shard task is stopped via
-  /// the request's token before Open returns the typed error
-  /// (Cancelled / DeadlineExceeded / the first shard's error, annotated
-  /// with its shard number).
+  /// one ranked stream of every shard's candidates. No hit is
+  /// materialized (no base data is touched) until FetchNext asks for it.
+  /// Open is a barrier: when it returns, stats()/pending() are final
+  /// (modulo lazily-growing fetch counters) and no shard work is
+  /// running. On cancellation, deadline expiry, or a shard failure,
+  /// every sibling shard task is stopped via the request's token before
+  /// Open returns the typed error (Cancelled / DeadlineExceeded / the
+  /// first shard's error, annotated with its shard number).
   Result<std::unique_ptr<ResultCursor>> Open(const SearchRequest& request) const;
 
   /// Open with caller-provided per-shard PreparedQueries (the service
   /// layer's cache hits). `prepared` must have exactly one entry per
-  /// EXECUTED shard — all of them, or just the hinted one — each built
-  /// against that shard. An entry is one of:
+  /// shard, entry i built against shard i. An entry is one of:
   ///  - null: the shard plans, builds and evaluates its skeleton, then
   ///    annotates it;
   ///  - a skeleton with the request's PDT signature: it is annotated
@@ -236,7 +236,7 @@ class ViewSearchEngine {
   /// request (only read), and without one Open returns InvalidArgument.
   /// Only a shard that builds a skeleton plans again, since the skeleton
   /// owns its plan.
-  /// The bundle each shard ran is the cursor's SharedPrepared(slot); a
+  /// The bundle shard i ran is the cursor's SharedPrepared(i); a
   /// skeleton a shard built is that bundle's `skeleton`.
   Result<std::unique_ptr<ResultCursor>> Open(
       const SearchRequest& request,
@@ -278,9 +278,11 @@ class ViewSearchEngine {
   Result<ShardEval> EvaluateShard(
       size_t shard, std::shared_ptr<const PreparedQuery> prepared,
       const CancellationToken* cancel) const;
+  /// Scores every shard's candidates against the global idf into one
+  /// cursor; `evals` and `shard_spans` hold one entry per shard.
   Result<std::unique_ptr<ResultCursor>> FinalizeCursor(
-      std::vector<ShardEval> evals, const std::vector<size_t>& shard_ids,
-      size_t top_k, std::shared_ptr<CancellationToken> token,
+      std::vector<ShardEval> evals, size_t top_k,
+      std::shared_ptr<CancellationToken> token,
       std::shared_ptr<obs::Trace> trace,
       std::vector<obs::TraceSpan*> shard_spans) const;
 

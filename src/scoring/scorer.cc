@@ -206,12 +206,12 @@ void AccumulateDf(const std::vector<uint64_t>& tf, std::vector<uint64_t>* df) {
   }
 }
 
-Result<std::vector<ScoredResult>> FilterAndScore(
-    const ViewStatistics& view, const std::vector<uint64_t>& tf,
-    const std::vector<double>& idf, bool conjunctive,
-    const CancellationToken* cancel) {
+Status FilterAndScore(const ViewStatistics& view,
+                      const std::vector<uint64_t>& tf,
+                      const std::vector<double>& idf, bool conjunctive,
+                      std::vector<ScoredResult>* kept,
+                      const CancellationToken* cancel) {
   const size_t width = idf.size();
-  std::vector<ScoredResult> kept;
   for (size_t c = 0; c < view.candidates.size(); ++c) {
     if (cancel != nullptr && cancel->Fired()) return cancel->ToStatus();
     const uint64_t* row = tf.data() + c * width;
@@ -223,9 +223,9 @@ Result<std::vector<ScoredResult>> FilterAndScore(
     r.tf.assign(row, row + width);
     r.byte_length = candidate.byte_length;
     r.score = Score(row, width, idf, candidate.byte_length);
-    kept.push_back(std::move(r));
+    kept->push_back(std::move(r));
   }
-  return kept;
+  return Status::OK();
 }
 
 ScoringOutcome ScoreCandidates(const xquery::Sequence& view_results,
@@ -245,9 +245,9 @@ ScoringOutcome ScoreCandidates(const xquery::Sequence& view_results,
   const std::vector<double> idf =
       ComputeIdf(static_cast<uint64_t>(view.candidates.size()), df);
   outcome.view_bytes = view.view_bytes;
-  Result<std::vector<ScoredResult>> kept =
-      FilterAndScore(view, tf, idf, conjunctive);
-  if (kept.ok()) outcome.ranked = std::move(kept).value();
+  if (!FilterAndScore(view, tf, idf, conjunctive, &outcome.ranked).ok()) {
+    outcome.ranked.clear();
+  }
   return outcome;
 }
 

@@ -140,12 +140,14 @@ std::vector<double> ComputeIdf(uint64_t total_candidates,
 /// Phase 3: applies conjunctive/disjunctive keyword semantics and the
 /// TF-IDF score to `view`'s candidates and their flat term frequencies
 /// (idf.size() entries per candidate) against a (possibly global) idf
-/// vector. Survivors keep their view order. Polls `cancel` between
-/// candidates like phase 1.
-Result<std::vector<ScoredResult>> FilterAndScore(
-    const ViewStatistics& view, const std::vector<uint64_t>& tf,
-    const std::vector<double>& idf, bool conjunctive,
-    const CancellationToken* cancel = nullptr);
+/// vector, appending the survivors to `kept` in view order (a sharded
+/// caller appends shard after shard). Polls `cancel` between candidates
+/// like phase 1.
+Status FilterAndScore(const ViewStatistics& view,
+                      const std::vector<uint64_t>& tf,
+                      const std::vector<double>& idf, bool conjunctive,
+                      std::vector<ScoredResult>* kept,
+                      const CancellationToken* cancel = nullptr);
 
 // ---------------------------------------------------------------------
 // Keyword-free phase 1: collected once per view evaluated over PDT

@@ -324,7 +324,6 @@ void Encode(const SearchRpcRequest& req, std::string* out) {
   for (const std::string& kw : req.keywords) AppendString(out, kw);
   AppendU32(out, req.top_k);
   out->push_back(req.conjunctive ? 1 : 0);
-  AppendU32(out, static_cast<uint32_t>(req.shard));
   AppendU64(out, req.deadline_ms);
 }
 
@@ -342,7 +341,6 @@ Result<SearchRpcRequest> DecodeSearchRpcRequest(std::string_view payload) {
     if (!ReadString(payload, &pos, &kw)) return Truncated("Search");
     req.keywords.push_back(std::move(kw));
   }
-  uint32_t shard = 0;
   if (!ReadU32(payload, &pos, &req.top_k) || pos >= payload.size()) {
     return Truncated("Search");
   }
@@ -351,11 +349,7 @@ Result<SearchRpcRequest> DecodeSearchRpcRequest(std::string_view payload) {
     return Status::ParseError("Search conjunctive flag out of range");
   }
   req.conjunctive = conjunctive == 1;
-  if (!ReadU32(payload, &pos, &shard) ||
-      !ReadU64(payload, &pos, &req.deadline_ms)) {
-    return Truncated("Search");
-  }
-  req.shard = static_cast<int32_t>(shard);
+  if (!ReadU64(payload, &pos, &req.deadline_ms)) return Truncated("Search");
   if (pos != payload.size()) return Trailing("Search");
   return req;
 }

@@ -38,9 +38,10 @@
 namespace quickview::server {
 
 inline constexpr uint32_t kFrameMagic = 0x51565250;  // "QVRP"
-/// 3: frames carry WordChecksum (common/checksum.h); 2 carried byte-wise
-/// FNV-1a.
-inline constexpr uint16_t kProtocolVersion = 3;
+/// 4: a Search payload carries no shard field (every search runs every
+/// shard). 3 introduced the WordChecksum trailer (common/checksum.h); 2
+/// carried byte-wise FNV-1a.
+inline constexpr uint16_t kProtocolVersion = 4;
 inline constexpr size_t kFrameHeaderSize = 20;
 inline constexpr size_t kFrameTrailerSize = 4;
 /// Hard cap on a single frame's payload; anything larger is corrupt (or
@@ -144,7 +145,6 @@ struct SearchRpcRequest {
   std::vector<std::string> keywords;
   uint32_t top_k = 10;
   bool conjunctive = false;
-  int32_t shard = -1;
   uint64_t deadline_ms = 0;
 };
 void Encode(const SearchRpcRequest& req, std::string* out);

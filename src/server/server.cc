@@ -428,7 +428,6 @@ Result<std::string> Server::RunOpcode(const std::shared_ptr<Connection>& conn,
     request.keywords = req.keywords;
     request.options.top_k = req.top_k;
     request.options.conjunctive = req.conjunctive;
-    request.shard = req.shard;
     if (req.deadline_ms != 0) {
       const Clock::time_point deadline =
           arrival + std::chrono::milliseconds(req.deadline_ms);

@@ -72,27 +72,12 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::OpenSearch(
     const engine::SearchRequest& request) {
   queries_.Increment();
   // Boundary validation, in the ONE implementation every entry point
-  // shares (SearchRequest::Validate): empty keyword list, zero top_k and
-  // a nonsense shard hint are caller bugs, rejected with a typed
+  // shares (SearchRequest::Validate): an empty keyword list, a quote in
+  // a keyword and zero top_k are caller bugs, rejected with a typed
   // InvalidArgument before any planning. The service searches registered
   // views, so `view` carries a view NAME here (the engine re-validates
-  // with the view text later, identically) and a full query is refused.
-  if (!request.query.empty()) {
-    return Status::InvalidArgument(
-        "QueryService searches a registered view: set the request's view "
-        "name and keywords, not a full query");
-  }
+  // with the view text later, identically).
   QUICKVIEW_RETURN_IF_ERROR(request.Validate());
-  // Keywords are spliced into single-quoted XQuery string literals; a
-  // quote would break out of the literal and rewrite the query shape
-  // (the serve CLI feeds keywords straight from stdin). The grammar has
-  // no escape for quotes inside literals, so reject rather than mangle.
-  for (const std::string& keyword : request.keywords) {
-    if (keyword.find('\'') != std::string::npos) {
-      return Status::InvalidArgument("keyword must not contain \"'\": " +
-                                     keyword);
-    }
-  }
   // Live mode: pin the current corpus version; the whole query reads it
   // alone. Static mode: the shard set is immutable construction state.
   if (live_ != nullptr) {
@@ -174,20 +159,9 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   const std::string base = BaseCacheKey(query.view, versions, plan.signature);
 
   // The engine gets the request with the view text in place of the name;
-  // its deadline (and caller token) governs PDT build and evaluation,
-  // and the shard hint is the engine's to validate.
+  // its deadline (and caller token) governs PDT build and evaluation.
   engine::SearchRequest request = query;
   request.view = std::move(view.text);
-
-  // Executed shards: all of them, or just the hinted one. An
-  // out-of-range hint leaves `selected` empty and lets Open return its
-  // typed range error.
-  std::vector<size_t> selected;
-  if (query.shard < 0) {
-    for (size_t i = 0; i < shard_count; ++i) selected.push_back(i);
-  } else if (static_cast<size_t>(query.shard) < shard_count) {
-    selected.push_back(static_cast<size_t>(query.shard));
-  }
 
   // Per-shard cache keys: the shared prefix plus "/s<i>", so one plan
   // warms one entry per shard. A shard whose bundle misses looks up the
@@ -198,11 +172,11 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   std::vector<std::string> keys;
   std::vector<std::string> skeleton_keys;  // empty where the bundle hit
   std::vector<std::shared_ptr<const engine::PreparedQuery>> prepared;
-  keys.reserve(selected.size());
-  skeleton_keys.reserve(selected.size());
-  prepared.reserve(selected.size());
+  keys.reserve(shard_count);
+  skeleton_keys.reserve(shard_count);
+  prepared.reserve(shard_count);
   std::string skeleton_base;
-  for (size_t shard : selected) {
+  for (size_t shard = 0; shard < shard_count; ++shard) {
     const std::string suffix = "/s" + std::to_string(shard);
     std::string key = base + suffix;
     std::shared_ptr<const engine::PreparedQuery> entry = cache_.Get(key);
@@ -236,18 +210,18 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
   // publishes nothing.
   std::string admission;
   std::string skeleton_admission;
-  for (size_t slot = 0; slot < keys.size(); ++slot) {
-    if (prepared[slot] != nullptr && prepared[slot]->is_bundle()) continue;
-    const std::string suffix = "/s" + std::to_string(selected[slot]);
+  for (size_t shard = 0; shard < shard_count; ++shard) {
+    if (prepared[shard] != nullptr && prepared[shard]->is_bundle()) continue;
+    const std::string suffix = "/s" + std::to_string(shard);
     std::shared_ptr<const engine::PreparedQuery> bundle =
-        cursor->SharedPrepared(slot);
-    if (prepared[slot] == nullptr) {  // the shard built its skeleton
+        cursor->SharedPrepared(shard);
+    if (prepared[shard] == nullptr) {  // the shard built its skeleton
       if (skeleton_admission.empty()) {
         skeleton_admission = BaseCacheKey(query.view, /*versions=*/"",
                                           plan.pdt_signature,
                                           /*skeleton=*/true);
       }
-      cache_.Offer(skeleton_keys[slot],
+      cache_.Offer(skeleton_keys[shard],
                    std::hash<std::string>{}(skeleton_admission + suffix),
                    bundle->skeleton);
     }
@@ -256,15 +230,15 @@ Result<std::unique_ptr<engine::ResultCursor>> QueryService::PrepareCursor(
     // refused). They are identical by construction, so a bundle of
     // another is rebound to the cached one: its term frequencies hold.
     std::shared_ptr<const engine::PreparedQuery> cached =
-        cache_.Peek(skeleton_keys[slot]);
+        cache_.Peek(skeleton_keys[shard]);
     if (cached != nullptr && cached != bundle->skeleton) {
       bundle = engine::RebindBundle(*bundle, std::move(cached));
     }
     if (admission.empty()) {
       admission = BaseCacheKey(query.view, /*versions=*/"", plan.signature);
     }
-    cache_.Offer(keys[slot], std::hash<std::string>{}(admission + suffix),
-                 std::move(bundle), skeleton_keys[slot]);
+    cache_.Offer(keys[shard], std::hash<std::string>{}(admission + suffix),
+                 std::move(bundle), skeleton_keys[shard]);
   }
   if (corpus != nullptr) cursor->AddLease(std::move(corpus));
   return cursor;

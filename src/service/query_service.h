@@ -19,9 +19,9 @@
 // keyword set, and only a shard that builds a skeleton plans again (the
 // skeleton owns its plan).
 //
-// Requests are the engine's own engine::SearchRequest in view form,
-// whose `view` names a registered view; the service swaps in the view
-// text before handing the request to the engine.
+// Requests are the engine's own engine::SearchRequest, whose `view`
+// names a registered view; the service swaps in the view text before
+// handing the request to the engine, which searches every shard.
 //
 // The result surface is pull-based: OpenSearch returns a session-handle
 // ResultCursor whose FetchNext(n) materializes hits lazily (pagination
@@ -136,10 +136,10 @@ class QueryService {
 
   /// Opens a cursor over the request's ranked result stream on the
   /// calling thread: plan -> cached (or fresh) PDTs -> evaluate + score.
-  /// The request is in view form, its `view` the registered view NAME; a
-  /// request in query form is InvalidArgument, and so is a shard hint
-  /// outside the corpus's shard range (a live corpus has exactly one
-  /// shard). The deadline is measured from this call. No hit is
+  /// The request's `view` is the registered view NAME, and it searches
+  /// every shard (a live corpus has exactly one). An invalid request
+  /// (SearchRequest::Validate) is InvalidArgument. The deadline is
+  /// measured from this call. No hit is
   /// materialized until the caller's first FetchNext. The cursor is a
   /// self-contained session handle — it keeps the underlying
   /// PreparedQuery alive, so it stays valid across cache eviction, view

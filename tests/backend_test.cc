@@ -2,9 +2,8 @@
 // a database directory, a .qvpack, a .qvset, an in-memory --shards
 // partition, a --live corpus — opens through one function into one
 // QueryService cursor path and answers byte-identically. Flag
-// combinations a corpus cannot honour, out-of-range shard hints and
-// hostile .qvset manifests come back as typed errors, never ignored and
-// never a crash.
+// combinations a corpus cannot honour and hostile .qvset manifests come
+// back as typed errors, never ignored and never a crash.
 #include "service/backend.h"
 
 #include <cstdio>
@@ -108,7 +107,7 @@ TEST_F(BackendTest, EveryCorpusKindAnswersIdenticallyThroughOneService) {
   struct Case {
     std::string label;
     BackendOptions options;
-    size_t shards;  // the shard count a hint must stay below
+    size_t shards;  // the backend's shard count
   };
   for (const Case& c : std::vector<Case>{
            {"dir", Options(Path("db")), 1},
@@ -125,17 +124,6 @@ TEST_F(BackendTest, EveryCorpusKindAnswersIdenticallyThroughOneService) {
       EXPECT_EQ(backend->shards->size(), c.shards);
     }
     EXPECT_EQ(Answers(backend->service.get()), expected);
-
-    // One cursor path: a hint past the last shard is the engine's typed
-    // range error on every backend.
-    engine::SearchRequest hinted;
-    hinted.view = "default";
-    hinted.keywords = {"xml"};
-    hinted.shard = static_cast<int>(c.shards);
-    Result<engine::SearchResponse> out_of_range =
-        backend->service->SearchOne(hinted);
-    ASSERT_FALSE(out_of_range.ok());
-    EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

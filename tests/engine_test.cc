@@ -19,14 +19,7 @@ class EngineTest : public ::testing::Test {
                                                  store_.get());
   }
 
-  // The unified entry point, in its two request forms.
-  Result<SearchResponse> ExecQuery(const std::string& query,
-                                   SearchOptions options = {}) {
-    SearchRequest request;
-    request.query = query;
-    request.options = options;
-    return engine_->Execute(request);
-  }
+  // The unified entry point: a view and its keywords.
   Result<SearchResponse> ExecView(const std::string& view,
                                   std::vector<std::string> keywords,
                                   SearchOptions options = {}) {
@@ -44,7 +37,7 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, Fig2QueryEndToEnd) {
-  auto response = ExecQuery(workload::BookRevKeywordQuery());
+  auto response = ExecView(workload::BookRevView(), {"xml", "search"});
   ASSERT_TRUE(response.ok()) << response.status();
   ASSERT_FALSE(response->hits.empty());
   for (const SearchHit& hit : response->hits) {
@@ -105,9 +98,17 @@ TEST_F(EngineTest, UnknownDocumentIsAnError) {
 }
 
 TEST_F(EngineTest, MalformedQueryIsParseError) {
-  auto response = ExecQuery("not a query");
+  auto response = ExecView("not a query", {"xml"});
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(EngineTest, QuoteInKeywordIsInvalidArgument) {
+  // Pasted into its single-quoted literal, this one keyword would run as
+  // the disjunction 'zzz' | 'web' and answer with the web books.
+  auto response = ExecView(workload::BookRevView(), {"zzz' | 'web"});
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(EngineTest, DisjunctiveSemantics) {

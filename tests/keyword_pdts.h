@@ -53,8 +53,8 @@ inline Result<std::shared_ptr<const engine::PreparedQuery>> BuildKeywordPdts(
   return std::shared_ptr<const engine::PreparedQuery>(std::move(prepared));
 }
 
-/// Answers `request` (view form) on `engine`, built over `shards`, from
-/// caller-built keyword PDTs: one per executed shard.
+/// Answers `request` on `engine`, built over `shards`, from caller-built
+/// keyword PDTs: one per shard.
 inline Result<engine::SearchResponse> ExecuteOverKeywordPdts(
     const engine::ViewSearchEngine& engine,
     const std::vector<engine::ShardContext>& shards,
@@ -62,13 +62,10 @@ inline Result<engine::SearchResponse> ExecuteOverKeywordPdts(
   const std::string query = engine::ComposeKeywordQuery(
       request.view, request.keywords, request.options.conjunctive);
   std::vector<std::shared_ptr<const engine::PreparedQuery>> prepared;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    if (request.shard >= 0 && static_cast<size_t>(request.shard) != s) {
-      continue;
-    }
+  for (const engine::ShardContext& shard : shards) {
     QUICKVIEW_ASSIGN_OR_RETURN(
         std::shared_ptr<const engine::PreparedQuery> entry,
-        BuildKeywordPdts(engine, query, *shards[s].indexes));
+        BuildKeywordPdts(engine, query, *shard.indexes));
     prepared.push_back(std::move(entry));
   }
   QUICKVIEW_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,

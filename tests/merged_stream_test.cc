@@ -1,14 +1,15 @@
-// MergedRankedStream and the sharded cursor around it: cross-shard ties
-// must break deterministically (shard asc, then position asc — global
-// view order under the contiguous partition), empty shards must be
-// transparent, the one-shard sharded engine must be byte-identical to
-// the unsharded engine, and cancellation after a satisfied FetchNext(k)
-// must leave no shard task running. Runs under the TSan CI leg (the
-// cancellation test exercises pool workers against cursor teardown).
-#include "engine/merged_ranked_stream.h"
-
+// The sharded cursor: every shard's scored candidates pop from one
+// ranked stream, so cross-shard ties must break by shard, then by view
+// position (global view order under the contiguous partition) and match
+// the unsharded engine hit for hit, with a shard that matches nothing
+// left out; the one-shard sharded engine must be byte-identical to the
+// unsharded engine; and cancellation after a satisfied FetchNext(k) must
+// leave no shard task running. Runs under the Sanitize and TSan CI legs
+// (the cancellation test exercises pool workers against cursor
+// teardown).
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,91 +18,14 @@
 #include "common/thread_pool.h"
 #include "engine/result_cursor.h"
 #include "engine/view_search_engine.h"
+#include "index/index_builder.h"
+#include "storage/document_store.h"
 #include "storage/shard_set.h"
 #include "workload/bookrev_generator.h"
+#include "xml/parser.h"
 
 namespace quickview::engine {
 namespace {
-
-RankedStream MakeStream(const std::vector<double>& scores) {
-  RankedStream stream;
-  for (size_t i = 0; i < scores.size(); ++i) stream.Push(scores[i], i);
-  return stream;
-}
-
-TEST(MergedRankedStreamTest, CrossShardTiesBreakByShardThenPosition) {
-  // Three shards, every candidate scored identically: the pop order must
-  // be exactly (shard 0 pos 0..n), (shard 1 pos 0..n), ... — the global
-  // view order of the contiguous partition, regardless of insert order.
-  MergedRankedStream merged;
-  merged.AddShard(MakeStream({0.5, 0.5}));
-  merged.AddShard(MakeStream({0.5}));
-  merged.AddShard(MakeStream({0.5, 0.5, 0.5}));
-
-  std::vector<std::pair<size_t, size_t>> order;
-  while (!merged.Empty()) {
-    MergedRankedStream::Entry e = merged.Pop();
-    EXPECT_EQ(e.score, 0.5);
-    order.emplace_back(e.shard, e.position);
-  }
-  std::vector<std::pair<size_t, size_t>> expected{
-      {0, 0}, {0, 1}, {1, 0}, {2, 0}, {2, 1}, {2, 2}};
-  EXPECT_EQ(order, expected);
-}
-
-TEST(MergedRankedStreamTest, HigherScoreWinsAcrossShards) {
-  MergedRankedStream merged;
-  merged.AddShard(MakeStream({0.1, 0.9, 0.4}));
-  merged.AddShard(MakeStream({0.8, 0.2}));
-  merged.AddShard(MakeStream({0.6}));
-
-  std::vector<double> scores;
-  while (!merged.Empty()) scores.push_back(merged.Pop().score);
-  std::vector<double> expected{0.9, 0.8, 0.6, 0.4, 0.2, 0.1};
-  EXPECT_EQ(scores, expected);
-}
-
-TEST(MergedRankedStreamTest, EmptyShardsAreTransparent) {
-  MergedRankedStream merged;
-  merged.AddShard(RankedStream{});
-  merged.AddShard(MakeStream({0.7, 0.3}));
-  merged.AddShard(RankedStream{});
-  merged.AddShard(MakeStream({0.5}));
-  merged.AddShard(RankedStream{});
-
-  EXPECT_EQ(merged.Size(), 3u);
-  EXPECT_EQ(merged.Pop().score, 0.7);
-  EXPECT_EQ(merged.Pop().score, 0.5);
-  EXPECT_EQ(merged.Pop().score, 0.3);
-  EXPECT_TRUE(merged.Empty());
-}
-
-TEST(MergedRankedStreamTest, AllShardsEmptyIsEmpty) {
-  MergedRankedStream merged;
-  merged.AddShard(RankedStream{});
-  merged.AddShard(RankedStream{});
-  EXPECT_TRUE(merged.Empty());
-  EXPECT_EQ(merged.Size(), 0u);
-}
-
-TEST(MergedRankedStreamTest, OneShardDegeneratesToRankedStream) {
-  const std::vector<double> scores{0.2, 0.9, 0.9, 0.1, 0.5};
-  RankedStream reference = MakeStream(scores);
-  MergedRankedStream merged;
-  merged.AddShard(MakeStream(scores));
-
-  while (!merged.Empty()) {
-    RankedStream::Entry expected = reference.Pop();
-    MergedRankedStream::Entry actual = merged.Pop();
-    EXPECT_EQ(actual.score, expected.score);
-    EXPECT_EQ(actual.position, expected.position);
-    EXPECT_EQ(actual.shard, 0u);
-  }
-  EXPECT_TRUE(reference.Empty());
-}
-
-// ---------------------------------------------------------------------
-// Sharded-cursor integration around the merge.
 
 class ShardedCursorTest : public ::testing::Test {
  protected:
@@ -215,6 +139,94 @@ TEST_F(ShardedCursorTest, OneShardShardedEngineByteIdenticalToUnsharded) {
     EXPECT_EQ(a->hits[i].tf, b->hits[i].tf);
     EXPECT_EQ(a->hits[i].byte_length, b->hits[i].byte_length);
     EXPECT_DOUBLE_EQ(a->hits[i].score, b->hits[i].score);
+  }
+}
+
+TEST_F(ShardedCursorTest, CrossShardTiesPopInUnshardedOrder) {
+  // Eight books, two per shard, each with the same review. The titles
+  // of books 0, 2 and 6 (shards 0, 1 and 3) differ but have one 'xml'
+  // and one length, so they score equally; nothing on shard 2 mentions
+  // 'xml'.
+  const std::vector<std::string> titles{
+      "xml tips in print", "web notes",         // shard 0
+      "xml tips on print", "xml guide to xml",  // shard 1
+      "database systems",  "web services",      // shard 2
+      "xml tips at print", "search index"};     // shard 3
+  std::string books = "<books>";
+  std::string reviews = "<reviews>";
+  for (size_t i = 0; i < titles.size(); ++i) {
+    const std::string isbn = "<isbn>" + std::to_string(100 + i) + "</isbn>";
+    books += "<book>" + isbn + "<title>" + titles[i] +
+             "</title><year>2000</year></book>";
+    reviews += "<review>" + isbn + "<content>easy to read</content></review>";
+  }
+  auto books_doc = xml::ParseXml(books + "</books>", 1);
+  auto reviews_doc = xml::ParseXml(reviews + "</reviews>", 2);
+  ASSERT_TRUE(books_doc.ok()) << books_doc.status();
+  ASSERT_TRUE(reviews_doc.ok()) << reviews_doc.status();
+  xml::Database db;
+  db.AddDocument("books.xml", *books_doc);
+  db.AddDocument("reviews.xml", *reviews_doc);
+  storage::ShardingSpec spec;
+  spec.shards = 4;
+  spec.colocate_tag = "isbn";
+  auto shards = storage::ShardSet::Partition(db, spec);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+
+  SearchRequest request;
+  request.view = workload::BookRevView();
+  request.keywords = {"xml"};
+  request.options.top_k = 100;
+
+  ThreadPool pool(2);
+  ViewSearchEngine sharded(ShardContexts(*shards), &pool);
+  auto cursor = sharded.Open(request);
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  const std::vector<ShardStats>& shard_stats = (*cursor)->stats().shards;
+  ASSERT_EQ(shard_stats.size(), 4u);
+  EXPECT_GT(shard_stats[2].view_results, 0u);
+  EXPECT_EQ(shard_stats[2].matching_results, 0u);
+
+  // Drain hit by hit; a hit's shard is the one whose fetch counter moved.
+  std::vector<SearchHit> hits;
+  std::vector<size_t> hit_shards;
+  std::vector<uint64_t> fetches(4, 0);
+  while (!(*cursor)->Done()) {
+    auto page = (*cursor)->FetchNext(1);
+    ASSERT_TRUE(page.ok()) << page.status();
+    ASSERT_EQ(page->size(), 1u);
+    hits.push_back(std::move(page->front()));
+    std::vector<size_t> moved;
+    for (size_t s = 0; s < fetches.size(); ++s) {
+      if (shard_stats[s].store_fetches == fetches[s]) continue;
+      fetches[s] = shard_stats[s].store_fetches;
+      moved.push_back(s);
+    }
+    ASSERT_EQ(moved.size(), 1u) << "hit " << hits.size() - 1;
+    hit_shards.push_back(moved[0]);
+  }
+  bool cross_shard_tie = false;
+  for (size_t i = 0; i < hits.size(); ++i) {
+    for (size_t j = i + 1; j < hits.size(); ++j) {
+      cross_shard_tie |= hits[i].score == hits[j].score &&
+                         hit_shards[i] != hit_shards[j];
+    }
+  }
+  EXPECT_TRUE(cross_shard_tie) << "the corpus must tie scores across shards";
+
+  auto indexes = index::BuildDatabaseIndexes(db);
+  storage::DocumentStore store(db);
+  ViewSearchEngine unsharded(&db, indexes.get(), &store);
+  auto expected = unsharded.Execute(request);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(hits.size(), expected->hits.size());
+  ASSERT_EQ(hits.size(), 4u);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    SCOPED_TRACE("hit " + std::to_string(i));
+    EXPECT_EQ(hits[i].xml, expected->hits[i].xml);
+    EXPECT_EQ(hits[i].score, expected->hits[i].score);
+    EXPECT_EQ(hits[i].tf, expected->hits[i].tf);
+    EXPECT_EQ(hits[i].byte_length, expected->hits[i].byte_length);
   }
 }
 

@@ -129,22 +129,27 @@ TEST(ProtocolFrameTest, ChecksumIsPinned) {
   size_t pos = wire.size() - kFrameTrailerSize;
   uint32_t trailer = 0;
   ASSERT_TRUE(pagestore::ReadU32(wire, &pos, &trailer));
-  EXPECT_EQ(trailer, 0x22bdbdd7u);
+  EXPECT_EQ(trailer, 0x1c69bd8fu);
 }
 
 TEST(ProtocolFrameTest, VersionTwoFrameIsRejectedByVersion) {
-  // A version-2 peer checksums frames with FNV-1a; its frames must fail
-  // on the version, which is checked before the checksum.
-  std::string wire = Encoded(MakeFrame(Opcode::kSearch, 1, "p"));
-  wire[4] = 0;
-  wire[5] = 2;
-  Frame decoded;
-  size_t consumed = 0;
-  auto result = DecodeFrame(wire, &decoded, &consumed);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
-  EXPECT_NE(result.status().message().find("version 2"), std::string::npos)
-      << result.status().ToString();
+  // A version-2 peer checksums frames with FNV-1a, and a version-3 peer
+  // sends a shard field in its Search payload; their frames must fail on
+  // the version, which is checked before the checksum.
+  for (char version : {2, 3}) {
+    std::string wire = Encoded(MakeFrame(Opcode::kSearch, 1, "p"));
+    wire[4] = 0;
+    wire[5] = version;
+    Frame decoded;
+    size_t consumed = 0;
+    auto result = DecodeFrame(wire, &decoded, &consumed);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+    EXPECT_NE(result.status().message().find("version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 TEST(ProtocolFrameTest, BadMagicVersionOpcodeFlags) {
@@ -251,7 +256,6 @@ TEST(ProtocolPayloadTest, SearchRpcRequestRoundTrip) {
   req.keywords = {"xml", "search", "web"};
   req.top_k = 25;
   req.conjunctive = true;
-  req.shard = -1;
   req.deadline_ms = 1500;
   std::string payload;
   Encode(req, &payload);
@@ -261,7 +265,6 @@ TEST(ProtocolPayloadTest, SearchRpcRequestRoundTrip) {
   EXPECT_EQ(decoded->keywords, req.keywords);
   EXPECT_EQ(decoded->top_k, 25u);
   EXPECT_TRUE(decoded->conjunctive);
-  EXPECT_EQ(decoded->shard, -1);
   EXPECT_EQ(decoded->deadline_ms, 1500u);
   for (size_t len = 0; len < payload.size(); ++len) {
     EXPECT_FALSE(DecodeSearchRpcRequest(payload.substr(0, len)).ok())

@@ -357,20 +357,12 @@ TEST_F(QueryServiceTest, OpenSearchValidatesAtTheBoundary) {
   auto response = service->SearchOne(zero_k);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
-
-  // The service searches registered views: a full keyword query, valid
-  // at the engine boundary, is refused here.
-  engine::SearchRequest full_query;
-  full_query.query = engine::ComposeKeywordQuery(workload::BookRevView(),
-                                                 {"xml"}, true);
-  auto refused = service->OpenSearch(full_query);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(QueryServiceTest, RejectsQuoteBearingKeyword) {
   // A quote would escape the single-quoted ftcontains literal and
-  // rewrite the composed query; the service must refuse it up front.
+  // rewrite the composed query; the service must refuse it up front
+  // (through SearchRequest::Validate, before any planning).
   auto service = MakeService(/*threads=*/1);
   engine::SearchRequest query;
   query.view = "bookrev";

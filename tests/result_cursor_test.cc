@@ -295,14 +295,13 @@ TEST_F(ResultCursorTest, EmptyKeywordListIsInvalidArgument) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
 
-  // The full-query form: ftcontains() parses, but PlanQuery rejects it.
-  SearchRequest full_request;
-  full_request.query =
+  // A keyword query whose ftcontains() lists nothing parses, but
+  // PlanQuery rejects it.
+  auto plan = engine_->PlanQuery(
       "let $view := " + workload::BookRevView() +
-      "\nfor $qv in $view\nwhere $qv ftcontains()\nreturn $qv";
-  auto full = engine_->Execute(full_request);
-  ASSERT_FALSE(full.ok());
-  EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+      "\nfor $qv in $view\nwhere $qv ftcontains()\nreturn $qv");
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // SearchRequest::Validate is THE validation boundary: one negative test
-// per rule, plus proof that both entry forms pass. Entry points carry
-// their own checks only for what Validate cannot know (shard range at
-// Open, registered-view lookup at the service).
+// per rule, plus proof that a well-formed request passes. Entry points
+// carry their own checks only for what Validate cannot know (the
+// registered-view lookup at the service).
 #include "engine/search_request.h"
 
 #include <gtest/gtest.h>
@@ -16,37 +16,12 @@ SearchRequest ViewForm() {
   return request;
 }
 
-SearchRequest QueryForm() {
-  SearchRequest request;
-  request.query =
-      "let $view := for $b in fn:doc(books.xml)//book return $b\n"
-      "for $qv in $view\nwhere $qv ftcontains('xml')\nreturn $qv";
-  return request;
-}
-
-TEST(SearchRequestTest, BothFormsValidate) {
+TEST(SearchRequestTest, ViewFormValidates) {
   EXPECT_TRUE(ViewForm().Validate().ok());
-  EXPECT_TRUE(QueryForm().Validate().ok());
 }
 
-TEST(SearchRequestTest, NeitherQueryNorViewIsInvalid) {
+TEST(SearchRequestTest, MissingViewIsInvalid) {
   SearchRequest request;
-  request.keywords = {"xml"};
-  Status status = request.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SearchRequestTest, BothQueryAndViewIsInvalid) {
-  SearchRequest request = ViewForm();
-  request.query = QueryForm().query;
-  Status status = request.Validate();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SearchRequestTest, QueryFormRejectsKeywordList) {
-  SearchRequest request = QueryForm();
   request.keywords = {"xml"};
   Status status = request.Validate();
   ASSERT_FALSE(status.ok());
@@ -61,24 +36,20 @@ TEST(SearchRequestTest, ViewFormRequiresKeywords) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SearchRequestTest, TopKZeroIsInvalidInBothForms) {
+TEST(SearchRequestTest, TopKZeroIsInvalid) {
   SearchRequest view_form = ViewForm();
   view_form.options.top_k = 0;
   EXPECT_EQ(view_form.Validate().code(), StatusCode::kInvalidArgument);
-
-  SearchRequest query_form = QueryForm();
-  query_form.options.top_k = 0;
-  EXPECT_EQ(query_form.Validate().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SearchRequestTest, ShardHintBelowMinusOneIsInvalid) {
+TEST(SearchRequestTest, KeywordWithQuoteIsInvalid) {
+  // A keyword is pasted into a single-quoted literal of the composed
+  // query: one containing a quote would close it and add keywords.
   SearchRequest request = ViewForm();
-  request.shard = -2;
-  EXPECT_EQ(request.Validate().code(), StatusCode::kInvalidArgument);
-  request.shard = -1;
-  EXPECT_TRUE(request.Validate().ok());
-  request.shard = 7;  // range is checked at Open, where the count is known
-  EXPECT_TRUE(request.Validate().ok());
+  request.keywords = {"xml", "zzz' | 'web"};
+  Status status = request.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -209,37 +209,6 @@ TEST_F(ServerTest, ErrorStatusParityOnTheWire) {
   EXPECT_EQ(closed.code(), StatusCode::kNotFound);
 }
 
-TEST_F(ServerTest, OutOfRangeShardHintIsInvalidArgumentOnEveryBackend) {
-  // The demo corpus is one shard, static or live: a hint past it is the
-  // engine's typed range error on the wire, never silently ignored.
-  auto server = StartServer();
-  Client client = ConnectTo(*server);
-  SearchRpcRequest request;
-  request.view = "default";
-  request.keywords = {"xml"};
-  request.shard = 5;
-  auto remote = client.Search(request);
-  ASSERT_FALSE(remote.ok());
-  EXPECT_EQ(remote.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(remote.status().message().find("shard hint 5"), std::string::npos)
-      << remote.status().ToString();
-  request.shard = 0;  // the one shard: the whole corpus
-  auto whole = client.Search(request);
-  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
-  EXPECT_FALSE(whole->hits.empty());
-
-  storage::LiveDatabase live(
-      workload::GenerateBookRevDatabase(workload::BookRevOptions{}));
-  service::QueryService live_service(&live);
-  ASSERT_TRUE(
-      live_service.RegisterView("default", workload::BookRevView()).ok());
-  engine::SearchRequest query = ToQuery(request);
-  query.shard = 5;
-  auto live_result = live_service.SearchOne(query);
-  ASSERT_FALSE(live_result.ok());
-  EXPECT_EQ(live_result.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST_F(ServerTest, RegisterViewOverTheWire) {
   auto server = StartServer();
   Client client = ConnectTo(*server);

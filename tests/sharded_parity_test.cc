@@ -3,7 +3,7 @@
 // signatures at shard counts {1, 2, 4} — every response byte-identical
 // to the unsharded engine — plus the lazy-materialization guarantee on
 // a packed shard set (first-10 reads strictly fewer pages than a drain,
-// per shard) and the shard-hint routing contract.
+// per shard).
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -121,44 +121,6 @@ TEST(ShardedParityTest, SixtyFourSignaturesAtOneTwoFourShards) {
   }
   EXPECT_GE(signatures.size(), 64u)
       << "differential must cover >= 64 distinct plan signatures";
-}
-
-TEST(ShardedParityTest, ShardHintExecutesOnlyThatShard) {
-  workload::BookRevOptions opts;
-  opts.num_books = 60;
-  auto db = workload::GenerateBookRevDatabase(opts);
-  storage::ShardingSpec spec;
-  spec.shards = 4;
-  spec.colocate_tag = "isbn";
-  auto set = storage::ShardSet::Partition(*db, spec);
-  ASSERT_TRUE(set.ok()) << set.status();
-  ThreadPool pool(2);
-  ViewSearchEngine engine(ShardContexts(*set), &pool);
-
-  SearchRequest request;
-  request.view = workload::BookRevView();
-  request.keywords = {"xml"};
-  request.shard = 2;
-  auto cursor = engine.Open(request);
-  ASSERT_TRUE(cursor.ok()) << cursor.status();
-  ASSERT_EQ((*cursor)->stats().shards.size(), 1u);
-  EXPECT_EQ((*cursor)->stats().shards[0].shard, 2);
-
-  // A hinted search ranks against that shard's view alone: fewer view
-  // results than the whole corpus.
-  SearchRequest all = request;
-  all.shard = -1;
-  auto global = engine.Execute(all);
-  ASSERT_TRUE(global.ok());
-  EXPECT_LT((*cursor)->stats().search.view_results,
-            global->stats.view_results);
-
-  // Out-of-range hints are typed errors, not empty answers.
-  SearchRequest beyond = request;
-  beyond.shard = 4;
-  auto bad = engine.Open(beyond);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedParityTest, PackedShardFirstTenReadsFewerPagesPerShard) {

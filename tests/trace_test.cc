@@ -1,5 +1,5 @@
 // Trace-correctness acceptance: a traced 4-shard search yields exactly
-// one "shard" span per executed shard with the full per-shard pipeline
+// one "shard" span per shard with the full per-shard pipeline
 // underneath (plan -> build_pdts -> evaluate), a merge span and a
 // materialize span; every child's duration fits inside its parent; and
 // the counters absorbed into the shard spans sum to exactly the
@@ -141,8 +141,9 @@ TEST(TraceTest, ShardSpanCountersSumToEngineStats) {
   ASSERT_EQ(run.stats.shards.size(), 4u);
   uint64_t view_results = 0, matching = 0, fetches = 0, store_bytes = 0;
   uint64_t pages = 0, buffer_hits = 0, pdt_bytes = 0, view_bytes = 0;
-  for (const ShardStats& shard : run.stats.shards) {
-    const obs::TraceSpan* span = shard_spans.at(shard.shard);
+  for (size_t i = 0; i < run.stats.shards.size(); ++i) {
+    const ShardStats& shard = run.stats.shards[i];
+    const obs::TraceSpan* span = shard_spans.at(static_cast<int>(i));
     EXPECT_EQ(span->counter("view_results"), shard.view_results);
     EXPECT_EQ(span->counter("matching_results"), shard.matching_results);
     EXPECT_EQ(span->counter("store_fetches"), shard.store_fetches);

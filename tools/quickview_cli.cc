@@ -326,9 +326,13 @@ int CmdDemo() {
   auto indexes = index::BuildDatabaseIndexes(*db);
   storage::DocumentStore store(*db);
   engine::ViewSearchEngine engine(db.get(), indexes.get(), &store);
-  std::printf("query:\n%s\n\n", workload::BookRevKeywordQuery().c_str());
   engine::SearchRequest request;
-  request.query = workload::BookRevKeywordQuery();
+  request.view = workload::BookRevView();
+  request.keywords = {"xml", "search"};
+  std::printf("query:\n%s\n\n",
+              engine::ComposeKeywordQuery(request.view, request.keywords,
+                                          request.options.conjunctive)
+                  .c_str());
   auto response = engine.Execute(request);
   if (!response.ok()) return Fail(response.status());
   for (size_t i = 0; i < response->hits.size() && i < 3; ++i) {
